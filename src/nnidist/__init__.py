@@ -3,7 +3,9 @@
 Approximate and exact minimum-cost nearest-neighbor-interchange sequences
 between edge-weighted phylogenies, plus the supporting machinery: Newick
 I/O with exact decimal lengths, replayable operation traces, a good-edge-pair
-decomposition, and a deterministic round-synchronous parallel runtime.
+decomposition, and per-phase counters that record the paper's CRCW-PRAM
+schedule of the parallel phases (rounds = span, tasks = work), not what
+Python executes.
 """
 
 from nnidist.exact import exact_dnni

@@ -15,10 +15,9 @@ from nnidist import newick
 from nnidist.exact import DEFAULT_STATE_LIMIT, StateLimitError, exact_dnni
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import decompose, find_good_edge_pairs
-from nnidist.nni import TraceError, check_trace, trace_lines, write_trace
+from nnidist.nni import check_trace, trace_lines, write_trace
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.pipeline import approx_nni
-from nnidist.runtime import ParRuntime
 
 
 class _UsageError(Exception):
@@ -37,8 +36,7 @@ def _load_tree(path: str) -> Phylogeny:
 def _cmd_approx(args: argparse.Namespace) -> int:
     t1 = _load_tree(args.tree1)
     t2 = _load_tree(args.tree2)
-    rt = ParRuntime(threads=args.threads)
-    result = approx_nni(t1, t2, rt)
+    result = approx_nni(t1, t2)
     if args.trace:
         write_trace(args.trace, t1, t2, result.sequence)
     if args.report_metrics:
@@ -64,8 +62,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t2 = _load_tree(args.tree2)
     try:
         ok, cost, reason = check_trace(args.trace, t1, t2)
-    except TraceError as exc:
-        raise _UsageError(f"{args.trace}: {exc}") from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.trace}: {exc}") from exc
     if not ok:
         print(f"verification failed: {reason}", file=sys.stderr)
         return 1
@@ -115,6 +113,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nnidist",
@@ -127,13 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree2")
     p.add_argument("--trace", help="write the operation sequence as JSON lines")
     p.add_argument("--report-metrics", help="write runtime metrics as JSON")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="accepted for interface stability; the pipeline is deterministic",
-    )
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("exact", help="exact distance by exhaustive search")
@@ -154,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gep)
 
     p = sub.add_parser("gen", help="generate a random tree pair")
-    p.add_argument("--taxa", type=int, required=True)
+    p.add_argument("--taxa", type=_int_at_least(3), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--moves", type=int, required=True)
+    p.add_argument("--moves", type=_int_at_least(0), required=True)
     p.add_argument("--dup-weights", action="store_true")
     p.add_argument("--out1", default="t1.nwk")
     p.add_argument("--out2", default="t2.nwk")

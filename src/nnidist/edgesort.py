@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from nnidist.linearize import spine_nodes
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import Phylogeny, TreeError
-from nnidist.runtime import ParRuntime, ParTask
+from nnidist.runtime import ParRuntime
 
 
 @dataclass
@@ -111,18 +111,16 @@ def make_alternating(
     spine edge order in reading direction.
     """
     m = len(order)
-    tasks = []
-    for j in range(0, m - 1, 2):
-        a, b = order[j], order[j + 1]
-        want_ascending = (j // 2) % 2 == 0
-        swap = (rank[a] < rank[b]) != want_ascending
-        tasks.append(ParTask(j, frozenset({("swap", j)}), lambda j=j, s=swap: {("swap", j): s}))
-    decisions = rt.round(phase, tasks)
+    swaps = [
+        (rank[order[j]] < rank[order[j + 1]]) != ((j // 2) % 2 == 0)
+        for j in range(0, m - 1, 2)
+    ]
+    rt.round(phase, swaps)
 
     ops: list[NniOp] = []
     new_order = list(order)
     for j in range(0, m - 1, 2):
-        if not decisions[("swap", j)]:
+        if not swaps[j // 2]:
             continue
         a, b = new_order[j], new_order[j + 1]
         shared = set(tree.endpoints(a)) & set(tree.endpoints(b))
@@ -197,34 +195,28 @@ def merge_stage(
         passed = [blocks[0]]
 
     # round 1: every participating edge publishes its target rank
-    tasks = [
-        ParTask(e, frozenset({("rank", e)}), lambda e=e, r=rank[e]: {("rank", e): r})
+    local_rank = {
+        e: rank[e]
         for li, ri in pair_idx
         for e in blocks[li].edges + blocks[ri].edges
-    ]
-    ranks = rt.round(phase, tasks)
-    local_rank = {key[1]: v for key, v in ranks.items()}
+    }
+    rt.round(phase, local_rank)
 
-    # round 2: one planning task per pair
-    tasks = []
+    # round 2: one planning task per pair, (pulls, merged run)
+    plans = []
     for pos, (li, ri) in enumerate(pair_idx):
         left, right = blocks[li], blocks[ri]
-
-        def fn(pos=pos, left=left, right=right):
-            run = sorted(
-                left.edges + right.edges,
-                key=lambda e: local_rank[e],
-                reverse=not left.ascending,
-            )
-            pulls = _pull_plan(left, right, local_rank, outer=(pos == 0))
-            return {("plan", pos): (pulls, run)}
-
-        tasks.append(ParTask(pos, frozenset({("plan", pos)}), fn))
-    plans = rt.round(phase, tasks)
+        run = sorted(
+            left.edges + right.edges,
+            key=lambda e: local_rank[e],
+            reverse=not left.ascending,
+        )
+        plans.append((_pull_plan(left, right, local_rank, outer=(pos == 0)), run))
+    rt.round(phase, plans)
 
     predicted = [e for b in passed for e in b.edges]
-    for pos in range(len(pair_idx)):
-        predicted += plans[("plan", pos)][1]
+    for _, run in plans:
+        predicted += run
 
     ops: list[NniOp] = []
     current = spine_edge_order(tree, spine_nodes(tree))
@@ -239,7 +231,7 @@ def merge_stage(
                 break
             li, ri = pair_idx[pos]
             left, right = blocks[li], blocks[ri]
-            pulls = plans[("plan", pos)][0]
+            pulls = plans[pos][0]
             if junction is None:
                 ends_a = set(tree.endpoints(left.edges[-1]))
                 ends_b = set(tree.endpoints(right.edges[0]))
@@ -284,8 +276,8 @@ def merge_stage(
         raise TreeError("merge stage did not produce its predicted order")
 
     new_blocks = [Block(list(b.edges), b.ascending) for b in passed]
-    for pos, (li, _) in enumerate(pair_idx):
-        new_blocks.append(Block(list(plans[("plan", pos)][1]), blocks[li].ascending))
+    for (li, _), (_, run) in zip(pair_idx, plans):
+        new_blocks.append(Block(list(run), blocks[li].ascending))
     return ops, new_blocks
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
-from nnidist.runtime import ParRuntime, ParTask, par_prefix_sums
+from nnidist.runtime import ParRuntime, par_prefix_sums
 
 
 @dataclass
@@ -224,30 +224,15 @@ def _subtree_max(
     val = {v: init.get(v, 0) for v in sub.nodes}
     ptr = dict(sub.parent)
     while any(p is not None for p in ptr.values()):
-        movers = [v for v in sub.nodes if ptr[v] is not None]
-        tasks = [
-            ParTask(
-                v,
-                frozenset({("push", v)}),
-                lambda v=v, t=ptr[v], x=val[v]: {("push", v): (t, x)},
-            )
-            for v in movers
-        ]
-        pushed = rt.round(phase, tasks)
+        pushes = [(ptr[v], val[v]) for v in sub.nodes if ptr[v] is not None]
+        rt.round(phase, pushes)
         received: dict[int, int] = {}
-        for key, (target, x) in pushed.items():
+        for target, x in pushes:
             received[target] = max(received.get(target, 0), x)
-        tasks = [
-            ParTask(
-                v,
-                frozenset({("val", v)}),
-                lambda v=v, x=max(val[v], received[v]): {("val", v): x},
-            )
-            for v in received
-        ]
-        for key, x in rt.round(phase, tasks).items():
-            val[key[1]] = x
-        ptr = {v: (ptr[p] if p is not None else None) for v, p in ((v, ptr[v]) for v in sub.nodes)}
+        updates = {v: max(val[v], x) for v, x in received.items()}
+        rt.round(phase, updates)
+        val.update(updates)
+        ptr = {v: (ptr[p] if p is not None else None) for v, p in ptr.items()}
     return val
 
 
@@ -268,15 +253,11 @@ def _radix_rank(items: list[tuple[int, int]], rt: ParRuntime, phase: str) -> lis
             placed[slots[b]] = i
             slots[b] += 1
         order = placed
-    flags = [0] * len(items)
-    tasks = []
-    for r, i in enumerate(order):
-        different = r == 0 or items[i] != items[order[r - 1]]
-        tasks.append(
-            ParTask(r, frozenset({("flag", r)}), lambda r=r, d=int(different): {("flag", r): d})
-        )
-    flagged = rt.round(phase, tasks)
-    running = par_prefix_sums(rt, phase, [flagged[("flag", r)] for r in range(len(order))])
+    flags = [
+        int(r == 0 or items[i] != items[order[r - 1]]) for r, i in enumerate(order)
+    ]
+    rt.round(phase, flags)
+    running = par_prefix_sums(rt, phase, flags)
     rank = [0] * len(items)
     for r, i in enumerate(order):
         rank[i] = running[r]
@@ -328,20 +309,10 @@ def partition_labeling(
     rounds = 0
     while len(items) > 1:
         rounds += 1
-        tasks = [
-            ParTask(
-                i,
-                frozenset({("pairing", rounds, i)}),
-                lambda i=i, key=tuple(sorted(items[2 * i][0] | items[2 * i + 1][0])): {
-                    ("pairing", rounds, i): key
-                },
-            )
-            for i in range(len(items) // 2)
-        ]
-        rt.round("gep.pairing", tasks)
+        pairs = [(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        rt.round("gep.pairing", pairs)
         merged = []
-        for i in range(0, len(items) - 1, 2):
-            (set_a, lab_a), (set_b, lab_b) = items[i], items[i + 1]
+        for (set_a, lab_a), (set_b, lab_b) in pairs:
             union = set_a | set_b
             rab = induced_subtree(aug1, set(union))
             rpab = induced_subtree(aug2, set(union))

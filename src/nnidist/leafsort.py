@@ -28,7 +28,7 @@ from itertools import permutations
 
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import Phylogeny, TreeError
-from nnidist.runtime import ParRuntime, ParTask
+from nnidist.runtime import ParRuntime
 
 Slot = tuple[int, ...]
 
@@ -276,19 +276,10 @@ def sort_leaves(
         if len(cycle_slots) > 1:
             cycles.append([slot_taxon[c] for c in cycle_slots])
 
-    tasks = [
-        ParTask(
-            i,
-            frozenset({("cycle", i)}),
-            lambda i=i, c=tuple(cycles[i]): {("cycle", i): c},
-        )
-        for i in range(len(cycles))
-    ]
-    planned = rt.round(phase, tasks)
+    rt.round(phase, cycles)
 
     ops: list[NniOp] = []
-    for i in range(len(cycles)):
-        taxa = planned[("cycle", i)]
+    for taxa in cycles:
         carry = taxa[0]
         for other in taxa[1:]:
             ops += swap_leaves(work, carry, other)

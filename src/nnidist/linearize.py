@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import NodeClass, Phylogeny, TreeError
-from nnidist.runtime import ParRuntime, ParTask
+from nnidist.runtime import ParRuntime
 
 
 @dataclass(frozen=True)
@@ -74,22 +74,9 @@ def spine_nodes(tree: Phylogeny) -> list[int]:
 
 def classify_round(rt: ParRuntime, phase: str, tree: Phylogeny) -> dict[int, NodeClass]:
     """Node classification as one parallel round (one task per internal node)."""
-    tasks = []
-    for x in tree.nodes():
-        if tree.is_leaf(x):
-            continue
-
-        def fn(x=x):
-            k = sum(1 for e in tree.adjacent_edges(x) if tree.is_leaf(tree.other_end(e, x)))
-            cls = (
-                NodeClass.ENDNODE
-                if k >= 2
-                else NodeClass.PATHNODE if k == 1 else NodeClass.JUNCTION
-            )
-            return {("class", x): cls}
-
-        tasks.append(ParTask(x, frozenset({("class", x)}), fn))
-    return {key[1]: c for key, c in rt.round(phase, tasks).items()}
+    classes = tree.classify_nodes()
+    rt.round(phase, classes)
+    return classes
 
 
 def endnode_paths(
@@ -112,43 +99,32 @@ def endnode_paths(
     terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
     terminal.add(root)
 
-    tasks = []
+    state: dict[int, PathInfo] = {}
     for v in order:
         e = parent_edge[v]
-        if e is None:
-            continue
-        u = tree.other_end(e, v)
-        info = PathInfo(next=u, head=v, dist=tree.weight(e), length=1, path=(e,))
-        tasks.append(
-            ParTask(v, frozenset({("path", v)}), lambda v=v, info=info: {("path", v): info})
-        )
-    state = rt.round(phase, tasks)
+        if e is not None:
+            u = tree.other_end(e, v)
+            state[v] = PathInfo(next=u, head=v, dist=tree.weight(e), length=1, path=(e,))
+    rt.round(phase, state)
 
     while True:
-        tasks = []
-        for v in sorted(x for x in order if parent_edge[x] is not None):
-            mine = state[("path", v)]
+        jumps: dict[int, PathInfo] = {}
+        for v, mine in state.items():
             if mine.next in terminal:
                 continue
-            theirs = state[("path", mine.next)]
-            combined = PathInfo(
+            theirs = state[mine.next]
+            jumps[v] = PathInfo(
                 next=theirs.next,
                 head=theirs.head,
                 dist=mine.dist + theirs.dist,
                 length=mine.length + theirs.length,
                 path=mine.path + theirs.path,
             )
-            tasks.append(
-                ParTask(
-                    v,
-                    frozenset({("path", v)}),
-                    lambda v=v, combined=combined: {("path", v): combined},
-                )
-            )
-        if not tasks:
+        if not jumps:
             break
-        state.update(rt.round(phase, tasks))
-    return {key[1]: info for key, info in state.items()}
+        rt.round(phase, jumps)
+        state.update(jumps)
+    return state
 
 
 def linearize(
@@ -173,63 +149,47 @@ def linearize(
         root = work.root_handle()
         _, parent_edge = work.rooted_parents(root)
 
-        # endnodes whose upward walk ends at a junction announce themselves;
-        # the cell is keyed by arrival edge, so at most one writer per cell
-        tasks = []
+        # endnodes whose upward walk ends at a junction announce themselves
+        acts = []
         for E in sorted(x for x, c in classes.items() if c is NodeClass.ENDNODE):
             pi = info.get(E)
-            if pi is None or pi.next not in junctions:
-                continue
-            cell = ("act", pi.next, pi.path[-1])
-            tasks.append(
-                ParTask(E, frozenset({cell}), lambda cell=cell, E=E, pi=pi: {cell: (pi.dist, E, pi.path)})
-            )
-        acts = rt.round(phase, tasks)
+            if pi is not None and pi.next in junctions:
+                acts.append((pi.next, (pi.dist, E, pi.path)))
+        rt.round(phase, acts)
 
         candidates: dict[int, list] = {}
-        for (_, junction, _), val in acts.items():
+        for junction, val in acts:
             candidates.setdefault(junction, []).append(val)
 
         # each activated junction keeps its nearest chain (ties by endnode id)
-        tasks = [
-            ParTask(
-                J,
-                frozenset({("sel", J)}),
-                lambda J=J, best=min(cands): {("sel", J): best},
-            )
-            for J, cands in sorted(candidates.items())
-        ]
-        selected = rt.round(phase, tasks)
+        selected = {J: min(cands) for J, cands in sorted(candidates.items())}
+        rt.round(phase, selected)
 
         # plan the splices against the frozen pre-round tree
-        tasks = []
-        for (_, J), (dist, E, path) in sorted(selected.items()):
+        plans = []
+        for J, (dist, E, path) in selected.items():
+            chain = list(reversed(path))
+            e_x = next(
+                e
+                for e in work.adjacent_edges(J)
+                if e != chain[0] and e != parent_edge[J]
+            )
+            plan = []
+            node = J
+            for e_i in chain:
+                node = work.other_end(e_i, node)
+                # smaller leaf node id wins when the endnode offers two
+                leaf_edge = min(
+                    (work.other_end(f, node), f)
+                    for f in work.adjacent_edges(node)
+                    if work.is_edge_leaf(f)
+                )[1]
+                plan.append(NniOp(leaf_edge, e_i, e_x))
+            plans.append(plan)
+        rt.round(phase, plans)
 
-            def fn(J=J, path=path):
-                chain = list(reversed(path))
-                e_x = next(
-                    e
-                    for e in work.adjacent_edges(J)
-                    if e != chain[0] and e != parent_edge[J]
-                )
-                plan = []
-                node = J
-                for e_i in chain:
-                    node = work.other_end(e_i, node)
-                    # smaller leaf node id wins when the endnode offers two
-                    leaf_edge = min(
-                        (work.other_end(f, node), f)
-                        for f in work.adjacent_edges(node)
-                        if work.is_edge_leaf(f)
-                    )[1]
-                    plan.append(NniOp(leaf_edge, e_i, e_x))
-                return {("plan", J): tuple(plan)}
-
-            tasks.append(ParTask(J, frozenset({("plan", J)}), fn))
-        plans = rt.round(phase, tasks)
-
-        for key in sorted(plans):
-            for op in plans[key]:
+        for plan in plans:
+            for op in plan:
                 apply_nni(work, op)
                 ops.append(op)
 

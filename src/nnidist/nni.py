@@ -147,28 +147,50 @@ class TraceError(ValueError):
     """Raised when a trace file is malformed or does not replay."""
 
 
-def read_trace(path: str | Path) -> tuple[dict, list[NniOp]]:
-    """Load a trace file; returns (header, operations). Structural checks only."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
+    """Read a trace and check its header; returns (header, numbered record lines).
+
+    Blank lines are skipped; the numbers are the file's own line numbers.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"trace is not text: {exc}") from exc
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise TraceError("empty trace file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError as exc:
         raise TraceError(f"header is not JSON: {exc}") from exc
-    if header.get("kind") != "nni-trace" or header.get("format") != TRACE_FORMAT:
+    if (
+        not isinstance(header, dict)
+        or header.get("kind") != "nni-trace"
+        or header.get("format") != TRACE_FORMAT
+    ):
         raise TraceError("not an nni-trace header")
-    ops = []
-    for i, ln in enumerate(lines[1:], start=1):
-        try:
-            rec = json.loads(ln)
-            ops.append(NniOp(int(rec["e1"]), int(rec["e2"]), int(rec["e3"])))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise TraceError(f"line {i + 1}: bad operation record: {exc}") from exc
-    if header.get("ops") != len(ops):
-        raise TraceError(f"header says {header.get('ops')} ops, file has {len(ops)}")
-    return header, ops
+    if header.get("ops") != len(lines) - 1:
+        raise TraceError(f"header says {header.get('ops')} ops, file has {len(lines) - 1}")
+    return header, lines[1:]
+
+
+def _parse_record(k: int, line: str) -> tuple[NniOp, int, int, Fraction]:
+    """One operation record: (operation, u, v, recorded cost)."""
+    try:
+        rec = json.loads(line)
+        op = NniOp(int(rec["e1"]), int(rec["e2"]), int(rec["e3"]))
+        u, v = int(rec["u"]), int(rec["v"])
+        if not isinstance(rec["w"], str):
+            raise TypeError(f"cost {rec['w']!r} is not a decimal string")
+        return op, u, v, newick.parse_weight(rec["w"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"line {k}: bad operation record: {exc}") from exc
+
+
+def read_trace(path: str | Path) -> tuple[dict, list[NniOp]]:
+    """Load a trace file; returns (header, operations). Structural checks only."""
+    header, body = _trace_body(path)
+    return header, [_parse_record(k, line)[0] for k, line in body]
 
 
 def check_trace(
@@ -178,30 +200,31 @@ def check_trace(
 
     Checks the header digests, replays every operation, compares recorded
     costs and middle-edge endpoints, and requires the final tree to match
-    the target canonically.
+    the target canonically.  Records are parsed one at a time as the replay
+    reaches them, so a long trace is never held parsed in full.
     """
     try:
-        header, ops = read_trace(path)
+        header, body = _trace_body(path)
     except TraceError as exc:
         return False, Fraction(0), str(exc)
-    if header["source"] != tree_digest(source):
+    if header.get("source") != tree_digest(source):
         return False, Fraction(0), "source digest mismatch"
-    if header["target"] != tree_digest(target):
+    if header.get("target") != tree_digest(target):
         return False, Fraction(0), "target digest mismatch"
-    text = Path(path).read_text().splitlines()
     work = source.copy()
     total = Fraction(0)
-    for i, op in enumerate(ops):
-        rec = json.loads(text[i + 1])
-        u, v = work.endpoints(op.e2)
-        if {rec["u"], rec["v"]} != {u, v}:
-            return False, total, f"operation {i}: recorded endpoints do not match replay"
+    for i, (k, line) in enumerate(body):
         try:
+            op, u, v, w = _parse_record(k, line)
+            if {u, v} != set(work.endpoints(op.e2)):
+                return False, total, f"operation {i}: recorded endpoints do not match replay"
             cost = apply_nni(work, op)
+        except TraceError as exc:
+            return False, total, str(exc)
         except (TreeError, KeyError) as exc:
             return False, total, f"operation {i} invalid: {exc}"
-        if newick.parse_weight(rec["w"]) != cost:
-            return False, total, f"operation {i}: recorded cost {rec['w']} != {cost}"
+        if w != cost:
+            return False, total, f"operation {i}: recorded cost {newick.format_weight(w)} != {cost}"
         total += cost
     if not work.canonical_equal(target):
         return False, total, "replay does not reach the target tree"

@@ -229,11 +229,16 @@ def approx_nni(
     # weight partitions of the full trees and holds no further pairs
     pairs = find_good_edge_pairs(t1, t2)
     sequence: list[NniOp] = []
+    # components are independent, so each is counted on its own runtime and
+    # their schedules run side by side
+    part_rts = []
     for part1, part2 in decompose(t1, t2, pairs):
-        ops, costs = _component_sequence(part1, part2, rt)
+        part_rts.append(ParRuntime())
+        ops, costs = _component_sequence(part1, part2, part_rts[-1])
         sequence.extend(ops)
         for name, value in costs.items():
             totals[name] += value
+    rt.add_side_by_side(part_rts)
 
     ok, cost, reason = verify_transform(t1, sequence, t2)
     if not ok:

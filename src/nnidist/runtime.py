@@ -1,34 +1,18 @@
-"""Round-synchronous execution of independent tasks with arbitrated writes.
+"""Per-phase accounting of the paper's CRCW-PRAM schedule.
 
-The parallel algorithms in this package are expressed as rounds: every task
-in a round reads the same pre-round state, computes a dict of cell writes,
-and the runtime merges all writes at the round barrier.  Write conflicts are
-resolved deterministically in favor of the lowest task id, so results never
-depend on scheduling or on how many OS threads actually run the tasks.
-
-Each task declares its write set up front; writing outside it aborts the
-round.  Per-phase counters (rounds, total tasks, widest round) feed the
-reported span/work metrics.
+The parallel algorithms in this package are written as rounds: every task
+in a round reads the same pre-round state, and the round's results take
+effect together at the barrier.  Python runs each round as a plain loop;
+the runtime only records the schedule that loop stands for.  Per phase it
+counts rounds (span), tasks summed over rounds (work) and the widest round
+(peak parallelism).  These figures describe the PRAM schedule, not what
+the interpreter executes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-
-class ParError(RuntimeError):
-    """A task broke the round discipline (undeclared write, duplicate id)."""
-
-
-@dataclass(frozen=True)
-class ParTask:
-    """One unit of round work: ``fn`` returns {cell: value} writes."""
-
-    writer: int
-    cells: frozenset
-    fn: Callable[[], dict]
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Sized
 
 
 @dataclass
@@ -45,62 +29,42 @@ class PhaseMetrics:
         }
 
 
-def crcw_resolve(results: Sequence[tuple[int, dict]]) -> dict:
-    """Merge task writes; on conflict the smallest writer id wins."""
-    merged: dict = {}
-    for _, writes in sorted(results, key=lambda r: r[0], reverse=True):
-        merged.update(writes)
-    return merged
-
-
 class ParRuntime:
-    """Executes rounds and accumulates per-phase metrics.
+    """Accumulates per-phase round metrics."""
 
-    ``threads`` only chooses the physical executor; any value produces the
-    same writes in the same cells.
-    """
-
-    def __init__(self, threads: int = 1) -> None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        self.threads = threads
+    def __init__(self) -> None:
         self.metrics: dict[str, PhaseMetrics] = {}
-        self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    def round(self, phase: str, outputs: Sized) -> None:
+        """Count one round with one task per entry of ``outputs``.
 
-    def __enter__(self) -> "ParRuntime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def round(self, phase: str, tasks: Sequence[ParTask]) -> dict:
-        """Run one round; returns the merged writes. Empty rounds are free."""
+        Empty rounds are free, but still register the phase.
+        """
         stats = self.metrics.setdefault(phase, PhaseMetrics())
-        if not tasks:
-            return {}
-        ids = [t.writer for t in tasks]
-        if len(set(ids)) != len(ids):
-            raise ParError(f"phase {phase}: duplicate writer ids in round")
-        stats.rounds += 1
-        stats.work += len(tasks)
-        stats.peak_parallelism = max(stats.peak_parallelism, len(tasks))
-        if self._pool is not None and len(tasks) > 1:
-            chunk = max(1, len(tasks) // (self.threads * 4))
-            outputs = list(self._pool.map(_run_task, tasks, chunksize=chunk))
-        else:
-            outputs = [_run_task(t) for t in tasks]
-        for task, (_, writes) in zip(tasks, outputs):
-            extra = set(writes) - task.cells
-            if extra:
-                raise ParError(
-                    f"phase {phase}: task {task.writer} wrote undeclared cells {sorted(map(repr, extra))}"
-                )
-        return crcw_resolve(outputs)
+        width = len(outputs)
+        if width:
+            stats.rounds += 1
+            stats.work += width
+            stats.peak_parallelism = max(stats.peak_parallelism, width)
+
+    def add_side_by_side(self, parts: Iterable[ParRuntime]) -> None:
+        """Append the schedules of independent computations run at the same time.
+
+        Per phase the block takes as many rounds as its longest part, and its
+        work and width are the sums over the parts.
+        """
+        block: dict[str, PhaseMetrics] = {}
+        for part in parts:
+            for phase, m in part.metrics.items():
+                b = block.setdefault(phase, PhaseMetrics())
+                b.rounds = max(b.rounds, m.rounds)
+                b.work += m.work
+                b.peak_parallelism += m.peak_parallelism
+        for phase, b in block.items():
+            stats = self.metrics.setdefault(phase, PhaseMetrics())
+            stats.rounds += b.rounds
+            stats.work += b.work
+            stats.peak_parallelism = max(stats.peak_parallelism, b.peak_parallelism)
 
     def span(self, phase: str) -> int:
         return self.metrics[phase].rounds if phase in self.metrics else 0
@@ -109,21 +73,14 @@ class ParRuntime:
         return {phase: m.as_dict() for phase, m in sorted(self.metrics.items())}
 
 
-def _run_task(task: ParTask) -> tuple[int, dict]:
-    return task.writer, task.fn()
-
-
 def par_prefix_sums(rt: ParRuntime, phase: str, values: Sequence[int]) -> list[int]:
     """Inclusive prefix sums in O(log n) rounds (one task per position)."""
-    state = {i: v for i, v in enumerate(values)}
-    n = len(values)
+    state = list(values)
+    n = len(state)
     step = 1
     while step < n:
-        tasks = []
-        for i in range(step, n):
-            lo = state[i - step]
-            hi = state[i]
-            tasks.append(ParTask(i, frozenset({i}), lambda i=i, s=lo + hi: {i: s}))
-        state.update(rt.round(phase, tasks))
+        sums = [state[i - step] + state[i] for i in range(step, n)]
+        rt.round(phase, sums)
+        state[step:] = sums
         step *= 2
-    return [state[i] for i in range(n)]
+    return state

@@ -40,12 +40,12 @@ def test_approx_metrics_report(pair_files, tmp_path):
 
 
 def test_approx_traces_match_across_thread_counts(pair_files, tmp_path):
+    # two runs of the command write byte-identical traces
     p1, p2, _ = pair_files
     blobs = []
-    for threads in ("1", "8"):
-        trace = tmp_path / f"t{threads}.jsonl"
-        assert main(["approx", p1, p2, "--threads", threads,
-                     "--trace", str(trace)]) == 0
+    for run in ("1", "2"):
+        trace = tmp_path / f"t{run}.jsonl"
+        assert main(["approx", p1, p2, "--trace", str(trace)]) == 0
         blobs.append(trace.read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -129,3 +129,92 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as err:
         main(["approx", "only-one-file"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+def test_approx_rejects_removed_flags(pair_files, flag):
+    p1, p2, _ = pair_files
+    with pytest.raises(SystemExit) as err:
+        main(["approx", p1, p2, *flag])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--taxa", "2", "--moves", "1"],
+                                   ["--taxa", "5", "--moves", "-3"],
+                                   ["--taxa", "five", "--moves", "1"]])
+def test_gen_rejects_out_of_range_counts(tmp_path, flags, capsys):
+    out = ["--out1", str(tmp_path / "x.nwk"), "--out2", str(tmp_path / "y.nwk")]
+    with pytest.raises(SystemExit) as err:
+        main(["gen", *flags, *out])
+    assert err.value.code == 2
+    assert "--" in capsys.readouterr().err
+    assert not (tmp_path / "x.nwk").exists()
+
+
+def test_gen_accepts_the_smallest_counts(tmp_path):
+    out = ["--out1", str(tmp_path / "x.nwk"), "--out2", str(tmp_path / "y.nwk")]
+    assert main(["gen", "--taxa", "3", "--moves", "0", *out]) == 0
+
+
+@pytest.fixture
+def traced_pair(pair_files, tmp_path, capsys):
+    p1, p2, _ = pair_files
+    trace = tmp_path / "trace.jsonl"
+    assert main(["approx", p1, p2, "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    return p1, p2, trace
+
+
+def _rewrite_record(trace, change):
+    """Apply ``change`` to the first operation record of ``trace``."""
+    lines = trace.read_text().splitlines()
+    rec = json.loads(lines[1])
+    change(rec)
+    lines[1] = json.dumps(rec)
+    trace.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_ignores_a_blank_line(traced_pair, capsys):
+    p1, p2, trace = traced_pair
+    assert main(["verify", p1, str(trace), p2]) == 0
+    clean = capsys.readouterr().out
+    lines = trace.read_text().splitlines()
+    trace.write_text("\n".join([lines[0], lines[1], "", *lines[2:]]) + "\n")
+    assert main(["verify", p1, str(trace), p2]) == 0
+    assert capsys.readouterr().out == clean
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda rec: rec.update(e2=10**6), "invalid"),
+        (lambda rec: rec.pop("u"), "bad operation record"),
+        (lambda rec: rec.update(w=3), "bad operation record"),
+        (lambda rec: rec.update(w="1..5"), "bad operation record"),
+    ],
+    ids=["unknown-e2", "missing-u", "integer-w", "malformed-w"],
+)
+def test_verify_reports_a_corrupt_record(traced_pair, capsys, change, reason):
+    p1, p2, trace = traced_pair
+    _rewrite_record(trace, change)
+    assert main(["verify", p1, str(trace), p2]) == 1
+    assert reason in capsys.readouterr().err
+
+
+def test_verify_missing_trace_is_a_usage_error(pair_files, tmp_path, capsys):
+    p1, p2, _ = pair_files
+    assert main(["verify", p1, str(tmp_path / "nope.jsonl"), p2]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"\xff\xfe\x00", b"[]\n", b'{"kind": "nni-trace", "format": 1, "ops": 1}\n[1, 2]\n'],
+    ids=["not-utf8", "list-header", "list-record"],
+)
+def test_verify_reports_a_corrupt_file(pair_files, tmp_path, capsys, text):
+    p1, p2, _ = pair_files
+    trace = tmp_path / "bad.jsonl"
+    trace.write_bytes(text)
+    assert main(["verify", p1, str(trace), p2]) == 1
+    assert "verification failed" in capsys.readouterr().err

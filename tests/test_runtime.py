@@ -1,41 +1,15 @@
-"""Round discipline: arbitration, write-set enforcement, metrics, threads."""
+"""Round accounting: per-phase metrics, side-by-side blocks, prefix sums."""
 
 import itertools
 import random
 
-import pytest
-
-from nnidist.runtime import (
-    ParError,
-    ParRuntime,
-    ParTask,
-    crcw_resolve,
-    par_prefix_sums,
-)
-
-
-def test_conflicts_resolve_to_lowest_writer():
-    resolved = crcw_resolve(
-        [
-            (5, {"x": "from5", "y": 2}),
-            (1, {"x": "from1"}),
-            (3, {"x": "from3", "z": 9}),
-        ]
-    )
-    assert resolved == {"x": "from1", "y": 2, "z": 9}
+from nnidist.runtime import ParRuntime, par_prefix_sums
 
 
 def test_round_merges_and_counts():
     rt = ParRuntime()
-    out = rt.round(
-        "demo",
-        [
-            ParTask(0, frozenset({"a"}), lambda: {"a": 1}),
-            ParTask(1, frozenset({"b"}), lambda: {"b": 2}),
-        ],
-    )
-    assert out == {"a": 1, "b": 2}
-    rt.round("demo", [ParTask(0, frozenset({"a"}), lambda: {"a": 3})])
+    rt.round("demo", {"a": 1, "b": 2})
+    rt.round("demo", [3])
     m = rt.metrics["demo"]
     assert m.rounds == 2
     assert m.work == 3
@@ -46,56 +20,40 @@ def test_round_merges_and_counts():
 
 def test_empty_round_is_free():
     rt = ParRuntime()
-    assert rt.round("idle", []) == {}
+    rt.round("idle", [])
     assert rt.span("idle") == 0
+    assert rt.snapshot() == {"idle": {"rounds": 0, "work": 0, "peak_parallelism": 0}}
 
 
-def test_undeclared_write_aborts():
+def test_side_by_side_takes_max_rounds_and_summed_work():
+    a, b = ParRuntime(), ParRuntime()
+    for width in (4, 1, 2):
+        a.round("p", [0] * width)
+    b.round("p", [0] * 3)
+    b.round("q", [0] * 5)
     rt = ParRuntime()
-    with pytest.raises(ParError, match="undeclared"):
-        rt.round("bad", [ParTask(0, frozenset({"a"}), lambda: {"a": 1, "b": 2})])
-
-
-def test_duplicate_writer_ids_abort():
-    rt = ParRuntime()
-    tasks = [
-        ParTask(7, frozenset({"a"}), lambda: {"a": 1}),
-        ParTask(7, frozenset({"b"}), lambda: {"b": 1}),
-    ]
-    with pytest.raises(ParError, match="duplicate"):
-        rt.round("bad", tasks)
-
-
-def _random_round(rng):
-    cells = [f"c{i}" for i in range(8)]
-    tasks = []
-    for writer in range(12):
-        mine = rng.sample(cells, rng.randint(1, 3))
-        writes = {c: (writer, c) for c in mine}
-        tasks.append(ParTask(writer, frozenset(mine), lambda w=writes: dict(w)))
-    return tasks
-
-
-def test_thread_count_never_changes_results():
-    outs = []
-    for threads in (1, 2, 4, 8):
-        rng = random.Random(440)
-        with ParRuntime(threads=threads) as rt:
-            outs.append([rt.round("arb", _random_round(rng)) for _ in range(10)])
-    assert all(out == outs[0] for out in outs)
+    rt.round("p", [0] * 9)
+    rt.add_side_by_side([a, b])
+    assert rt.snapshot() == {
+        "p": {"rounds": 1 + 3, "work": 9 + 7 + 3, "peak_parallelism": 9},
+        "q": {"rounds": 1, "work": 5, "peak_parallelism": 5},
+    }
+    rt.add_side_by_side([a, b])
+    assert rt.metrics["p"].peak_parallelism == 9
+    assert rt.metrics["q"].peak_parallelism == 5
 
 
 def test_prefix_sums_match_accumulate():
     rng = random.Random(441)
-    with ParRuntime(threads=2) as rt:
-        for n in (0, 1, 2, 3, 7, 20, 64, 100):
-            values = [rng.randint(-5, 9) for _ in range(n)]
-            assert par_prefix_sums(rt, "scan", values) == list(
-                itertools.accumulate(values)
-            )
+    rt = ParRuntime()
+    for n in (0, 1, 2, 3, 7, 20, 64, 100):
+        values = [rng.randint(-5, 9) for _ in range(n)]
+        assert par_prefix_sums(rt, "scan", values) == list(
+            itertools.accumulate(values)
+        )
 
 
 def test_prefix_sum_round_count_is_logarithmic():
-    with ParRuntime() as rt:
-        par_prefix_sums(rt, "scan64", [1] * 64)
+    rt = ParRuntime()
+    par_prefix_sums(rt, "scan64", [1] * 64)
     assert rt.metrics["scan64"].rounds == 6
