@@ -137,19 +137,10 @@ def check_auxiliary(source: Phylogeny, aux: AuxiliaryTree) -> None:
     ]
     if max(depths) - min(depths) > 1:
         raise TreeError(f"companion leaf depths spread {min(depths)}..{max(depths)}")
-    # walk every root-to-leaf path, checking the internal weights never drop
-    root = tree.root_handle()
-
-    def descend(node: int, via: int, running: Fraction | None) -> None:
-        for e in tree.adjacent_edges(node):
-            if e == via:
-                continue
-            child = tree.other_end(e, node)
-            if tree.is_leaf(child):
-                continue
-            w = tree.weight(e)
-            if running is not None and w < running:
-                raise TreeError("companion has a descending weight path")
-            descend(child, e, w)
-
-    descend(root, -1, None)
+    # every root-to-leaf path: no internal weight below the root drops
+    view = tree.rooted_view()
+    for x in view.order[1:]:
+        e = view.parent_edge[x]
+        up = view.parent_edge[tree.other_end(e, x)]
+        if up is not None and view.children[x] and tree.weight(e) < tree.weight(up):
+            raise TreeError("companion has a descending weight path")

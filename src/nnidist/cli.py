@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification or distance computation
-fails, 2 on usage errors (bad arguments, unreadable or malformed input).
+fails, 2 on usage errors (bad arguments, unreadable or malformed input, an
+output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact distance by exhaustive search")
     p.add_argument("tree1")
     p.add_argument("tree2")
-    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT)
+    p.add_argument("--state-limit", type=_int_at_least(1), default=DEFAULT_STATE_LIMIT)
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("verify", help="replay a trace between two trees")
@@ -176,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
+        # reads wrap their OSError in a _UsageError, so this one is a write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StateLimitError as exc:

@@ -5,12 +5,13 @@ have the same weight and cutting them induces the same partition of taxa and
 of the remaining internal weights.  Components obtained by cutting both
 trees at all good pairs can then be solved independently.
 
-Detection is an exact join.  One post-order pass per tree, rooted next to
-the smallest taxon, gives every internal edge the key (weight, away-side
-taxa as an integer bitset, away-side multiset of the other internal weights
-as an integer with one count field per weight rank).  The key spells out
-the definition, so two edges form a good pair exactly when their keys are
-equal; no separate soundness or completeness check is needed.
+Detection is an exact join.  One post-order pass per tree over its rooted
+view gives every internal edge the key (weight, away-side taxa as the
+integer bitset of :meth:`Phylogeny.split_bits`, away-side multiset of the
+other internal weights as an integer with one count field per weight
+rank).  The key spells out the definition, so two edges form a good pair
+exactly when their keys are equal; no separate soundness or completeness
+check is needed.
 
 ``partition_labeling`` is the paper's O(log n)-round parallel labeling of
 the same question, kept and tested on its own.  Each tree is augmented by
@@ -351,34 +352,28 @@ def good_pair_oracle(t1: Phylogeny, t2: Phylogeny) -> list[tuple[int, int]]:
 
 
 def _edge_keys(
-    tree: Phylogeny, taxon_bit: dict[str, int], weight_field: dict[Fraction, int]
+    tree: Phylogeny, weight_field: dict[Fraction, int]
 ) -> dict[int, tuple[Fraction, int, int]]:
     """Exact good-pair key of every internal edge, in one post-order pass.
 
     The key is (weight, away-side taxa bitset, away-side count vector of the
     other internal weights), the away side being the one without the smallest
-    taxon.
+    taxon.  The taxa come from :meth:`Phylogeny.split_bits`.
     """
-    order, parent_edge = tree.rooted_parents(tree.root_handle())
-    taxa_at: dict[int, int] = {}
-    # internal weights on the away side of each edge, the edge's own included
+    view = tree.rooted_view()
+    taxa_at = tree.split_bits(view)
+    # internal weights on the away side of each node's parent edge, that edge included
     weights_at: dict[int, int] = {}
     keys: dict[int, tuple[Fraction, int, int]] = {}
-    for x in reversed(order[1:]):
-        e = parent_edge[x]
-        if tree.is_leaf(x):
-            taxa_at[e] = taxon_bit[tree.leaf_label(x)]
-            weights_at[e] = 0
-            continue
-        taxa = away = 0
-        for f in tree.adjacent_edges(x):
-            if f != e:
-                taxa |= taxa_at[f]
-                away += weights_at[f]
-        w = tree.weight(e)
-        taxa_at[e] = taxa
-        weights_at[e] = away + weight_field[w]
-        keys[e] = (w, taxa, away)
+    for x in reversed(view.order[1:]):
+        kids = view.children[x]
+        away = sum(weights_at[c] for c in kids)
+        if kids:
+            e = view.parent_edge[x]
+            w = tree.weight(e)
+            keys[e] = (w, taxa_at[e], away)
+            away += weight_field[w]
+        weights_at[x] = away
     return keys
 
 
@@ -386,7 +381,6 @@ def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
         raise TreeError("instance is not finite: " + "; ".join(reasons))
-    taxon_bit = {t: 1 << i for i, t in enumerate(t1.taxa())}
     # one count field per distinct weight, wide enough for n - 3 repeats
     width = t1.n_taxa.bit_length()
     weight_field = {
@@ -396,7 +390,7 @@ def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
     groups1: dict[tuple[Fraction, int, int], list[int]] = {}
     groups2: dict[tuple[Fraction, int, int], list[int]] = {}
     for tree, groups in ((t1, groups1), (t2, groups2)):
-        for e, key in sorted(_edge_keys(tree, taxon_bit, weight_field).items()):
+        for e, key in sorted(_edge_keys(tree, weight_field).items()):
             groups.setdefault(key, []).append(e)
 
     # equal keys pair up k-th with k-th in edge-id order

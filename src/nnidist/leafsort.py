@@ -17,7 +17,9 @@ Which leaf goes where is decided by a recursive matching of the two trees
 that maximizes the number of taxa already in place: structurally
 interchangeable sibling subtrees (equal sizes and internal weights) may be
 matched crosswise, which costs nothing because exchanging them yields the
-same unrooted tree.
+same unrooted tree.  Positions are read off each tree's
+:meth:`Phylogeny.rooted_view`: its parent edges give the signatures, and
+its order by smallest taxon breaks ties between interchangeable siblings.
 """
 
 from __future__ import annotations
@@ -40,88 +42,43 @@ class SlotView:
     tree: Phylogeny
     root: int
     children: dict[int, list[int]]
-    parent: dict[int, int | None]
     node_slot: dict[int, Slot]
     taxon_slot: dict[str, Slot]
     sig: dict[int, tuple]
 
 
 def build_slot_view(tree: Phylogeny, root: int | None = None) -> SlotView:
-    root = tree.root_handle() if root is None else root
-    order, parent_edge = tree.rooted_parents(root)
-    parent = {
-        v: (tree.other_end(e, v) if e is not None else None)
-        for v, e in parent_edge.items()
-    }
+    """Slots and signatures over the tree's rooted view (from ``root`` if given).
 
-    # child ordering must not depend on which taxon sits where, so leaf
-    # children contribute only a terminal marker and no weight to the key
+    A node's signature is (its edge's weight, its shape): child ordering
+    must not depend on which taxon sits where, so a leaf has no weight and
+    a bare terminal marker.  Children are ranked by size, then signature;
+    the ranking is stable, so interchangeable siblings keep the view's order
+    by smallest taxon.
+    """
+    order, parent_edge, children, _ = tree.rooted_view(root)
     sig: dict[int, tuple] = {}
     size: dict[int, int] = {}
-    kids: dict[int, list[int]] = {v: [] for v in order}
-    for v in order:
-        if parent[v] is not None:
-            kids[parent[v]].append(v)
+    kids: dict[int, list[int]] = {}
     for v in reversed(order):
-        if tree.is_leaf(v):
-            sig[v] = (0,)
-            size[v] = 1
-            continue
-        ranked = sorted(
-            kids[v],
-            key=lambda c: (
-                -size[c],
-                (0,) if tree.is_leaf(c) else (1, tree.weight(parent_edge[c])),
-                sig[c],
-                min(_taxa_below(tree, c, parent[c])),
-            ),
-        )
+        ranked = sorted(children[v], key=lambda c: (-size[c], sig[c]))
         kids[v] = ranked
+        if not ranked:
+            size[v] = 1
+            sig[v] = (Fraction(0), (0,))
+            continue
         size[v] = sum(size[c] for c in ranked)
-        parts: list = [1]
-        for c in ranked:
-            parts.append(Fraction(0) if tree.is_leaf(c) else tree.weight(parent_edge[c]))
-            parts.append(sig[c])
-        sig[v] = tuple(parts)
+        e = parent_edge[v]
+        sig[v] = (Fraction(0) if e is None else tree.weight(e), (1, *(sig[c] for c in ranked)))
 
-    node_slot: dict[int, Slot] = {root: ()}
+    node_slot: dict[int, Slot] = {order[0]: ()}
     for v in order:
         for i, c in enumerate(kids[v]):
             node_slot[c] = node_slot[v] + (i,)
     taxon_slot = {
-        tree.leaf_label(v): node_slot[v] for v in order if tree.is_leaf(v)
+        tree.leaf_label(v): node_slot[v] for v in order if not kids[v]
     }
-    return SlotView(tree, root, kids, parent, node_slot, taxon_slot, sig)
-
-
-def _taxa_below(tree: Phylogeny, node: int, parent: int) -> list[str]:
-    out = []
-    stack = [(node, parent)]
-    while stack:
-        v, up = stack.pop()
-        if tree.is_leaf(v):
-            out.append(tree.leaf_label(v))
-            continue
-        for e in tree.adjacent_edges(v):
-            w = tree.other_end(e, v)
-            if w != up:
-                stack.append((w, v))
-    return out
-
-
-def _child_sig(view: SlotView, node: int) -> tuple:
-    edge_wt = (
-        Fraction(0)
-        if view.tree.is_leaf(node)
-        else view.tree.weight(
-            next(
-                e
-                for e in view.tree.adjacent_edges(node)
-                if view.tree.other_end(e, node) == view.parent[node]
-            )
-        )
-    )
-    return (edge_wt, view.sig[node])
+    return SlotView(tree, order[0], kids, node_slot, taxon_slot, sig)
 
 
 def leaf_permutation(s1: SlotView | Phylogeny, s2: SlotView | Phylogeny) -> dict[str, Slot]:
@@ -147,7 +104,7 @@ def leaf_permutation(s1: SlotView | Phylogeny, s2: SlotView | Phylogeny) -> dict
         best, best_perm = -1, None
         for perm in permutations(range(len(c2))):
             if any(
-                _child_sig(v1, c1[i]) != _child_sig(v2, c2[p])
+                v1.sig[c1[i]] != v2.sig[c2[p]]
                 for i, p in enumerate(perm)
             ):
                 continue

@@ -6,9 +6,11 @@ characters), mandatory positive branch lengths written as plain decimals
 A two-child root is treated as a subdivision point and suppressed on parse,
 summing the two incident lengths into one edge.
 
-Serialization is canonical: the tree is rooted at the internal node next to
-the smallest taxon and children are ordered by the smallest taxon they
-contain, so equal phylogenies always produce byte-identical text.
+Serialization is canonical: it writes :meth:`Phylogeny.rooted_view`, the
+tree rooted at the internal node next to the smallest taxon with children
+ordered by the smallest taxon they contain, so equal phylogenies always
+produce byte-identical text.  Both directions are iterative, so tree depth
+is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def parse_weight(text: str, offset: int = 0) -> Fraction:
 def format_weight(w: Fraction) -> str:
     """Render a Fraction as the shortest plain decimal, e.g. 13/4 -> ``3.25``."""
     den = w.denominator
+    if den == 1:
+        return str(w.numerator)
     a = 0
     while den % 2 == 0:
         den //= 2
@@ -124,39 +128,45 @@ class _Parser:
             self.pos += 1
         return parse_weight(self.text[start:self.pos], start)
 
-    def read_subtree(self, parent: int) -> None:
-        """One child of ``parent``: either a leaf or an internal binary node."""
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            node = self.new_node()
-            self.read_subtree(node)
-            self.skip_ws()
-            self.expect(",")
-            self.read_subtree(node)
-            self.skip_ws()
-            if self.peek() == ",":
-                raise self.error("internal nodes take exactly two children")
-            self.expect(")")
-        else:
-            node = self.new_node()
-            self.labels[node] = self.read_label()
-        w = self.read_weight()
-        self.add_edge(parent, node, w)
+    def read_nodes(self) -> int:
+        """Read the parenthesized tree, without recursion; returns the root's child count.
 
-    def parse(self) -> Phylogeny:
+        Nodes are numbered in preorder and edges as their branch lengths are
+        read.  Open nodes sit on a stack as [parent, node, children read];
+        the root, node 0, has no parent and takes any number of children.
+        """
         self.skip_ws()
         self.expect("(")
-        root = self.new_node()
-        children = 1
-        self.read_subtree(root)
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            self.read_subtree(root)
-            children += 1
+        stack: list[list] = [[None, self.new_node(), 0]]
+        while True:
             self.skip_ws()
-        self.expect(")")
+            if self.peek() == "(":
+                self.pos += 1
+                stack.append([stack[-1][1], self.new_node(), 0])
+                continue
+            node = self.new_node()
+            self.labels[node] = self.read_label()
+            self.add_edge(stack[-1][1], node, self.read_weight())
+            while True:
+                frame = stack[-1]
+                frame[2] += 1
+                self.skip_ws()
+                if frame[0] is not None and frame[2] == 1:
+                    self.expect(",")
+                    break
+                if self.peek() == ",":
+                    if frame[0] is not None:
+                        raise self.error("internal nodes take exactly two children")
+                    self.pos += 1
+                    break
+                self.expect(")")
+                stack.pop()
+                if not stack:
+                    return frame[2]
+                self.add_edge(frame[0], frame[1], self.read_weight())
+
+    def parse(self) -> Phylogeny:
+        children = self.read_nodes()
         if children not in (2, 3):
             raise self.error(f"root has {children} children, expected 2 or 3")
         self.skip_ws()
@@ -165,7 +175,7 @@ class _Parser:
         if self.pos != len(self.text):
             raise self.error("trailing characters after ';'")
         if children == 2:
-            self._suppress_root(root)
+            self._suppress_root()
         dup = len(self.labels) - len(set(self.labels.values()))
         if dup:
             raise self.error(f"{dup} duplicate taxon label(s)")
@@ -174,10 +184,9 @@ class _Parser:
         except TreeError as exc:
             raise ParseError(self.pos, f"not a valid phylogeny: {exc}") from exc
 
-    def _suppress_root(self, root: int) -> None:
-        e1, e2 = (e for e, (u, v) in self.edges.items() if root in (u, v))
-        a = self.edges[e1][0] if self.edges[e1][1] == root else self.edges[e1][1]
-        b = self.edges[e2][0] if self.edges[e2][1] == root else self.edges[e2][1]
+    def _suppress_root(self) -> None:
+        # edges are stored (parent, child), so the root's two are those from node 0
+        (e1, (_, a)), (e2, (_, b)) = [(e, uv) for e, uv in self.edges.items() if uv[0] == 0]
         w = self.weights.pop(e1) + self.weights.pop(e2)
         del self.edges[e1], self.edges[e2]
         self.add_edge(a, b, w)
@@ -190,23 +199,13 @@ def parse(text: str) -> Phylogeny:
 
 def serialize(tree: Phylogeny) -> str:
     """Canonical Newick text for ``tree`` (see module docstring)."""
-
-    def emit(node: int, via: int) -> tuple[str, str]:
-        if tree.is_leaf(node):
-            label = tree.leaf_label(node)
-            return label, f"{label}:{format_weight(tree.weight(via))}"
-        parts = []
-        for e in tree.adjacent_edges(node):
-            if e != via:
-                parts.append(emit(tree.other_end(e, node), e))
-        parts.sort()
-        inner = ",".join(text for _, text in parts)
-        return parts[0][0], f"({inner}):{format_weight(tree.weight(via))}"
-
-    root = tree.root_handle()
-    parts = [emit(tree.other_end(e, root), e) for e in tree.adjacent_edges(root)]
-    parts.sort()
-    return "(" + ",".join(text for _, text in parts) + ");"
+    order, parent_edge, children, _ = tree.rooted_view()
+    text: dict[int, str] = {}
+    for x in reversed(order[1:]):
+        kids = children[x]
+        body = "(" + ",".join([text[c] for c in kids]) + ")" if kids else tree.leaf_label(x)
+        text[x] = body + ":" + format_weight(tree.weight(parent_edge[x]))
+    return "(" + ",".join([text[c] for c in children[order[0]]]) + ");"
 
 
 def read_tree(path: str | Path) -> Phylogeny:

@@ -6,6 +6,12 @@ rational weights.  Storage is deliberately plain: integer node and edge ids,
 dict adjacency, and a handful of derived views (splits, weight multisets,
 node classes) that the rest of the package builds on.
 
+:meth:`Phylogeny.rooted_view` is the one place where rooting and child order
+are decided: the tree hangs from the internal node next to the smallest
+taxon, and children are ordered by the smallest taxon below them.
+Serialization, the canonical edge order, the leaf sort's slot view, the
+companion check, the split bitsets and the good-pair keys all read it.
+
 Weights are `fractions.Fraction` throughout so that costs compose exactly.
 """
 
@@ -34,6 +40,21 @@ class WeightMultiset(NamedTuple):
 
     weights: tuple[Fraction, ...]
     total: Fraction
+
+
+class RootedView(NamedTuple):
+    """The tree hung from one root, children ordered by their smallest taxon.
+
+    ``order`` lists the nodes root first (breadth-first), so every parent
+    precedes its children; ``parent_edge`` maps each node to the edge toward
+    the root (None at the root); ``children`` lists each node's children by
+    the smallest taxon below them, ``min_taxon`` gives that taxon.
+    """
+
+    order: list[int]
+    parent_edge: dict[int, int | None]
+    children: dict[int, list[int]]
+    min_taxon: dict[int, str]
 
 
 class Phylogeny:
@@ -202,9 +223,6 @@ class Phylogeny:
     def max_node_id(self) -> int:
         return max(self._adj)
 
-    def max_edge_id(self) -> int:
-        return max(self._ends)
-
     # ------------------------------------------------------------------
     # derived views
 
@@ -241,6 +259,61 @@ class Phylogeny:
                     parent_edge[y] = e
                     order.append(y)
         return order, parent_edge
+
+    def rooted_view(self, root: int | None = None) -> RootedView:
+        """One BFS from ``root`` (default :meth:`root_handle`), one bottom-up pass.
+
+        ``root`` must be an internal node, so every labeled node is a leaf
+        of the view.
+        """
+        adj, ends, labels = self._adj, self._ends, self._leaf_label
+        if root is None:
+            root = self.root_handle()
+        elif root in labels:
+            raise TreeError(f"view root {root} is a leaf")
+        # the BFS of rooted_parents, inlined: serialize reads this view for
+        # every state of the exact search
+        parent_edge: dict[int, int | None] = {root: None}
+        children: dict[int, list[int]] = {}
+        order = [root]
+        for x in order:
+            kids = children[x] = []
+            for e in adj[x]:
+                u, y = ends[e]
+                if y == x:
+                    y = u
+                if y not in parent_edge:
+                    parent_edge[y] = e
+                    order.append(y)
+                    kids.append(y)
+        min_taxon: dict[int, str] = {}
+        for x in reversed(order):
+            kids = children[x]
+            if kids:
+                kids.sort(key=min_taxon.__getitem__)
+                min_taxon[x] = min_taxon[kids[0]]
+            else:
+                min_taxon[x] = labels[x]
+        return RootedView(order, parent_edge, children, min_taxon)
+
+    def split_bits(self, view: RootedView | None = None) -> dict[int, int]:
+        """Away-side taxa of each internal edge as a bitset, from one post-order pass.
+
+        Bit i stands for the i-th taxon in sorted order.  The away side is the
+        side without the view's root, by default the side without the
+        smallest taxon.
+        """
+        if view is None:
+            view = self.rooted_view()
+        bit = {t: 1 << i for i, t in enumerate(sorted(self._label_leaf))}
+        below: dict[int, int] = {}
+        for x in reversed(view.order):
+            kids = view.children[x]
+            acc = 0 if kids else bit[self._leaf_label[x]]
+            for c in kids:
+                acc |= below[c]
+            below[x] = acc
+        return {view.parent_edge[x]: below[x] for x in view.order[1:] if view.children[x]}
 
     def _below_taxa(self) -> tuple[dict[int, frozenset[str]], dict[int, int | None]]:
         """Taxa below each edge when rooted at the smallest taxon's leaf."""
@@ -313,7 +386,9 @@ class Phylogeny:
             return False
         if self.leaf_weight_map() != other.leaf_weight_map():
             return False
-        return self.splits() == other.splits()
+        return {b: self._wt[e] for e, b in self.split_bits().items()} == {
+            b: other._wt[e] for e, b in other.split_bits().items()
+        }
 
     def copy(self) -> "Phylogeny":
         return Phylogeny(dict(self._ends), dict(self._wt), dict(self._leaf_label))

@@ -110,34 +110,15 @@ def _linear_maps(
     return emap, nmap
 
 
-def _min_taxon_below(tree: Phylogeny, node: int, via: int | None) -> str:
-    best = None
-    stack = [(node, via)]
-    while stack:
-        x, up = stack.pop()
-        if tree.is_leaf(x):
-            lab = tree.leaf_label(x)
-            best = lab if best is None else min(best, lab)
-            continue
-        for e in tree.adjacent_edges(x):
-            if e != up:
-                stack.append((tree.other_end(e, x), e))
-    return best
-
-
 def _canonical_edge_order(tree: Phylogeny) -> list[int]:
-    root = tree.root_handle()
+    """Child edges of each node of the rooted view, nodes in preorder."""
+    view = tree.rooted_view()
     out: list[int] = []
-    stack = [(root, None)]
+    stack = [view.order[0]]
     while stack:
-        node, via = stack.pop()
-        ranked = sorted(
-            (e for e in tree.adjacent_edges(node) if e != via),
-            key=lambda e: _min_taxon_below(tree, tree.other_end(e, node), e),
-        )
-        for e in reversed(ranked):
-            stack.append((tree.other_end(e, node), e))
-        out.extend(ranked)
+        kids = view.children[stack.pop()]
+        out.extend(view.parent_edge[c] for c in kids)
+        stack.extend(reversed(kids))
     return out
 
 

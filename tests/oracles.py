@@ -171,6 +171,18 @@ def weight_partition_by_removal(tree: Phylogeny, e: int):
     return tuple(sorted(side_weights(away_node))), tuple(sorted(side_weights(near_node)))
 
 
+def renumbered(tree: Phylogeny, rng: random.Random) -> Phylogeny:
+    """The same phylogeny rebuilt with shuffled node and edge ids."""
+    nodes = tree.nodes()
+    node_map = dict(zip(nodes, rng.sample(range(100, 100 + len(nodes)), len(nodes))))
+    eids = tree.edge_ids()
+    edge_map = dict(zip(eids, rng.sample(range(500, 500 + len(eids)), len(eids))))
+    edges = {edge_map[e]: tuple(node_map[x] for x in tree.endpoints(e)) for e in eids}
+    weights = {edge_map[e]: tree.weight(e) for e in eids}
+    labels = {node_map[tree.leaf_node(s)]: s for s in tree.taxa()}
+    return Phylogeny(edges, weights, labels)
+
+
 def trees_equal_by_splits(a: Phylogeny, b: Phylogeny) -> bool:
     """Equality through removal-based splits plus leaf weights."""
     if a.taxa() != b.taxa():

@@ -71,6 +71,32 @@ def test_exact_state_limit_failure_exits_one(pair_files, capsys):
     assert "state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_exact_state_limit_below_one_is_a_usage_error(pair_files, limit, capsys):
+    p1, p2, _ = pair_files
+    with pytest.raises(SystemExit) as err:
+        main(["exact", p1, p2, "--state-limit", limit])
+    assert err.value.code == 2
+    assert "--state-limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--report-metrics"])
+def test_approx_unwritable_output_is_a_usage_error(pair_files, tmp_path, flag, capsys):
+    p1, p2, _ = pair_files
+    out = str(tmp_path / "missing" / "out")
+    assert main(["approx", p1, p2, flag, out]) == 2
+    assert out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out1", "--out2"])
+def test_gen_unwritable_output_is_a_usage_error(tmp_path, flag, capsys):
+    out = {"--out1": str(tmp_path / "x.nwk"), "--out2": str(tmp_path / "y.nwk")}
+    out[flag] = str(tmp_path / "missing" / "t.nwk")
+    args = [a for pair in out.items() for a in pair]
+    assert main(["gen", "--taxa", "4", "--moves", "1", *args]) == 2
+    assert out[flag] in capsys.readouterr().err
+
+
 def test_verify_rejects_a_wrong_target(pair_files, tmp_path, capsys):
     p1, p2, _ = pair_files
     trace = str(tmp_path / "trace.jsonl")

@@ -7,8 +7,9 @@ import pytest
 
 from nnidist import newick
 from nnidist.newick import ParseError, format_weight, parse, parse_weight, serialize
+from nnidist.nni import check_trace, trace_lines
 
-from oracles import random_phylogeny, splits_by_removal
+from oracles import caterpillar, random_phylogeny, splits_by_removal
 
 
 def test_parse_simple_quartet():
@@ -16,6 +17,15 @@ def test_parse_simple_quartet():
     assert t.taxa() == ("a", "b", "c", "d")
     assert t.leaf_weight_map() == {"a": 1, "b": 2, "c": 3, "d": 4}
     assert t.splits() == {frozenset({"c", "d"}): Fraction(5)}
+
+
+def test_parse_numbers_nodes_in_preorder_and_edges_as_lengths_are_read():
+    # trace files name these ids, so the numbering is part of the format
+    t = parse("((a:1,b:2):3,c:4,(d:5,e:6):7);")
+    assert {e: t.endpoints(e) for e in t.edge_ids()} == {
+        0: (1, 2), 1: (1, 3), 2: (0, 1), 3: (0, 4), 4: (5, 6), 5: (5, 7), 6: (0, 5),
+    }
+    assert {s: t.leaf_node(s) for s in t.taxa()} == {"a": 2, "b": 3, "c": 4, "d": 6, "e": 7}
 
 
 def test_parse_decimal_weights():
@@ -134,3 +144,15 @@ def test_file_round_trip(tmp_path):
     newick.write_tree(path, t)
     assert newick.read_tree(path).canonical_equal(t)
     assert path.read_text().endswith(");\n")
+
+
+def test_deep_caterpillar_round_trips_and_traces(tmp_path):
+    # 3000 nested parentheses: reading, writing and tracing use no recursion
+    t = caterpillar(3000)
+    text = serialize(t)
+    u = parse(text)
+    assert serialize(u) == text
+    assert u.canonical_equal(t)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(trace_lines(t, t, [])) + "\n")
+    assert check_trace(path, t, t) == (True, Fraction(0), None)

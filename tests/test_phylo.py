@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from nnidist.gen import generate_pair
+from nnidist.newick import serialize
+from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import NodeClass, Phylogeny, TreeError, finiteness_check
 
 from oracles import (
     classify_by_leaf_count,
     random_phylogeny,
+    renumbered,
+    sides_by_removal,
     splits_by_removal,
     weight_partition_by_removal,
 )
@@ -145,20 +150,94 @@ def test_canonical_equal_ignores_ids():
     rng = random.Random(404)
     for _ in range(15):
         t = random_phylogeny(rng, rng.randint(4, 15))
-        # rebuild with shuffled node and edge ids
-        nodes = t.nodes()
-        node_map = dict(zip(nodes, rng.sample(range(100, 100 + len(nodes)), len(nodes))))
-        eids = t.edge_ids()
-        edge_map = dict(zip(eids, rng.sample(range(500, 500 + len(eids)), len(eids))))
-        edges = {
-            edge_map[e]: (node_map[u], node_map[v])
-            for e, (u, v) in ((e, t.endpoints(e)) for e in eids)
-        }
-        weights = {edge_map[e]: t.weight(e) for e in eids}
-        labels = {node_map[t.leaf_node(s)]: s for s in t.taxa()}
-        other = Phylogeny(edges, weights, labels)
+        other = renumbered(t, rng)
         assert t.canonical_equal(other)
         assert other.canonical_equal(t)
+
+
+def test_rooted_view_orders_children_by_smallest_taxon():
+    rng = random.Random(407)
+    for _ in range(20):
+        t = random_phylogeny(rng, rng.randint(3, 30))
+        internal = [x for x in t.nodes() if not t.is_leaf(x)]
+        for root in (None, rng.choice(internal)):
+            view = t.rooted_view(root)
+            assert view.order[0] == (t.root_handle() if root is None else root)
+            assert sorted(view.order) == t.nodes()
+            seen = set()
+            for x in view.order:
+                e = view.parent_edge[x]
+                assert (e is None) == (x == view.order[0])
+                if e is not None:
+                    parent = t.other_end(e, x)
+                    assert parent in seen and x in view.children[parent]
+                seen.add(x)
+                # the taxa below x are those on x's side of its parent edge
+                below = set(t.taxa()) if e is None else sides_by_removal(t, e)[
+                    t.endpoints(e).index(x)
+                ]
+                assert view.min_taxon[x] == min(below)
+                mins = [view.min_taxon[c] for c in view.children[x]]
+                assert mins == sorted(mins)
+                assert len(view.children[x]) == t.degree(x) - (e is not None)
+
+
+def test_rooted_view_rejects_a_leaf_root():
+    t = quartet()
+    with pytest.raises(TreeError, match="leaf"):
+        t.rooted_view(0)
+
+
+def test_split_bits_match_removal_oracle():
+    rng = random.Random(408)
+    for _ in range(25):
+        t = random_phylogeny(rng, rng.randint(3, 30))
+        taxa = t.taxa()
+        got = {
+            e: frozenset(s for i, s in enumerate(taxa) if bits >> i & 1)
+            for e, bits in t.split_bits().items()
+        }
+        assert got == splits_by_removal(t)
+
+
+def _one_move(rng: random.Random, tree: Phylogeny) -> Phylogeny:
+    out = tree.copy()
+    e2 = rng.choice(out.internal_edges())
+    u, v = out.endpoints(e2)
+    e1 = rng.choice([e for e in out.adjacent_edges(u) if e != e2])
+    e3 = rng.choice([e for e in out.adjacent_edges(v) if e != e2])
+    apply_nni(out, NniOp(e1, e2, e3))
+    return out
+
+
+def _weights_swapped(rng: random.Random, tree: Phylogeny) -> Phylogeny:
+    out = tree.copy()
+    a, b = rng.sample(out.internal_edges(), 2)
+    out._wt[a], out._wt[b] = out._wt[b], out._wt[a]
+    return out
+
+
+def test_canonical_equal_agrees_with_serialization():
+    # the two canonical notions read the same rooted view and must agree
+    rng = random.Random(409)
+    verdicts = []
+    for seed in range(60):
+        n = rng.randint(5, 24)
+        t, _, _ = generate_pair(seed=seed, n=n, moves=0, dup_weights=seed % 2 == 0)
+        others = [
+            t.copy(),
+            renumbered(t, rng),
+            _one_move(rng, t),
+            renumbered(_one_move(rng, t), rng),
+            _one_move(rng, _one_move(rng, t)),
+            _weights_swapped(rng, t),
+        ]
+        for u in others:
+            verdict = t.canonical_equal(u)
+            assert verdict == u.canonical_equal(t)
+            assert verdict == (serialize(t) == serialize(u))
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_canonical_equal_sees_weight_change():
