@@ -114,13 +114,11 @@ def build_auxiliary(source: Phylogeny) -> AuxiliaryTree:
 
     tree = Phylogeny(edges, weights, labels)
     depth = max((p[0] for p in slot_nodes), default=0)
-    aux = AuxiliaryTree(tree, level_edges, slot_nodes, node_slots, depth)
-    check_auxiliary(source, aux)
-    return aux
+    return AuxiliaryTree(tree, level_edges, slot_nodes, node_slots, depth)
 
 
 def check_auxiliary(source: Phylogeny, aux: AuxiliaryTree) -> None:
-    """Structural postconditions, enforced on every construction.
+    """Structural postconditions, enforced on every companion the pipeline builds.
 
     Raises TreeError when leaf depths (anchor aside) spread by more than one
     level, when some root-to-leaf internal weight sequence decreases, or when

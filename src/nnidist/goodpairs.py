@@ -401,50 +401,36 @@ def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
 
 
 def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
-    """Split at the cut edges; each cut becomes a pseudo-leaf in both parts."""
-    cut_ids = set(cuts)
-    comp_of: dict[int, int] = {}
-    for v in tree.nodes():
-        if v in comp_of:
-            continue
-        comp = len(set(comp_of.values()))
-        queue = [v]
-        comp_of[v] = comp
-        while queue:
-            u = queue.pop()
-            for e in tree.adjacent_edges(u):
-                if e in cut_ids:
-                    continue
-                w = tree.other_end(e, u)
-                if w not in comp_of:
-                    comp_of[w] = comp
-                    queue.append(w)
+    """Split at the cut edges; each cut becomes a pseudo-leaf in both parts.
 
+    One walk per component, from its smallest node id, collects its nodes'
+    labels and its edges; cut edge e ends at pseudo-leaf ``base + cuts[e]``.
+    """
     base = tree.max_node_id() + 1
+    seen: set[int] = set()
     built: list[Phylogeny] = []
-    for comp in sorted(set(comp_of.values())):
-        nodes = {v for v, c in comp_of.items() if c == comp}
+    for start in tree.nodes():
+        if start in seen:
+            continue
+        stack = [start]
         edges: dict[int, tuple[int, int]] = {}
-        weights: dict[int, Fraction] = {}
         labels: dict[int, str] = {}
-        for e in tree.edge_ids():
-            u, v = tree.endpoints(e)
-            if e in cut_ids:
-                inside = u if u in nodes else (v if v in nodes else None)
-                if inside is None:
-                    continue
-                k = cuts[e]
-                pseudo = base + k
-                edges[e] = (inside, pseudo)
-                weights[e] = tree.weight(e)
-                labels[pseudo] = f":cut:{k}:"
-            elif u in nodes and v in nodes:
-                edges[e] = (u, v)
-                weights[e] = tree.weight(e)
-        for v in nodes:
-            if tree.is_leaf(v):
-                labels[v] = tree.leaf_label(v)
-        built.append(Phylogeny(edges, weights, labels))
+        while stack:
+            u = stack.pop()
+            seen.add(u)
+            if tree.is_leaf(u):
+                labels[u] = tree.leaf_label(u)
+            for e in tree.adjacent_edges(u):
+                if e in cuts:
+                    edges[e] = (u, base + cuts[e])
+                    labels[base + cuts[e]] = f":cut:{cuts[e]}:"
+                elif e not in edges:  # a tree: the far end is new
+                    edges[e] = tree.endpoints(e)
+                    stack.append(tree.other_end(e, u))
+        order = sorted(edges)
+        built.append(Phylogeny(
+            {e: edges[e] for e in order}, {e: tree.weight(e) for e in order}, labels
+        ))
     return built
 
 

@@ -6,6 +6,10 @@ and symmetrically for e3, so the subtrees hanging off the two outer edges
 swap places.  The cost is the weight of the middle edge e2.  Every operation
 is its own inverse, and (e1, e2, e3) and (e3, e2, e1) are the same move.
 
+Every sequence is applied by one replay core, :func:`replay`, which raises
+:class:`ReplayError` at the first invalid move or a wrong end tree; sequence
+application, verification, trace writing and trace checking all consume it.
+
 Traces are JSON lines: a header with digests of the canonical source and
 target trees, then one record per operation in order.
 """
@@ -14,10 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from nnidist import newick
 from nnidist.phylo import Phylogeny, TreeError
@@ -60,15 +66,34 @@ def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
     return tree.weight(e2)
 
 
-def apply_sequence(
-    tree: Phylogeny, ops: Iterable[NniOp], in_place: bool = False
-) -> tuple[Phylogeny, Fraction]:
-    """Apply operations in order; returns (resulting tree, total cost)."""
-    out = tree if in_place else tree.copy()
-    total = Fraction(0)
-    for op in ops:
-        total += apply_nni(out, op)
-    return out, total
+class ReplayError(TreeError):
+    """An operation of a sequence is invalid, or the end tree is not the target."""
+
+
+def replay(
+    work: Phylogeny, ops: Iterable[NniOp], target: Phylogeny | None = None
+) -> Iterator[tuple[NniOp, int, int, Fraction]]:
+    """Apply ``ops`` to ``work`` in place, yielding (op, u, v, cost) per move.
+
+    (u, v) are the middle edge's endpoints before the move.  Raises
+    ReplayError at the first invalid operation and, once all are applied,
+    when ``target`` is given and ``work`` does not match it.
+    """
+    for i, op in enumerate(ops):
+        try:
+            u, v = work.endpoints(op.e2)
+            cost = apply_nni(work, op)
+        except (TreeError, KeyError) as exc:
+            raise ReplayError(f"operation {i} invalid: {exc}") from exc
+        yield op, u, v, cost
+    if target is not None and not work.canonical_equal(target):
+        raise ReplayError("replay does not match the target tree")
+
+
+def apply_sequence(tree: Phylogeny, ops: Iterable[NniOp]) -> tuple[Phylogeny, Fraction]:
+    """Apply operations in order to a copy; returns (resulting tree, total cost)."""
+    out = tree.copy()
+    return out, sum((cost for _, _, _, cost in replay(out, ops)), Fraction(0))
 
 
 def invert_sequence(ops: Sequence[NniOp]) -> list[NniOp]:
@@ -84,15 +109,12 @@ def verify_transform(
     Returns (ok, total cost, reason).  The cost is the cost of the prefix
     that could be applied, so failures still report where the money went.
     """
-    work = source.copy()
     total = Fraction(0)
-    for i, op in enumerate(ops):
-        try:
-            total += apply_nni(work, op)
-        except (TreeError, KeyError) as exc:
-            return False, total, f"operation {i} invalid: {exc}"
-    if not work.canonical_equal(target):
-        return False, total, "result does not match the target tree"
+    try:
+        for _, _, _, cost in replay(source.copy(), ops, target):
+            total += cost
+    except ReplayError as exc:
+        return False, total, str(exc)
     return True, total, None
 
 
@@ -104,36 +126,20 @@ def trace_lines(
     source: Phylogeny, target: Phylogeny, ops: Sequence[NniOp]
 ) -> list[str]:
     """JSON lines for a trace, validating the sequence while recording it."""
-    work = source.copy()
-    lines = [
+    header = {
+        "kind": "nni-trace",
+        "format": TRACE_FORMAT,
+        "source": tree_digest(source),
+        "target": tree_digest(target),
+        "ops": len(ops),
+    }
+    return [json.dumps(header)] + [
         json.dumps(
-            {
-                "kind": "nni-trace",
-                "format": TRACE_FORMAT,
-                "source": tree_digest(source),
-                "target": tree_digest(target),
-                "ops": len(ops),
-            }
+            {"e1": op.e1, "e2": op.e2, "e3": op.e3,
+             "w": newick.format_weight(cost), "u": u, "v": v}
         )
+        for op, u, v, cost in replay(source.copy(), ops, target)
     ]
-    for op in ops:
-        u, v = work.endpoints(op.e2)
-        cost = apply_nni(work, op)
-        lines.append(
-            json.dumps(
-                {
-                    "e1": op.e1,
-                    "e2": op.e2,
-                    "e3": op.e3,
-                    "w": newick.format_weight(cost),
-                    "u": u,
-                    "v": v,
-                }
-            )
-        )
-    if not work.canonical_equal(target):
-        raise TreeError("trace does not reach the target tree")
-    return lines
 
 
 def write_trace(
@@ -174,15 +180,21 @@ def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
     return header, lines[1:]
 
 
-def _parse_record(k: int, line: str) -> tuple[NniOp, int, int, Fraction]:
-    """One operation record: (operation, u, v, recorded cost)."""
+# A parsed operation record: the move, its middle edge's recorded endpoints and
+# its recorded cost.  replay() reads only e1, e2 and e3, so it takes a record as
+# the move itself; a tuple is cheaper to build than an NniOp.
+_Record = namedtuple("_Record", "e1 e2 e3 u v w")
+
+
+def _parse_record(k: int, line: str) -> _Record:
     try:
         rec = json.loads(line)
-        op = NniOp(int(rec["e1"]), int(rec["e2"]), int(rec["e3"]))
-        u, v = int(rec["u"]), int(rec["v"])
-        if not isinstance(rec["w"], str):
-            raise TypeError(f"cost {rec['w']!r} is not a decimal string")
-        return op, u, v, newick.parse_weight(rec["w"])
+        e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
+        if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
+            raise TypeError("edge and node ids must be integers")
+        if not isinstance(w, str):
+            raise TypeError(f"cost {w!r} is not a decimal string")
+        return _Record(e1, e2, e3, u, v, newick.parse_weight(w))
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"line {k}: bad operation record: {exc}") from exc
 
@@ -190,7 +202,7 @@ def _parse_record(k: int, line: str) -> tuple[NniOp, int, int, Fraction]:
 def read_trace(path: str | Path) -> tuple[dict, list[NniOp]]:
     """Load a trace file; returns (header, operations). Structural checks only."""
     header, body = _trace_body(path)
-    return header, [_parse_record(k, line)[0] for k, line in body]
+    return header, [NniOp(r.e1, r.e2, r.e3) for r in starmap(_parse_record, body)]
 
 
 def check_trace(
@@ -211,21 +223,15 @@ def check_trace(
         return False, Fraction(0), "source digest mismatch"
     if header.get("target") != tree_digest(target):
         return False, Fraction(0), "target digest mismatch"
-    work = source.copy()
     total = Fraction(0)
-    for i, (k, line) in enumerate(body):
-        try:
-            op, u, v, w = _parse_record(k, line)
-            if {u, v} != set(work.endpoints(op.e2)):
+    steps = replay(source.copy(), starmap(_parse_record, body), target)
+    try:
+        for i, (rec, u, v, cost) in enumerate(steps):
+            if {rec.u, rec.v} != {u, v}:
                 return False, total, f"operation {i}: recorded endpoints do not match replay"
-            cost = apply_nni(work, op)
-        except TraceError as exc:
-            return False, total, str(exc)
-        except (TreeError, KeyError) as exc:
-            return False, total, f"operation {i} invalid: {exc}"
-        if w != cost:
-            return False, total, f"operation {i}: recorded cost {newick.format_weight(w)} != {cost}"
-        total += cost
-    if not work.canonical_equal(target):
-        return False, total, "replay does not reach the target tree"
+            if rec.w != cost:
+                return False, total, f"operation {i}: recorded cost {newick.format_weight(rec.w)} != {cost}"
+            total += cost
+    except (TraceError, ReplayError) as exc:
+        return False, total, str(exc)
     return True, total, None

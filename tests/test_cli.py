@@ -217,8 +217,10 @@ def test_verify_ignores_a_blank_line(traced_pair, capsys):
         (lambda rec: rec.pop("u"), "bad operation record"),
         (lambda rec: rec.update(w=3), "bad operation record"),
         (lambda rec: rec.update(w="1..5"), "bad operation record"),
+        (lambda rec: rec.update(u=rec["u"] + 0.5), "bad operation record"),
+        (lambda rec: rec.update(e1=str(rec["e1"])), "bad operation record"),
     ],
-    ids=["unknown-e2", "missing-u", "integer-w", "malformed-w"],
+    ids=["unknown-e2", "missing-u", "integer-w", "malformed-w", "fractional-u", "string-e1"],
 )
 def test_verify_reports_a_corrupt_record(traced_pair, capsys, change, reason):
     p1, p2, trace = traced_pair

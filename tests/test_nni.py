@@ -9,11 +9,14 @@ import pytest
 from nnidist import newick
 from nnidist.nni import (
     NniOp,
+    ReplayError,
     apply_nni,
     apply_sequence,
     check_trace,
     invert_sequence,
     read_trace,
+    replay,
+    trace_lines,
     verify_transform,
     write_trace,
 )
@@ -89,7 +92,7 @@ def test_invariants_preserved_along_walks():
         assert u.internal_weight_multiset() == t.internal_weight_multiset()
 
 
-def test_invalid_operations_raise():
+def test_invalid_operations_raise(tmp_path):
     t = quartet()
     mid = t.internal_edges()[0]
     e_a = t.leaf_edge_of("a")
@@ -103,6 +106,17 @@ def test_invalid_operations_raise():
     # middle edge is a leaf edge: nothing can attach at its leaf end
     with pytest.raises(TreeError, match="not an edge path"):
         apply_nni(t, NniOp(mid, e_c, e_a))
+    # an unknown middle edge is an invalid operation, not a KeyError
+    unknown = [NniOp(e_a, 10**6, e_c)]
+    with pytest.raises(TreeError, match="operation 0 invalid"):
+        apply_sequence(t, unknown)
+    with pytest.raises(TreeError, match="operation 0 invalid"):
+        trace_lines(t, t, unknown)
+    with pytest.raises(TreeError, match="operation 0 invalid"):
+        write_trace(tmp_path / "x.jsonl", t, t, unknown)
+    assert not (tmp_path / "x.jsonl").exists()
+    ok, _, reason = verify_transform(t, unknown, t)
+    assert not ok and reason.startswith("operation 0 invalid")
 
 
 def test_apply_sequence_and_inverse():
@@ -115,7 +129,9 @@ def test_apply_sequence_and_inverse():
             op = random_valid_op(rng, u)
             apply_nni(u, op)
             ops.append(op)
+        before = t.copy()
         v, cost = apply_sequence(t, ops)
+        assert v is not t and t.canonical_equal(before)
         assert v.canonical_equal(u)
         assert cost == sum((t.weight(op.e2) for op in ops), Fraction(0))
         back, back_cost = apply_sequence(v, invert_sequence(ops))
@@ -194,3 +210,35 @@ def test_write_trace_refuses_wrong_target(tmp_path):
     apply_nni(u, op)
     with pytest.raises(TreeError):
         write_trace(tmp_path / "x.jsonl", t, t, [op])
+
+
+def test_every_consumer_reports_one_end_tree_failure(tmp_path):
+    rng = random.Random(431)
+    t = random_phylogeny(rng, 9)
+    u = t.copy()
+    ops = []
+    for _ in range(4):
+        op = random_valid_op(rng, u)
+        apply_nni(u, op)
+        ops.append(op)
+    _, _, reason = verify_transform(t, ops[:-1], u)
+    assert "match" in reason
+    with pytest.raises(ReplayError) as err:
+        trace_lines(t, u, ops[:-1])
+    assert str(err.value) == reason
+    # the end tree is compared only once the last move has been yielded
+    steps = replay(t.copy(), ops[:-1], u)
+    for _ in ops[:-1]:
+        next(steps)
+    with pytest.raises(ReplayError, match="match"):
+        next(steps)
+    # a trace with its last record dropped replays cleanly to the wrong tree
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["ops"] = 3
+    path.write_text("\n".join([json.dumps(header), *lines[1:-1]]) + "\n")
+    ok, cost, got = check_trace(path, t, u)
+    assert not ok and got == reason
+    assert cost == sum((t.weight(op.e2) for op in ops[:-1]), Fraction(0))

@@ -1,0 +1,115 @@
+"""Property tests: every pipeline trace checks, and no corrupted trace crashes verify.
+
+Examples are derandomized and no example database is kept, so each run
+draws the same examples.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from nnidist import newick
+from nnidist.cli import main
+from nnidist.gen import generate_pair
+from nnidist.nni import check_trace, write_trace
+from nnidist.pipeline import approx_nni
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None)
+# Hypothesis caches the constants of local source files while the tests are
+# collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(
+    n=st.integers(4, 16),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 48),
+    dup=st.booleans(),
+)
+def test_every_pipeline_trace_checks(n, seed, moves, dup):
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    result = approx_nni(t1, t2)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.jsonl"
+        write_trace(path, t1, t2, result.sequence)
+        assert check_trace(path, t1, t2) == (True, result.cost, None)
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """Three tree-file pairs with the trace ``approx`` writes for each."""
+    out = []
+    for n, seed in ((6, 1), (10, 2), (16, 3)):
+        d = tmp_path_factory.mktemp(f"pair{n}")
+        t1, t2, _ = generate_pair(seed=seed, n=n, moves=2 * n, dup_weights=seed == 2)
+        p1, p2, trace = d / "a.nwk", d / "b.nwk", d / "trace.jsonl"
+        newick.write_tree(p1, t1)
+        newick.write_tree(p2, t2)
+        assert main(["approx", str(p1), str(p2), "--trace", str(trace)]) == 0
+        out.append((str(p1), str(p2), trace.read_bytes()))
+    return out
+
+
+FIELD_VALUES = [None, -1, "x", 1.5, [], 10**30]
+POSITION = st.integers(0, 10**6)
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("flip"), POSITION, st.integers(1, 255)),
+    st.tuples(st.just("delete"), POSITION),
+    st.tuples(st.just("duplicate"), POSITION),
+    st.tuples(st.just("field"), POSITION, POSITION, st.sampled_from(FIELD_VALUES)),
+)
+
+
+def corrupt(data: bytes, how: tuple) -> bytes:
+    kind, pos = how[0], how[1]
+    if kind == "flip":
+        out = bytearray(data)
+        out[pos % len(out)] ^= how[2]
+        return bytes(out)
+    lines = data.decode().splitlines()
+    k = pos % len(lines)
+    if kind == "delete":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        rec = json.loads(lines[k])
+        rec[sorted(rec)[how[2] % len(rec)]] = how[3]
+        lines[k] = json.dumps(rec)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def parsed(data: bytes) -> list | None:
+    """The non-blank lines as JSON values (or raw text), None if not UTF-8."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return None
+    out = []
+    for line in text.splitlines():
+        if line.strip():
+            try:
+                out.append(json.loads(line))
+            except ValueError:
+                out.append(line)
+    return out
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(which=st.integers(0, 2), how=CORRUPTIONS)
+def test_a_corrupted_trace_never_crashes_verify(traced, which, how):
+    p1, p2, clean = traced[which]
+    bad = corrupt(clean, how)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.jsonl"
+        path.write_bytes(bad)
+        code = main(["verify", p1, str(path), p2])
+    assert code in (0, 1, 2)
+    if parsed(bad) != parsed(clean):
+        assert code in (1, 2), f"{how} was accepted"
