@@ -9,7 +9,7 @@ Python executes.
 """
 
 from nnidist.exact import exact_dnni
-from nnidist.goodpairs import decompose, find_good_edge_pairs
+from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, apply_sequence, verify_transform
 from nnidist.phylo import NodeClass, Phylogeny, TreeError, finiteness_check
 from nnidist.pipeline import ApproxResult, approx_nni
@@ -29,5 +29,6 @@ __all__ = [
     "exact_dnni",
     "find_good_edge_pairs",
     "finiteness_check",
+    "lower_bound",
     "verify_transform",
 ]

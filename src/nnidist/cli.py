@@ -97,6 +97,8 @@ def _cmd_gep(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.taxa == 3 and args.moves:
+        raise _UsageError("--moves must be 0 for --taxa 3: a 3-taxon tree has no internal edge")
     t1, t2, cost = generate_pair(
         seed=args.seed, n=args.taxa, moves=args.moves, dup_weights=args.dup_weights
     )
@@ -143,10 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-metrics", help="write runtime metrics as JSON")
     p.set_defaults(fn=_cmd_approx)
 
-    p = sub.add_parser("exact", help="exact distance by exhaustive search")
+    p = sub.add_parser("exact", help="exact distance by A* search (small trees only)")
     p.add_argument("tree1")
     p.add_argument("tree2")
-    p.add_argument("--state-limit", type=_int_at_least(1), default=DEFAULT_STATE_LIMIT)
+    p.add_argument(
+        "--state-limit",
+        type=_int_at_least(1),
+        default=DEFAULT_STATE_LIMIT,
+        help="give up (exit 1) once the A* search has settled more than this many "
+        "distinct trees without reaching tree2 (default: %(default)s)",
+    )
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("verify", help="replay a trace between two trees")

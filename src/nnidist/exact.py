@@ -1,19 +1,35 @@
-"""Exact distance by uniform-cost search over canonical tree states.
+"""Exact distance by A* search over split-bitset states.
 
-Only practical for very small instances (six, maybe seven taxa); its job is
-to be unarguably correct so the approximation can be measured against it.
-States are canonical serializations, moves are the two non-redundant swaps
-per internal edge, and ties break on the canonical string so the returned
-witness is deterministic.
+Only practical for small instances (up to about eight taxa); its job is to
+be unarguably correct so the approximation can be measured against it.
+Moves are the two non-redundant swaps per internal edge.  A state is the
+sorted tuple of its internal edges' (split bitset, weight rank) pairs,
+packed into ints: the split bitsets of :meth:`Phylogeny.split_bits` and
+their weights are what :meth:`Phylogeny.canonical_equal` compares, and the
+leaf weights never change along a search.
+
+The heuristic ``h(T)`` is the good-pair lower bound against tree 2
+(:class:`nnidist.goodpairs.PairBound`): the internal weight of T that has
+no good-pair partner in tree 2.  It keeps the search exact because it is
+admissible and consistent.  A move on edge e moves two subtrees past e, so
+every other edge keeps its split and the internal weights on each of its
+sides; only e's own key changes and e keeps its weight, which is the move's
+cost.  The key losing e may lose one unpaired weight and the key gaining e
+may gain one, so ``h(s) <= step + h(s')`` for every move s -> s', and
+``h(goal) = 0``.  With a consistent heuristic a state is settled at its
+least cost, so the goal's cost when it is settled is the distance (Hart,
+Nilsson and Raphael 1968).  With h = 0 the search is uniform-cost search.
+
+Ties break on (cost + h, state key), so the returned witness is
+deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 
-from nnidist import newick
+from nnidist.goodpairs import PairBound
 from nnidist.nni import NniOp, apply_nni, verify_transform
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 
@@ -48,25 +64,38 @@ def exact_dnni(
     t2: Phylogeny,
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> tuple[Fraction, list[NniOp]]:
-    """Minimum transformation cost and one optimal witness sequence."""
+    """Minimum transformation cost and one optimal witness sequence.
+
+    Raises :class:`StateLimitError` once more than ``state_limit`` states
+    are settled without reaching ``t2``.
+    """
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
-    goal = newick.serialize(t2)
-    start = newick.serialize(t1)
+    bound = PairBound(t2)
+    ranks = sorted(set(t1.internal_weight_multiset()))
+    rank = {w: i for i, w in enumerate(ranks)}
+
+    def state(keys: dict[int, tuple[Fraction, int, int]]) -> tuple[int, ...]:
+        return tuple(sorted(bits * len(ranks) + rank[w] for w, bits, _ in keys.values()))
+
+    goal = state(bound.edge_keys(t2))
+    keys = bound.edge_keys(t1)
+    start = state(keys)
     if start == goal:
         return Fraction(0), []
 
-    counter = itertools.count()
-    frontier: list[tuple[Fraction, str, int, Phylogeny]] = [
-        (Fraction(0), start, next(counter), t1)
+    # a state is pushed again only at a lower cost, so no two entries tie on
+    # (cost + h, key) and trees are never compared
+    frontier: list[tuple[Fraction, tuple[int, ...], Fraction, Phylogeny]] = [
+        (bound.unpaired_weight(keys), start, Fraction(0), t1)
     ]
-    best: dict[str, Fraction] = {start: Fraction(0)}
-    via: dict[str, tuple[str, NniOp]] = {}
-    settled: set[str] = set()
+    best: dict[tuple[int, ...], Fraction] = {start: Fraction(0)}
+    via: dict[tuple[int, ...], tuple[tuple[int, ...], NniOp]] = {}
+    settled: set[tuple[int, ...]] = set()
 
     while frontier:
-        cost, key, _, tree = heapq.heappop(frontier)
+        _, key, cost, tree = heapq.heappop(frontier)
         if key in settled:
             continue
         settled.add(key)
@@ -86,11 +115,14 @@ def exact_dnni(
                 f"settled more than {state_limit} states without reaching the target"
             )
         for op, nxt, step in neighbors(tree):
-            nkey = newick.serialize(nxt)
+            keys = bound.edge_keys(nxt)
+            nkey = state(keys)
             ncost = cost + step
             if nkey not in best or ncost < best[nkey]:
                 best[nkey] = ncost
                 via[nkey] = (key, op)
-                heapq.heappush(frontier, (ncost, nkey, next(counter), nxt))
+                heapq.heappush(
+                    frontier, (ncost + bound.unpaired_weight(keys), nkey, ncost, nxt)
+                )
 
     raise TreeError("search space exhausted without reaching the target tree")

@@ -377,16 +377,20 @@ def _edge_keys(
     return keys
 
 
+def _weight_fields(tree: Phylogeny) -> dict[Fraction, int]:
+    """One count field per distinct internal weight, wide enough for n - 3 repeats."""
+    width = tree.n_taxa.bit_length()
+    return {
+        w: 1 << (width * rank)
+        for rank, w in enumerate(sorted(set(tree.internal_weight_multiset())))
+    }
+
+
 def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
         raise TreeError("instance is not finite: " + "; ".join(reasons))
-    # one count field per distinct weight, wide enough for n - 3 repeats
-    width = t1.n_taxa.bit_length()
-    weight_field = {
-        w: 1 << (width * rank)
-        for rank, w in enumerate(sorted(set(t1.internal_weight_multiset())))
-    }
+    weight_field = _weight_fields(t1)
     groups1: dict[tuple[Fraction, int, int], list[int]] = {}
     groups2: dict[tuple[Fraction, int, int], list[int]] = {}
     for tree, groups in ((t1, groups1), (t2, groups2)):
@@ -398,6 +402,58 @@ def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
     for key, edges in groups1.items():
         pairs.extend(zip(edges, groups2.get(key, ())))
     return GoodEdgePairSet(sorted(pairs))
+
+
+def lower_bound(
+    t1: Phylogeny, t2: Phylogeny, pairs: GoodEdgePairSet | None = None
+) -> Fraction:
+    """W − Σ of the good-paired weights: no NNI sequence from t1 to t2 costs less.
+
+    A move on edge e moves two subtrees past e, so every other edge keeps
+    its split and the internal weights on each of its sides; only e's own
+    key changes, and e keeps its weight.  An edge that is never operated on
+    therefore keeps its good-pair partner, so every unpaired edge is
+    operated on at least once, at the cost of its own weight.  ``pairs`` is
+    ``find_good_edge_pairs(t1, t2)`` when the caller has it already.
+    """
+    if pairs is None:
+        pairs = find_good_edge_pairs(t1, t2)
+    unpaired = set(t1.internal_edges()) - {e1 for e1, _ in pairs.pairs}
+    return sum((t1.weight(e) for e in unpaired), Fraction(0))
+
+
+class PairBound:
+    """:func:`lower_bound` of any tree against one fixed target, for a search.
+
+    The target's keys are counted once; the bound of a tree T is then
+    ``Σ_keys (c_T − min(c_T, c_target)) · w`` over the exact keys of
+    :func:`_edge_keys`, one key pass per tree.  Equal keys pair up one to
+    one, so this is W − Σ of the paired weights.  Trees must be finite
+    against the target (see ``finiteness_check``).  :mod:`nnidist.exact`
+    uses it as its A* heuristic and says why it is consistent.
+    """
+
+    def __init__(self, target: Phylogeny) -> None:
+        self._fields = _weight_fields(target)
+        self._target = Counter(_edge_keys(target, self._fields).values())
+
+    def edge_keys(self, tree: Phylogeny) -> dict[int, tuple[Fraction, int, int]]:
+        """The exact good-pair key of every internal edge of ``tree``."""
+        return _edge_keys(tree, self._fields)
+
+    def unpaired_weight(self, keys: dict[int, tuple[Fraction, int, int]]) -> Fraction:
+        """The bound of the tree whose :meth:`edge_keys` are ``keys``."""
+        left = dict(self._target)
+        total = Fraction(0)
+        for key in keys.values():
+            if left.get(key):
+                left[key] -= 1
+            else:
+                total += key[0]
+        return total
+
+    def __call__(self, tree: Phylogeny) -> Fraction:
+        return self.unpaired_weight(self.edge_keys(tree))
 
 
 def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:

@@ -77,10 +77,7 @@ class Phylogeny:
             int(e): (int(u), int(v)) for e, (u, v) in edges.items()
         }
         self._wt: dict[int, Fraction] = {int(e): Fraction(w) for e, w in weights.items()}
-        self._adj: dict[int, list[int]] = {}
-        for e, (u, v) in self._ends.items():
-            self._adj.setdefault(u, []).append(e)
-            self._adj.setdefault(v, []).append(e)
+        self._adj = _adjacency(self._ends)
         self._leaf_label: dict[int, str] = {int(v): str(s) for v, s in leaf_labels.items()}
         self._label_leaf: dict[str, int] = {s: v for v, s in self._leaf_label.items()}
         problems = self.validate()
@@ -391,7 +388,19 @@ class Phylogeny:
         }
 
     def copy(self) -> "Phylogeny":
-        return Phylogeny(dict(self._ends), dict(self._wt), dict(self._leaf_label))
+        """An independent copy, not re-validated: a copy of a valid tree is valid.
+
+        The adjacency lists are rebuilt from the edge table in edge order, as
+        :meth:`__init__` builds them, because move sequences name edges in
+        the order ``adjacent_edges`` lists them.
+        """
+        out = Phylogeny.__new__(Phylogeny)
+        out._ends = dict(self._ends)
+        out._wt = dict(self._wt)
+        out._adj = _adjacency(out._ends)
+        out._leaf_label = dict(self._leaf_label)
+        out._label_leaf = dict(self._label_leaf)
+        return out
 
     def __repr__(self) -> str:
         return f"Phylogeny(n_taxa={self.n_taxa}, edges={len(self._ends)})"
@@ -410,6 +419,15 @@ class Phylogeny:
             raise KeyError(f"node {old} is not an endpoint of edge {e}")
         self._adj[old].remove(e)
         self._adj[new].append(e)
+
+
+def _adjacency(ends: dict[int, tuple[int, int]]) -> dict[int, list[int]]:
+    """Incident edges of every node, each list in the edge table's order."""
+    adj: dict[int, list[int]] = {}
+    for e, (u, v) in ends.items():
+        adj.setdefault(u, []).append(e)
+        adj.setdefault(v, []).append(e)
+    return adj
 
 
 def finiteness_check(a: Phylogeny, b: Phylogeny) -> tuple[bool, list[str]]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges, spine_edge_order
-from nnidist.goodpairs import decompose, find_good_edge_pairs
+from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import linearize, spine_nodes
 from nnidist.nni import NniOp, apply_sequence, invert_sequence, verify_transform
@@ -53,6 +53,8 @@ class ApproxResult:
     good_pairs: int
     w: Fraction
     ratio_to_w: Fraction | None
+    lower_bound: Fraction
+    ratio_to_lb: Fraction | None
 
     def as_dict(self) -> dict:
         return {
@@ -62,6 +64,8 @@ class ApproxResult:
             "good_pairs": self.good_pairs,
             "w": str(self.w),
             "ratio_to_w": None if self.ratio_to_w is None else float(self.ratio_to_w),
+            "lower_bound": str(self.lower_bound),
+            "ratio_to_lb": None if self.ratio_to_lb is None else float(self.ratio_to_lb),
             "metrics": self.metrics,
         }
 
@@ -228,6 +232,7 @@ def approx_nni(
         raise TreeError("phase cost accounting does not add up")
 
     w = sum((t1.weight(e) for e in t1.internal_edges()), Fraction(0))
+    lb = lower_bound(t1, t2, pairs)
     return ApproxResult(
         cost=cost,
         sequence=sequence,
@@ -236,4 +241,6 @@ def approx_nni(
         good_pairs=len(pairs),
         w=w,
         ratio_to_w=(cost / w) if w else None,
+        lower_bound=lb,
+        ratio_to_lb=(cost / lb) if lb else None,
     )

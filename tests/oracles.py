@@ -6,6 +6,8 @@ force) and shares no code with the package internals it checks.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -262,3 +264,45 @@ def random_valid_op(rng: random.Random, tree: Phylogeny):
     e1 = rng.choice([e for e in tree.adjacent_edges(u) if e != e2])
     e3 = rng.choice([e for e in tree.adjacent_edges(v) if e != e2])
     return NniOp(e1, e2, e3)
+
+
+def uniform_cost_distance(t1: Phylogeny, t2: Phylogeny):
+    """Exact (distance, witness) by plain uniform-cost search, no heuristic.
+
+    States are canonical Newick strings; every internal edge offers its two
+    distinct swaps.  Returns None when the search space runs out.
+    """
+    from nnidist import newick
+    from nnidist.nni import NniOp, apply_nni
+
+    goal = newick.serialize(t2)
+    start = newick.serialize(t1)
+    counter = itertools.count()
+    frontier = [(Fraction(0), start, next(counter), t1)]
+    best = {start: Fraction(0)}
+    via = {}
+    settled = set()
+    while frontier:
+        cost, key, _, tree = heapq.heappop(frontier)
+        if key in settled:
+            continue
+        settled.add(key)
+        if key == goal:
+            ops = []
+            while key != start:
+                key, op = via[key]
+                ops.append(op)
+            return cost, ops[::-1]
+        for e2 in tree.internal_edges():
+            u, v = tree.endpoints(e2)
+            a1 = min(e for e in tree.adjacent_edges(u) if e != e2)
+            for e3 in sorted(e for e in tree.adjacent_edges(v) if e != e2):
+                op = NniOp(a1, e2, e3)
+                nxt = tree.copy()
+                ncost = cost + apply_nni(nxt, op)
+                nkey = newick.serialize(nxt)
+                if nkey not in best or ncost < best[nkey]:
+                    best[nkey] = ncost
+                    via[nkey] = (key, op)
+                    heapq.heappush(frontier, (ncost, nkey, next(counter), nxt))
+    return None

@@ -25,7 +25,7 @@ def test_approx_writes_a_verifiable_trace(pair_files, tmp_path, capsys):
     trace = str(tmp_path / "trace.jsonl")
     assert main(["approx", p1, p2, "--trace", trace]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert Fraction(summary["cost"]) >= 0
+    assert Fraction(summary["cost"]) >= Fraction(summary["lower_bound"]) > 0
     assert main(["verify", p1, trace, p2]) == 0
 
 
@@ -174,6 +174,13 @@ def test_gen_rejects_out_of_range_counts(tmp_path, flags, capsys):
         main(["gen", *flags, *out])
     assert err.value.code == 2
     assert "--" in capsys.readouterr().err
+    assert not (tmp_path / "x.nwk").exists()
+
+
+def test_gen_rejects_moves_on_three_taxa(tmp_path, capsys):
+    out = ["--out1", str(tmp_path / "x.nwk"), "--out2", str(tmp_path / "y.nwk")]
+    assert main(["gen", "--taxa", "3", "--moves", "1", *out]) == 2
+    assert "--moves" in capsys.readouterr().err
     assert not (tmp_path / "x.nwk").exists()
 
 

@@ -1,18 +1,28 @@
-"""Exact search against an independent exhaustive DFS and small-case laws."""
+"""Exact search against an independent exhaustive DFS, a plain uniform-cost
+search, and small-case laws; its heuristic against the consistency law."""
 
 from __future__ import annotations
 
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
 from nnidist.exact import StateLimitError, exact_dnni, neighbors
-from nnidist.goodpairs import find_good_edge_pairs
+from nnidist.gen import generate_pair
+from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
-from oracles import random_phylogeny, random_valid_op
+from oracles import random_phylogeny, random_valid_op, uniform_cost_distance
+
+# keep Hypothesis' cache of source constants out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 def dfs_bound_oracle(t1: Phylogeny, t2: Phylogeny, bound: Fraction) -> Fraction:
@@ -183,3 +193,51 @@ def test_witness_is_deterministic():
     d1, w1 = exact_dnni(t1, t2)
     d2, w2 = exact_dnni(t1, t2)
     assert d1 == d2 and w1 == w2
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 8),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 12),
+    dup=st.booleans(),
+)
+def test_heuristic_is_zero_at_the_goal_and_consistent(n, seed, moves, dup):
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    h = PairBound(t2)
+    assert h(t2) == 0
+    # the start, its successors and theirs: every move s -> s' on the way
+    layer = [t1]
+    for _ in range(2):
+        following = []
+        for tree in layer:
+            here = h(tree)
+            for _, nxt, step in neighbors(tree):
+                assert here <= step + h(nxt)
+                following.append(nxt)
+        layer = following[:6]
+
+
+def test_lower_bound_never_exceeds_the_exact_distance():
+    # acceptance criterion 2's instances
+    for n in (4, 5, 6):
+        for seed in range(1, 101):
+            t1, t2, _ = generate_pair(seed=seed, n=n, moves=n - 1, dup_weights=seed % 3 == 0)
+            bound = lower_bound(t1, t2)
+            distance, _ = exact_dnni(t1, t2)
+            assert bound <= distance, f"n={n} seed={seed}"
+            # an edge set that all pairs up is the target itself
+            assert (bound == 0) == (distance == 0), f"n={n} seed={seed}"
+
+
+def test_distances_match_uniform_cost_search():
+    # 100 instances
+    for n in (5, 6):
+        for seed in range(50):
+            weights = "small" if seed % 2 else "distinct"
+            t1, t2, _ = scrambled(200 + seed, n, n + seed % 4, weights)
+            distance, witness = exact_dnni(t1, t2)
+            reference, _ = uniform_cost_distance(t1, t2)
+            assert distance == reference, f"n={n} seed={seed}"
+            ok, cost, _ = verify_transform(t1, witness, t2)
+            assert ok and cost == distance

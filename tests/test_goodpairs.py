@@ -12,12 +12,14 @@ import pytest
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import (
     GoodEdgePairSet,
+    PairBound,
     PartitionLabeling,
     augment_and_root,
     decompose,
     find_good_edge_pairs,
     good_pair_oracle,
     induced_subtree,
+    lower_bound,
     partition_labeling,
     relabel_merge,
     single_label_partition,
@@ -333,6 +335,24 @@ def test_find_matches_quadratic_oracle(seed):
     t1, t2, _ = generate_pair(seed, n, rng.randint(1, 2 * n), dup_weights=seed % 3 == 0)
     found = find_good_edge_pairs(t1, t2)
     assert found.pairs == sorted(good_pair_oracle(t1, t2))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lower_bound_is_the_unpaired_weight(seed):
+    rng = random.Random(1400 + seed)
+    n = rng.randint(4, 14)
+    t1, t2, _ = generate_pair(seed, n, rng.randint(0, 2 * n), dup_weights=seed % 3 == 0)
+    w = sum((t1.weight(e) for e in t1.internal_edges()), Fraction(0))
+    paired = sum((t1.weight(e1) for e1, _ in good_pair_oracle(t1, t2)), Fraction(0))
+    assert lower_bound(t1, t2) == w - paired
+    assert lower_bound(t2, t1) == w - paired
+    assert PairBound(t2)(t1) == w - paired
+    assert PairBound(t1)(t2) == w - paired
+
+
+def test_lower_bound_rejects_infeasible_instances():
+    with pytest.raises(TreeError):
+        lower_bound(caterpillar(6, [1, 2, 3]), caterpillar(6, [1, 2, 4]))
 
 
 def test_find_is_deterministic():

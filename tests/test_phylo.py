@@ -13,6 +13,7 @@ from nnidist.phylo import NodeClass, Phylogeny, TreeError, finiteness_check
 from oracles import (
     classify_by_leaf_count,
     random_phylogeny,
+    random_valid_op,
     renumbered,
     sides_by_removal,
     splits_by_removal,
@@ -238,6 +239,28 @@ def test_canonical_equal_agrees_with_serialization():
             assert verdict == (serialize(t) == serialize(u))
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copy_lists_adjacent_edges_as_a_fresh_tree_does(seed):
+    rng = random.Random(500 + seed)
+    t = random_phylogeny(rng, 9, weights="small")
+    for _ in range(5):
+        apply_nni(t, random_valid_op(rng, t))
+    fresh = Phylogeny(
+        {e: t.endpoints(e) for e in t.edge_ids()},
+        {e: t.weight(e) for e in t.edge_ids()},
+        {v: t.leaf_label(v) for v in t.nodes() if t.is_leaf(v)},
+    )
+    copied = t.copy()
+    assert copied.validate() == []
+    for x in t.nodes():
+        assert copied.adjacent_edges(x) == fresh.adjacent_edges(x)
+    assert any(t.adjacent_edges(x) != fresh.adjacent_edges(x) for x in t.nodes())
+    # moving the copy leaves the original alone
+    apply_nni(copied, random_valid_op(rng, copied))
+    assert not copied.canonical_equal(t)
+    assert [t.endpoints(e) for e in t.edge_ids()] == [fresh.endpoints(e) for e in fresh.edge_ids()]
 
 
 def test_canonical_equal_sees_weight_change():

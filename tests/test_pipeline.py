@@ -37,6 +37,8 @@ def test_three_taxon_trees_have_no_ratio():
     assert result.cost == 0
     assert result.w == 0
     assert result.ratio_to_w is None
+    assert result.lower_bound == 0
+    assert result.ratio_to_lb is None
 
 
 def test_phase_cost_keys_are_stable():
@@ -64,6 +66,21 @@ def test_cost_dominates_exact_distance():
             result = approx_nni(t1, t2)
             distance, _ = exact_dnni(t1, t2)
             assert result.cost >= distance
+
+
+def test_result_reports_the_lower_bound_and_its_ratio():
+    for seed in range(1, 9):
+        t1, t2, _ = generate_pair(seed=seed, n=12, moves=10, dup_weights=seed % 2 == 0)
+        result = approx_nni(t1, t2)
+        paired = sum((t1.weight(e1) for e1, _ in find_good_edge_pairs(t1, t2).pairs),
+                     Fraction(0))
+        assert result.lower_bound == result.w - paired
+        assert 0 < result.lower_bound <= result.cost
+        assert result.ratio_to_lb == result.cost / result.lower_bound
+        payload = json.loads(json.dumps(result.as_dict()))
+        assert Fraction(payload["lower_bound"]) == result.lower_bound
+        assert payload["ratio_to_lb"] == float(result.ratio_to_lb)
+        assert payload["ratio_to_w"] == float(result.ratio_to_w)
 
 
 def test_cost_bound_on_instances_without_good_pairs():

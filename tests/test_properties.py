@@ -1,10 +1,12 @@
-"""Property tests: every pipeline trace checks, and no corrupted trace crashes verify.
+"""Property tests: Newick text is a fixed point of parse then serialize, every
+pipeline trace checks, and no corrupted trace crashes verify.
 
 Examples are derandomized and no example database is kept, so each run
 draws the same examples.
 """
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,10 @@ from nnidist import newick
 from nnidist.cli import main
 from nnidist.gen import generate_pair
 from nnidist.nni import check_trace, write_trace
+from nnidist.phylo import Phylogeny
 from nnidist.pipeline import approx_nni
+
+from oracles import random_phylogeny
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 # Hypothesis caches the constants of local source files while the tests are
@@ -39,6 +44,26 @@ def test_every_pipeline_trace_checks(n, seed, moves, dup):
         path = Path(d) / "trace.jsonl"
         write_trace(path, t1, t2, result.sequence)
         assert check_trace(path, t1, t2) == (True, result.cost, None)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(
+    n=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+    denominator=st.sampled_from([1, 2, 8, 10, 125]),
+)
+def test_parse_of_serialize_serializes_to_the_same_text(n, seed, repeats, denominator):
+    tree = random_phylogeny(random.Random(seed), n, "small" if repeats else "distinct")
+    tree = Phylogeny(
+        {e: tree.endpoints(e) for e in tree.edge_ids()},
+        {e: tree.weight(e) / denominator for e in tree.edge_ids()},
+        {v: tree.leaf_label(v) for v in tree.nodes() if tree.is_leaf(v)},
+    )
+    text = newick.serialize(tree)
+    again = newick.parse(text)
+    assert newick.serialize(again) == text
+    assert again.canonical_equal(tree)
 
 
 @pytest.fixture(scope="module")
