@@ -11,7 +11,8 @@ Slots: the subtree roots sit at positions (1,1) and (1,2); the children of
 (l,j) are (l+1,2j-1) and (l+1,2j).  The anchor leaf and the root carry no
 position.  Two sources with equal taxa and equal internal weight multisets
 produce byte-identical companions, which is what lets the later stages line
-the two trees up against each other.
+the two trees up against each other: the pipeline builds one companion per
+component and checks it against both trees.
 """
 
 from __future__ import annotations

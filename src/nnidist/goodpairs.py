@@ -335,22 +335,6 @@ class GoodEdgePairSet:
         return len(self.pairs)
 
 
-def good_pair_oracle(t1: Phylogeny, t2: Phylogeny) -> list[tuple[int, int]]:
-    """Quadratic reference: test every edge pair against the definition."""
-    sp1, sp2 = t1.edge_splits(), t2.edge_splits()
-    wp1, wp2 = t1.edge_weight_partitions(), t2.edge_weight_partitions()
-    out = []
-    for e1 in t1.internal_edges():
-        for e2 in t2.internal_edges():
-            if (
-                t1.weight(e1) == t2.weight(e2)
-                and sp1[e1] == sp2[e2]
-                and wp1[e1] == wp2[e2]
-            ):
-                out.append((e1, e2))
-    return out
-
-
 def _edge_keys(
     tree: Phylogeny, weight_field: dict[Fraction, int]
 ) -> dict[int, tuple[Fraction, int, int]]:

@@ -18,8 +18,9 @@ that maximizes the number of taxa already in place: structurally
 interchangeable sibling subtrees (equal sizes and internal weights) may be
 matched crosswise, which costs nothing because exchanging them yields the
 same unrooted tree.  Positions are read off each tree's
-:meth:`Phylogeny.rooted_view`: its parent edges give the signatures, and
-its order by smallest taxon breaks ties between interchangeable siblings.
+:meth:`Phylogeny.rooted_view`: its parent edges give the signatures and the
+swap paths, and its order by smallest taxon breaks ties between
+interchangeable siblings.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class SlotView:
 
     tree: Phylogeny
     root: int
+    parent_edge: dict[int, int | None]
     children: dict[int, list[int]]
     node_slot: dict[int, Slot]
     taxon_slot: dict[str, Slot]
@@ -78,17 +80,15 @@ def build_slot_view(tree: Phylogeny, root: int | None = None) -> SlotView:
     taxon_slot = {
         tree.leaf_label(v): node_slot[v] for v in order if not kids[v]
     }
-    return SlotView(tree, order[0], kids, node_slot, taxon_slot, sig)
+    return SlotView(tree, order[0], parent_edge, kids, node_slot, taxon_slot, sig)
 
 
-def leaf_permutation(s1: SlotView | Phylogeny, s2: SlotView | Phylogeny) -> dict[str, Slot]:
-    """Where each taxon must sit in ``s1``'s coordinates to realize ``s2``.
+def leaf_permutation(v1: SlotView, v2: SlotView) -> dict[str, Slot]:
+    """Where each taxon must sit in ``v1``'s coordinates to realize ``v2``.
 
     Interchangeable sibling subtrees are matched to keep as many taxa in
     place as possible.  Returns taxon -> target slot.
     """
-    v1 = s1 if isinstance(s1, SlotView) else build_slot_view(s1)
-    v2 = s2 if isinstance(s2, SlotView) else build_slot_view(s2)
     if v1.sig[v1.root] != v2.sig[v2.root]:
         raise TreeError("trees do not share an internal structure")
 
@@ -129,41 +129,39 @@ def leaf_permutation(s1: SlotView | Phylogeny, s2: SlotView | Phylogeny) -> dict
     return want
 
 
-def _tree_path(tree: Phylogeny, start: int, goal: int) -> list[int]:
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            if v == goal:
-                path = [v]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            for e in tree.adjacent_edges(v):
-                w = tree.other_end(e, v)
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        queue = nxt
-    raise TreeError("no path between swap endpoints")
+def _climb(tree: Phylogeny, up: dict[int, int | None], x: int) -> list[int]:
+    """Nodes from ``x`` up to the root of the view whose parent edges are ``up``."""
+    nodes = [x]
+    while up[nodes[-1]] is not None:
+        nodes.append(tree.other_end(up[nodes[-1]], nodes[-1]))
+    return nodes
 
 
-def _edge_between(tree: Phylogeny, a: int, b: int) -> int:
-    shared = set(tree.adjacent_edges(a)) & set(tree.adjacent_edges(b))
-    return next(iter(shared))
+def swap_leaves(
+    tree: Phylogeny, x: str, y: str, up: dict[int, int | None]
+) -> list[NniOp]:
+    """Exchange the positions of taxa ``x`` and ``y`` in place.
 
-
-def swap_leaves(tree: Phylogeny, x: str, y: str) -> list[NniOp]:
-    """Exchange the positions of taxa ``x`` and ``y`` in place."""
+    ``up`` is the ``parent_edge`` map of a rooted view of ``tree`` taken
+    before any swap: the path between the two attachment nodes is their two
+    climbs toward the view's root, cut where they meet.  One view serves
+    every swap, because a full swap puts every displaced subtree back and
+    so leaves every internal edge's endpoints unchanged; only the two leaf
+    edges move.  The path is unique, so it does not depend on the view's
+    root.
+    """
     lx = tree.leaf_edge_of(x)
     ly = tree.leaf_edge_of(y)
     u = tree.other_end(lx, tree.leaf_node(x))
     w = tree.other_end(ly, tree.leaf_node(y))
     if u == w:
         return []  # same attachment point; the unrooted tree is unchanged
-    nodes = _tree_path(tree, u, w)
-    edges = [_edge_between(tree, a, b) for a, b in zip(nodes, nodes[1:])]
+    a, b = _climb(tree, up, u), _climb(tree, up, w)
+    while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
+        a.pop()
+        b.pop()
+    nodes = a + b[-2::-1]
+    edges = [up[v] for v in a[:-1]] + [up[v] for v in b[-2::-1]]
     m = len(edges)
 
     ops: list[NniOp] = []
@@ -239,7 +237,7 @@ def sort_leaves(
     for taxa in cycles:
         carry = taxa[0]
         for other in taxa[1:]:
-            ops += swap_leaves(work, carry, other)
+            ops += swap_leaves(work, carry, other, v1.parent_edge)
             carry = other
         problems = work.validate()
         if problems:

@@ -92,16 +92,15 @@ def endnode_paths(
     settled length.
     """
     rt = rt or ParRuntime()
-    root = tree.root_handle()
-    order, parent_edge = tree.rooted_parents(root)
+    view = tree.rooted_view()
     if classes is None:
         classes = tree.classify_nodes()
     terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
-    terminal.add(root)
+    terminal.add(view.order[0])
 
     state: dict[int, PathInfo] = {}
-    for v in order:
-        e = parent_edge[v]
+    for v in view.order:
+        e = view.parent_edge[v]
         if e is not None:
             u = tree.other_end(e, v)
             state[v] = PathInfo(next=u, head=v, dist=tree.weight(e), length=1, path=(e,))
@@ -146,8 +145,6 @@ def linearize(
             break
         iterations += 1
         info = endnode_paths(work, rt, phase=phase + ".paths", classes=classes)
-        root = work.root_handle()
-        _, parent_edge = work.rooted_parents(root)
 
         # endnodes whose upward walk ends at a junction announce themselves
         acts = []
@@ -169,10 +166,12 @@ def linearize(
         plans = []
         for J, (dist, E, path) in selected.items():
             chain = list(reversed(path))
+            # the root has a leaf neighbour, so J is not the root and its walk
+            # starts on its parent edge
             e_x = next(
                 e
                 for e in work.adjacent_edges(J)
-                if e != chain[0] and e != parent_edge[J]
+                if e != chain[0] and e != info[J].path[0]
             )
             plan = []
             node = J

@@ -3,8 +3,8 @@
 A phylogeny here is an unrooted tree whose internal nodes have degree exactly
 three, whose leaves carry unique taxon labels, and whose edges carry positive
 rational weights.  Storage is deliberately plain: integer node and edge ids,
-dict adjacency, and a handful of derived views (splits, weight multisets,
-node classes) that the rest of the package builds on.
+dict adjacency, and a handful of derived views (the rooted view, split
+bitsets, node classes) that the rest of the package builds on.
 
 :meth:`Phylogeny.rooted_view` is the one place where rooting and child order
 are decided: the tree hangs from the internal node next to the smallest
@@ -18,7 +18,6 @@ Weights are `fractions.Fraction` throughout so that costs compose exactly.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -33,13 +32,6 @@ class NodeClass(enum.Enum):
     ENDNODE = "endnode"    # two or more leaf neighbors
     PATHNODE = "pathnode"  # exactly one leaf neighbor
     JUNCTION = "junction"  # no leaf neighbor
-
-
-class WeightMultiset(NamedTuple):
-    """Sorted internal-edge weights and their sum."""
-
-    weights: tuple[Fraction, ...]
-    total: Fraction
 
 
 class RootedView(NamedTuple):
@@ -208,10 +200,6 @@ class Phylogeny:
     def internal_weight_multiset(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self._wt[e] for e in self.internal_edges()))
 
-    def weight_multiset(self) -> "WeightMultiset":
-        weights = self.internal_weight_multiset()
-        return WeightMultiset(weights, sum(weights, Fraction(0)))
-
     def root_handle(self) -> int:
         """Internal node adjacent to the lexicographically smallest taxon."""
         leaf = self._label_leaf[min(self._label_leaf)]
@@ -238,25 +226,6 @@ class Phylogeny:
                 out[x] = NodeClass.JUNCTION
         return out
 
-    def rooted_parents(self, root: int) -> tuple[list[int], dict[int, int | None]]:
-        """BFS orientation away from ``root``.
-
-        Returns (order, parent_edge) where order lists nodes root-first and
-        parent_edge maps each node to the edge toward the root (None at root).
-        """
-        parent_edge: dict[int, int | None] = {root: None}
-        order: list[int] = [root]
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for e in self._adj[x]:
-                y = self.other_end(e, x)
-                if y not in parent_edge:
-                    parent_edge[y] = e
-                    order.append(y)
-        return order, parent_edge
-
     def rooted_view(self, root: int | None = None) -> RootedView:
         """One BFS from ``root`` (default :meth:`root_handle`), one bottom-up pass.
 
@@ -268,8 +237,8 @@ class Phylogeny:
             root = self.root_handle()
         elif root in labels:
             raise TreeError(f"view root {root} is a leaf")
-        # the BFS of rooted_parents, inlined: serialize reads this view for
-        # every state of the exact search
+        # plain dict and list work, no method calls: the exact search reads
+        # this view for every state it generates (split_bits, good-pair keys)
         parent_edge: dict[int, int | None] = {root: None}
         children: dict[int, list[int]] = {}
         order = [root]
@@ -311,68 +280,6 @@ class Phylogeny:
                 acc |= below[c]
             below[x] = acc
         return {view.parent_edge[x]: below[x] for x in view.order[1:] if view.children[x]}
-
-    def _below_taxa(self) -> tuple[dict[int, frozenset[str]], dict[int, int | None]]:
-        """Taxa below each edge when rooted at the smallest taxon's leaf."""
-        root = self._label_leaf[min(self._label_leaf)]
-        order, parent_edge = self.rooted_parents(root)
-        below: dict[int, set[str]] = {}
-        for x in reversed(order):
-            e = parent_edge[x]
-            if e is None:
-                continue
-            acc: set[str] = set()
-            if self.is_leaf(x):
-                acc.add(self._leaf_label[x])
-            for f in self._adj[x]:
-                if f != e:
-                    acc |= below[f]
-            below[e] = acc
-        return {e: frozenset(s) for e, s in below.items()}, parent_edge
-
-    def edge_splits(self) -> dict[int, frozenset[str]]:
-        """For each internal edge, the taxa on the side away from the smallest taxon."""
-        below, _ = self._below_taxa()
-        return {e: below[e] for e in self.internal_edges()}
-
-    def splits(self) -> dict[frozenset[str], Fraction]:
-        """Weighted splits: away-side taxon set of each internal edge -> weight."""
-        return {side: self._wt[e] for e, side in self.edge_splits().items()}
-
-    def edge_weight_partitions(self) -> dict[int, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-        """Per internal edge: (away, near) multisets of the other internal weights.
-
-        The edge's own weight is excluded from both sides, so the two tuples
-        always partition the remaining internal weight multiset.
-        """
-        internal = self.internal_edges()
-        total = Counter(self._wt[e] for e in internal)
-        # weights of internal edges strictly below each edge
-        root = self._label_leaf[min(self._label_leaf)]
-        order, parent_edge = self.rooted_parents(root)
-        below_w: dict[int, Counter] = {}
-        internal_set = set(internal)
-        for x in reversed(order):
-            e = parent_edge[x]
-            if e is None:
-                continue
-            acc: Counter = Counter()
-            for f in self._adj[x]:
-                if f != e:
-                    acc += below_w[f]
-                    if f in internal_set:
-                        acc[self._wt[f]] += 1
-            below_w[e] = acc
-        out = {}
-        for e in internal:
-            away = below_w[e]
-            near = total - away
-            near[self._wt[e]] -= 1
-            out[e] = (
-                tuple(sorted(away.elements())),
-                tuple(sorted((+near).elements())),
-            )
-        return out
 
     # ------------------------------------------------------------------
     # comparison and copying

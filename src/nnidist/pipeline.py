@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nnidist.balance import build_auxiliary, check_auxiliary
+from nnidist.balance import AuxiliaryTree, build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges, spine_edge_order
 from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.leafsort import sort_leaves
-from nnidist.linearize import linearize, spine_nodes
+from nnidist.linearize import LinearizeResult, linearize, spine_nodes
 from nnidist.nni import NniOp, apply_sequence, invert_sequence, verify_transform
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime
@@ -152,15 +152,15 @@ def _aux_order_target(linear: Phylogeny, aux_linear: Phylogeny) -> list[int]:
     return target
 
 
-def _forward_to_balanced(component: Phylogeny, rt: ParRuntime):
-    """Transform one component into its balanced companion's shape.
+def _forward_to_balanced(
+    component: Phylogeny, aux: AuxiliaryTree, aux_lin: LinearizeResult, rt: ParRuntime
+):
+    """Transform one component into the shape of its companion ``aux``.
 
-    Returns (phase op lists, resulting tree, view root in the result's ids).
+    ``aux_lin`` is the companion's linearization.  Returns (phase op lists,
+    resulting tree, view root in the result's ids).
     """
     lin = linearize(component, rt)
-    aux = build_auxiliary(component)
-    check_auxiliary(component, aux)
-    aux_lin = linearize(aux.tree, rt)
     target = _aux_order_target(lin.tree, aux_lin.tree)
     sorted_edges = merge_sort_edges(lin.tree, target, rt)
     emap, nmap = _linear_maps(sorted_edges.tree, aux_lin.tree)
@@ -177,8 +177,14 @@ def _component_sequence(
     if c1.canonical_equal(c2):
         return [], costs
 
-    (lin1, sort1, rebal1), balanced1, root1 = _forward_to_balanced(c1, rt)
-    (lin2, sort2, rebal2), balanced2, root2 = _forward_to_balanced(c2, rt)
+    # both sides share one companion: equal taxa, leaf weights and internal
+    # weight multisets build byte-identical companions
+    aux = build_auxiliary(c1)
+    check_auxiliary(c1, aux)
+    check_auxiliary(c2, aux)
+    aux_lin = linearize(aux.tree, rt)
+    (lin1, sort1, rebal1), balanced1, root1 = _forward_to_balanced(c1, aux, aux_lin, rt)
+    (lin2, sort2, rebal2), balanced2, root2 = _forward_to_balanced(c2, aux, aux_lin, rt)
 
     leafs = sort_leaves(
         balanced1, balanced2, rt, source_root=root1, target_root=root2

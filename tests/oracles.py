@@ -173,6 +173,30 @@ def weight_partition_by_removal(tree: Phylogeny, e: int):
     return tuple(sorted(side_weights(away_node))), tuple(sorted(side_weights(near_node)))
 
 
+def weighted_splits(tree: Phylogeny) -> dict[frozenset[str], Fraction]:
+    """Away-side taxon set of each internal edge -> its weight, via edge removal."""
+    return {side: tree.weight(e) for e, side in splits_by_removal(tree).items()}
+
+
+def good_pair_oracle(t1: Phylogeny, t2: Phylogeny) -> list[tuple[int, int]]:
+    """Quadratic reference: test every edge pair against the definition."""
+
+    def keys(tree: Phylogeny) -> dict[int, tuple]:
+        splits = splits_by_removal(tree)
+        return {
+            e: (tree.weight(e), splits[e], weight_partition_by_removal(tree, e))
+            for e in tree.internal_edges()
+        }
+
+    k1, k2 = keys(t1), keys(t2)
+    return [
+        (e1, e2)
+        for e1 in t1.internal_edges()
+        for e2 in t2.internal_edges()
+        if k1[e1] == k2[e2]
+    ]
+
+
 def renumbered(tree: Phylogeny, rng: random.Random) -> Phylogeny:
     """The same phylogeny rebuilt with shuffled node and edge ids."""
     nodes = tree.nodes()
@@ -191,9 +215,7 @@ def trees_equal_by_splits(a: Phylogeny, b: Phylogeny) -> bool:
         return False
     if a.leaf_weight_map() != b.leaf_weight_map():
         return False
-    sa = {side: a.weight(e) for e, side in splits_by_removal(a).items()}
-    sb = {side: b.weight(e) for e, side in splits_by_removal(b).items()}
-    return sa == sb
+    return weighted_splits(a) == weighted_splits(b)
 
 
 def path_between(tree: Phylogeny, a: int, b: int) -> list[int]:
@@ -220,14 +242,14 @@ def path_between(tree: Phylogeny, a: int, b: int) -> list[int]:
 def walk_up_oracle(tree: Phylogeny):
     """Sequential reference for the pointer-jumping walks.
 
-    For every non-root node: follow parent pointers until the ancestor is a
-    junction, an endnode, or the root; report (next, head, dist, length, path).
+    For every non-root node: walk its path to the root until the next node
+    is a junction, an endnode, or the root; report (next, head, dist, length,
+    path).
     """
     from nnidist.phylo import NodeClass
 
     root_leaf = tree.leaf_node(min(tree.taxa()))
     root = tree.other_end(tree.adjacent_edges(root_leaf)[0], root_leaf)
-    _, parent_edge = tree.rooted_parents(root)
     classes = tree.classify_nodes()
 
     def stops(x):
@@ -235,15 +257,13 @@ def walk_up_oracle(tree: Phylogeny):
 
     out = {}
     for v in tree.nodes():
-        e = parent_edge[v]
-        if e is None:
+        if v == root:
             continue
         path = []
         dist = Fraction(0)
         head = v
         x = v
-        while True:
-            e = parent_edge[x]
+        for e in path_between(tree, v, root):
             path.append(e)
             dist += tree.weight(e)
             up = tree.other_end(e, x)

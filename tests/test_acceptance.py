@@ -22,7 +22,6 @@ from nnidist.gen import generate_pair, random_tree
 from nnidist.goodpairs import (
     augment_and_root,
     find_good_edge_pairs,
-    good_pair_oracle,
     partition_labeling,
 )
 from nnidist.linearize import endnode_paths, is_linear, linearize
@@ -31,7 +30,7 @@ from nnidist.phylo import Phylogeny
 from nnidist.pipeline import approx_nni
 from nnidist.runtime import ParRuntime
 
-from oracles import random_phylogeny
+from oracles import good_pair_oracle, random_phylogeny
 
 CORPUS_SIZES = (8, 16, 32, 64, 128)
 

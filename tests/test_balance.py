@@ -9,7 +9,7 @@ from nnidist.balance import build_auxiliary
 from nnidist.gen import generate_pair, random_tree
 from nnidist.phylo import finiteness_check
 
-from oracles import random_phylogeny
+from oracles import random_phylogeny, weighted_splits
 
 
 def leaf_depth_by_walk(tree, label):
@@ -33,7 +33,7 @@ def test_quartet_companion():
     assert aux.tree.internal_weight_multiset() == (Fraction(5),)
     assert aux.tree.leaf_weight_map() == t.leaf_weight_map()
     # anchor a at the handle, b and c on the left subtree, d alone right
-    assert aux.tree.splits() == {frozenset({"b", "c"}): Fraction(5)}
+    assert weighted_splits(aux.tree) == {frozenset({"b", "c"}): Fraction(5)}
     assert aux.depth == 2
     assert len(aux.level_edges) == 1
 

@@ -31,7 +31,7 @@ def check_sorted(source, target, result):
     assert not result.tree.validate()
     order = read_order(result.tree)
     assert order == target or order == target[::-1]
-    assert result.tree.weight_multiset() == source.weight_multiset()
+    assert result.tree.internal_weight_multiset() == source.internal_weight_multiset()
 
 
 def shuffled_target(tree, rng):

@@ -19,7 +19,12 @@ from nnidist.gen import generate_pair
 from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
-from oracles import random_phylogeny, random_valid_op, uniform_cost_distance
+from oracles import (
+    random_phylogeny,
+    random_valid_op,
+    splits_by_removal,
+    uniform_cost_distance,
+)
 
 # keep Hypothesis' cache of source constants out of the working tree
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
@@ -116,7 +121,7 @@ def test_five_taxa_move_count_and_topology_closure():
     tree = random_phylogeny(random.Random(3), 5)
     frontier = [tree]
     states = {newick.serialize(tree)}
-    shapes = {frozenset(tree.edge_splits().values())}
+    shapes = {frozenset(splits_by_removal(tree).values())}
     while frontier:
         cur = frontier.pop()
         moves = neighbors(cur)
@@ -125,7 +130,7 @@ def test_five_taxa_move_count_and_topology_closure():
             key = newick.serialize(nxt)
             if key not in states:
                 states.add(key)
-                shapes.add(frozenset(nxt.edge_splits().values()))
+                shapes.add(frozenset(splits_by_removal(nxt).values()))
                 frontier.append(nxt)
     assert len(shapes) == 15
 

@@ -17,7 +17,6 @@ from nnidist.goodpairs import (
     augment_and_root,
     decompose,
     find_good_edge_pairs,
-    good_pair_oracle,
     induced_subtree,
     lower_bound,
     partition_labeling,
@@ -26,7 +25,12 @@ from nnidist.goodpairs import (
 )
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
-from oracles import caterpillar, random_phylogeny
+from oracles import (
+    caterpillar,
+    good_pair_oracle,
+    random_phylogeny,
+    splits_by_removal,
+)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +328,7 @@ def test_shared_split_and_weight_without_shared_weight_partition():
     # sits beyond it in the first tree and weight 1 in the second
     t1 = caterpillar(7, [1, 5, 2, 3])
     t2 = caterpillar(7, [2, 5, 1, 3])
-    assert t1.edge_splits()[1] == t2.edge_splits()[1]
+    assert splits_by_removal(t1)[1] == splits_by_removal(t2)[1]
     assert find_good_edge_pairs(t1, t2).pairs == good_pair_oracle(t1, t2) == [(3, 3)]
 
 
@@ -430,7 +434,7 @@ def test_components_have_no_further_pairs(seed):
 def test_decompose_rejects_a_bogus_pair():
     t1, t2, _ = generate_pair(30, 8, 12)
     e1 = t1.internal_edges()[0]
-    sp1, sp2 = t1.edge_splits(), t2.edge_splits()
+    sp1, sp2 = splits_by_removal(t1), splits_by_removal(t2)
     e2 = next(e for e in t2.internal_edges() if sp2[e] != sp1[e1])
     with pytest.raises(TreeError):
         decompose(t1, t2, GoodEdgePairSet([(e1, e2)]))

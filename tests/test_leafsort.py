@@ -1,9 +1,14 @@
 """Leaf rearrangement on a fixed internal structure."""
 
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist.balance import build_auxiliary
 from nnidist.leafsort import (
@@ -15,7 +20,11 @@ from nnidist.leafsort import (
 from nnidist.nni import verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 
-from oracles import random_phylogeny
+from oracles import path_between, random_phylogeny
+
+# Hypothesis caches the constants of local source files while the tests are
+# collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 def with_taxa_swapped(tree, x, y):
@@ -57,10 +66,37 @@ def test_swap_leaves_is_a_transposition(n):
         tree = random_phylogeny(rng, n)
         x, y = rng.sample(tree.taxa(), 2)
         work = tree.copy()
-        ops = swap_leaves(work, x, y)
+        ops = swap_leaves(work, x, y, work.rooted_view().parent_edge)
         assert work.canonical_equal(with_taxa_swapped(tree, x, y))
         ok, _, reason = verify_transform(tree, ops, work)
         assert ok, reason
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+    swaps=st.integers(1, 10),
+)
+def test_one_view_serves_every_swap(n, seed, repeats, swaps):
+    # swap_leaves climbs a parent-edge map taken before the first swap; that
+    # is sound only because a swap leaves every internal edge where it was
+    rng = random.Random(seed)
+    tree = random_phylogeny(rng, n, "small" if repeats else "distinct")
+    work = tree.copy()
+    up = work.rooted_view().parent_edge
+    ends = {e: work.endpoints(e) for e in work.internal_edges()}
+    expect = tree
+    ops = []
+    for _ in range(swaps):
+        x, y = rng.sample(tree.taxa(), 2)
+        ops += swap_leaves(work, x, y, up)
+        assert {e: work.endpoints(e) for e in work.internal_edges()} == ends
+        expect = with_taxa_swapped(expect, x, y)
+        assert work.canonical_equal(expect)
+    ok, _, reason = verify_transform(tree, ops, work)
+    assert ok, reason
 
 
 def test_swap_leaves_path_length_law():
@@ -68,13 +104,11 @@ def test_swap_leaves_path_length_law():
     for _ in range(20):
         tree = random_phylogeny(rng, 12)
         x, y = rng.sample(tree.taxa(), 2)
-        from nnidist.leafsort import _tree_path
-
         u = tree.other_end(tree.leaf_edge_of(x), tree.leaf_node(x))
         w = tree.other_end(tree.leaf_edge_of(y), tree.leaf_node(y))
-        m = len(_tree_path(tree, u, w)) - 1
+        m = len(path_between(tree, u, w))
         work = tree.copy()
-        ops = swap_leaves(work, x, y)
+        ops = swap_leaves(work, x, y, work.rooted_view().parent_edge)
         assert len(ops) == (2 * m - 1 if m else 0)
 
 
@@ -83,7 +117,7 @@ def test_swap_leaves_same_attachment_is_free():
     edges = {0: (4, 0), 1: (4, 1), 2: (5, 2), 3: (5, 3), 4: (4, 5)}
     weights = {e: Fraction(w) for e, w in enumerate([1, 2, 3, 4, 5])}
     tree = Phylogeny(edges, weights, {0: "a", 1: "b", 2: "c", 3: "d"})
-    assert swap_leaves(tree, "a", "b") == []
+    assert swap_leaves(tree, "a", "b", tree.rooted_view().parent_edge) == []
 
 
 def anchor_fixing_permutation(rng, taxa):
@@ -159,7 +193,7 @@ def test_leaf_permutation_rejects_mismatched_shapes():
     a = companion(8, 880)
     b = companion(9, 881)
     with pytest.raises(TreeError):
-        leaf_permutation(a, b)
+        leaf_permutation(build_slot_view(a), build_slot_view(b))
 
 
 def test_sort_leaves_determinism():

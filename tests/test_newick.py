@@ -9,14 +9,19 @@ from nnidist import newick
 from nnidist.newick import ParseError, format_weight, parse, parse_weight, serialize
 from nnidist.nni import check_trace, trace_lines
 
-from oracles import caterpillar, random_phylogeny, splits_by_removal
+from oracles import (
+    caterpillar,
+    random_phylogeny,
+    splits_by_removal,
+    weighted_splits,
+)
 
 
 def test_parse_simple_quartet():
     t = parse("(a:1,b:2,(c:3,d:4):5);")
     assert t.taxa() == ("a", "b", "c", "d")
     assert t.leaf_weight_map() == {"a": 1, "b": 2, "c": 3, "d": 4}
-    assert t.splits() == {frozenset({"c", "d"}): Fraction(5)}
+    assert weighted_splits(t) == {frozenset({"c", "d"}): Fraction(5)}
 
 
 def test_parse_numbers_nodes_in_preorder_and_edges_as_lengths_are_read():
@@ -40,7 +45,7 @@ def test_parse_decimal_weights():
 def test_binary_root_is_suppressed():
     t = parse("((a:1,b:2):3,(c:4,d:5):6);")
     # the two root edges merge into one internal edge of weight 9
-    assert t.splits() == {frozenset({"c", "d"}): Fraction(9)}
+    assert weighted_splits(t) == {frozenset({"c", "d"}): Fraction(9)}
     assert t.leaf_weight_map() == {"a": 1, "b": 2, "c": 4, "d": 5}
 
 

@@ -22,7 +22,12 @@ from nnidist.nni import (
 )
 from nnidist.phylo import TreeError
 
-from oracles import random_phylogeny, random_valid_op, trees_equal_by_splits
+from oracles import (
+    random_phylogeny,
+    random_valid_op,
+    trees_equal_by_splits,
+    weighted_splits,
+)
 
 
 def quartet():
@@ -39,7 +44,7 @@ def test_swap_on_quartet():
     assert cost == Fraction(5)
     assert t.validate() == []
     # leaf a moved next to d, leaf c next to b; keys are the side without "a"
-    assert t.splits() == {frozenset({"b", "c"}): Fraction(5)}
+    assert weighted_splits(t) == {frozenset({"b", "c"}): Fraction(5)}
     # weights stay glued to their edges
     assert t.leaf_weight_map() == {"a": 1, "b": 2, "c": 3, "d": 4}
 
