@@ -184,7 +184,11 @@ def merge_stage(
     rt: ParRuntime,
     phase: str,
 ) -> tuple[list[NniOp], list[Block]]:
-    """Merge paired blocks in place; returns (ops, next stage's blocks)."""
+    """Merge paired blocks in place; returns (ops, next stage's blocks).
+
+    The blocks' edges, concatenated, must be the spine's edge order read
+    from one of its ends.  The returned blocks keep that true.
+    """
     q = len(blocks)
     if q % 2 == 0:
         pair_idx = [(i, q - 1 - i) for i in range(q // 2)]
@@ -219,7 +223,10 @@ def merge_stage(
         predicted += run
 
     ops: list[NniOp] = []
-    current = spine_edge_order(tree, spine_nodes(tree))
+    # the blocks hold the spine's edges in spine order, read from one end or
+    # the other: the alternating pass builds them so, and each stage's
+    # postcondition below reads the tree to confirm it for the next stage
+    current = [e for b in blocks for e in b.edges]
     if current == predicted or current == predicted[::-1]:
         pass  # already in stage order; nothing to emit
     else:

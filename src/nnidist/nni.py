@@ -6,9 +6,17 @@ and symmetrically for e3, so the subtrees hanging off the two outer edges
 swap places.  The cost is the weight of the middle edge e2.  Every operation
 is its own inverse, and (e1, e2, e3) and (e3, e2, e1) are the same move.
 
-Every sequence is applied by one replay core, :func:`replay`, which raises
+One kernel, :func:`apply_nni`, applies every move: it checks the operation
+and then edits the tree's edge table and adjacency lists in place, a handful
+of dict operations per move.  Every sequence is applied by one replay core,
+:func:`replay`, which calls the kernel per move and raises
 :class:`ReplayError` at the first invalid move or a wrong end tree; sequence
 application, verification, trace writing and trace checking all consume it.
+
+A move never changes an edge's weight, so a sequence's cost is counted per
+middle-edge id and totalled once as ``sum(count[e] * w(e))``
+(:func:`counted_cost`): still an exact ``Fraction``, equal to the sum of the
+moves' costs, with no ``Fraction`` arithmetic per move.
 
 Traces are JSON lines: a header with digests of the canonical source and
 target trees, then one record per operation in order.
@@ -18,12 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from nnidist import newick
 from nnidist.phylo import Phylogeny, TreeError
@@ -47,23 +54,33 @@ class NniOp:
 def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
     """Apply ``op`` to ``tree`` in place and return its cost.
 
-    Raises TreeError unless (e1, e2, e3) is a path of three distinct edges.
+    Raises TreeError unless (e1, e2, e3) is a path of three distinct edges,
+    and KeyError for an unknown edge id (looked up in the order e2, e1, e3);
+    either is raised before the tree changes.
     """
     e1, e2, e3 = op.e1, op.e2, op.e3
-    if len({e1, e2, e3}) != 3:
+    if e1 == e2 or e2 == e3 or e1 == e3:
         raise TreeError(f"operation ({e1},{e2},{e3}) repeats an edge")
-    u, v = tree.endpoints(e2)
-    if v in tree.endpoints(e1):
+    ends, adj = tree._ends, tree._adj
+    u, v = ends[e2]
+    a1, b1 = ends[e1]
+    a3, b3 = ends[e3]
+    if v == a1 or v == b1:
         u, v = v, u
-    ends1, ends3 = tree.endpoints(e1), tree.endpoints(e3)
-    if u not in ends1 or v in ends1 or v not in ends3 or u in ends3:
+    # e1 must meet e2 at u only and e3 meet it at v only; a far end equal
+    # to the other middle endpoint marks the failure
+    far1 = b1 if a1 == u else a1 if b1 == u else v
+    far3 = b3 if a3 == v else a3 if b3 == v else u
+    if far1 == v or far3 == u:
         raise TreeError(f"operation ({e1},{e2},{e3}) is not an edge path")
-    far1 = tree.other_end(e1, u)
-    far3 = tree.other_end(e3, v)
-    tree._reattach(e1, u, v)
-    tree._reattach(e3, v, u)
     assert far1 != far3
-    return tree.weight(e2)
+    ends[e1] = (v, far1) if a1 == u else (far1, v)
+    ends[e3] = (u, far3) if a3 == v else (far3, u)
+    adj[u].remove(e1)
+    adj[v].append(e1)
+    adj[v].remove(e3)
+    adj[u].append(e3)
+    return tree._wt[e2]
 
 
 class ReplayError(TreeError):
@@ -72,28 +89,35 @@ class ReplayError(TreeError):
 
 def replay(
     work: Phylogeny, ops: Iterable[NniOp], target: Phylogeny | None = None
-) -> Iterator[tuple[NniOp, int, int, Fraction]]:
-    """Apply ``ops`` to ``work`` in place, yielding (op, u, v, cost) per move.
+) -> Iterator[tuple[NniOp, int, int]]:
+    """Apply ``ops`` to ``work`` in place, yielding (op, u, v) per move.
 
-    (u, v) are the middle edge's endpoints before the move.  Raises
-    ReplayError at the first invalid operation and, once all are applied,
-    when ``target`` is given and ``work`` does not match it.
+    (u, v) are the middle edge's endpoints, which the move does not change.
+    Raises ReplayError at the first invalid operation and, once all are
+    applied, when ``target`` is given and ``work`` does not match it.
     """
+    ends = work._ends
     for i, op in enumerate(ops):
         try:
-            u, v = work.endpoints(op.e2)
-            cost = apply_nni(work, op)
+            u, v = ends[op.e2]
+            apply_nni(work, op)
         except (TreeError, KeyError) as exc:
             raise ReplayError(f"operation {i} invalid: {exc}") from exc
-        yield op, u, v, cost
+        yield op, u, v
     if target is not None and not work.canonical_equal(target):
         raise ReplayError("replay does not match the target tree")
+
+
+def counted_cost(tree: Phylogeny, counts: Mapping[int, int]) -> Fraction:
+    """Exact total ``sum(counts[e] * w(e))`` of moves counted per middle-edge id."""
+    return sum((tree.weight(e) * k for e, k in counts.items()), Fraction(0))
 
 
 def apply_sequence(tree: Phylogeny, ops: Iterable[NniOp]) -> tuple[Phylogeny, Fraction]:
     """Apply operations in order to a copy; returns (resulting tree, total cost)."""
     out = tree.copy()
-    return out, sum((cost for _, _, _, cost in replay(out, ops)), Fraction(0))
+    counts = Counter(op.e2 for op, _, _ in replay(out, ops))
+    return out, counted_cost(tree, counts)
 
 
 def invert_sequence(ops: Sequence[NniOp]) -> list[NniOp]:
@@ -109,13 +133,13 @@ def verify_transform(
     Returns (ok, total cost, reason).  The cost is the cost of the prefix
     that could be applied, so failures still report where the money went.
     """
-    total = Fraction(0)
+    counts: Counter[int] = Counter()
     try:
-        for _, _, _, cost in replay(source.copy(), ops, target):
-            total += cost
+        for op, _, _ in replay(source.copy(), ops, target):
+            counts[op.e2] += 1
     except ReplayError as exc:
-        return False, total, str(exc)
-    return True, total, None
+        return False, counted_cost(source, counts), str(exc)
+    return True, counted_cost(source, counts), None
 
 
 def tree_digest(tree: Phylogeny) -> str:
@@ -133,13 +157,17 @@ def trace_lines(
         "target": tree_digest(target),
         "ops": len(ops),
     }
-    return [json.dumps(header)] + [
-        json.dumps(
-            {"e1": op.e1, "e2": op.e2, "e3": op.e3,
-             "w": newick.format_weight(cost), "u": u, "v": v}
+    w_text: dict[int, str] = {}
+    lines = [json.dumps(header)]
+    for op, u, v in replay(source.copy(), ops, target):
+        e2 = op.e2
+        w = w_text.get(e2)
+        if w is None:
+            w = w_text[e2] = newick.format_weight(source.weight(e2))
+        lines.append(
+            json.dumps({"e1": op.e1, "e2": e2, "e3": op.e3, "w": w, "u": u, "v": v})
         )
-        for op, u, v, cost in replay(source.copy(), ops, target)
-    ]
+    return lines
 
 
 def write_trace(
@@ -186,23 +214,29 @@ def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
 _Record = namedtuple("_Record", "e1 e2 e3 u v w")
 
 
-def _parse_record(k: int, line: str) -> _Record:
-    try:
-        rec = json.loads(line)
-        e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
-        if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
-            raise TypeError("edge and node ids must be integers")
-        if not isinstance(w, str):
-            raise TypeError(f"cost {w!r} is not a decimal string")
-        return _Record(e1, e2, e3, u, v, newick.parse_weight(w))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"line {k}: bad operation record: {exc}") from exc
+def _parse_records(body: list[tuple[int, str]]) -> Iterator[_Record]:
+    """Parse numbered record lines one at a time, each distinct cost string once."""
+    weights: dict[str, Fraction] = {}
+    for k, line in body:
+        try:
+            rec = json.loads(line)
+            e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
+            if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
+                raise TypeError("edge and node ids must be integers")
+            if not isinstance(w, str):
+                raise TypeError(f"cost {w!r} is not a decimal string")
+            value = weights.get(w)
+            if value is None:
+                value = weights[w] = newick.parse_weight(w)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"line {k}: bad operation record: {exc}") from exc
+        yield _Record(e1, e2, e3, u, v, value)
 
 
 def read_trace(path: str | Path) -> tuple[dict, list[NniOp]]:
     """Load a trace file; returns (header, operations). Structural checks only."""
     header, body = _trace_body(path)
-    return header, [NniOp(r.e1, r.e2, r.e3) for r in starmap(_parse_record, body)]
+    return header, [NniOp(r.e1, r.e2, r.e3) for r in _parse_records(body)]
 
 
 def check_trace(
@@ -213,7 +247,8 @@ def check_trace(
     Checks the header digests, replays every operation, compares recorded
     costs and middle-edge endpoints, and requires the final tree to match
     the target canonically.  Records are parsed one at a time as the replay
-    reaches them, so a long trace is never held parsed in full.
+    reaches them, so a long trace is never held parsed in full.  On failure
+    the cost is that of the records checked before the failing one.
     """
     try:
         header, body = _trace_body(path)
@@ -223,15 +258,18 @@ def check_trace(
         return False, Fraction(0), "source digest mismatch"
     if header.get("target") != tree_digest(target):
         return False, Fraction(0), "target digest mismatch"
-    total = Fraction(0)
-    steps = replay(source.copy(), starmap(_parse_record, body), target)
+    counts: Counter[int] = Counter()
+    steps = replay(source.copy(), _parse_records(body), target)
     try:
-        for i, (rec, u, v, cost) in enumerate(steps):
-            if {rec.u, rec.v} != {u, v}:
-                return False, total, f"operation {i}: recorded endpoints do not match replay"
+        for i, (rec, u, v) in enumerate(steps):
+            if not (rec.u == u and rec.v == v or rec.u == v and rec.v == u):
+                return False, counted_cost(source, counts), (
+                    f"operation {i}: recorded endpoints do not match replay")
+            cost = source.weight(rec.e2)
             if rec.w != cost:
-                return False, total, f"operation {i}: recorded cost {newick.format_weight(rec.w)} != {cost}"
-            total += cost
+                return False, counted_cost(source, counts), (
+                    f"operation {i}: recorded cost {newick.format_weight(rec.w)} != {cost}")
+            counts[rec.e2] += 1
     except (TraceError, ReplayError) as exc:
-        return False, total, str(exc)
-    return True, total, None
+        return False, counted_cost(source, counts), str(exc)
+    return True, counted_cost(source, counts), None

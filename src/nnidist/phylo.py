@@ -13,6 +13,14 @@ Serialization, the canonical edge order, the leaf sort's slot view, the
 companion check, the split bitsets and the good-pair keys all read it.
 
 Weights are `fractions.Fraction` throughout so that costs compose exactly.
+
+:func:`nnidist.nni.apply_nni` is the one writer of the edge table and the
+adjacency lists after construction, and a move keeps every node's degree.
+So a node is a leaf exactly when it carries a taxon label (construction
+checks that labels sit on the degree-1 nodes and nowhere else), and
+:meth:`Phylogeny.is_leaf` reads the label table, not the adjacency.
+Nothing writes the weights after construction and a move keeps leaf edges
+leaf edges, so the sorted internal weight multiset is computed once per tree.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ class Phylogeny:
     raises :class:`TreeError` listing every violation found.
     """
 
-    __slots__ = ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf")
+    __slots__ = ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws")
 
     def __init__(
         self,
@@ -72,6 +80,7 @@ class Phylogeny:
         self._adj = _adjacency(self._ends)
         self._leaf_label: dict[int, str] = {int(v): str(s) for v, s in leaf_labels.items()}
         self._label_leaf: dict[str, int] = {s: v for v, s in self._leaf_label.items()}
+        self._internal_ws: tuple[Fraction, ...] | None = None
         problems = self.validate()
         if problems:
             raise TreeError("; ".join(problems))
@@ -165,7 +174,7 @@ class Phylogeny:
         return len(self._adj[node])
 
     def is_leaf(self, node: int) -> bool:
-        return len(self._adj[node]) == 1
+        return node in self._leaf_label
 
     def leaf_label(self, node: int) -> str:
         return self._leaf_label[node]
@@ -188,7 +197,7 @@ class Phylogeny:
 
     def is_edge_leaf(self, e: int) -> bool:
         u, v = self._ends[e]
-        return self.is_leaf(u) or self.is_leaf(v)
+        return u in self._leaf_label or v in self._leaf_label
 
     def leaf_edge_of(self, label: str) -> int:
         """The unique edge incident to the leaf carrying ``label``."""
@@ -198,7 +207,10 @@ class Phylogeny:
         return {s: self._wt[self._adj[v][0]] for s, v in self._label_leaf.items()}
 
     def internal_weight_multiset(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self._wt[e] for e in self.internal_edges()))
+        """Sorted internal weights, computed on the first call."""
+        if self._internal_ws is None:
+            self._internal_ws = tuple(sorted(self._wt[e] for e in self.internal_edges()))
+        return self._internal_ws
 
     def root_handle(self) -> int:
         """Internal node adjacent to the lexicographically smallest taxon."""
@@ -307,25 +319,11 @@ class Phylogeny:
         out._adj = _adjacency(out._ends)
         out._leaf_label = dict(self._leaf_label)
         out._label_leaf = dict(self._label_leaf)
+        out._internal_ws = None
         return out
 
     def __repr__(self) -> str:
         return f"Phylogeny(n_taxa={self.n_taxa}, edges={len(self._ends)})"
-
-    # ------------------------------------------------------------------
-    # engine-only mutation
-
-    def _reattach(self, e: int, old: int, new: int) -> None:
-        """Move one endpoint of ``e`` from ``old`` to ``new``. No validation."""
-        u, v = self._ends[e]
-        if u == old:
-            self._ends[e] = (new, v)
-        elif v == old:
-            self._ends[e] = (u, new)
-        else:
-            raise KeyError(f"node {old} is not an endpoint of edge {e}")
-        self._adj[old].remove(e)
-        self._adj[new].append(e)
 
 
 def _adjacency(ends: dict[int, tuple[int, int]]) -> dict[int, list[int]]:

@@ -21,6 +21,7 @@ in every component.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,13 @@ from nnidist.edgesort import merge_sort_edges, spine_edge_order
 from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import LinearizeResult, linearize, spine_nodes
-from nnidist.nni import NniOp, apply_sequence, invert_sequence, verify_transform
+from nnidist.nni import (
+    NniOp,
+    apply_sequence,
+    counted_cost,
+    invert_sequence,
+    verify_transform,
+)
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime
 
@@ -194,7 +201,7 @@ def _component_sequence(
     back = _translate(back, _equal_tree_edge_map(leafs.tree, balanced2))
 
     def tally(ops: list[NniOp]) -> Fraction:
-        return sum((c1.weight(o.e2) for o in ops), Fraction(0))
+        return counted_cost(c1, Counter(o.e2 for o in ops))
 
     costs["linearize_1"] = tally(lin1)
     costs["edge_sort_1"] = tally(sort1)

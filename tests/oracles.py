@@ -286,6 +286,32 @@ def random_valid_op(rng: random.Random, tree: Phylogeny):
     return NniOp(e1, e2, e3)
 
 
+def nni_by_rebuild(tree: Phylogeny, e1: int, e2: int, e3: int) -> Phylogeny | None:
+    """The tree after the move (e1, e2, e3), built from scratch; None if no move.
+
+    The move exists when the three ids are distinct edges of ``tree``, e1
+    meets e2 at one end of e2 only and e3 meets it at the other end only.
+    e1 then trades its shared end for e3's and vice versa.
+    """
+    ends = {e: tree.endpoints(e) for e in tree.edge_ids()}
+    if len({e1, e2, e3}) != 3 or not {e1, e2, e3} <= set(ends):
+        return None
+    at1 = set(ends[e1]) & set(ends[e2])
+    at3 = set(ends[e3]) & set(ends[e2])
+    if len(at1) != 1 or len(at3) != 1 or at1 == at3:
+        return None
+    (x,), (y,) = at1, at3
+    (far1,) = set(ends[e1]) - {x}
+    (far3,) = set(ends[e3]) - {y}
+    ends[e1] = (far1, y)
+    ends[e3] = (far3, x)
+    return Phylogeny(
+        ends,
+        {e: tree.weight(e) for e in ends},
+        {tree.leaf_node(s): s for s in tree.taxa()},
+    )
+
+
 def uniform_cost_distance(t1: Phylogeny, t2: Phylogeny):
     """Exact (distance, witness) by plain uniform-cost search, no heuristic.
 

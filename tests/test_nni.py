@@ -2,9 +2,14 @@
 
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
 from nnidist.nni import (
@@ -20,14 +25,20 @@ from nnidist.nni import (
     verify_transform,
     write_trace,
 )
-from nnidist.phylo import TreeError
+from nnidist.phylo import Phylogeny, TreeError
 
 from oracles import (
+    nni_by_rebuild,
     random_phylogeny,
     random_valid_op,
     trees_equal_by_splits,
     weighted_splits,
 )
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None)
+# Hypothesis caches the constants of local source files while the tests are
+# collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 def quartet():
@@ -122,6 +133,52 @@ def test_invalid_operations_raise(tmp_path):
     assert not (tmp_path / "x.jsonl").exists()
     ok, _, reason = verify_transform(t, unknown, t)
     assert not ok and reason.startswith("operation 0 invalid")
+
+
+def _snapshot(tree):
+    return (
+        {e: tree.endpoints(e) for e in tree.edge_ids()},
+        {x: tree.adjacent_edges(x) for x in tree.nodes()},
+    )
+
+
+@settings(max_examples=120, **SETTINGS)
+@given(
+    n=st.integers(4, 30),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+    data=st.data(),
+)
+def test_apply_nni_matches_the_rebuilding_reference(n, seed, repeats, data):
+    tree = random_phylogeny(random.Random(seed), n, "small" if repeats else "distinct")
+    ids, internal = tree.edge_ids(), tree.internal_edges()
+    unknown = [-1, len(ids)]
+    for _ in range(12):
+        e2 = data.draw(st.one_of(st.sampled_from(internal), st.sampled_from(ids + unknown[:1])))
+        anywhere = st.sampled_from(ids + unknown)
+        if e2 in ids:
+            # other edges at e2's ends make paths likely; the wrong end, any
+            # id (e2 too) and unknown ids give non-paths and repeats
+            u, v = tree.endpoints(e2)
+            at_u = st.sampled_from([f for f in tree.adjacent_edges(u) if f != e2] or [e2])
+            at_v = st.sampled_from([f for f in tree.adjacent_edges(v) if f != e2] or [e2])
+            e1 = data.draw(st.one_of(at_u, at_v, anywhere))
+            e3 = data.draw(st.one_of(at_v, at_u, anywhere))
+        else:
+            e1, e3 = data.draw(anywhere), data.draw(anywhere)
+        expected = nni_by_rebuild(tree, e1, e2, e3)
+        before = _snapshot(tree)
+        if expected is None:
+            with pytest.raises((TreeError, KeyError)) as err:
+                apply_nni(tree, NniOp(e1, e2, e3))
+            if {e1, e2, e3} <= set(ids):
+                assert err.type is TreeError
+            assert _snapshot(tree) == before
+        else:
+            assert apply_nni(tree, NniOp(e1, e2, e3)) == tree.weight(e2)
+            assert tree.validate() == []
+            assert weighted_splits(tree) == weighted_splits(expected)
+            assert tree.leaf_weight_map() == expected.leaf_weight_map()
 
 
 def test_apply_sequence_and_inverse():
@@ -247,3 +304,90 @@ def test_every_consumer_reports_one_end_tree_failure(tmp_path):
     ok, cost, got = check_trace(path, t, u)
     assert not ok and got == reason
     assert cost == sum((t.weight(op.e2) for op in ops[:-1]), Fraction(0))
+
+
+def _halved(tree):
+    """``tree`` with every weight halved, so odd weights read like 1.5."""
+    return Phylogeny(
+        {e: tree.endpoints(e) for e in tree.edge_ids()},
+        {e: tree.weight(e) / 2 for e in tree.edge_ids()},
+        {tree.leaf_node(s): s for s in tree.taxa()},
+    )
+
+
+def _walk(rng, tree, moves):
+    """A random valid sequence from ``tree``: (end tree, ops)."""
+    end = tree.copy()
+    ops = []
+    for _ in range(moves):
+        op = random_valid_op(rng, end)
+        apply_nni(end, op)
+        ops.append(op)
+    return end, ops
+
+
+def _rewrite_records(path, change):
+    """Rewrite each record of a trace file as ``change(index, record)`` gives it."""
+    header, *records = path.read_text().splitlines()
+    records = [json.dumps(change(i, json.loads(r))) for i, r in enumerate(records)]
+    path.write_text("\n".join([header, *records]) + "\n")
+
+
+def test_check_trace_rejects_a_wrong_cost_on_a_repeated_middle_edge(tmp_path):
+    # six taxa have three internal edges, so twelve moves repeat middle edges
+    rng = random.Random(432)
+    t = random_phylogeny(rng, 6)
+    u, ops = _walk(rng, t, 12)
+    seen = set()
+    j = next(i for i, op in enumerate(ops) if op.e2 in seen or seen.add(op.e2))
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    wrong = newick.format_weight(t.weight(ops[j].e2) + 1)
+    _rewrite_records(path, lambda i, rec: {**rec, "w": wrong} if i == j else rec)
+    ok, cost, reason = check_trace(path, t, u)
+    assert not ok and reason.startswith(f"operation {j}: recorded cost {wrong} != ")
+    assert cost == sum((t.weight(op.e2) for op in ops[:j]), Fraction(0))
+
+
+def test_check_trace_accepts_equal_longer_spellings(tmp_path):
+    # "07" for 7 and "0.50" for 0.5, on every other record, so each middle
+    # edge is met under both spellings
+    rng = random.Random(433)
+    t = _halved(random_phylogeny(rng, 7, weights="small"))
+    u, ops = _walk(rng, t, 16)
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+
+    def respell(i, rec):
+        w = rec["w"]
+        if i % 2:
+            rec["w"] = w + "0" if "." in w else "0" + w
+        return rec
+
+    _rewrite_records(path, respell)
+    spelled = {json.loads(r)["w"] for r in path.read_text().splitlines()[1:]}
+    assert {"0.50", "0.5"} <= spelled and any(w.startswith("0") and "." not in w for w in spelled)
+    ok, cost, reason = check_trace(path, t, u)
+    assert ok, reason
+    assert cost == sum((t.weight(op.e2) for op in ops), Fraction(0))
+
+
+def test_an_invalid_move_reports_the_exact_prefix_cost(tmp_path):
+    rng = random.Random(434)
+    t = _halved(random_phylogeny(rng, 9, weights="small"))
+    u, ops = _walk(rng, t, 14)
+    j = 9
+    prefix = sum((t.weight(op.e2) for op in ops[:j]), Fraction(0))
+    bad = ops[:j] + [NniOp(ops[j].e1, ops[j].e2, ops[j].e1)] + ops[j + 1:]
+    ok, cost, reason = verify_transform(t, bad, u)
+    assert (ok, cost) == (False, prefix)
+    assert reason.startswith(f"operation {j} invalid: ") and "repeats" in reason
+    with pytest.raises(ReplayError) as err:
+        apply_sequence(t, bad)
+    assert str(err.value) == reason
+    assert apply_sequence(t, ops[:j])[1] == prefix
+
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    _rewrite_records(path, lambda i, rec: {**rec, "e3": rec["e1"]} if i == j else rec)
+    assert check_trace(path, t, u) == (False, prefix, reason)
