@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nnidist.linearize import spine_nodes
+from nnidist.linearize import min_leaf_edge, spine
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
@@ -45,31 +45,13 @@ class EdgeSortResult:
     stages: int
 
 
-def spine_edge_order(tree: Phylogeny, spine: list[int]) -> list[int]:
-    """Internal edges between consecutive spine nodes."""
-    out = []
-    for a, b in zip(spine, spine[1:]):
-        shared = set(tree.adjacent_edges(a)) & set(tree.adjacent_edges(b))
-        out.append(next(iter(shared)))
-    return out
-
-
-def _min_leaf_edge(tree: Phylogeny, node: int) -> int:
-    """The leaf edge at ``node`` whose leaf has the smallest id."""
-    return min(
-        (tree.other_end(f, node), f)
-        for f in tree.adjacent_edges(node)
-        if tree.is_edge_leaf(f)
-    )[1]
-
-
 def _end_swap(tree: Phylogeny, end_node: int, first: int, second: int) -> list[NniOp]:
     """Swap the outermost two spine edges; ``first`` touches the end node."""
     v1 = tree.other_end(first, end_node)
     v2 = tree.other_end(second, v1)
-    ops = [NniOp(first, second, _min_leaf_edge(tree, v2))]
+    ops = [NniOp(first, second, min_leaf_edge(tree, v2))]
     apply_nni(tree, ops[0])
-    ops.append(NniOp(_min_leaf_edge(tree, end_node), first, second))
+    ops.append(NniOp(min_leaf_edge(tree, end_node), first, second))
     apply_nni(tree, ops[1])
     return ops
 
@@ -88,10 +70,10 @@ def _mid_swap(tree: Phylogeny, a: int, b: int) -> list[NniOp]:
     )
     ops = []
     for op in (
-        NniOp(e_prev, a, _min_leaf_edge(tree, node_b)),
+        NniOp(e_prev, a, min_leaf_edge(tree, node_b)),
         NniOp(e_next, b, a),
-        NniOp(e_next, b, _min_leaf_edge(tree, node_c)),
-        NniOp(e_next, a, _min_leaf_edge(tree, node_a)),
+        NniOp(e_next, b, min_leaf_edge(tree, node_c)),
+        NniOp(e_next, a, min_leaf_edge(tree, node_a)),
     ):
         apply_nni(tree, op)
         ops.append(op)
@@ -262,7 +244,7 @@ def merge_stage(
                 far_leaves = sum(
                     1 for e in tree.adjacent_edges(far) if tree.is_edge_leaf(e)
                 )
-                op = NniOp(f, g, _min_leaf_edge(tree, far))
+                op = NniOp(f, g, min_leaf_edge(tree, far))
                 apply_nni(tree, op)
                 ops.append(op)
                 if far_leaves == 2:
@@ -278,7 +260,7 @@ def merge_stage(
                     junction = far
                     chain_top = g
 
-    actual = spine_edge_order(tree, spine_nodes(tree))
+    _, actual = spine(tree)
     if actual != predicted and actual != predicted[::-1]:
         raise TreeError("merge stage did not produce its predicted order")
 
@@ -309,8 +291,7 @@ def merge_sort_edges(
         return EdgeSortResult([], tree, 0)
 
     rank = {e: i for i, e in enumerate(target)}
-    spine = spine_nodes(tree)
-    order = spine_edge_order(tree, spine)
+    _, order = spine(tree)
     fixed_fwd = sum(1 for i, e in enumerate(order) if rank[e] == i)
     fixed_rev = sum(1 for i, e in enumerate(reversed(order)) if rank[e] == i)
     if fixed_rev > fixed_fwd:

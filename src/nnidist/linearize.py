@@ -1,37 +1,39 @@
 """Making a tree linear: every internal node adjacent to at least one leaf.
 
 Per iteration the tree is oriented toward the root handle and every non-root
-node learns, by pointer jumping, the path to its nearest ancestor that is not
-a pathnode.  Each junction then picks the nearest endnode chain hanging below
-it and splices that chain's leaves upward with one NNI per chain edge, which
-turns the junction into a pathnode and the chain's endnode into a pathnode.
-Junctions are never created, and at least half of them disappear each
-iteration, so the loop runs at most ceil(log2 n) times.
+node learns, by pointer jumping, the edge path to its nearest ancestor that
+is not a pathnode.  The walks carry only that terminal and the path; the
+weight of a walk is summed once, and only for the endnodes whose walk ends
+at a junction.  Those chains are disjoint, so an iteration makes O(n) exact
+additions.  Each junction then picks the lightest endnode chain hanging
+below it and splices that chain's leaves upward with one NNI per chain edge,
+which turns the junction into a pathnode and the chain's endnode into a
+pathnode.  Junctions are never created, and at least half of them disappear
+each iteration, so the loop runs at most ceil(log2 n) times.
+
+A linear tree's internal nodes form one path, its spine; :func:`spine` reads
+it, and :func:`min_leaf_edge` is the tie-break every phase uses to pick one
+of an endnode's two leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import NodeClass, Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
 
-@dataclass(frozen=True)
-class PathInfo:
+class PathInfo(NamedTuple):
     """Walk from a node toward the root, stopping before the first non-pathnode.
 
-    ``next`` is that terminal ancestor (a junction, an endnode, or the root),
-    ``head`` the last node on the path before it, ``path`` the edge ids walked
-    in order, ``dist`` their weight sum, ``length`` their count.
+    ``next`` is that terminal ancestor (a junction, an endnode, or the root)
+    and ``path`` the edge ids walked, in order.
     """
 
     next: int
-    head: int
-    dist: Fraction
-    length: int
     path: tuple[int, ...]
 
 
@@ -47,36 +49,38 @@ def is_linear(tree: Phylogeny) -> bool:
     return NodeClass.JUNCTION not in tree.classify_nodes().values()
 
 
-def spine_nodes(tree: Phylogeny) -> list[int]:
-    """Internal nodes of a linear tree in path order, from the smaller-id end."""
-    classes = tree.classify_nodes()
-    internal = sorted(classes)
-    if len(internal) <= 2:
-        return internal
-    ends = sorted(x for x, c in classes.items() if c is NodeClass.ENDNODE)
-    if len(ends) != 2:
-        raise ValueError("tree is not linear")
-    order = [ends[0]]
-    prev = None
-    while order[-1] != ends[1]:
-        x = order[-1]
-        step = [
-            tree.other_end(e, x)
-            for e in tree.adjacent_edges(x)
-            if not tree.is_edge_leaf(e) and tree.other_end(e, x) != prev
-        ]
+def spine(tree: Phylogeny) -> tuple[list[int], list[int]]:
+    """(nodes, edges) of a linear tree's spine, from the smaller-id end.
+
+    ``nodes`` lists every internal node in path order and ``edges[i]`` joins
+    ``nodes[i]`` and ``nodes[i + 1]``.  Raises :class:`TreeError` unless the
+    internal nodes form one path.
+    """
+    inner = {
+        x: [e for e in tree.adjacent_edges(x) if not tree.is_edge_leaf(e)]
+        for x in tree.nodes()
+        if not tree.is_leaf(x)
+    }
+    x = min(x for x, es in inner.items() if len(es) <= 1)
+    nodes, edges = [x], []
+    while len(nodes) < len(inner):
+        # off a path, the walk meets a fork or a dead end before covering all
+        step = [e for e in inner[x] if not edges or e != edges[-1]]
         if len(step) != 1:
-            raise ValueError("tree is not linear")
-        prev = x
-        order.append(step[0])
-    return order
+            raise TreeError("tree is not linear")
+        x = tree.other_end(step[0], x)
+        edges.append(step[0])
+        nodes.append(x)
+    return nodes, edges
 
 
-def classify_round(rt: ParRuntime, phase: str, tree: Phylogeny) -> dict[int, NodeClass]:
-    """Node classification as one parallel round (one task per internal node)."""
-    classes = tree.classify_nodes()
-    rt.round(phase, classes)
-    return classes
+def min_leaf_edge(tree: Phylogeny, node: int) -> int:
+    """The leaf edge at ``node`` whose leaf has the smallest id."""
+    return min(
+        (tree.other_end(f, node), f)
+        for f in tree.adjacent_edges(node)
+        if tree.is_edge_leaf(f)
+    )[1]
 
 
 def endnode_paths(
@@ -102,8 +106,7 @@ def endnode_paths(
     for v in view.order:
         e = view.parent_edge[v]
         if e is not None:
-            u = tree.other_end(e, v)
-            state[v] = PathInfo(next=u, head=v, dist=tree.weight(e), length=1, path=(e,))
+            state[v] = PathInfo(tree.other_end(e, v), (e,))
     rt.round(phase, state)
 
     while True:
@@ -112,13 +115,7 @@ def endnode_paths(
             if mine.next in terminal:
                 continue
             theirs = state[mine.next]
-            jumps[v] = PathInfo(
-                next=theirs.next,
-                head=theirs.head,
-                dist=mine.dist + theirs.dist,
-                length=mine.length + theirs.length,
-                path=mine.path + theirs.path,
-            )
+            jumps[v] = PathInfo(theirs.next, mine.path + theirs.path)
         if not jumps:
             break
         rt.round(phase, jumps)
@@ -139,7 +136,8 @@ def linearize(
     ops: list[NniOp] = []
     iterations = 0
     while True:
-        classes = classify_round(rt, phase, work)
+        classes = work.classify_nodes()
+        rt.round(phase, classes)
         junctions = {x for x, c in classes.items() if c is NodeClass.JUNCTION}
         if not junctions:
             break
@@ -147,18 +145,21 @@ def linearize(
         info = endnode_paths(work, rt, phase=phase + ".paths", classes=classes)
 
         # endnodes whose upward walk ends at a junction announce themselves
+        # with their chain's weight; the chains are disjoint, so the sums
+        # add each edge weight at most once
         acts = []
         for E in sorted(x for x, c in classes.items() if c is NodeClass.ENDNODE):
             pi = info.get(E)
             if pi is not None and pi.next in junctions:
-                acts.append((pi.next, (pi.dist, E, pi.path)))
+                dist = sum(work.weight(e) for e in pi.path)
+                acts.append((pi.next, (dist, E, pi.path)))
         rt.round(phase, acts)
 
         candidates: dict[int, list] = {}
         for junction, val in acts:
             candidates.setdefault(junction, []).append(val)
 
-        # each activated junction keeps its nearest chain (ties by endnode id)
+        # each activated junction keeps its lightest chain (ties by endnode id)
         selected = {J: min(cands) for J, cands in sorted(candidates.items())}
         rt.round(phase, selected)
 
@@ -177,13 +178,7 @@ def linearize(
             node = J
             for e_i in chain:
                 node = work.other_end(e_i, node)
-                # smaller leaf node id wins when the endnode offers two
-                leaf_edge = min(
-                    (work.other_end(f, node), f)
-                    for f in work.adjacent_edges(node)
-                    if work.is_edge_leaf(f)
-                )[1]
-                plan.append(NniOp(leaf_edge, e_i, e_x))
+                plan.append(NniOp(min_leaf_edge(work, node), e_i, e_x))
             plans.append(plan)
         rt.round(phase, plans)
 

@@ -197,14 +197,16 @@ def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
         header = json.loads(lines[0][1])
     except json.JSONDecodeError as exc:
         raise TraceError(f"header is not JSON: {exc}") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("kind") != "nni-trace"
-        or header.get("format") != TRACE_FORMAT
-    ):
+    if not isinstance(header, dict) or header.get("kind") != "nni-trace":
         raise TraceError("not an nni-trace header")
-    if header.get("ops") != len(lines) - 1:
-        raise TraceError(f"header says {header.get('ops')} ops, file has {len(lines) - 1}")
+    # like record ids, these must be JSON integers: true and 1.0 equal 1 in Python
+    for key in ("format", "ops"):
+        if type(header.get(key)) is not int:
+            raise TraceError(f"header {key} {header.get(key)!r} is not an integer")
+    if header["format"] != TRACE_FORMAT:
+        raise TraceError(f"unsupported trace format {header['format']}")
+    if header["ops"] != len(lines) - 1:
+        raise TraceError(f"header says {header['ops']} ops, file has {len(lines) - 1}")
     return header, lines[1:]
 
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nnidist.balance import AuxiliaryTree, build_auxiliary, check_auxiliary
-from nnidist.edgesort import merge_sort_edges, spine_edge_order
+from nnidist.edgesort import merge_sort_edges
 from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.leafsort import sort_leaves
-from nnidist.linearize import LinearizeResult, linearize, spine_nodes
+from nnidist.linearize import LinearizeResult, linearize, spine
 from nnidist.nni import (
     NniOp,
     apply_sequence,
@@ -89,10 +89,8 @@ def _linear_maps(
     The spines must carry the same weight sequence up to direction; leaves
     at corresponding spine positions are matched in label order.
     """
-    spine_a = spine_nodes(a)
-    spine_b = spine_nodes(b)
-    order_a = spine_edge_order(a, spine_a)
-    order_b = spine_edge_order(b, spine_b)
+    spine_a, order_a = spine(a)
+    spine_b, order_b = spine(b)
     wa = [a.weight(e) for e in order_a]
     wb = [b.weight(e) for e in order_b]
     if wb != wa:
@@ -150,8 +148,7 @@ def _aux_order_target(linear: Phylogeny, aux_linear: Phylogeny) -> list[int]:
     for lst in groups.values():
         lst.sort(reverse=True)
     target = []
-    spine = spine_edge_order(aux_linear, spine_nodes(aux_linear))
-    for e in spine:
+    for e in spine(aux_linear)[1]:
         w = aux_linear.weight(e)
         if w not in groups or not groups[w]:
             raise TreeError("companion spine weights do not match the component")

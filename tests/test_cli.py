@@ -253,3 +253,25 @@ def test_verify_reports_a_corrupt_file(pair_files, tmp_path, capsys, text):
     trace.write_bytes(text)
     assert main(["verify", p1, str(trace), p2]) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("ops", True), ("ops", 1.0), ("format", True), ("format", 1.0)],
+    ids=["bool-ops", "float-ops", "bool-format", "float-format"],
+)
+def test_verify_rejects_a_non_integer_header_field(tmp_path, capsys, key, value):
+    # a one-move pair, so both fields hold 1 and only their JSON type is wrong
+    t1, t2, _ = generate_pair(seed=2, n=6, moves=1)
+    p1, p2, trace = tmp_path / "a.nwk", tmp_path / "b.nwk", tmp_path / "trace.jsonl"
+    newick.write_tree(p1, t1)
+    newick.write_tree(p2, t2)
+    assert main(["approx", str(p1), str(p2), "--trace", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header[key] == 1 and len(lines) == 2
+    header[key] = value
+    trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(p1), str(trace), str(p2)]) == 1
+    assert f"header {key} {value!r} is not an integer" in capsys.readouterr().err

@@ -10,9 +10,8 @@ from nnidist.edgesort import (
     make_alternating,
     merge_sort_edges,
     merge_stage,
-    spine_edge_order,
 )
-from nnidist.linearize import spine_nodes
+from nnidist.linearize import spine
 from nnidist.nni import apply_sequence
 from nnidist.phylo import TreeError
 from nnidist.runtime import ParRuntime
@@ -21,7 +20,7 @@ from oracles import caterpillar
 
 
 def read_order(tree):
-    return spine_edge_order(tree, spine_nodes(tree))
+    return spine(tree)[1]
 
 
 def check_sorted(source, target, result):

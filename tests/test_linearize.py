@@ -3,15 +3,12 @@
 import math
 import random
 
+import pytest
+
 from nnidist import newick
-from nnidist.linearize import (
-    endnode_paths,
-    is_linear,
-    linearize,
-    spine_nodes,
-)
+from nnidist.linearize import endnode_paths, is_linear, linearize, spine
 from nnidist.nni import verify_transform
-from nnidist.phylo import NodeClass
+from nnidist.phylo import NodeClass, TreeError
 from nnidist.runtime import ParRuntime
 
 from oracles import caterpillar, random_phylogeny, walk_up_oracle
@@ -24,23 +21,8 @@ def test_walks_match_sequential_oracle():
         info = endnode_paths(t)
         expect = walk_up_oracle(t)
         assert set(info) == set(expect)
-        for v, (nxt, head, dist, length, path) in expect.items():
-            pi = info[v]
-            assert (pi.next, pi.head, pi.dist, pi.length, pi.path) == (
-                nxt,
-                head,
-                dist,
-                length,
-                path,
-            )
-
-
-def test_walk_fields_consistent():
-    rng = random.Random(502)
-    t = random_phylogeny(rng, 25)
-    for pi in endnode_paths(t).values():
-        assert pi.length == len(pi.path)
-        assert pi.dist == sum(t.weight(e) for e in pi.path)
+        for v, (nxt, _, _, _, path) in expect.items():
+            assert (info[v].next, info[v].path) == (nxt, path)
 
 
 def test_walk_rounds_within_doubling_budget():
@@ -94,28 +76,84 @@ def test_linearize_operates_each_chain_edge_once_per_iteration():
         assert len(res.ops) <= res.iterations * len(t.internal_edges())
 
 
+def _splice_choice(text):
+    """Linearize a tree with one junction; returns (spliced endnode, tree, walks)."""
+    t = newick.parse(text)
+    info = endnode_paths(t)
+    res = linearize(t)
+    assert res.iterations == 1 and is_linear(res.tree)
+    chain = [op.e2 for op in res.ops]
+    spliced = [E for E, pi in info.items() if list(reversed(pi.path)) == chain]
+    assert len(spliced) == 1
+    return spliced[0], t, info
+
+
+def test_linearize_splices_the_lightest_chain():
+    # below the junction: a one-edge chain of weight 5 and a two-edge chain
+    # of weight 1 + 1; the lighter chain wins although it is longer
+    E, t, info = _splice_choice("(a:1,b:1,((c:1,d:1):5,(e:1,(f:1,g:1):1):1):3);")
+    assert [t.weight(e) for e in info[E].path] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "text, weights",
+    [
+        ("(a:1,b:1,((c:1,d:1):2,(e:1,(f:1,g:1):1):1):3);", [2]),
+        ("(a:1,b:1,((e:1,(f:1,g:1):1):1,(c:1,d:1):2):3);", [1, 1]),
+    ],
+    ids=["one-edge-chain-first", "two-edge-chain-first"],
+)
+def test_linearize_breaks_weight_ties_by_endnode_id(text, weights):
+    # both chains weigh 2; the endnode parsed first has the smaller id and wins
+    E, t, info = _splice_choice(text)
+    tied = [
+        X
+        for X, c in t.classify_nodes().items()
+        if c is NodeClass.ENDNODE and X in info and info[X].next == info[E].next
+    ]
+    assert len(tied) == 2 and E == min(tied)
+    assert [t.weight(e) for e in info[E].path] == weights
+
+
 def test_spine_order():
     cat = caterpillar(8)
-    spine = spine_nodes(cat)
-    assert spine == [0, 1, 2, 3, 4, 5]
-    star = newick.parse("(a:1,b:1,c:2);")
-    assert spine_nodes(star) == [x for x in star.nodes() if not star.is_leaf(x)]
+    nodes, edges = spine(cat)
+    assert nodes == [0, 1, 2, 3, 4, 5]
+    assert len(edges) == 5
     rng = random.Random(506)
     for _ in range(10):
         t = random_phylogeny(rng, rng.randint(4, 30))
         res = linearize(t)
-        spine = spine_nodes(res.tree)
-        # spans every internal node, consecutive nodes share an internal edge
-        assert sorted(spine) == [x for x in res.tree.nodes() if not res.tree.is_leaf(x)]
-        for a, b in zip(spine, spine[1:]):
-            shared = set(res.tree.adjacent_edges(a)) & set(res.tree.adjacent_edges(b))
-            assert len(shared) == 1
+        nodes, edges = spine(res.tree)
+        # spans every internal node, the internal edges in path order
+        assert sorted(nodes) == [x for x in res.tree.nodes() if not res.tree.is_leaf(x)]
+        assert sorted(edges) == res.tree.internal_edges()
+        # each edge joins its two consecutive nodes
+        for a, b, e in zip(nodes, nodes[1:], edges):
+            assert set(res.tree.endpoints(e)) == {a, b}
+        assert nodes[0] < nodes[-1]
+
+
+def test_spine_of_a_star_and_a_quartet():
+    star = newick.parse("(a:1,b:1,c:2);")
+    (x,) = [x for x in star.nodes() if not star.is_leaf(x)]
+    assert spine(star) == ([x], [])
+    quartet = newick.parse("(a:1,b:2,(c:3,d:4):5);")
+    inner = sorted(x for x in quartet.nodes() if not quartet.is_leaf(x))
+    assert spine(quartet) == (inner, quartet.internal_edges())
+
+
+def test_spine_rejects_a_junction():
+    t = newick.parse("(a:1,b:1,((c:1,d:1):2,(e:1,f:1):1):3);")
+    assert not is_linear(t)
+    with pytest.raises(TreeError):
+        spine(t)
 
 
 def test_caterpillar_classes():
     cat = caterpillar(10)
     classes = cat.classify_nodes()
-    spine = spine_nodes(cat)
-    assert classes[spine[0]] is NodeClass.ENDNODE
-    assert classes[spine[-1]] is NodeClass.ENDNODE
-    assert all(classes[x] is NodeClass.PATHNODE for x in spine[1:-1])
+    nodes, _ = spine(cat)
+    assert classes[nodes[0]] is NodeClass.ENDNODE
+    assert classes[nodes[-1]] is NodeClass.ENDNODE
+    assert all(classes[x] is NodeClass.PATHNODE for x in nodes[1:-1])
