@@ -19,13 +19,24 @@ middle-edge id and totalled once as ``sum(count[e] * w(e))``
 moves' costs, with no ``Fraction`` arithmetic per move.
 
 Traces are JSON lines: a header with digests of the canonical source and
-target trees, then one record per operation in order.
+target trees, then one record per operation in order.  :func:`trace_lines`
+writes every record in one fixed spelling,
+``{"e1": A, "e2": B, "e3": C, "w": "W", "u": U, "v": V}``, the bytes
+``json.dumps`` gives, built from pieces cached per middle edge.  The reader
+matches that spelling with one regular expression and sends any other line
+through ``json.loads``; a canonical line decodes to exactly what the
+expression captures, so both routes accept the same records with the same
+failure reasons.  :func:`check_trace` compares a record's cost with the
+tree's weight once per middle edge and recorded value: a later record whose
+parsed cost is the very object already verified for that edge needs no
+second comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,7 +160,11 @@ def tree_digest(tree: Phylogeny) -> str:
 def trace_lines(
     source: Phylogeny, target: Phylogeny, ops: Sequence[NniOp]
 ) -> list[str]:
-    """JSON lines for a trace, validating the sequence while recording it."""
+    """JSON lines for a trace, validating the sequence while recording it.
+
+    Raises TreeError for an operation whose edge ids are not all ``int``
+    (``True`` would replay as edge 1 but be written as ``true``).
+    """
     header = {
         "kind": "nni-trace",
         "format": TRACE_FORMAT,
@@ -157,16 +172,20 @@ def trace_lines(
         "target": tree_digest(target),
         "ops": len(ops),
     }
-    w_text: dict[int, str] = {}
+    # per middle edge, the record text between e2's key and e3's value and
+    # between w's key and u's value; a positive weight's format_weight is
+    # digits and ".", which a JSON string holds unescaped
+    pieces: dict[int, tuple[str, str]] = {}
     lines = [json.dumps(header)]
-    for op, u, v in replay(source.copy(), ops, target):
-        e2 = op.e2
-        w = w_text.get(e2)
-        if w is None:
-            w = w_text[e2] = newick.format_weight(source.weight(e2))
-        lines.append(
-            json.dumps({"e1": op.e1, "e2": e2, "e3": op.e3, "w": w, "u": u, "v": v})
-        )
+    for i, (op, u, v) in enumerate(replay(source.copy(), ops, target)):
+        e1, e2, e3 = op.e1, op.e2, op.e3
+        if not type(e1) is type(e2) is type(e3) is int:
+            raise TreeError(f"operation {i} ({e1!r},{e2!r},{e3!r}): edge ids must be integers")
+        piece = pieces.get(e2)
+        if piece is None:
+            w = newick.format_weight(source.weight(e2))
+            piece = pieces[e2] = (f', "e2": {e2}, "e3": ', f', "w": "{w}", "u": ')
+        lines.append(f'{{"e1": {e1}{piece[0]}{e3}{piece[1]}{u}, "v": {v}}}')
     return lines
 
 
@@ -195,7 +214,7 @@ def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
         raise TraceError("empty trace file")
     try:
         header = json.loads(lines[0][1])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceError(f"header is not JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "nni-trace":
         raise TraceError("not an nni-trace header")
@@ -216,21 +235,42 @@ def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
 _Record = namedtuple("_Record", "e1 e2 e3 u v w")
 
 
+# The one spelling trace_lines writes a record in.  The ids are JSON integers
+# ([0-9], not \d, which also matches digits int() takes and JSON refuses) and
+# the cost a JSON string with no escape, so a matching line decodes under
+# json.loads to exactly the captured ints and text.
+_INT = r"(-?(?:0|[1-9][0-9]*))"
+_CANONICAL_RECORD = re.compile(
+    rf'\{{"e1": {_INT}, "e2": {_INT}, "e3": {_INT}, "w": "([^"\\\x00-\x1f]*)", '
+    rf'"u": {_INT}, "v": {_INT}\}}'
+)
+
+
 def _parse_records(body: list[tuple[int, str]]) -> Iterator[_Record]:
-    """Parse numbered record lines one at a time, each distinct cost string once."""
+    """Parse numbered record lines one at a time, each distinct cost string once.
+
+    A line in the canonical spelling is read off the regular expression; any
+    other line goes through ``json.loads`` and its type checks.
+    """
     weights: dict[str, Fraction] = {}
+    canonical = _CANONICAL_RECORD.fullmatch
     for k, line in body:
         try:
-            rec = json.loads(line)
-            e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
-            if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
-                raise TypeError("edge and node ids must be integers")
-            if not isinstance(w, str):
-                raise TypeError(f"cost {w!r} is not a decimal string")
+            m = canonical(line)
+            if m is not None:
+                e1, e2, e3, w, u, v = m.groups()
+                e1, e2, e3, u, v = int(e1), int(e2), int(e3), int(u), int(v)
+            else:
+                rec = json.loads(line)
+                e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
+                if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
+                    raise TypeError("edge and node ids must be integers")
+                if not isinstance(w, str):
+                    raise TypeError(f"cost {w!r} is not a decimal string")
             value = weights.get(w)
             if value is None:
                 value = weights[w] = newick.parse_weight(w)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise TraceError(f"line {k}: bad operation record: {exc}") from exc
         yield _Record(e1, e2, e3, u, v, value)
 
@@ -261,17 +301,23 @@ def check_trace(
     if header.get("target") != tree_digest(target):
         return False, Fraction(0), "target digest mismatch"
     counts: Counter[int] = Counter()
+    # middle edge -> the parsed cost object already found equal to its weight;
+    # _parse_records hands out one object per distinct cost string
+    verified: dict[int, Fraction] = {}
     steps = replay(source.copy(), _parse_records(body), target)
     try:
         for i, (rec, u, v) in enumerate(steps):
             if not (rec.u == u and rec.v == v or rec.u == v and rec.v == u):
                 return False, counted_cost(source, counts), (
                     f"operation {i}: recorded endpoints do not match replay")
-            cost = source.weight(rec.e2)
-            if rec.w != cost:
-                return False, counted_cost(source, counts), (
-                    f"operation {i}: recorded cost {newick.format_weight(rec.w)} != {cost}")
-            counts[rec.e2] += 1
+            e2 = rec.e2
+            if verified.get(e2) is not rec.w:
+                cost = source.weight(e2)
+                if rec.w != cost:
+                    return False, counted_cost(source, counts), (
+                        f"operation {i}: recorded cost {newick.format_weight(rec.w)} != {cost}")
+                verified[e2] = rec.w
+            counts[e2] += 1
     except (TraceError, ReplayError) as exc:
         return False, counted_cost(source, counts), str(exc)
     return True, counted_cost(source, counts), None

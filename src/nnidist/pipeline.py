@@ -82,22 +82,22 @@ def _translate(ops: list[NniOp], emap: dict[int, int]) -> list[NniOp]:
 
 
 def _linear_maps(
-    a: Phylogeny, b: Phylogeny
+    a: Phylogeny, b: Phylogeny, b_spine: tuple[list[int], list[int]]
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Edge and node maps from linear tree ``b`` onto linear tree ``a``.
 
-    The spines must carry the same weight sequence up to direction; leaves
-    at corresponding spine positions are matched in label order.
+    ``b_spine`` is ``spine(b)``, left unchanged.  The spines must carry the
+    same weight sequence up to direction; leaves at corresponding spine
+    positions are matched in label order.
     """
     spine_a, order_a = spine(a)
-    spine_b, order_b = spine(b)
+    spine_b, order_b = b_spine
     wa = [a.weight(e) for e in order_a]
     wb = [b.weight(e) for e in order_b]
     if wb != wa:
         if wb[::-1] != wa:
             raise TreeError("linear trees do not share a spine weight sequence")
-        spine_b.reverse()
-        order_b.reverse()
+        spine_b, order_b = spine_b[::-1], order_b[::-1]
     emap = dict(zip(order_b, order_a))
     nmap = dict(zip(spine_b, spine_a))
     for na, nb in zip(spine_a, spine_b):
@@ -136,8 +136,10 @@ def _equal_tree_edge_map(a: Phylogeny, b: Phylogeny) -> dict[int, int]:
     return dict(zip(_canonical_edge_order(b), _canonical_edge_order(a)))
 
 
-def _aux_order_target(linear: Phylogeny, aux_linear: Phylogeny) -> list[int]:
-    """``linear``'s internal edges listed in ``aux_linear``'s spine order.
+def _aux_order_target(
+    linear: Phylogeny, aux_linear: Phylogeny, aux_order: list[int]
+) -> list[int]:
+    """``linear``'s internal edges listed in ``aux_linear``'s spine order ``aux_order``.
 
     Edges are matched by weight; repeated weights pair up k-th with k-th in
     edge-id order, which is all the isomorphism translation needs.
@@ -148,7 +150,7 @@ def _aux_order_target(linear: Phylogeny, aux_linear: Phylogeny) -> list[int]:
     for lst in groups.values():
         lst.sort(reverse=True)
     target = []
-    for e in spine(aux_linear)[1]:
+    for e in aux_order:
         w = aux_linear.weight(e)
         if w not in groups or not groups[w]:
             raise TreeError("companion spine weights do not match the component")
@@ -157,17 +159,22 @@ def _aux_order_target(linear: Phylogeny, aux_linear: Phylogeny) -> list[int]:
 
 
 def _forward_to_balanced(
-    component: Phylogeny, aux: AuxiliaryTree, aux_lin: LinearizeResult, rt: ParRuntime
+    component: Phylogeny,
+    aux: AuxiliaryTree,
+    aux_lin: LinearizeResult,
+    aux_spine: tuple[list[int], list[int]],
+    rt: ParRuntime,
 ):
     """Transform one component into the shape of its companion ``aux``.
 
-    ``aux_lin`` is the companion's linearization.  Returns (phase op lists,
-    resulting tree, view root in the result's ids).
+    ``aux_lin`` is the companion's linearization and ``aux_spine`` its
+    ``spine``.  Returns (phase op lists, resulting tree, view root in the
+    result's ids).
     """
     lin = linearize(component, rt)
-    target = _aux_order_target(lin.tree, aux_lin.tree)
+    target = _aux_order_target(lin.tree, aux_lin.tree, aux_spine[1])
     sorted_edges = merge_sort_edges(lin.tree, target, rt)
-    emap, nmap = _linear_maps(sorted_edges.tree, aux_lin.tree)
+    emap, nmap = _linear_maps(sorted_edges.tree, aux_lin.tree, aux_spine)
     rebalance = _translate(invert_sequence(aux_lin.ops), emap)
     balanced, _ = apply_sequence(sorted_edges.tree, rebalance)
     root = nmap[aux.tree.root_handle()]
@@ -187,8 +194,11 @@ def _component_sequence(
     check_auxiliary(c1, aux)
     check_auxiliary(c2, aux)
     aux_lin = linearize(aux.tree, rt)
-    (lin1, sort1, rebal1), balanced1, root1 = _forward_to_balanced(c1, aux, aux_lin, rt)
-    (lin2, sort2, rebal2), balanced2, root2 = _forward_to_balanced(c2, aux, aux_lin, rt)
+    aux_spine = spine(aux_lin.tree)
+    (lin1, sort1, rebal1), balanced1, root1 = _forward_to_balanced(
+        c1, aux, aux_lin, aux_spine, rt)
+    (lin2, sort2, rebal2), balanced2, root2 = _forward_to_balanced(
+        c2, aux, aux_lin, aux_spine, rt)
 
     leafs = sort_leaves(
         balanced1, balanced2, rt, source_root=root1, target_root=root2

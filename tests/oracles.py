@@ -352,3 +352,55 @@ def uniform_cost_distance(t1: Phylogeny, t2: Phylogeny):
                     via[nkey] = (key, op)
                     heapq.heappush(frontier, (ncost, nkey, next(counter), nxt))
     return None
+
+
+def trace_lines_by_json(source: Phylogeny, target: Phylogeny, ops) -> list[str]:
+    """A trace's lines, each record one ``json.dumps`` call.
+
+    The reference for ``trace_lines``' fixed record spelling; the middle
+    edges' endpoints are read off the package's own replay.
+    """
+    import hashlib
+    import json
+
+    from nnidist import newick
+    from nnidist.nni import replay
+
+    def digest(tree: Phylogeny) -> str:
+        return hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
+
+    header = {"kind": "nni-trace", "format": 1, "source": digest(source),
+              "target": digest(target), "ops": len(ops)}
+    lines = [json.dumps(header)]
+    for op, u, v in replay(source.copy(), ops, target):
+        w = newick.format_weight(source.weight(op.e2))
+        lines.append(json.dumps({"e1": op.e1, "e2": op.e2, "e3": op.e3, "w": w, "u": u, "v": v}))
+    return lines
+
+
+def parse_records_by_json(body: list[tuple[int, str]]):
+    """Numbered record lines parsed by ``json.loads`` alone, one at a time.
+
+    The reference for ``nni._parse_records``: yields (e1, e2, e3, u, v, w)
+    per line and raises ``TraceError`` with the same reasons.
+    """
+    import json
+
+    from nnidist import newick
+    from nnidist.nni import TraceError
+
+    weights: dict[str, Fraction] = {}
+    for k, line in body:
+        try:
+            rec = json.loads(line)
+            e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
+            if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
+                raise TypeError("edge and node ids must be integers")
+            if not isinstance(w, str):
+                raise TypeError(f"cost {w!r} is not a decimal string")
+            value = weights.get(w)
+            if value is None:
+                value = weights[w] = newick.parse_weight(w)
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise TraceError(f"line {k}: bad operation record: {exc}") from exc
+        yield (e1, e2, e3, u, v, value)

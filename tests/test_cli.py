@@ -236,6 +236,15 @@ def test_verify_reports_a_corrupt_record(traced_pair, capsys, change, reason):
     assert reason in capsys.readouterr().err
 
 
+def test_verify_reports_a_deeply_nested_record(traced_pair, capsys):
+    # behind a valid header, so the record is parsed: json.loads runs out of stack
+    p1, p2, trace = traced_pair
+    lines = trace.read_text().splitlines()
+    trace.write_text("\n".join([lines[0], "[" * 200_000 + "]" * 200_000, *lines[2:]]) + "\n")
+    assert main(["verify", p1, str(trace), p2]) == 1
+    assert "verification failed: line 2: bad operation record" in capsys.readouterr().err
+
+
 def test_verify_missing_trace_is_a_usage_error(pair_files, tmp_path, capsys):
     p1, p2, _ = pair_files
     assert main(["verify", p1, str(tmp_path / "nope.jsonl"), p2]) == 2
@@ -244,8 +253,13 @@ def test_verify_missing_trace_is_a_usage_error(pair_files, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    [b"\xff\xfe\x00", b"[]\n", b'{"kind": "nni-trace", "format": 1, "ops": 1}\n[1, 2]\n'],
-    ids=["not-utf8", "list-header", "list-record"],
+    [
+        b"\xff\xfe\x00",
+        b"[]\n",
+        b'{"kind": "nni-trace", "format": 1, "ops": 1}\n[1, 2]\n',
+        b"[" * 5000 + b"]" * 5000 + b"\n",
+    ],
+    ids=["not-utf8", "list-header", "list-record", "deep-header"],
 )
 def test_verify_reports_a_corrupt_file(pair_files, tmp_path, capsys, text):
     p1, p2, _ = pair_files

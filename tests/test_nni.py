@@ -12,9 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
+from nnidist.exact import exact_dnni
+from nnidist.gen import generate_pair
 from nnidist.nni import (
+    _CANONICAL_RECORD,
     NniOp,
     ReplayError,
+    TraceError,
+    _parse_records,
     apply_nni,
     apply_sequence,
     check_trace,
@@ -26,11 +31,14 @@ from nnidist.nni import (
     write_trace,
 )
 from nnidist.phylo import Phylogeny, TreeError
+from nnidist.pipeline import approx_nni
 
 from oracles import (
     nni_by_rebuild,
+    parse_records_by_json,
     random_phylogeny,
     random_valid_op,
+    trace_lines_by_json,
     trees_equal_by_splits,
     weighted_splits,
 )
@@ -391,3 +399,118 @@ def test_an_invalid_move_reports_the_exact_prefix_cost(tmp_path):
     write_trace(path, t, u, ops)
     _rewrite_records(path, lambda i, rec: {**rec, "e3": rec["e1"]} if i == j else rec)
     assert check_trace(path, t, u) == (False, prefix, reason)
+
+
+@pytest.mark.parametrize("op", [NniOp(True, 4, 2), NniOp(1, 4, 2.0)], ids=["bool-e1", "float-e3"])
+def test_write_trace_refuses_a_non_integer_id(tmp_path, op):
+    # the ids equal real edges, so the move replays; only their type is wrong
+    t = quartet()
+    u = t.copy()
+    apply_nni(u, NniOp(1, 4, 2))
+    path = tmp_path / "ops.jsonl"
+    with pytest.raises(TreeError, match="integers"):
+        write_trace(path, t, u, [op])
+    assert not path.exists()
+
+
+def _assert_json_writer_agrees(t1, t2, ops):
+    lines = trace_lines(t1, t2, ops)
+    assert lines == trace_lines_by_json(t1, t2, ops)
+    # every record the writer makes is read by the reader's fast path
+    assert all(_CANONICAL_RECORD.fullmatch(line) for line in lines[1:])
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(
+    n=st.integers(4, 16),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 48),
+    dup=st.booleans(),
+    halve=st.booleans(),
+)
+def test_trace_lines_match_the_json_writer_on_pipeline_sequences(n, seed, moves, dup, halve):
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    if halve:
+        t1, t2 = _halved(t1), _halved(t2)
+    _assert_json_writer_agrees(t1, t2, approx_nni(t1, t2).sequence)
+
+
+@settings(max_examples=10, **SETTINGS)
+@given(n=st.integers(5, 6), seed=st.integers(0, 10**6), moves=st.integers(1, 5))
+def test_trace_lines_match_the_json_writer_on_exact_witnesses(n, seed, moves):
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=True)
+    _assert_json_writer_agrees(t1, t2, exact_dnni(t1, t2)[1])
+
+
+ID_KEYS = ("e1", "e2", "e3", "u", "v")
+# spellings of an id that json.loads reads as another type or value, or refuses
+ODD_IDS = {
+    "float": "1.0", "bool": "true", "minus-zero": "-0", "leading-zero": "07",
+    "5000-digits": "9" * 5000, "minus-5000-digits": "-" + "9" * 5000,
+    "arabic-indic": "\u0661", "arabic-indic-tail": "1\u0661", "exponent": "1e3", "string": '"4"', "null": "null",
+    "list": "[1]", "split-minus": "- 1",
+}
+# cost strings as they stand between the quotes: escapes, control and
+# non-ASCII characters, malformed decimals
+ODD_WS = {
+    "integer": "1", "control": "1\x01", "non-ascii": "1\u00e9", "arabic-indic": "\u0661",
+    "two-dots": "1..5", "empty": "", "trailing-zero": "0.50", "negative": "-1",
+    "escape": "1\\u0030", "escaped-quote": '1\\"',
+}
+CHANGES = ["spaces", "order", "extra", "missing", "id", "w", "pad"]
+
+
+@st.composite
+def record_lines(draw):
+    """A record line in the written spelling, or with one or two changes to it."""
+    fields = {k: str(draw(st.integers(-2, 40))) for k in ID_KEYS}
+    fields["w"] = draw(st.sampled_from(["1", "0.5", "12.25", "3"]))
+    keys = ["e1", "e2", "e3", "w", "u", "v"]
+    sep, colon, pad = ", ", ": ", ""
+    for change in draw(st.lists(st.sampled_from(CHANGES), max_size=2)):
+        if change == "spaces":
+            sep, colon = draw(st.sampled_from([(",", ":"), (" , ", ": "), (", ", " :  ")]))
+        elif change == "order":
+            keys = list(draw(st.permutations(keys)))
+        elif change == "extra":
+            keys.insert(draw(st.integers(0, len(keys))), "x")
+            fields["x"] = "0"
+        elif change == "missing":
+            keys.remove(draw(st.sampled_from(keys)))
+        elif change == "id":
+            fields[draw(st.sampled_from(ID_KEYS))] = draw(st.sampled_from(list(ODD_IDS.values())))
+        elif change == "w":
+            fields["w"] = draw(st.sampled_from(list(ODD_WS.values())))
+        else:
+            pad = draw(st.sampled_from([" ", "\t"]))
+    body = sep.join(f'"{k}"{colon}' + (f'"{fields[k]}"' if k == "w" else fields[k]) for k in keys)
+    return pad + "{" + body + "}" + pad
+
+
+def _parsed(parse, body):
+    """(records with their exact types, failure reason or None) of one parse."""
+    out = []
+    try:
+        for rec in parse(body):
+            out.append(tuple((type(x), x) for x in rec))
+    except TraceError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(lines=st.lists(record_lines(), min_size=1, max_size=4))
+def test_record_parse_matches_the_json_reference(lines):
+    body = list(enumerate(lines, start=2))
+    assert _parsed(_parse_records, body) == _parsed(parse_records_by_json, body)
+
+
+@pytest.mark.parametrize("key, text", [
+    *[pytest.param(k, t, id=f"{k}-{name}") for k in ("e1", "v") for name, t in ODD_IDS.items()],
+    *[pytest.param("w", f'"{t}"', id=f"w-{name}") for name, t in ODD_WS.items()],
+])
+def test_each_odd_spelling_parses_as_json_does(key, text):
+    line = '{"e1": 3, "e2": 4, "e3": 5, "w": "2.5", "u": 6, "v": 7}'
+    old = '"2.5"' if key == "w" else {"e1": "3", "v": "7"}[key]
+    body = [(2, line), (3, line.replace(f'"{key}": {old}', f'"{key}": {text}'))]
+    assert _parsed(_parse_records, body) == _parsed(parse_records_by_json, body)
