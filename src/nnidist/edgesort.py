@@ -19,14 +19,17 @@ alternating pass.
 When a stage's predicted outcome already matches the current spine order the
 stage emits nothing; when the strictly cheaper endgame leaves the spine
 holding the merged order read from the opposite end, the reading direction
-simply flips for the next stage.
+simply flips for the next stage.  Every stage ends by checking that its
+predicted order runs along one path through all internal edges
+(:func:`linearize.is_spine_order`), which is the spine read from one end or
+the other; the check is one pass over the order and does not walk the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nnidist.linearize import min_leaf_edge, spine
+from nnidist.linearize import is_spine_order, min_leaf_edge, spine
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
@@ -207,7 +210,7 @@ def merge_stage(
     ops: list[NniOp] = []
     # the blocks hold the spine's edges in spine order, read from one end or
     # the other: the alternating pass builds them so, and each stage's
-    # postcondition below reads the tree to confirm it for the next stage
+    # postcondition below checks the tree against it for the next stage
     current = [e for b in blocks for e in b.edges]
     if current == predicted or current == predicted[::-1]:
         pass  # already in stage order; nothing to emit
@@ -260,8 +263,7 @@ def merge_stage(
                     junction = far
                     chain_top = g
 
-    _, actual = spine(tree)
-    if actual != predicted and actual != predicted[::-1]:
+    if not is_spine_order(tree, predicted):
         raise TreeError("merge stage did not produce its predicted order")
 
     new_blocks = [Block(list(b.edges), b.ascending) for b in passed]

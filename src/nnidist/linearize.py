@@ -1,40 +1,35 @@
 """Making a tree linear: every internal node adjacent to at least one leaf.
 
 Per iteration the tree is oriented toward the root handle and every non-root
-node learns, by pointer jumping, the edge path to its nearest ancestor that
-is not a pathnode.  The walks carry only that terminal and the path; the
-weight of a walk is summed once, and only for the endnodes whose walk ends
-at a junction.  Those chains are disjoint, so an iteration makes O(n) exact
-additions.  Each junction then picks the lightest endnode chain hanging
-below it and splices that chain's leaves upward with one NNI per chain edge,
-which turns the junction into a pathnode and the chain's endnode into a
-pathnode.  Junctions are never created, and at least half of them disappear
-each iteration, so the loop runs at most ceil(log2 n) times.
+node learns, by pointer jumping, its terminal: its nearest ancestor that is
+not a pathnode.  A jump round moves O(1) data per node (one terminal id), so
+every round is O(n) work, as in Wyllie's list ranking.  The edge paths
+themselves are walked once, afterwards, and only where they are read: from
+each endnode whose terminal is a junction up to that junction.  Pathnodes
+have one internal child, so those chains are disjoint and the walks and
+their weight sums are O(n) per iteration.  Each junction then picks the
+lightest endnode chain hanging below it and splices that chain's leaves
+upward with one NNI per chain edge, which turns the junction into a pathnode
+and the chain's endnode into a pathnode.  Junctions are never created, and
+at least half of them disappear each iteration, so the loop runs at most
+ceil(log2 n) times.
 
 A linear tree's internal nodes form one path, its spine; :func:`spine` reads
+it, :func:`is_spine_order` checks a claimed spine edge order without reading
 it, and :func:`min_leaf_edge` is the tie-break every phase uses to pick one
-of an endnode's two leaves.
+of an endnode's two leaves.  These and :meth:`Phylogeny.classify_nodes` read
+the tree's edge table, adjacency and labels directly: they run on every
+stage of every phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Sequence
 
 from nnidist.nni import NniOp, apply_nni
-from nnidist.phylo import NodeClass, Phylogeny, TreeError
+from nnidist.phylo import NodeClass, Phylogeny, RootedView, TreeError
 from nnidist.runtime import ParRuntime
-
-
-class PathInfo(NamedTuple):
-    """Walk from a node toward the root, stopping before the first non-pathnode.
-
-    ``next`` is that terminal ancestor (a junction, an endnode, or the root)
-    and ``path`` the edge ids walked, in order.
-    """
-
-    next: int
-    path: tuple[int, ...]
 
 
 @dataclass
@@ -56,10 +51,11 @@ def spine(tree: Phylogeny) -> tuple[list[int], list[int]]:
     ``nodes[i]`` and ``nodes[i + 1]``.  Raises :class:`TreeError` unless the
     internal nodes form one path.
     """
+    ends, labels = tree._ends, tree._leaf_label
     inner = {
-        x: [e for e in tree.adjacent_edges(x) if not tree.is_edge_leaf(e)]
-        for x in tree.nodes()
-        if not tree.is_leaf(x)
+        x: [e for e in es if ends[e][0] not in labels and ends[e][1] not in labels]
+        for x, es in tree._adj.items()
+        if x not in labels
     }
     x = min(x for x, es in inner.items() if len(es) <= 1)
     nodes, edges = [x], []
@@ -74,13 +70,39 @@ def spine(tree: Phylogeny) -> tuple[list[int], list[int]]:
     return nodes, edges
 
 
+def is_spine_order(tree: Phylogeny, order: Sequence[int]) -> bool:
+    """True when ``order`` is ``spine(tree)[1]`` read from either end.
+
+    One pass over ``order``, without walking the tree: it must hold n - 3
+    internal edges, and each must meet its predecessor at exactly one node,
+    never the node where the predecessor met the edge before it.  Such a
+    walk never turns back, and in a tree a walk that never turns back is a
+    path, so the edges are all the internal edges, on one path.  That path is
+    the spine, and only a linear tree has one.
+    """
+    ends, labels = tree._ends, tree._leaf_label
+    if len(order) != tree.n_taxa - 3:
+        return False
+    prev: tuple[int, ...] = ()
+    joint = None
+    for e in order:
+        cur = ends.get(e)
+        if cur is None or cur[0] in labels or cur[1] in labels:
+            return False
+        if prev:
+            shared = set(prev).intersection(cur)
+            if len(shared) != 1 or joint in shared:
+                return False
+            (joint,) = shared
+        prev = cur
+    return True
+
+
 def min_leaf_edge(tree: Phylogeny, node: int) -> int:
     """The leaf edge at ``node`` whose leaf has the smallest id."""
-    return min(
-        (tree.other_end(f, node), f)
-        for f in tree.adjacent_edges(node)
-        if tree.is_edge_leaf(f)
-    )[1]
+    ends, labels = tree._ends, tree._leaf_label
+    # node is internal, so an end of f that is a leaf is f's far end
+    return min((y, f) for f in tree._adj[node] for y in ends[f] if y in labels)[1]
 
 
 def endnode_paths(
@@ -88,39 +110,47 @@ def endnode_paths(
     rt: ParRuntime | None = None,
     phase: str = "endnode_paths",
     classes: dict[int, NodeClass] | None = None,
-) -> dict[int, PathInfo]:
-    """PathInfo for every non-root node, by pointer jumping.
+    view: RootedView | None = None,
+) -> dict[int, int]:
+    """The terminal of every non-root node, by pointer jumping.
 
-    Uses one initialization round plus at most ceil(log2 n) jump rounds: each
-    jump concatenates a node's walk with its terminal's walk, doubling the
-    settled length.
+    A node's terminal is its nearest proper ancestor in ``view`` (by default
+    ``tree.rooted_view()``) that is a junction, an endnode or the root.  Uses
+    one initialization round plus at most ceil(log2 n) jump rounds: each jump
+    replaces a node's pointer by its pointer's pointer, doubling the settled
+    length, and moves one id per node.
     """
     rt = rt or ParRuntime()
-    view = tree.rooted_view()
+    if view is None:
+        view = tree.rooted_view()
     if classes is None:
         classes = tree.classify_nodes()
     terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
     terminal.add(view.order[0])
 
-    state: dict[int, PathInfo] = {}
-    for v in view.order:
-        e = view.parent_edge[v]
-        if e is not None:
-            state[v] = PathInfo(tree.other_end(e, v), (e,))
-    rt.round(phase, state)
+    parent_edge = view.parent_edge
+    nxt = {v: tree.other_end(parent_edge[v], v) for v in view.order[1:]}
+    rt.round(phase, nxt)
 
-    while True:
-        jumps: dict[int, PathInfo] = {}
-        for v, mine in state.items():
-            if mine.next in terminal:
-                continue
-            theirs = state[mine.next]
-            jumps[v] = PathInfo(theirs.next, mine.path + theirs.path)
-        if not jumps:
-            break
+    # a node whose pointer reaches a terminal is settled for good, so each
+    # round visits only the nodes that still jump
+    active = [v for v, u in nxt.items() if u not in terminal]
+    while active:
+        jumps = {v: nxt[nxt[v]] for v in active}
         rt.round(phase, jumps)
-        state.update(jumps)
-    return state
+        nxt.update(jumps)
+        active = [v for v in active if nxt[v] not in terminal]
+    return nxt
+
+
+def chain_path(tree: Phylogeny, view: RootedView, v: int, stop: int) -> tuple[int, ...]:
+    """Edge ids walked from ``v`` up ``view`` to its ancestor ``stop``, in order."""
+    path = []
+    while v != stop:
+        e = view.parent_edge[v]
+        path.append(e)
+        v = tree.other_end(e, v)
+    return tuple(path)
 
 
 def linearize(
@@ -142,17 +172,19 @@ def linearize(
         if not junctions:
             break
         iterations += 1
-        info = endnode_paths(work, rt, phase=phase + ".paths", classes=classes)
+        view = work.rooted_view()
+        nxt = endnode_paths(work, rt, phase=phase + ".paths", classes=classes, view=view)
 
-        # endnodes whose upward walk ends at a junction announce themselves
-        # with their chain's weight; the chains are disjoint, so the sums
-        # add each edge weight at most once
+        # endnodes whose terminal is a junction announce themselves with
+        # their chain and its weight; the chains are disjoint, so the walks
+        # read each edge at most once
         acts = []
         for E in sorted(x for x, c in classes.items() if c is NodeClass.ENDNODE):
-            pi = info.get(E)
-            if pi is not None and pi.next in junctions:
-                dist = sum(work.weight(e) for e in pi.path)
-                acts.append((pi.next, (dist, E, pi.path)))
+            J = nxt.get(E)
+            if J in junctions:
+                path = chain_path(work, view, E, J)
+                dist = sum(work.weight(e) for e in path)
+                acts.append((J, (dist, E, path)))
         rt.round(phase, acts)
 
         candidates: dict[int, list] = {}
@@ -167,12 +199,12 @@ def linearize(
         plans = []
         for J, (dist, E, path) in selected.items():
             chain = list(reversed(path))
-            # the root has a leaf neighbour, so J is not the root and its walk
-            # starts on its parent edge
+            # the root has a leaf neighbour, so J is not the root and has a
+            # parent edge
             e_x = next(
                 e
                 for e in work.adjacent_edges(J)
-                if e != chain[0] and e != info[J].path[0]
+                if e != chain[0] and e != view.parent_edge[J]
             )
             plan = []
             node = J

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from nnidist.phylo import Phylogeny, TreeError
+from nnidist.phylo import Phylogeny, RootedView, TreeError
 
 _STRUCTURAL = set("():,;")
 
@@ -197,9 +197,14 @@ def parse(text: str) -> Phylogeny:
     return _Parser(text).parse()
 
 
-def serialize(tree: Phylogeny) -> str:
-    """Canonical Newick text for ``tree`` (see module docstring)."""
-    order, parent_edge, children, _ = tree.rooted_view()
+def serialize(tree: Phylogeny, view: RootedView | None = None) -> str:
+    """Canonical Newick text for ``tree`` (see module docstring).
+
+    ``view``, when given, must be ``tree.rooted_view()``.
+    """
+    if view is None:
+        view = tree.rooted_view()
+    order, parent_edge, children, _ = view
     text: dict[int, str] = {}
     for x in reversed(order[1:]):
         kids = children[x]

@@ -29,7 +29,8 @@ expression captures, so both routes accept the same records with the same
 failure reasons.  :func:`check_trace` compares a record's cost with the
 tree's weight once per middle edge and recorded value: a later record whose
 parsed cost is the very object already verified for that edge needs no
-second comparison.
+second comparison.  Both trace functions build the target's rooted view
+once and read its header digest and the end-tree comparison off it.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ import re
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from nnidist import newick
-from nnidist.phylo import Phylogeny, TreeError
+from nnidist.phylo import Phylogeny, RootedView, TreeError
 
 TRACE_FORMAT = 1
 
@@ -99,13 +101,17 @@ class ReplayError(TreeError):
 
 
 def replay(
-    work: Phylogeny, ops: Iterable[NniOp], target: Phylogeny | None = None
+    work: Phylogeny,
+    ops: Iterable[NniOp],
+    target: Phylogeny | None = None,
+    target_view: RootedView | None = None,
 ) -> Iterator[tuple[NniOp, int, int]]:
     """Apply ``ops`` to ``work`` in place, yielding (op, u, v) per move.
 
     (u, v) are the middle edge's endpoints, which the move does not change.
     Raises ReplayError at the first invalid operation and, once all are
     applied, when ``target`` is given and ``work`` does not match it.
+    ``target_view``, when given, must be ``target.rooted_view()``.
     """
     ends = work._ends
     for i, op in enumerate(ops):
@@ -115,7 +121,7 @@ def replay(
         except (TreeError, KeyError) as exc:
             raise ReplayError(f"operation {i} invalid: {exc}") from exc
         yield op, u, v
-    if target is not None and not work.canonical_equal(target):
+    if target is not None and not work.canonical_equal(target, target_view):
         raise ReplayError("replay does not match the target tree")
 
 
@@ -153,8 +159,8 @@ def verify_transform(
     return True, counted_cost(source, counts), None
 
 
-def tree_digest(tree: Phylogeny) -> str:
-    return hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
+def tree_digest(tree: Phylogeny, view: RootedView | None = None) -> str:
+    return hashlib.sha256(newick.serialize(tree, view).encode()).hexdigest()
 
 
 def trace_lines(
@@ -165,11 +171,13 @@ def trace_lines(
     Raises TreeError for an operation whose edge ids are not all ``int``
     (``True`` would replay as edge 1 but be written as ``true``).
     """
+    # the target's view serves both its digest and the end-tree comparison
+    target_view = target.rooted_view()
     header = {
         "kind": "nni-trace",
         "format": TRACE_FORMAT,
         "source": tree_digest(source),
-        "target": tree_digest(target),
+        "target": tree_digest(target, target_view),
         "ops": len(ops),
     }
     # per middle edge, the record text between e2's key and e3's value and
@@ -177,7 +185,7 @@ def trace_lines(
     # digits and ".", which a JSON string holds unescaped
     pieces: dict[int, tuple[str, str]] = {}
     lines = [json.dumps(header)]
-    for i, (op, u, v) in enumerate(replay(source.copy(), ops, target)):
+    for i, (op, u, v) in enumerate(replay(source.copy(), ops, target, target_view)):
         e1, e2, e3 = op.e1, op.e2, op.e3
         if not type(e1) is type(e2) is type(e3) is int:
             raise TreeError(f"operation {i} ({e1!r},{e2!r},{e3!r}): edge ids must be integers")
@@ -200,20 +208,23 @@ class TraceError(ValueError):
     """Raised when a trace file is malformed or does not replay."""
 
 
-def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
+def _trace_body(path: str | Path) -> tuple[dict, Iterator[tuple[int, str]]]:
     """Read a trace and check its header; returns (header, numbered record lines).
 
     Blank lines are skipped; the numbers are the file's own line numbers.
+    The numbered lines are handed out one at a time, so a long trace holds
+    its line texts but no pair per line.
     """
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise TraceError(f"trace is not text: {exc}") from exc
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
+    filled = sum(1 for ln in lines if ln.strip())
+    if not filled:
         raise TraceError("empty trace file")
+    first = next(k for k, ln in enumerate(lines) if ln.strip())
     try:
-        header = json.loads(lines[0][1])
+        header = json.loads(lines[first])
     except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceError(f"header is not JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "nni-trace":
@@ -224,9 +235,10 @@ def _trace_body(path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
             raise TraceError(f"header {key} {header.get(key)!r} is not an integer")
     if header["format"] != TRACE_FORMAT:
         raise TraceError(f"unsupported trace format {header['format']}")
-    if header["ops"] != len(lines) - 1:
-        raise TraceError(f"header says {header['ops']} ops, file has {len(lines) - 1}")
-    return header, lines[1:]
+    if header["ops"] != filled - 1:
+        raise TraceError(f"header says {header['ops']} ops, file has {filled - 1}")
+    numbered = islice(enumerate(lines, start=1), first + 1, None)
+    return header, ((k, ln) for k, ln in numbered if ln.strip())
 
 
 # A parsed operation record: the move, its middle edge's recorded endpoints and
@@ -246,7 +258,7 @@ _CANONICAL_RECORD = re.compile(
 )
 
 
-def _parse_records(body: list[tuple[int, str]]) -> Iterator[_Record]:
+def _parse_records(body: Iterable[tuple[int, str]]) -> Iterator[_Record]:
     """Parse numbered record lines one at a time, each distinct cost string once.
 
     A line in the canonical spelling is read off the regular expression; any
@@ -298,13 +310,14 @@ def check_trace(
         return False, Fraction(0), str(exc)
     if header.get("source") != tree_digest(source):
         return False, Fraction(0), "source digest mismatch"
-    if header.get("target") != tree_digest(target):
+    target_view = target.rooted_view()
+    if header.get("target") != tree_digest(target, target_view):
         return False, Fraction(0), "target digest mismatch"
     counts: Counter[int] = Counter()
     # middle edge -> the parsed cost object already found equal to its weight;
     # _parse_records hands out one object per distinct cost string
     verified: dict[int, Fraction] = {}
-    steps = replay(source.copy(), _parse_records(body), target)
+    steps = replay(source.copy(), _parse_records(body), target, target_view)
     try:
         for i, (rec, u, v) in enumerate(steps):
             if not (rec.u == u and rec.v == v or rec.u == v and rec.v == u):

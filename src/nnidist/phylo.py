@@ -225,11 +225,17 @@ class Phylogeny:
 
     def classify_nodes(self) -> dict[int, NodeClass]:
         """Node class for every internal node (leaves are not classified)."""
+        ends, labels = self._ends, self._leaf_label
         out: dict[int, NodeClass] = {}
-        for x in self.nodes():
-            if self.is_leaf(x):
+        for x in sorted(self._adj):
+            if x in labels:
                 continue
-            k = sum(1 for e in self._adj[x] if self.is_leaf(self.other_end(e, x)))
+            # x is internal, so an edge at x touches a leaf only at its far end
+            k = 0
+            for e in self._adj[x]:
+                u, v = ends[e]
+                if u in labels or v in labels:
+                    k += 1
             if k >= 2:
                 out[x] = NodeClass.ENDNODE
             elif k == 1:
@@ -296,14 +302,17 @@ class Phylogeny:
     # ------------------------------------------------------------------
     # comparison and copying
 
-    def canonical_equal(self, other: "Phylogeny") -> bool:
-        """Same taxa, same per-taxon leaf weights, same weighted splits."""
+    def canonical_equal(self, other: "Phylogeny", other_view: RootedView | None = None) -> bool:
+        """Same taxa, same per-taxon leaf weights, same weighted splits.
+
+        ``other_view``, when given, must be ``other.rooted_view()``.
+        """
         if self.taxa() != other.taxa():
             return False
         if self.leaf_weight_map() != other.leaf_weight_map():
             return False
         return {b: self._wt[e] for e, b in self.split_bits().items()} == {
-            b: other._wt[e] for e, b in other.split_bits().items()
+            b: other._wt[e] for e, b in other.split_bits(other_view).items()
         }
 
     def copy(self) -> "Phylogeny":

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -11,12 +12,13 @@ from nnidist.edgesort import (
     merge_sort_edges,
     merge_stage,
 )
-from nnidist.linearize import spine
+from nnidist import newick
+from nnidist.linearize import is_spine_order, linearize, spine
 from nnidist.nni import apply_sequence
 from nnidist.phylo import TreeError
 from nnidist.runtime import ParRuntime
 
-from oracles import caterpillar
+from oracles import caterpillar, random_phylogeny
 
 
 def read_order(tree):
@@ -205,6 +207,58 @@ def test_presorted_pair_stage_emits_nothing():
     assert ops == []
     assert len(merged) == 1
     assert merged[0].edges == order
+
+
+def test_merge_stage_rejects_a_wrong_prediction():
+    # the blocks claim an order the spine does not have; as the claimed order
+    # is already merged the stage emits nothing, and its postcondition fails
+    tree = caterpillar(6)
+    e0, e1, e2 = read_order(tree)
+    rank = {e0: 0, e2: 1, e1: 2}
+    blocks = [Block([e0, e2], True), Block([e1], False)]
+    with pytest.raises(TreeError, match="predicted order"):
+        merge_stage(tree.copy(), blocks, rank, ParRuntime(), "t")
+
+
+def _order_variants(tree, order, rng):
+    """The spine order and near misses of it, each as (name, order)."""
+    m = len(order)
+    out = [("correct", list(order)), ("reversed", order[::-1])]
+    if m >= 2:
+        i = rng.randrange(m - 1)
+        swapped = list(order)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        k = rng.randrange(1, m)
+        out += [("adjacent swap", swapped), ("rotation", order[k:] + order[:k])]
+    if m >= 1:
+        leaf = rng.choice(tree.leaf_edges())
+        out += [
+            ("missing an edge", order[:-1]),
+            ("leaf edge in place of one", order[:-1] + [leaf]),
+            ("leaf edge appended", order + [leaf]),
+        ]
+    shuffled = list(order)
+    rng.shuffle(shuffled)
+    return out + [("shuffled", shuffled)]
+
+
+def test_spine_order_check_matches_reading_the_spine():
+    rng = random.Random(760)
+    trees = [caterpillar(n) for n in (4, 5, 6, 9)]
+    trees += [linearize(random_phylogeny(rng, rng.randint(4, 40))).tree for _ in range(40)]
+    trees.append(newick.parse("(a:1,b:1,c:2);"))
+    for tree in trees:
+        order = read_order(tree)
+        for name, cand in _order_variants(tree, order, rng):
+            expect = cand == order or cand == order[::-1]
+            assert is_spine_order(tree, cand) == expect, (name, order, cand)
+
+
+def test_spine_order_check_rejects_every_order_of_a_junction_tree():
+    # all three internal edges meet at the junction: no order is a path
+    t = newick.parse("(a:1,b:1,((c:1,d:1):2,(e:1,f:1):1):3);")
+    for order in permutations(t.internal_edges()):
+        assert not is_spine_order(t, order)
 
 
 def test_determinism():

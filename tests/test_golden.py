@@ -5,9 +5,14 @@ writes for ``approx_nni``'s sequence.  Two generator seeds per size: the odd
 seed draws distinct internal weights, the even seed repeated ones.  A
 change that alters any trace byte (ids, move order, costs, canonical
 serialization in the header digests) fails here and has to say why.
+
+The round accounting of the same instances is pinned too: the SHA-256 of
+``json.dumps(metrics, sort_keys=True)``, so a change that alters the rounds,
+work or peak parallelism of any phase fails here as well.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -35,3 +40,24 @@ def test_trace_bytes_are_pinned(n, seed, digest):
     result = approx_nni(t1, t2)
     text = "\n".join(trace_lines(t1, t2, result.sequence)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+GOLDEN_METRICS = [
+    (8, 1, "b3525cbeab3bda4b06e06b1f501e1e23d5e97ad9f42e01ece67876f6563f0486"),
+    (8, 2, "1145e6a70007b15cd38740ec08dac47227305295c53b50c55c37b4622f93ae04"),
+    (16, 1, "dc96d2a616fc32bd3181e1042b304d9b3431477cb42e6ab8397fa49ea3959075"),
+    (16, 2, "b52e3890c1a2a02cbc68ba2d1f39d01773666dcbba188256240b8545dc64306d"),
+    (32, 1, "14dd4cfa4fd060f74e2fd9680082f8e7d43e8f94d080ddd47ac0a647ffb9a5e6"),
+    (32, 2, "7dca98ba208e392cb3cddf00cc7626afa2bbdb66667f0850f3905494e79fbb05"),
+    (64, 1, "52cbff52fcd72b808039f26064891267e28a57357ea85c998e05d9c7e43d15d8"),
+    (64, 2, "fdcc87246bce396cef8149c3bb9f6bcd9086223cef4fe80a14c8deb4cfe54ed7"),
+    (128, 1, "04c7a247a82efab2a6ae50d84415c88930dc48d251cabb4d2f2674f65cea4ba6"),
+    (128, 2, "7212c4fcc767c9e8c942c1ea3a09999d8fbfa30d25d40914f22054b026a44187"),
+]
+
+
+@pytest.mark.parametrize("n,seed,digest", GOLDEN_METRICS)
+def test_round_accounting_is_pinned(n, seed, digest):
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=3 * n, dup_weights=seed % 2 == 0)
+    metrics = json.dumps(approx_nni(t1, t2).metrics, sort_keys=True)
+    assert hashlib.sha256(metrics.encode()).hexdigest() == digest

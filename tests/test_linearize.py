@@ -2,27 +2,51 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from nnidist import newick
-from nnidist.linearize import endnode_paths, is_linear, linearize, spine
+from nnidist import linearize as linearize_module
+from nnidist.linearize import (
+    chain_path,
+    endnode_paths,
+    is_linear,
+    linearize,
+    spine,
+)
 from nnidist.nni import verify_transform
-from nnidist.phylo import NodeClass, TreeError
+from nnidist.phylo import NodeClass, Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
 from oracles import caterpillar, random_phylogeny, walk_up_oracle
 
 
+def _chains(t):
+    """{endnode: (junction, edge path)} for every endnode whose terminal is a junction."""
+    view = t.rooted_view()
+    nxt = endnode_paths(t, view=view)
+    classes = t.classify_nodes()
+    return {
+        E: (nxt[E], chain_path(t, view, E, nxt[E]))
+        for E, c in classes.items()
+        if c is NodeClass.ENDNODE and E in nxt and classes.get(nxt[E]) is NodeClass.JUNCTION
+    }
+
+
 def test_walks_match_sequential_oracle():
     rng = random.Random(501)
+    read = 0
     for _ in range(20):
         t = random_phylogeny(rng, rng.randint(4, 40))
-        info = endnode_paths(t)
+        nxt = endnode_paths(t)
         expect = walk_up_oracle(t)
-        assert set(info) == set(expect)
-        for v, (nxt, _, _, _, path) in expect.items():
-            assert (info[v].next, info[v].path) == (nxt, path)
+        assert nxt == {v: row[0] for v, row in expect.items()}
+        # the edge paths linearize reads: endnode chains up to a junction
+        for E, (J, path) in _chains(t).items():
+            assert (J, path) == (expect[E][0], expect[E][4])
+            read += 1
+    assert read > 20
 
 
 def test_walk_rounds_within_doubling_budget():
@@ -77,22 +101,22 @@ def test_linearize_operates_each_chain_edge_once_per_iteration():
 
 
 def _splice_choice(text):
-    """Linearize a tree with one junction; returns (spliced endnode, tree, walks)."""
+    """Linearize a tree with one junction; returns (spliced endnode, tree, chains)."""
     t = newick.parse(text)
-    info = endnode_paths(t)
+    chains = _chains(t)
     res = linearize(t)
     assert res.iterations == 1 and is_linear(res.tree)
     chain = [op.e2 for op in res.ops]
-    spliced = [E for E, pi in info.items() if list(reversed(pi.path)) == chain]
+    spliced = [E for E, (_, path) in chains.items() if list(reversed(path)) == chain]
     assert len(spliced) == 1
-    return spliced[0], t, info
+    return spliced[0], t, chains
 
 
 def test_linearize_splices_the_lightest_chain():
     # below the junction: a one-edge chain of weight 5 and a two-edge chain
     # of weight 1 + 1; the lighter chain wins although it is longer
-    E, t, info = _splice_choice("(a:1,b:1,((c:1,d:1):5,(e:1,(f:1,g:1):1):1):3);")
-    assert [t.weight(e) for e in info[E].path] == [1, 1]
+    E, t, chains = _splice_choice("(a:1,b:1,((c:1,d:1):5,(e:1,(f:1,g:1):1):1):3);")
+    assert [t.weight(e) for e in chains[E][1]] == [1, 1]
 
 
 @pytest.mark.parametrize(
@@ -105,14 +129,63 @@ def test_linearize_splices_the_lightest_chain():
 )
 def test_linearize_breaks_weight_ties_by_endnode_id(text, weights):
     # both chains weigh 2; the endnode parsed first has the smaller id and wins
-    E, t, info = _splice_choice(text)
-    tied = [
-        X
-        for X, c in t.classify_nodes().items()
-        if c is NodeClass.ENDNODE and X in info and info[X].next == info[E].next
-    ]
+    E, t, chains = _splice_choice(text)
+    tied = [X for X, (J, _) in chains.items() if J == chains[E][0]]
     assert len(tied) == 2 and E == min(tied)
-    assert [t.weight(e) for e in info[E].path] == weights
+    assert [t.weight(e) for e in chains[E][1]] == weights
+
+
+def _three_caterpillars(n):
+    """Three caterpillars of n/3 taxa, each hung by one end from one junction."""
+    k = n // 3
+    edges, weights, labels = {}, {}, {}
+
+    def add(u, v, w):
+        e = len(edges)
+        edges[e] = (u, v)
+        weights[e] = Fraction(w)
+
+    junction, fresh = 0, 1
+    for arm in range(3):
+        # k - 1 arm nodes: one leaf on each, two on the last
+        up = junction
+        for i in range(k - 1):
+            x, fresh = fresh, fresh + 1
+            add(up, x, arm * k + i + 1)
+            for _ in range(2 if i == k - 2 else 1):
+                labels[fresh] = f"t{len(labels):05d}"
+                add(x, fresh, 1)
+                fresh += 1
+            up = x
+    return Phylogeny(edges, weights, labels)
+
+
+def test_long_chains_are_walked_once(monkeypatch):
+    n = 3000
+    t = _three_caterpillars(n)
+    assert t.n_taxa == n
+    assert list(t.classify_nodes().values()).count(NodeClass.JUNCTION) == 1
+    # paths read per iteration: endnode_paths opens one, chain_path fills it
+    reads = []
+    real_paths, real_chain = linearize_module.endnode_paths, linearize_module.chain_path
+
+    def counting_paths(*args, **kwargs):
+        reads.append(0)
+        return real_paths(*args, **kwargs)
+
+    def counting_chain(*args):
+        path = real_chain(*args)
+        reads[-1] += len(path)
+        return path
+
+    monkeypatch.setattr(linearize_module, "endnode_paths", counting_paths)
+    monkeypatch.setattr(linearize_module, "chain_path", counting_chain)
+    res = linearize(t)
+    ok, _, reason = verify_transform(t, res.ops, res.tree)
+    assert ok, reason
+    assert is_linear(res.tree)
+    assert len(reads) == res.iterations >= 1
+    assert 0 < max(reads) <= n - 3
 
 
 def test_spine_order():

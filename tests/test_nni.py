@@ -246,6 +246,61 @@ def test_trace_round_trip(tmp_path):
     assert cost == sum((t.weight(op.e2) for op in ops), Fraction(0))
 
 
+def test_each_trace_pass_builds_three_rooted_views(tmp_path, monkeypatch):
+    # the source's digest, the target's digest and end-tree comparison (one
+    # view), and the replayed tree's end-tree comparison
+    rng = random.Random(426)
+    t = random_phylogeny(rng, 12)
+    u = t.copy()
+    ops = []
+    for _ in range(8):
+        op = random_valid_op(rng, u)
+        apply_nni(u, op)
+        ops.append(op)
+    views = []
+    real = Phylogeny.rooted_view
+
+    def counting_view(self, root=None):
+        views.append(self)
+        return real(self, root)
+
+    monkeypatch.setattr(Phylogeny, "rooted_view", counting_view)
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    assert len(views) == 3 and views.count(u) == 1
+    views.clear()
+    ok, _, reason = check_trace(path, t, u)
+    assert ok, reason
+    assert len(views) == 3 and views.count(u) == 1
+
+
+def test_blank_lines_keep_file_line_numbers(tmp_path):
+    # blank lines before the header and between records are skipped, and a
+    # bad record is reported by its own line number in the file
+    rng = random.Random(425)
+    t = random_phylogeny(rng, 10)
+    u = t.copy()
+    ops = []
+    for _ in range(4):
+        op = random_valid_op(rng, u)
+        apply_nni(u, op)
+        ops.append(op)
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    header, *records = path.read_text().splitlines()
+    lines = ["", "  ", header, records[0], "", records[1], "\t", *records[2:]]
+    path.write_text("\n".join(lines) + "\n")
+    assert read_trace(path)[1] == ops
+    assert check_trace(path, t, u)[0]
+    lines[5] = records[1].replace('"u"', '"x"')
+    path.write_text("\n".join(lines) + "\n")
+    ok, _, reason = check_trace(path, t, u)
+    assert not ok and reason.startswith("line 6: bad operation record")
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    ok, _, reason = check_trace(path, t, u)
+    assert (ok, reason) == (False, "header says 4 ops, file has 3")
+
+
 def test_check_trace_catches_tampering(tmp_path):
     rng = random.Random(428)
     t = random_phylogeny(rng, 10)
