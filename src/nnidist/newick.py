@@ -32,10 +32,16 @@ class ParseError(ValueError):
         self.message = message
 
 
+_DECIMAL = frozenset("0123456789.")
+
+
 def parse_weight(text: str, offset: int = 0) -> Fraction:
-    """Parse a positive plain-decimal string (``7``, ``0.25``) into a Fraction."""
-    ok = text and text.count(".") <= 1 and all(c.isdigit() or c == "." for c in text)
-    if not ok or not any(c.isdigit() for c in text):
+    """Parse a positive plain-decimal string (``7``, ``0.25``) into a Fraction.
+
+    Only the ASCII digits 0-9 count: ``str.isdigit`` also passes ``²``,
+    which ``int`` refuses, and ``١``, which ``int`` reads as 1.
+    """
+    if text.count(".") > 1 or not set(text) <= _DECIMAL or not text.strip("."):
         raise ParseError(offset, f"malformed branch length {text!r}")
     if "." in text:
         whole, frac = text.split(".")

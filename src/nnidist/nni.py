@@ -5,6 +5,9 @@ detaches e1 from the shared node with e2 and reattaches it at the far node,
 and symmetrically for e3, so the subtrees hanging off the two outer edges
 swap places.  The cost is the weight of the middle edge e2.  Every operation
 is its own inverse, and (e1, e2, e3) and (e3, e2, e1) are the same move.
+So two back-to-back moves on one middle edge are worth at most one, and
+:func:`shorten` cancels or merges every such pair in one pass over the
+names, without a tree.
 
 One kernel, :func:`apply_nni`, applies every move: it checks the operation
 and then edits the tree's edge table and adjacency lists in place, a handful
@@ -140,6 +143,50 @@ def apply_sequence(tree: Phylogeny, ops: Iterable[NniOp]) -> tuple[Phylogeny, Fr
 def invert_sequence(ops: Sequence[NniOp]) -> list[NniOp]:
     """A sequence undoing ``ops``: each move is self-inverse, so just reverse."""
     return list(reversed(ops))
+
+
+def shorten(ops: Sequence[NniOp]) -> tuple[list[NniOp], list[int]]:
+    """Cancel or merge back-to-back moves on one middle edge, in one pass.
+
+    Returns ``(kept, origin)``: a sequence with the same end tree, no longer
+    and no dearer than ``ops``, in which no two adjacent moves share a middle
+    edge; ``origin[i]`` is the index in ``ops`` of the first move that
+    ``kept[i]`` stands for, so ``origin`` increases.
+
+    A move on e swaps one edge at one end of e with one edge at the other
+    end and changes nothing else.  So two back-to-back moves on e leave the
+    four edges around e in one of the three ways of pairing them off at e's
+    two ends.  If that is the starting pairing, no move is needed: this
+    covers the exact undo, and also ``(e1, e, e3), (x, e, y)`` with x and y
+    the two other edges, which leaves every edge adjacency as it was but
+    swaps the node ids at e's ends (a key on the edge endpoint table misses
+    that revisit).  That pair shares no outer edge; the undo shares both.
+    For either other pairing the two moves share exactly one outer edge,
+    and the single move swapping the two unshared edges, ``(a - b, e, b - a)``
+    for outer-edge sets a and b, reaches it.  Later moves name edges only,
+    so they stay valid.
+
+    The kept moves form a stack in which no two neighbours share a middle
+    edge, so a merged move never meets another kept move on its own edge;
+    after a cancel the next move meets the one below.  A move whose middle
+    edge differs from the top's is pushed as it is.  No tree is touched.
+    """
+    kept: list[NniOp] = []
+    origin: list[int] = []
+    for i, op in enumerate(ops):
+        if not kept or kept[-1].e2 != op.e2:
+            kept.append(op)
+            origin.append(i)
+            continue
+        last = kept.pop()
+        first = origin.pop()
+        a = {last.e1, last.e3}
+        b = {op.e1, op.e3}
+        if len(a & b) == 1:
+            (x,), (y,) = a - b, b - a
+            kept.append(NniOp(x, op.e2, y))
+            origin.append(first)
+    return kept, origin
 
 
 def verify_transform(

@@ -12,6 +12,15 @@ once (positionally for two linear trees with equal spine weight sequences,
 by canonical traversal for equal trees) and the correspondence stays valid
 because matched operations change both trees in lockstep.
 
+The inverse of tree 2's journey often starts by undoing or redoing the move
+just before it.  So each component's joined sequence goes through
+:func:`nnidist.nni.shorten`, which cancels or merges back-to-back moves on
+one middle edge, and the self-check replays the shortened answer.  A merged
+move keeps the phase of the earlier of its two moves, so each phase keeps
+one contiguous slice of the answer and the phase costs still add up to the
+cost.  The round and work counters describe the schedule that made the
+moves, before shortening.
+
 Pseudo-leaf edges inside components carry the edge id of the cut they stand
 for, so stitched sequences are valid on the full trees as emitted: a swap
 that moves a pseudo-leaf moves the whole subtree beyond the cut, and a cut
@@ -21,9 +30,11 @@ in every component.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from nnidist.balance import AuxiliaryTree, build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges
@@ -35,6 +46,7 @@ from nnidist.nni import (
     apply_sequence,
     counted_cost,
     invert_sequence,
+    shorten,
     verify_transform,
 )
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
@@ -206,18 +218,18 @@ def _component_sequence(
 
     back = invert_sequence(lin2 + sort2 + rebal2)
     back = _translate(back, _equal_tree_edge_map(leafs.tree, balanced2))
+    ops, origin = shorten(lin1 + sort1 + rebal1 + leafs.ops + back)
 
-    def tally(ops: list[NniOp]) -> Fraction:
-        return counted_cost(c1, Counter(o.e2 for o in ops))
-
-    costs["linearize_1"] = tally(lin1)
-    costs["edge_sort_1"] = tally(sort1)
-    costs["linearize_aux_1"] = tally(rebal1)
-    costs["leaf_sort"] = tally(leafs.ops)
-    costs["linearize_aux_2"] = tally(back[: len(rebal2)])
-    costs["edge_sort_2"] = tally(back[len(rebal2): len(rebal2) + len(sort2)])
-    costs["linearize_2"] = tally(back[len(rebal2) + len(sort2):])
-    return lin1 + sort1 + rebal1 + leafs.ops + back, costs
+    # a kept move belongs to the phase of the first move it stands for, and
+    # origin increases, so each phase keeps one contiguous slice of ops
+    lengths = (len(lin1), len(sort1), len(rebal1), len(leafs.ops),
+               len(rebal2), len(sort2), len(lin2))
+    lo = 0
+    for name, end in zip(PHASE_NAMES, accumulate(lengths)):
+        hi = bisect_left(origin, end)
+        costs[name] = counted_cost(c1, Counter(o.e2 for o in ops[lo:hi]))
+        lo = hi
+    return ops, costs
 
 
 def approx_nni(

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, and file outputs."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,16 @@ def test_malformed_tree_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-indic-one"])
+def test_non_ascii_digit_length_is_a_usage_error(tmp_path, capsys, digit):
+    bad = tmp_path / "bad.nwk"
+    good = tmp_path / "good.nwk"
+    bad.write_text(f"((a:1,b:1):{digit},c:1,d:1);\n", encoding="utf-8")
+    good.write_text("((a:1,c:1):1,b:1,d:1);\n")
+    assert main(["approx", str(bad), str(good)]) == 2
+    assert "malformed branch length" in capsys.readouterr().err
+
+
 def test_infeasible_pair_exits_one(tmp_path, capsys):
     a = tmp_path / "a.nwk"
     b = tmp_path / "b.nwk"
@@ -226,8 +237,11 @@ def test_verify_ignores_a_blank_line(traced_pair, capsys):
         (lambda rec: rec.update(w="1..5"), "bad operation record"),
         (lambda rec: rec.update(u=rec["u"] + 0.5), "bad operation record"),
         (lambda rec: rec.update(e1=str(rec["e1"])), "bad operation record"),
+        (lambda rec: rec.update(w="\u00b2"), "malformed branch length"),
+        (lambda rec: rec.update(w="\u0661"), "malformed branch length"),
     ],
-    ids=["unknown-e2", "missing-u", "integer-w", "malformed-w", "fractional-u", "string-e1"],
+    ids=["unknown-e2", "missing-u", "integer-w", "malformed-w", "fractional-u", "string-e1",
+         "superscript-two-w", "arabic-indic-one-w"],
 )
 def test_verify_reports_a_corrupt_record(traced_pair, capsys, change, reason):
     p1, p2, trace = traced_pair
@@ -243,6 +257,17 @@ def test_verify_reports_a_deeply_nested_record(traced_pair, capsys):
     trace.write_text("\n".join([lines[0], "[" * 200_000 + "]" * 200_000, *lines[2:]]) + "\n")
     assert main(["verify", p1, str(trace), p2]) == 1
     assert "verification failed: line 2: bad operation record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-indic-one"])
+def test_verify_reports_a_non_ascii_digit_cost_in_the_written_spelling(traced_pair, capsys, digit):
+    # unescaped, as trace_lines spells a record, so the reader's pattern takes it
+    p1, p2, trace = traced_pair
+    lines = trace.read_text().splitlines()
+    lines[1] = re.sub(r'"w": "[^"]*"', f'"w": "{digit}"', lines[1])
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["verify", p1, str(trace), p2]) == 1
+    assert "line 2: bad operation record: offset 0: malformed branch length" in capsys.readouterr().err
 
 
 def test_verify_missing_trace_is_a_usage_error(pair_files, tmp_path, capsys):

@@ -21,16 +21,16 @@ from nnidist.nni import trace_lines
 from nnidist.pipeline import approx_nni
 
 GOLDEN = [
-    (8, 1, "2df071bf9793439db0d7146d682c0a1edafbd9c858bb7d869e96aa7d2cc738ce"),
-    (8, 2, "17b6345abc5f13c9c72074c858569137ef531e323a36158eb0c5b530e5fb07b0"),
-    (16, 1, "7921715c9fbd10a0b2ba494cc986e4c3700ecbde8d62fb7ff1e9c6270794d8ef"),
-    (16, 2, "26e09bd05408d3af998021085ac2e79fc2badc9a0ec460e018ebbcb67d640a53"),
-    (32, 1, "8425e7cf7e99c1fc3ca2e26541498e70339c2ebebb0e84da0f092e42c8bffd16"),
-    (32, 2, "a1e961c5177cb7550baaeb16a7ea8d1f3f5659f914adfd726a616bfdec26ad10"),
-    (64, 1, "9430aefe862b8df653101592be1dba8f1bbf6098ea97f18b20712f3df244d869"),
-    (64, 2, "d04c63754a03ade4e6d773286c0d1ce71ff76fa15f94d9aca6ee64d3c95fbb18"),
-    (128, 1, "a3939f61d1b43f9a88c04ddfcd66ccbc99a6cf6695afbabf3861263d73b4863e"),
-    (128, 2, "c128b7d6eb19979845bb0064945030f2bcad9b99b497cdadbc610981d1278501"),
+    (8, 1, "c59942bfd1897f0fad57a6e7f82c8926c23495a48539dab1c37f4a9881100dcf"),
+    (8, 2, "c699d927a30b29e675f38928d1d092497a568f14884d6d23e40d81074d94c504"),
+    (16, 1, "4d6de3f8cfce2781cf3d808c4eb006c323eed48fc371f74d0c65092605ce4480"),
+    (16, 2, "9f92dafa1c66efc4c4e14f60632c9da96c169ec37cce191e7e5fb2e4b85bce83"),
+    (32, 1, "2622f4c91fb7881029859bc102e7ec2ad01077413a9eceddb369c8a892924e67"),
+    (32, 2, "694417f2a92d8a713c504ed4ce73060260186cc5a0bee5867b839c9bb6fe7beb"),
+    (64, 1, "15475b7983def34e0d00d62486e87d02edbf89cbd768a897880ded491dc6f4e6"),
+    (64, 2, "d06f6e5cb5e861fde3330c8d39a0a2000a5dbe0445a3e91e91da2b7328be0048"),
+    (128, 1, "ec1357ac3409079de60bfe456b3680c79e828fbd03fb0a91a52c69d092203c5e"),
+    (128, 2, "d68d884002d6cff771abc1094722dccbaadd04ae45fa7db978ac2cfbb9011b3f"),
 ]
 
 

@@ -68,6 +68,8 @@ def test_parse_allows_whitespace_between_tokens():
         "(a:1,b:2,c:1e3);",         # exponent notation
         "(a:1,b:2,c:1.2.3);",       # two dots
         "(a:1,b:2,c:.);",           # no digits
+        "(a:1,b:2,c:\u00b2);",       # superscript two: isdigit() but not int()
+        "(a:1,b:2,c:\u0661);",       # Arabic-Indic one: int() reads it as 1
         "(a:1;b:2,c:3);",           # stray ;
         "(a:1,b:2,(c:3):4);",       # one-child internal node
         "((a:1,b:2,c:3):4,d:5);",   # three-child internal (non-root)

@@ -26,6 +26,7 @@ from nnidist.nni import (
     invert_sequence,
     read_trace,
     replay,
+    shorten,
     trace_lines,
     verify_transform,
     write_trace,
@@ -225,6 +226,107 @@ def test_verify_transform():
     bad = ops[:-1] + [NniOp(9999, ops[-1].e2, ops[-1].e3)]
     ok, _, reason = verify_transform(t, bad, u)
     assert not ok and "invalid" in reason
+
+
+def _quartet_edges():
+    t = quartet()
+    return t, t.internal_edges()[0], [t.leaf_edge_of(s) for s in "abcd"]
+
+
+def _same_end(tree, ops, kept):
+    return apply_sequence(tree, ops)[0].canonical_equal(apply_sequence(tree, kept)[0])
+
+
+def test_shorten_cancels_an_exact_undo_in_both_directions():
+    t, m, (a, _, c, _) = _quartet_edges()
+    assert shorten([NniOp(a, m, c), NniOp(a, m, c)]) == ([], [])
+    assert shorten([NniOp(a, m, c), NniOp(c, m, a)]) == ([], [])
+
+
+def test_shorten_cancels_the_pair_that_only_swaps_node_ids():
+    # a and b sit at one end of m, c and d at the other: swapping a with c
+    # and then b with d pairs {a, b} and {c, d} off again at swapped ends
+    t, m, (a, b, c, d) = _quartet_edges()
+    ops = [NniOp(a, m, c), NniOp(b, m, d)]
+    end, cost = apply_sequence(t, ops)
+    assert end.canonical_equal(t) and cost == 2 * t.weight(m)
+    assert {e: end.endpoints(e) for e in (a, b, c, d)} != {e: t.endpoints(e) for e in (a, b, c, d)}
+    assert shorten(ops) == ([], [])
+
+
+def test_shorten_merges_two_moves_sharing_one_outer_edge():
+    t, m, (a, _, c, d) = _quartet_edges()
+    # after (a, m, c), c sits beside b and a beside d; (c, m, d) then
+    # leaves a with c and b with d, which (a, m, d) reaches in one move
+    ops = [NniOp(a, m, c), NniOp(c, m, d)]
+    kept, origin = shorten(ops)
+    assert kept == [NniOp(a, m, d)] and origin == [0]
+    assert _same_end(t, ops, kept)
+
+
+def test_shorten_unwinds_nested_pairs():
+    t = newick.parse("((a:1,b:1):5,c:1,(d:1,e:1):6);")
+    a, c, d = (t.leaf_edge_of(s) for s in "acd")
+    # ab spans the cherry {a, b} and de the cherry {d, e}; c meets both
+    ab = next(x for x in t.internal_edges() if t.weight(x) == 5)
+    de = next(x for x in t.internal_edges() if t.weight(x) == 6)
+    first, inner = NniOp(a, ab, c), NniOp(a, de, d)
+    # A B B A: the inner pair cancels, then the outer one meets its partner
+    assert shorten([first, inner, inner, first]) == ([], [])
+    # A B B A': after A, c sits beside b and de beside a; A' = (c, ab, de)
+    # shares c with A, so the outer pair merges into one move at A's place
+    ops = [first, inner, inner, NniOp(c, ab, de)]
+    kept, origin = shorten(ops)
+    assert kept == [NniOp(a, ab, de)] and origin == [0]
+    assert _same_end(t, ops, kept)
+
+
+def test_shorten_leaves_moves_on_different_middle_edges_alone():
+    rng = random.Random(428)
+    t = random_phylogeny(rng, 12)
+    end, ops = _walk(rng, t, 40)
+    ops = [op for i, op in enumerate(ops) if i == 0 or op.e2 != ops[i - 1].e2]
+    assert len(ops) > 20
+    assert shorten(ops) == (ops, list(range(len(ops))))
+
+
+def _walk_with_repeats(rng, tree, moves, repeat):
+    """A random valid walk from ``tree`` in which, with probability ``repeat``,
+    a move reuses the middle edge of the move before it: (end tree, ops)."""
+    end = tree.copy()
+    ops = []
+    for _ in range(moves):
+        if ops and rng.random() < repeat:
+            e2 = ops[-1].e2
+            u, v = end.endpoints(e2)
+            op = NniOp(rng.choice([x for x in end.adjacent_edges(u) if x != e2]), e2,
+                       rng.choice([x for x in end.adjacent_edges(v) if x != e2]))
+        else:
+            op = random_valid_op(rng, end)
+        apply_nni(end, op)
+        ops.append(op)
+    return end, ops
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(
+    n=st.integers(4, 14),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 40),
+    repeat=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+)
+def test_shortened_walks_reach_the_same_tree(n, seed, moves, repeat):
+    rng = random.Random(seed)
+    tree = random_phylogeny(rng, n, "small" if seed % 2 else "distinct")
+    end, ops = _walk_with_repeats(rng, tree, moves, repeat)
+    kept, origin = shorten(ops)
+    reached, cost = apply_sequence(tree, kept)
+    assert reached.canonical_equal(end)
+    assert all(x.e2 != y.e2 for x, y in zip(kept, kept[1:]))
+    assert len(kept) <= len(ops)
+    assert cost <= apply_sequence(tree, ops)[1]
+    assert len(origin) == len(kept) and origin == sorted(set(origin))
+    assert all(k.e2 == ops[i].e2 for k, i in zip(kept, origin))
 
 
 def test_trace_round_trip(tmp_path):

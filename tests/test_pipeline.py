@@ -175,3 +175,11 @@ def test_costs_are_exact_fractions():
     result = approx_nni(t1, t2)
     assert isinstance(result.cost, Fraction)
     assert all(isinstance(v, Fraction) for v in result.phase_costs.values())
+
+
+def test_no_two_adjacent_moves_share_a_middle_edge():
+    for n, seed in [(8, 1), (16, 2), (32, 3), (64, 4), (128, 5)]:
+        t1, t2, _ = generate_pair(seed=seed, n=n, moves=3 * n, dup_weights=seed % 2 == 0)
+        sequence = approx_nni(t1, t2).sequence
+        assert sequence
+        assert all(x.e2 != y.e2 for x, y in zip(sequence, sequence[1:]))
