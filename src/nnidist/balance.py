@@ -12,7 +12,8 @@ Slots: the subtree roots sit at positions (1,1) and (1,2); the children of
 position.  Two sources with equal taxa and equal internal weight multisets
 produce byte-identical companions, which is what lets the later stages line
 the two trees up against each other: the pipeline builds one companion per
-component and checks it against both trees.
+component and checks it once, since the two trees have the same leaf weights
+and internal weight multiset and the shape checks read the companion alone.
 """
 
 from __future__ import annotations

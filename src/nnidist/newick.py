@@ -45,12 +45,14 @@ def parse_weight(text: str, offset: int = 0) -> Fraction:
         raise ParseError(offset, f"malformed branch length {text!r}")
     if "." in text:
         whole, frac = text.split(".")
-        value = Fraction(int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 10 ** len(frac))
+        den = 10 ** len(frac)
+        num = int(whole or "0") * den + int(frac or "0")
     else:
-        value = Fraction(int(text))
-    if value <= 0:
+        num, den = int(text), 1
+    # no sign can get past the character check, so zero is the only nonpositive value
+    if num == 0:
         raise ParseError(offset, f"branch length {text!r} is not positive")
-    return value
+    return Fraction(num, den)
 
 
 def format_weight(w: Fraction) -> str:

@@ -26,6 +26,7 @@ leaf edges, so the sorted internal weight multiset is computed once per tree.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -76,7 +77,11 @@ class Phylogeny:
         self._ends: dict[int, tuple[int, int]] = {
             int(e): (int(u), int(v)) for e, (u, v) in edges.items()
         }
-        self._wt: dict[int, Fraction] = {int(e): Fraction(w) for e, w in weights.items()}
+        # parse, decomposition and the companion pass weights that already
+        # are Fractions; re-wrapping one costs an ABC check and a new object
+        self._wt: dict[int, Fraction] = {
+            int(e): w if type(w) is Fraction else Fraction(w) for e, w in weights.items()
+        }
         self._adj = _adjacency(self._ends)
         self._leaf_label: dict[int, str] = {int(v): str(s) for v, s in leaf_labels.items()}
         self._label_leaf: dict[str, int] = {s: v for v, s in self._leaf_label.items()}
@@ -94,7 +99,8 @@ class Phylogeny:
         if set(self._wt) != set(self._ends):
             problems.append("weight keys do not match edge keys")
         for e, w in self._wt.items():
-            if w <= 0:
+            # a Fraction keeps its sign in the numerator
+            if w.numerator <= 0:
                 problems.append(f"edge {e} has nonpositive weight {w}")
         for e, (u, v) in self._ends.items():
             if u == v:
@@ -207,9 +213,19 @@ class Phylogeny:
         return {s: self._wt[self._adj[v][0]] for s, v in self._label_leaf.items()}
 
     def internal_weight_multiset(self) -> tuple[Fraction, ...]:
-        """Sorted internal weights, computed on the first call."""
+        """Sorted internal weights, computed on the first call.
+
+        The sort key is ``w`` scaled to the common denominator ``L`` of all
+        the weights, the integer ``w.numerator * (L // w.denominator)``: it
+        orders exactly as the Fractions do, without a Python-level
+        ``Fraction.__lt__`` per comparison, and the sort is stable, so the
+        tuple is the one ``sorted`` gives.
+        """
         if self._internal_ws is None:
-            self._internal_ws = tuple(sorted(self._wt[e] for e in self.internal_edges()))
+            ws = [self._wt[e] for e in self.internal_edges()]
+            lcm = math.lcm(*(w.denominator for w in ws))
+            ws.sort(key=lambda w: w.numerator * (lcm // w.denominator))
+            self._internal_ws = tuple(ws)
         return self._internal_ws
 
     def root_handle(self) -> int:

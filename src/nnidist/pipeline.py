@@ -21,6 +21,11 @@ one contiguous slice of the answer and the phase costs still add up to the
 cost.  The round and work counters describe the schedule that made the
 moves, before shortening.
 
+A component without an internal edge is a three-leaf star whose two trees
+were already found to agree, so it is skipped without building anything.
+Any other component has moves to make: every good pair was cut, and two
+canonically equal trees would pair every internal edge.
+
 Pseudo-leaf edges inside components carry the edge id of the cut they stand
 for, so stitched sequences are valid on the full trees as emitted: a swap
 that moves a pseudo-leaf moves the whole subtree beyond the cut, and a cut
@@ -41,11 +46,14 @@ from nnidist.edgesort import merge_sort_edges
 from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import LinearizeResult, linearize, spine
+# apply_sequence is not called here, but perfbench/tracing.py times it in this
+# module's namespace, so the import stays
 from nnidist.nni import (
     NniOp,
     apply_sequence,
     counted_cost,
     invert_sequence,
+    replay,
     shorten,
     verify_transform,
 )
@@ -188,7 +196,10 @@ def _forward_to_balanced(
     sorted_edges = merge_sort_edges(lin.tree, target, rt)
     emap, nmap = _linear_maps(sorted_edges.tree, aux_lin.tree, aux_spine)
     rebalance = _translate(invert_sequence(aux_lin.ops), emap)
-    balanced, _ = apply_sequence(sorted_edges.tree, rebalance)
+    # merge_sort_edges returned its own copy, so the rebalance replays in place
+    balanced = sorted_edges.tree
+    for _ in replay(balanced, rebalance):
+        pass
     root = nmap[aux.tree.root_handle()]
     return (lin.ops, sorted_edges.ops, rebalance), balanced, root
 
@@ -196,15 +207,26 @@ def _forward_to_balanced(
 def _component_sequence(
     c1: Phylogeny, c2: Phylogeny, rt: ParRuntime
 ) -> tuple[list[NniOp], dict[str, Fraction]]:
-    costs = {name: Fraction(0) for name in PHASE_NAMES}
-    if c1.canonical_equal(c2):
-        return [], costs
+    """One component's moves and the cost of each phase that has any.
+
+    ``c1`` and ``c2`` passed :func:`finiteness_check` (run on each component
+    pair by ``decompose``, or on the full trees by :func:`approx_nni` when
+    there is no good pair): equal taxa, leaf weights and internal weight
+    multisets.
+    """
+    # Every good pair was cut, so a component with an internal edge holds
+    # none, and two canonically equal trees would pair every edge: its trees
+    # differ.  A star's taxa and leaf weights are equal, so it needs no move.
+    if not c1.internal_edges():
+        return [], {}
 
     # both sides share one companion: equal taxa, leaf weights and internal
-    # weight multisets build byte-identical companions
+    # weight multisets build byte-identical companions.  One check serves
+    # both trees: check_auxiliary compares aux with its source's leaf weight
+    # map and internal weight multiset, which equal c2's, and its depth and
+    # descending-path checks read aux alone.
     aux = build_auxiliary(c1)
     check_auxiliary(c1, aux)
-    check_auxiliary(c2, aux)
     aux_lin = linearize(aux.tree, rt)
     aux_spine = spine(aux_lin.tree)
     (lin1, sort1, rebal1), balanced1, root1 = _forward_to_balanced(
@@ -224,10 +246,12 @@ def _component_sequence(
     # origin increases, so each phase keeps one contiguous slice of ops
     lengths = (len(lin1), len(sort1), len(rebal1), len(leafs.ops),
                len(rebal2), len(sort2), len(lin2))
+    costs = {}
     lo = 0
     for name, end in zip(PHASE_NAMES, accumulate(lengths)):
         hi = bisect_left(origin, end)
-        costs[name] = counted_cost(c1, Counter(o.e2 for o in ops[lo:hi]))
+        if hi > lo:  # an empty slice costs nothing
+            costs[name] = counted_cost(c1, Counter(o.e2 for o in ops[lo:hi]))
         lo = hi
     return ops, costs
 

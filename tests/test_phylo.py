@@ -1,9 +1,14 @@
 """Tree core: construction, validation, derived views."""
 
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist.gen import generate_pair
 from nnidist.newick import serialize
@@ -11,6 +16,7 @@ from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import NodeClass, Phylogeny, TreeError, finiteness_check
 
 from oracles import (
+    caterpillar,
     classify_by_leaf_count,
     random_phylogeny,
     random_valid_op,
@@ -19,6 +25,9 @@ from oracles import (
     splits_by_removal,
     weighted_splits,
 )
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None)
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 def quartet():
@@ -112,11 +121,57 @@ def test_three_taxon_star_is_valid():
             {0: "a", 1: "b", 2: "c"},
             "self-loop",
         ),
+        # zero and negative weights that already are Fractions
+        (
+            {0: (3, 0), 1: (3, 1), 2: (3, 2)},
+            {0: Fraction(0), 1: 1, 2: 1},
+            {0: "a", 1: "b", 2: "c"},
+            "nonpositive",
+        ),
+        (
+            {0: (3, 0), 1: (3, 1), 2: (3, 2)},
+            {0: 1, 1: Fraction(-1, 2), 2: 1},
+            {0: "a", 1: "b", 2: "c"},
+            "edge 1 has nonpositive weight -1/2",
+        ),
     ],
 )
 def test_validation_rejects(edges, weights, labels, fragment):
     with pytest.raises(TreeError, match=fragment):
         Phylogeny(edges, weights, labels)
+
+
+@pytest.mark.parametrize(
+    "given_weight,stored",
+    [(3, Fraction(3)), ("3/2", Fraction(3, 2)), (Fraction(2, 7), Fraction(2, 7))],
+)
+def test_weights_are_stored_as_fractions(given_weight, stored):
+    t = Phylogeny(
+        {0: (3, 0), 1: (3, 1), 2: (3, 2)},
+        {0: given_weight, 1: 1, 2: 1},
+        {0: "a", 1: "b", 2: "c"},
+    )
+    assert type(t.weight(0)) is Fraction
+    assert t.weight(0) == stored
+
+
+_WEIGHT = st.one_of(
+    # few values, so repeats are common, with non-decimal denominators
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(5), Fraction(9, 4)]),
+    st.builds(Fraction, st.integers(1, 50), st.integers(1, 12)),
+    # numerators and denominators above 2**64
+    st.builds(Fraction, st.integers(1, 2**80), st.integers(2**64, 2**80)),
+    st.builds(Fraction, st.integers(2**64, 2**80), st.integers(1, 2**80)),
+)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.lists(_WEIGHT, min_size=1, max_size=25))
+def test_internal_weight_multiset_sorts_in_fraction_order(ws):
+    t = caterpillar(len(ws) + 3, ws)
+    got = t.internal_weight_multiset()
+    assert got == tuple(sorted(ws))
+    assert all(type(w) is Fraction for w in got)
 
 
 def test_classify_matches_adjacency_scan():
