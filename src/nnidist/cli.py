@@ -30,6 +30,8 @@ def _load_tree(path: str) -> Phylogeny:
         return newick.read_tree(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not text: {exc}") from exc
     except (newick.ParseError, TreeError) as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 

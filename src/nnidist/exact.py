@@ -6,16 +6,16 @@ Moves are the two non-redundant swaps per internal edge.  A state is the
 sorted tuple of its internal edges' (split bitset, weight rank) pairs,
 packed into ints: the split bitsets of :meth:`Phylogeny.split_bits` and
 their weights are what :meth:`Phylogeny.canonical_equal` compares, and the
-leaf weights never change along a search.
+leaf weights never change along a search.  The ranks and the good-pair keys
+both come from one :class:`nnidist.goodpairs.PairBound` of tree 2.
 
-The heuristic ``h(T)`` is the good-pair lower bound against tree 2
-(:class:`nnidist.goodpairs.PairBound`): the internal weight of T that has
-no good-pair partner in tree 2.  It keeps the search exact because it is
-admissible and consistent.  A move on edge e moves two subtrees past e, so
-every other edge keeps its split and the internal weights on each of its
-sides; only e's own key changes and e keeps its weight, which is the move's
-cost.  The key losing e may lose one unpaired weight and the key gaining e
-may gain one, so ``h(s) <= step + h(s')`` for every move s -> s', and
+The heuristic ``h(T)`` is that table's lower bound: the internal weight of
+T that has no good-pair partner in tree 2.  It keeps the search exact
+because it is admissible and consistent.  A move on edge e moves two
+subtrees past e, so every other edge keeps its split and the internal
+weights on each of its sides; only e's own key changes and e keeps its
+weight, which is the move's cost.  So only e's term in h can change, by at
+most that weight: ``h(s) <= step + h(s')`` for every move s -> s', and
 ``h(goal) = 0``.  With a consistent heuristic a state is settled at its
 least cost, so the goal's cost when it is settled is the distance (Hart,
 Nilsson and Raphael 1968).  With h = 0 the search is uniform-cost search.
@@ -73,11 +73,11 @@ def exact_dnni(
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
     bound = PairBound(t2)
-    ranks = sorted(set(t1.internal_weight_multiset()))
-    rank = {w: i for i, w in enumerate(ranks)}
+    rank = bound.rank
+    width = len(rank)
 
     def state(keys: dict[int, tuple[Fraction, int, int]]) -> tuple[int, ...]:
-        return tuple(sorted(bits * len(ranks) + rank[w] for w, bits, _ in keys.values()))
+        return tuple(sorted(bits * width + rank[w] for w, bits, _ in keys.values()))
 
     goal = state(bound.edge_keys(t2))
     keys = bound.edge_keys(t1)

@@ -11,7 +11,9 @@ integer bitset of :meth:`Phylogeny.split_bits`, away-side multiset of the
 other internal weights as an integer with one count field per weight
 rank).  The key spells out the definition, so two edges form a good pair
 exactly when their keys are equal; no separate soundness or completeness
-check is needed.
+check is needed.  Distinct edges of one tree have distinct splits, so keys
+are unique within a tree and every edge has at most one partner: the
+target edge with its key in :class:`PairBound`'s table of tree 2.
 
 ``partition_labeling`` is the paper's O(log n)-round parallel labeling of
 the same question, kept and tested on its own.  Each tree is augmented by
@@ -102,12 +104,20 @@ class AugmentedTree:
         return v in self.label
 
 
+def _weight_rank(tree: Phylogeny) -> dict[Fraction, int]:
+    """Rank of each distinct internal weight, read off the sorted multiset."""
+    rank: dict[Fraction, int] = {}
+    for w in tree.internal_weight_multiset():
+        rank.setdefault(w, len(rank))
+    return rank
+
+
 def augment_and_root(tree: Phylogeny) -> AugmentedTree:
     anchor = min(tree.taxa())
     anchor_node = tree.leaf_node(anchor)
     root = tree.other_end(tree.leaf_edge_of(anchor), anchor_node)
 
-    ranks = {w: i for i, w in enumerate(sorted({tree.weight(e) for e in tree.internal_edges()}))}
+    ranks = _weight_rank(tree)
     base = tree.max_node_id() + 1
     sub_node = {}
     wt_node = {}
@@ -335,57 +345,70 @@ class GoodEdgePairSet:
         return len(self.pairs)
 
 
-def _edge_keys(
-    tree: Phylogeny, weight_field: dict[Fraction, int]
-) -> dict[int, tuple[Fraction, int, int]]:
-    """Exact good-pair key of every internal edge, in one post-order pass.
+class PairBound:
+    """The good-pair table of one fixed target tree.
 
-    The key is (weight, away-side taxa bitset, away-side count vector of the
-    other internal weights), the away side being the one without the smallest
-    taxon.  The taxa come from :meth:`Phylogeny.split_bits`.
+    ``rank`` numbers the target's distinct internal weights in increasing
+    order.  The table maps the exact key (see :meth:`edge_keys`) of each of
+    the target's internal edges to that edge; keys are unique within a tree,
+    so an edge of another tree is paired exactly when its key is in the
+    table.  The bound of a tree T, :func:`lower_bound` against the target,
+    is then the weight of T's edges whose keys are not in the table, one
+    key pass per tree.  Trees must be finite against the target (see
+    ``finiteness_check``).  :mod:`nnidist.exact` uses it as its A* heuristic
+    and says why it is consistent.
     """
-    view = tree.rooted_view()
-    taxa_at = tree.split_bits(view)
-    # internal weights on the away side of each node's parent edge, that edge included
-    weights_at: dict[int, int] = {}
-    keys: dict[int, tuple[Fraction, int, int]] = {}
-    for x in reversed(view.order[1:]):
-        kids = view.children[x]
-        away = sum(weights_at[c] for c in kids)
-        if kids:
-            e = view.parent_edge[x]
-            w = tree.weight(e)
-            keys[e] = (w, taxa_at[e], away)
-            away += weight_field[w]
-        weights_at[x] = away
-    return keys
 
+    def __init__(self, target: Phylogeny) -> None:
+        self.rank = _weight_rank(target)
+        # one count field per distinct weight, wide enough for n - 3 repeats
+        width = target.n_taxa.bit_length()
+        self._fields = {w: 1 << (width * r) for w, r in self.rank.items()}
+        self._target = {key: e for e, key in self.edge_keys(target).items()}
 
-def _weight_fields(tree: Phylogeny) -> dict[Fraction, int]:
-    """One count field per distinct internal weight, wide enough for n - 3 repeats."""
-    width = tree.n_taxa.bit_length()
-    return {
-        w: 1 << (width * rank)
-        for rank, w in enumerate(sorted(set(tree.internal_weight_multiset())))
-    }
+    def edge_keys(self, tree: Phylogeny) -> dict[int, tuple[Fraction, int, int]]:
+        """Exact good-pair key of every internal edge, in one post-order pass.
+
+        The key is (weight, away-side taxa bitset, away-side count vector of
+        the other internal weights), the away side being the one without the
+        smallest taxon.  The taxa come from :meth:`Phylogeny.split_bits`.
+        """
+        view = tree.rooted_view()
+        taxa_at = tree.split_bits(view)
+        # internal weights on the away side of each node's parent edge, that edge included
+        weights_at: dict[int, int] = {}
+        keys: dict[int, tuple[Fraction, int, int]] = {}
+        for x in reversed(view.order[1:]):
+            kids = view.children[x]
+            away = sum(weights_at[c] for c in kids)
+            if kids:
+                e = view.parent_edge[x]
+                w = tree.weight(e)
+                keys[e] = (w, taxa_at[e], away)
+                away += self._fields[w]
+            weights_at[x] = away
+        return keys
+
+    def pairs(self, keys: dict[int, tuple[Fraction, int, int]]) -> list[tuple[int, int]]:
+        """The sorted (edge, target edge) good pairs of the tree with these keys."""
+        target = self._target
+        return sorted((e, target[key]) for e, key in keys.items() if key in target)
+
+    def unpaired_weight(self, keys: dict[int, tuple[Fraction, int, int]]) -> Fraction:
+        """The bound of the tree whose :meth:`edge_keys` are ``keys``."""
+        target = self._target
+        return sum((key[0] for key in keys.values() if key not in target), Fraction(0))
+
+    def __call__(self, tree: Phylogeny) -> Fraction:
+        return self.unpaired_weight(self.edge_keys(tree))
 
 
 def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
         raise TreeError("instance is not finite: " + "; ".join(reasons))
-    weight_field = _weight_fields(t1)
-    groups1: dict[tuple[Fraction, int, int], list[int]] = {}
-    groups2: dict[tuple[Fraction, int, int], list[int]] = {}
-    for tree, groups in ((t1, groups1), (t2, groups2)):
-        for e, key in sorted(_edge_keys(tree, weight_field).items()):
-            groups.setdefault(key, []).append(e)
-
-    # equal keys pair up k-th with k-th in edge-id order
-    pairs: list[tuple[int, int]] = []
-    for key, edges in groups1.items():
-        pairs.extend(zip(edges, groups2.get(key, ())))
-    return GoodEdgePairSet(sorted(pairs))
+    table = PairBound(t2)
+    return GoodEdgePairSet(table.pairs(table.edge_keys(t1)))
 
 
 def lower_bound(
@@ -404,40 +427,6 @@ def lower_bound(
         pairs = find_good_edge_pairs(t1, t2)
     unpaired = set(t1.internal_edges()) - {e1 for e1, _ in pairs.pairs}
     return sum((t1.weight(e) for e in unpaired), Fraction(0))
-
-
-class PairBound:
-    """:func:`lower_bound` of any tree against one fixed target, for a search.
-
-    The target's keys are counted once; the bound of a tree T is then
-    ``Σ_keys (c_T − min(c_T, c_target)) · w`` over the exact keys of
-    :func:`_edge_keys`, one key pass per tree.  Equal keys pair up one to
-    one, so this is W − Σ of the paired weights.  Trees must be finite
-    against the target (see ``finiteness_check``).  :mod:`nnidist.exact`
-    uses it as its A* heuristic and says why it is consistent.
-    """
-
-    def __init__(self, target: Phylogeny) -> None:
-        self._fields = _weight_fields(target)
-        self._target = Counter(_edge_keys(target, self._fields).values())
-
-    def edge_keys(self, tree: Phylogeny) -> dict[int, tuple[Fraction, int, int]]:
-        """The exact good-pair key of every internal edge of ``tree``."""
-        return _edge_keys(tree, self._fields)
-
-    def unpaired_weight(self, keys: dict[int, tuple[Fraction, int, int]]) -> Fraction:
-        """The bound of the tree whose :meth:`edge_keys` are ``keys``."""
-        left = dict(self._target)
-        total = Fraction(0)
-        for key in keys.values():
-            if left.get(key):
-                left[key] -= 1
-            else:
-                total += key[0]
-        return total
-
-    def __call__(self, tree: Phylogeny) -> Fraction:
-        return self.unpaired_weight(self.edge_keys(tree))
 
 
 def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:

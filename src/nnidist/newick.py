@@ -2,7 +2,8 @@
 
 The accepted dialect is strict: bare labels (no quotes, no structural
 characters), mandatory positive branch lengths written as plain decimals
-(no sign, no exponent), and an unweighted root with two or three children.
+(no sign, no exponent, at most ``MAX_WEIGHT_DIGITS`` digits), and an
+unweighted root with two or three children.
 A two-child root is treated as a subdivision point and suppressed on parse,
 summing the two incident lengths into one edge.
 
@@ -34,25 +35,33 @@ class ParseError(ValueError):
 
 _DECIMAL = frozenset("0123456789.")
 
+# Most digits a branch length may have, leading zeros before the point and
+# trailing zeros after it not counted.  A cost, bound or ratio built from
+# such lengths has a few thousand digits at most, below Python's limit on
+# int/str conversion (4300 by default), so every accepted tree can be
+# solved, traced and printed.
+MAX_WEIGHT_DIGITS = 1000
+
 
 def parse_weight(text: str, offset: int = 0) -> Fraction:
     """Parse a positive plain-decimal string (``7``, ``0.25``) into a Fraction.
 
     Only the ASCII digits 0-9 count: ``str.isdigit`` also passes ``²``,
-    which ``int`` refuses, and ``١``, which ``int`` reads as 1.
+    which ``int`` refuses, and ``١``, which ``int`` reads as 1.  Zeros that
+    do not change the value are dropped before ``int`` reads the digits, and
+    a length with more than :data:`MAX_WEIGHT_DIGITS` others is refused.
     """
     if text.count(".") > 1 or not set(text) <= _DECIMAL or not text.strip("."):
         raise ParseError(offset, f"malformed branch length {text!r}")
-    if "." in text:
-        whole, frac = text.split(".")
-        den = 10 ** len(frac)
-        num = int(whole or "0") * den + int(frac or "0")
-    else:
-        num, den = int(text), 1
+    whole, _, frac = text.partition(".")
+    whole, frac = whole.lstrip("0"), frac.rstrip("0")
+    if len(whole) + len(frac) > MAX_WEIGHT_DIGITS:
+        raise ParseError(offset, f"branch length has more than {MAX_WEIGHT_DIGITS} digits")
     # no sign can get past the character check, so zero is the only nonpositive value
-    if num == 0:
+    if not whole and not frac:
         raise ParseError(offset, f"branch length {text!r} is not positive")
-    return Fraction(num, den)
+    den = 10 ** len(frac)
+    return Fraction(int(whole or "0") * den + int(frac or "0"), den)
 
 
 def format_weight(w: Fraction) -> str:
@@ -196,6 +205,9 @@ class _Parser:
         # edges are stored (parent, child), so the root's two are those from node 0
         (e1, (_, a)), (e2, (_, b)) = [(e, uv) for e, uv in self.edges.items() if uv[0] == 0]
         w = self.weights.pop(e1) + self.weights.pop(e2)
+        # the sum may have more digits than either term; it must read back
+        # like any other length, or a trace of this tree could not be checked
+        parse_weight(format_weight(w), self.pos)
         del self.edges[e1], self.edges[e2]
         self.add_edge(a, b, w)
 

@@ -272,7 +272,8 @@ def _trace_body(path: str | Path) -> tuple[dict, Iterator[tuple[int, str]]]:
     first = next(k for k, ln in enumerate(lines) if ln.strip())
     try:
         header = json.loads(lines[first])
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer too long to convert
         raise TraceError(f"header is not JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "nni-trace":
         raise TraceError("not an nni-trace header")

@@ -134,6 +134,11 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.nwk")
     assert main(["gep", missing, missing]) == 2
     assert "error" in capsys.readouterr().err
+    binary = tmp_path / "binary.nwk"
+    binary.write_bytes(b"\xff\xfe(a:1,b:1,c:1);")
+    for argv in (["approx"], ["exact"], ["gep"], ["verify", str(binary)]):
+        assert main([*argv, str(binary), str(binary)]) == 2
+        assert "is not text" in capsys.readouterr().err
 
 
 def test_malformed_tree_is_a_usage_error(tmp_path, capsys):
@@ -141,6 +146,9 @@ def test_malformed_tree_is_a_usage_error(tmp_path, capsys):
     bad.write_text("((a:1,b:2)")
     assert main(["gep", str(bad), str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+    bad.write_text(f"(a:{'1' * 5000},b:1,c:1);")
+    assert main(["approx", str(bad), str(bad)]) == 2
+    assert f"more than {newick.MAX_WEIGHT_DIGITS} digits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-indic-one"])
@@ -151,6 +159,25 @@ def test_non_ascii_digit_length_is_a_usage_error(tmp_path, capsys, digit):
     good.write_text("((a:1,c:1):1,b:1,d:1);\n")
     assert main(["approx", str(bad), str(good)]) == 2
     assert "malformed branch length" in capsys.readouterr().err
+
+
+def test_trees_with_lengths_at_the_digit_limit_solve_trace_and_print(tmp_path, capsys):
+    # the longest lengths parse accepts, as large and as small as they go;
+    # the cost and bound sum them and the exact search compares them
+    big = "9" * newick.MAX_WEIGHT_DIGITS
+    mid = "9" * (newick.MAX_WEIGHT_DIGITS // 2) + "." + "9" * (newick.MAX_WEIGHT_DIGITS // 2)
+    tiny = "0." + "0" * (newick.MAX_WEIGHT_DIGITS - 1) + "1"
+    a, b, trace = tmp_path / "a.nwk", tmp_path / "b.nwk", str(tmp_path / "t.jsonl")
+    a.write_text(f"((a:{tiny},b:{big}):{big},(c:{mid},d:1):{tiny},e:{mid});")
+    b.write_text(f"((a:{tiny},c:{mid}):{big},(b:{big},d:1):{tiny},e:{mid});")
+    report = str(tmp_path / "m.json")
+    assert main(["approx", str(a), str(b), "--trace", trace, "--report-metrics", report]) == 0
+    cost = Fraction(json.loads(capsys.readouterr().out)["cost"])
+    assert main(["verify", str(a), trace, str(b)]) == 0
+    assert Fraction(json.loads(capsys.readouterr().out)["cost"]) == cost
+    assert main(["exact", str(a), str(b)]) == 0
+    assert Fraction(json.loads(capsys.readouterr().out.splitlines()[0])["distance"]) <= cost
+    assert main(["gep", str(a), str(b)]) == 0
 
 
 def test_infeasible_pair_exits_one(tmp_path, capsys):
@@ -239,9 +266,12 @@ def test_verify_ignores_a_blank_line(traced_pair, capsys):
         (lambda rec: rec.update(e1=str(rec["e1"])), "bad operation record"),
         (lambda rec: rec.update(w="\u00b2"), "malformed branch length"),
         (lambda rec: rec.update(w="\u0661"), "malformed branch length"),
+        # each half fits int(), but the value would not print in a mismatch message
+        (lambda rec: rec.update(w="1" * 4000 + "." + "1" * 4000),
+         f"more than {newick.MAX_WEIGHT_DIGITS} digits"),
     ],
     ids=["unknown-e2", "missing-u", "integer-w", "malformed-w", "fractional-u", "string-e1",
-         "superscript-two-w", "arabic-indic-one-w"],
+         "superscript-two-w", "arabic-indic-one-w", "long-w"],
 )
 def test_verify_reports_a_corrupt_record(traced_pair, capsys, change, reason):
     p1, p2, trace = traced_pair
@@ -283,8 +313,9 @@ def test_verify_missing_trace_is_a_usage_error(pair_files, tmp_path, capsys):
         b"[]\n",
         b'{"kind": "nni-trace", "format": 1, "ops": 1}\n[1, 2]\n',
         b"[" * 5000 + b"]" * 5000 + b"\n",
+        b'{"kind": "nni-trace", "format": 1, "ops": ' + b"1" * 5000 + b"}\n",
     ],
-    ids=["not-utf8", "list-header", "list-record", "deep-header"],
+    ids=["not-utf8", "list-header", "list-record", "deep-header", "long-int-header"],
 )
 def test_verify_reports_a_corrupt_file(pair_files, tmp_path, capsys, text):
     p1, p2, _ = pair_files

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import (
@@ -31,6 +36,10 @@ from oracles import (
     random_phylogeny,
     splits_by_removal,
 )
+
+# Hypothesis caches the constants of local source files while the tests are
+# collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +348,18 @@ def test_find_matches_quadratic_oracle(seed):
     t1, t2, _ = generate_pair(seed, n, rng.randint(1, 2 * n), dup_weights=seed % 3 == 0)
     found = find_good_edge_pairs(t1, t2)
     assert found.pairs == sorted(good_pair_oracle(t1, t2))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 10**6), moves=st.integers(0, 80))
+def test_keys_are_unique_and_the_table_pairs_like_the_oracle(n, seed, moves):
+    # repeated weights give many edges one weight, yet their splits still differ
+    t1, t2, _ = generate_pair(seed, n, moves, dup_weights=True)
+    table = PairBound(t2)
+    for tree in (t1, t2):
+        keys = table.edge_keys(tree)
+        assert len(set(keys.values())) == len(keys) == n - 3
+    assert table.pairs(table.edge_keys(t1)) == sorted(good_pair_oracle(t1, t2))
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from nnidist import newick
-from nnidist.newick import ParseError, format_weight, parse, parse_weight, serialize
+from nnidist.newick import (
+    MAX_WEIGHT_DIGITS,
+    ParseError,
+    format_weight,
+    parse,
+    parse_weight,
+    serialize,
+)
 from nnidist.nni import check_trace, trace_lines
 
 from oracles import (
@@ -103,6 +110,33 @@ def test_parse_error_carries_offset():
 )
 def test_parse_weight_values(text, expected):
     assert parse_weight(text) == expected
+
+
+def test_parse_weight_takes_lengths_up_to_the_digit_limit():
+    assert parse_weight("9" * MAX_WEIGHT_DIGITS) == 10**MAX_WEIGHT_DIGITS - 1
+    tiny = "." + "0" * (MAX_WEIGHT_DIGITS - 1) + "1"
+    assert parse_weight(tiny) == Fraction(1, 10**MAX_WEIGHT_DIGITS)
+    # zeros that do not change the value do not count
+    assert parse_weight("0" * 5000 + "1.1" + "0" * 5000) == Fraction(11, 10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"(a:1.{'1' * 5000},b:1,c:1);",
+        f"(a:{'1' * 5000},b:1,c:1);",
+        f"(a:{'1' * 4000}.{'1' * 4000},b:1,c:1);",
+        f"((a:1,b:1):{'9' * 4300},(c:1,d:1):{'9' * 4300},e:1);",
+        f"(a:{'1' * MAX_WEIGHT_DIGITS}1,b:1,c:1);",
+        # each root length fits, but the edge they merge into is 10**1000
+        f"((a:1,b:1):{'9' * MAX_WEIGHT_DIGITS},(c:1,d:1):1);",
+    ],
+    ids=["long-fraction", "long-integer", "long-both", "two-long-internal", "one-over",
+         "long-merged-root"],
+)
+def test_parse_rejects_a_too_long_length(text):
+    with pytest.raises(ParseError, match=f"more than {MAX_WEIGHT_DIGITS} digits"):
+        parse(text)
 
 
 @pytest.mark.parametrize(
