@@ -21,7 +21,8 @@ least cost, so the goal's cost when it is settled is the distance (Hart,
 Nilsson and Raphael 1968).  With h = 0 the search is uniform-cost search.
 
 Ties break on (cost + h, state key), so the returned witness is
-deterministic.
+deterministic.  A frontier entry holds its parent tree and the move from it;
+the state's own tree is rebuilt only when the entry is popped unsettled.
 """
 
 from __future__ import annotations
@@ -85,17 +86,18 @@ def exact_dnni(
     if start == goal:
         return Fraction(0), []
 
-    # a state is pushed again only at a lower cost, so no two entries tie on
-    # (cost + h, key) and trees are never compared
-    frontier: list[tuple[Fraction, tuple[int, ...], Fraction, Phylogeny]] = [
-        (bound.unpaired_weight(keys), start, Fraction(0), t1)
+    # no tree (nor the rooted view a keyed tree keeps) per entry.  A state is
+    # pushed again only at a lower cost, so no two entries tie on
+    # (cost + h, key) and trees and moves are never compared.
+    frontier: list[tuple[Fraction, tuple[int, ...], Fraction, Phylogeny, NniOp | None]] = [
+        (bound.unpaired_weight(keys), start, Fraction(0), t1, None)
     ]
     best: dict[tuple[int, ...], Fraction] = {start: Fraction(0)}
     via: dict[tuple[int, ...], tuple[tuple[int, ...], NniOp]] = {}
     settled: set[tuple[int, ...]] = set()
 
     while frontier:
-        _, key, cost, tree = heapq.heappop(frontier)
+        _, key, cost, tree, move = heapq.heappop(frontier)
         if key in settled:
             continue
         settled.add(key)
@@ -114,6 +116,9 @@ def exact_dnni(
             raise StateLimitError(
                 f"settled more than {state_limit} states without reaching the target"
             )
+        if move is not None:
+            tree = tree.copy()
+            apply_nni(tree, move)
         for op, nxt, step in neighbors(tree):
             keys = bound.edge_keys(nxt)
             nkey = state(keys)
@@ -122,7 +127,7 @@ def exact_dnni(
                 best[nkey] = ncost
                 via[nkey] = (key, op)
                 heapq.heappush(
-                    frontier, (ncost + bound.unpaired_weight(keys), nkey, ncost, nxt)
+                    frontier, (ncost + bound.unpaired_weight(keys), nkey, ncost, tree, op)
                 )
 
     raise TreeError("search space exhausted without reaching the target tree")

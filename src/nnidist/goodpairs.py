@@ -208,7 +208,6 @@ def induced_subtree(aug: AugmentedTree, labels: set[str]) -> ContractedSubtree:
 class PartitionLabeling:
     rho: dict[int, int]     # first tree's contraction nodes -> label
     rho_p: dict[int, int]   # second tree's
-    pairing_rounds: int = 0
 
 
 def single_label_partition(ra: ContractedSubtree, rpa: ContractedSubtree) -> PartitionLabeling:
@@ -317,9 +316,7 @@ def partition_labeling(
         rpa = induced_subtree(aug2, {a})
         items.append((frozenset({a}), single_label_partition(ra, rpa)))
 
-    rounds = 0
     while len(items) > 1:
-        rounds += 1
         pairs = [(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
         rt.round("gep.pairing", pairs)
         merged = []
@@ -332,9 +329,7 @@ def partition_labeling(
             merged.append(items[-1])
         items = merged
 
-    final = items[0][1]
-    final.pairing_rounds = rounds
-    return final
+    return items[0][1]
 
 
 @dataclass
@@ -373,16 +368,16 @@ class PairBound:
         the other internal weights), the away side being the one without the
         smallest taxon.  The taxa come from :meth:`Phylogeny.split_bits`.
         """
-        view = tree.rooted_view()
-        taxa_at = tree.split_bits(view)
+        order, parent_edge, children = tree.rooted_view()
+        taxa_at = tree.split_bits()
         # internal weights on the away side of each node's parent edge, that edge included
         weights_at: dict[int, int] = {}
         keys: dict[int, tuple[Fraction, int, int]] = {}
-        for x in reversed(view.order[1:]):
-            kids = view.children[x]
+        for x in reversed(order[1:]):
+            kids = children[x]
             away = sum(weights_at[c] for c in kids)
             if kids:
-                e = view.parent_edge[x]
+                e = parent_edge[x]
                 w = tree.weight(e)
                 keys[e] = (w, taxa_at[e], away)
                 away += self._fields[w]

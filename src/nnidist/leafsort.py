@@ -58,7 +58,7 @@ def build_slot_view(tree: Phylogeny, root: int | None = None) -> SlotView:
     the ranking is stable, so interchangeable siblings keep the view's order
     by smallest taxon.
     """
-    order, parent_edge, children, _ = tree.rooted_view(root)
+    order, parent_edge, children = tree.rooted_view(root)
     sig: dict[int, tuple] = {}
     size: dict[int, int] = {}
     kids: dict[int, list[int]] = {}

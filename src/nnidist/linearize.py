@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from nnidist.nni import NniOp, apply_nni
-from nnidist.phylo import NodeClass, Phylogeny, RootedView, TreeError
+from nnidist.phylo import NodeClass, Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
 
@@ -110,26 +110,23 @@ def endnode_paths(
     rt: ParRuntime | None = None,
     phase: str = "endnode_paths",
     classes: dict[int, NodeClass] | None = None,
-    view: RootedView | None = None,
 ) -> dict[int, int]:
     """The terminal of every non-root node, by pointer jumping.
 
-    A node's terminal is its nearest proper ancestor in ``view`` (by default
-    ``tree.rooted_view()``) that is a junction, an endnode or the root.  Uses
+    A node's terminal is its nearest proper ancestor in
+    ``tree.rooted_view()`` that is a junction, an endnode or the root.  Uses
     one initialization round plus at most ceil(log2 n) jump rounds: each jump
     replaces a node's pointer by its pointer's pointer, doubling the settled
     length, and moves one id per node.
     """
     rt = rt or ParRuntime()
-    if view is None:
-        view = tree.rooted_view()
     if classes is None:
         classes = tree.classify_nodes()
+    order, parent_edge, _ = tree.rooted_view()
     terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
-    terminal.add(view.order[0])
+    terminal.add(order[0])
 
-    parent_edge = view.parent_edge
-    nxt = {v: tree.other_end(parent_edge[v], v) for v in view.order[1:]}
+    nxt = {v: tree.other_end(parent_edge[v], v) for v in order[1:]}
     rt.round(phase, nxt)
 
     # a node whose pointer reaches a terminal is settled for good, so each
@@ -143,11 +140,12 @@ def endnode_paths(
     return nxt
 
 
-def chain_path(tree: Phylogeny, view: RootedView, v: int, stop: int) -> tuple[int, ...]:
-    """Edge ids walked from ``v`` up ``view`` to its ancestor ``stop``, in order."""
+def chain_path(tree: Phylogeny, v: int, stop: int) -> tuple[int, ...]:
+    """Edge ids walked from ``v`` up the rooted view to its ancestor ``stop``, in order."""
+    parent_edge = tree.rooted_view().parent_edge
     path = []
     while v != stop:
-        e = view.parent_edge[v]
+        e = parent_edge[v]
         path.append(e)
         v = tree.other_end(e, v)
     return tuple(path)
@@ -172,8 +170,7 @@ def linearize(
         if not junctions:
             break
         iterations += 1
-        view = work.rooted_view()
-        nxt = endnode_paths(work, rt, phase=phase + ".paths", classes=classes, view=view)
+        nxt = endnode_paths(work, rt, phase=phase + ".paths", classes=classes)
 
         # endnodes whose terminal is a junction announce themselves with
         # their chain and its weight; the chains are disjoint, so the walks
@@ -182,7 +179,7 @@ def linearize(
         for E in sorted(x for x, c in classes.items() if c is NodeClass.ENDNODE):
             J = nxt.get(E)
             if J in junctions:
-                path = chain_path(work, view, E, J)
+                path = chain_path(work, E, J)
                 dist = sum(work.weight(e) for e in path)
                 acts.append((J, (dist, E, path)))
         rt.round(phase, acts)
@@ -201,11 +198,8 @@ def linearize(
             chain = list(reversed(path))
             # the root has a leaf neighbour, so J is not the root and has a
             # parent edge
-            e_x = next(
-                e
-                for e in work.adjacent_edges(J)
-                if e != chain[0] and e != view.parent_edge[J]
-            )
+            up = work.rooted_view().parent_edge[J]
+            e_x = next(e for e in work.adjacent_edges(J) if e != chain[0] and e != up)
             plan = []
             node = J
             for e_i in chain:

@@ -10,8 +10,10 @@ summing the two incident lengths into one edge.
 Serialization is canonical: it writes :meth:`Phylogeny.rooted_view`, the
 tree rooted at the internal node next to the smallest taxon with children
 ordered by the smallest taxon they contain, so equal phylogenies always
-produce byte-identical text.  Both directions are iterative, so tree depth
-is bounded by memory, not by the recursion limit.
+produce byte-identical text.  It reads the view the tree keeps, so a tree
+that was already compared or keyed is serialized without a second walk.
+Both directions are iterative, so tree depth is bounded by memory, not by
+the recursion limit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from nnidist.phylo import Phylogeny, RootedView, TreeError
+from nnidist.phylo import Phylogeny, TreeError
 
 _STRUCTURAL = set("():,;")
 
@@ -217,14 +219,9 @@ def parse(text: str) -> Phylogeny:
     return _Parser(text).parse()
 
 
-def serialize(tree: Phylogeny, view: RootedView | None = None) -> str:
-    """Canonical Newick text for ``tree`` (see module docstring).
-
-    ``view``, when given, must be ``tree.rooted_view()``.
-    """
-    if view is None:
-        view = tree.rooted_view()
-    order, parent_edge, children, _ = view
+def serialize(tree: Phylogeny) -> str:
+    """Canonical Newick text for ``tree`` (see module docstring)."""
+    order, parent_edge, children = tree.rooted_view()
     text: dict[int, str] = {}
     for x in reversed(order[1:]):
         kids = children[x]

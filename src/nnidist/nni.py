@@ -32,8 +32,9 @@ expression captures, so both routes accept the same records with the same
 failure reasons.  :func:`check_trace` compares a record's cost with the
 tree's weight once per middle edge and recorded value: a later record whose
 parsed cost is the very object already verified for that edge needs no
-second comparison.  Both trace functions build the target's rooted view
-once and read its header digest and the end-tree comparison off it.
+second comparison.  A tree keeps its rooted view until its next move, so
+each trace function builds the target's view once: the header digest and the
+end-tree comparison both read it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from nnidist import newick
-from nnidist.phylo import Phylogeny, RootedView, TreeError
+from nnidist.phylo import Phylogeny, TreeError
 
 TRACE_FORMAT = 1
 
@@ -60,19 +61,15 @@ class NniOp:
     e2: int
     e3: int
 
-    def canonical(self) -> tuple[int, int, int]:
-        """Direction-independent form: the smaller outer edge first."""
-        if self.e1 <= self.e3:
-            return (self.e1, self.e2, self.e3)
-        return (self.e3, self.e2, self.e1)
-
 
 def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
     """Apply ``op`` to ``tree`` in place and return its cost.
 
     Raises TreeError unless (e1, e2, e3) is a path of three distinct edges,
     and KeyError for an unknown edge id (looked up in the order e2, e1, e3);
-    either is raised before the tree changes.
+    either is raised before the tree changes.  This is the one writer of a
+    tree's edge table and adjacency lists, so it drops the tree's kept
+    rooted view.
     """
     e1, e2, e3 = op.e1, op.e2, op.e3
     if e1 == e2 or e2 == e3 or e1 == e3:
@@ -90,6 +87,7 @@ def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
     if far1 == v or far3 == u:
         raise TreeError(f"operation ({e1},{e2},{e3}) is not an edge path")
     assert far1 != far3
+    tree._view = None
     ends[e1] = (v, far1) if a1 == u else (far1, v)
     ends[e3] = (u, far3) if a3 == v else (far3, u)
     adj[u].remove(e1)
@@ -104,17 +102,13 @@ class ReplayError(TreeError):
 
 
 def replay(
-    work: Phylogeny,
-    ops: Iterable[NniOp],
-    target: Phylogeny | None = None,
-    target_view: RootedView | None = None,
+    work: Phylogeny, ops: Iterable[NniOp], target: Phylogeny | None = None
 ) -> Iterator[tuple[NniOp, int, int]]:
     """Apply ``ops`` to ``work`` in place, yielding (op, u, v) per move.
 
     (u, v) are the middle edge's endpoints, which the move does not change.
     Raises ReplayError at the first invalid operation and, once all are
     applied, when ``target`` is given and ``work`` does not match it.
-    ``target_view``, when given, must be ``target.rooted_view()``.
     """
     ends = work._ends
     for i, op in enumerate(ops):
@@ -124,7 +118,7 @@ def replay(
         except (TreeError, KeyError) as exc:
             raise ReplayError(f"operation {i} invalid: {exc}") from exc
         yield op, u, v
-    if target is not None and not work.canonical_equal(target, target_view):
+    if target is not None and not work.canonical_equal(target):
         raise ReplayError("replay does not match the target tree")
 
 
@@ -206,8 +200,8 @@ def verify_transform(
     return True, counted_cost(source, counts), None
 
 
-def tree_digest(tree: Phylogeny, view: RootedView | None = None) -> str:
-    return hashlib.sha256(newick.serialize(tree, view).encode()).hexdigest()
+def tree_digest(tree: Phylogeny) -> str:
+    return hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
 
 
 def trace_lines(
@@ -218,13 +212,11 @@ def trace_lines(
     Raises TreeError for an operation whose edge ids are not all ``int``
     (``True`` would replay as edge 1 but be written as ``true``).
     """
-    # the target's view serves both its digest and the end-tree comparison
-    target_view = target.rooted_view()
     header = {
         "kind": "nni-trace",
         "format": TRACE_FORMAT,
         "source": tree_digest(source),
-        "target": tree_digest(target, target_view),
+        "target": tree_digest(target),
         "ops": len(ops),
     }
     # per middle edge, the record text between e2's key and e3's value and
@@ -232,7 +224,7 @@ def trace_lines(
     # digits and ".", which a JSON string holds unescaped
     pieces: dict[int, tuple[str, str]] = {}
     lines = [json.dumps(header)]
-    for i, (op, u, v) in enumerate(replay(source.copy(), ops, target, target_view)):
+    for i, (op, u, v) in enumerate(replay(source.copy(), ops, target)):
         e1, e2, e3 = op.e1, op.e2, op.e3
         if not type(e1) is type(e2) is type(e3) is int:
             raise TreeError(f"operation {i} ({e1!r},{e2!r},{e3!r}): edge ids must be integers")
@@ -358,14 +350,13 @@ def check_trace(
         return False, Fraction(0), str(exc)
     if header.get("source") != tree_digest(source):
         return False, Fraction(0), "source digest mismatch"
-    target_view = target.rooted_view()
-    if header.get("target") != tree_digest(target, target_view):
+    if header.get("target") != tree_digest(target):
         return False, Fraction(0), "target digest mismatch"
     counts: Counter[int] = Counter()
     # middle edge -> the parsed cost object already found equal to its weight;
     # _parse_records hands out one object per distinct cost string
     verified: dict[int, Fraction] = {}
-    steps = replay(source.copy(), _parse_records(body), target, target_view)
+    steps = replay(source.copy(), _parse_records(body), target)
     try:
         for i, (rec, u, v) in enumerate(steps):
             if not (rec.u == u and rec.v == v or rec.u == v and rec.v == u):

@@ -11,6 +11,8 @@ are decided: the tree hangs from the internal node next to the smallest
 taxon, and children are ordered by the smallest taxon below them.
 Serialization, the canonical edge order, the leaf sort's slot view, the
 companion check, the split bitsets and the good-pair keys all read it.
+Each tree keeps that view from its first use until its next move, so no
+caller passes a view along.
 
 Weights are `fractions.Fraction` throughout so that costs compose exactly.
 
@@ -20,7 +22,8 @@ So a node is a leaf exactly when it carries a taxon label (construction
 checks that labels sit on the degree-1 nodes and nowhere else), and
 :meth:`Phylogeny.is_leaf` reads the label table, not the adjacency.
 Nothing writes the weights after construction and a move keeps leaf edges
-leaf edges, so the sorted internal weight multiset is computed once per tree.
+leaf edges, so the sorted internal weight multiset is computed once per tree;
+the move kernel drops the kept rooted view.
 """
 
 from __future__ import annotations
@@ -49,13 +52,12 @@ class RootedView(NamedTuple):
     ``order`` lists the nodes root first (breadth-first), so every parent
     precedes its children; ``parent_edge`` maps each node to the edge toward
     the root (None at the root); ``children`` lists each node's children by
-    the smallest taxon below them, ``min_taxon`` gives that taxon.
+    the smallest taxon below them.
     """
 
     order: list[int]
     parent_edge: dict[int, int | None]
     children: dict[int, list[int]]
-    min_taxon: dict[int, str]
 
 
 class Phylogeny:
@@ -66,7 +68,7 @@ class Phylogeny:
     raises :class:`TreeError` listing every violation found.
     """
 
-    __slots__ = ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws")
+    __slots__ = ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws", "_view")
 
     def __init__(
         self,
@@ -86,6 +88,7 @@ class Phylogeny:
         self._leaf_label: dict[int, str] = {int(v): str(s) for v, s in leaf_labels.items()}
         self._label_leaf: dict[str, int] = {s: v for v, s in self._leaf_label.items()}
         self._internal_ws: tuple[Fraction, ...] | None = None
+        self._view: RootedView | None = None
         problems = self.validate()
         if problems:
             raise TreeError("; ".join(problems))
@@ -263,14 +266,23 @@ class Phylogeny:
     def rooted_view(self, root: int | None = None) -> RootedView:
         """One BFS from ``root`` (default :meth:`root_handle`), one bottom-up pass.
 
+        The default view is built on the first call and kept until
+        :func:`nnidist.nni.apply_nni` next moves the tree, so every caller
+        reads one shared view and none may change it.  A view from an
+        explicit ``root`` is built fresh on every call and never kept.
         ``root`` must be an internal node, so every labeled node is a leaf
         of the view.
         """
-        adj, ends, labels = self._adj, self._ends, self._leaf_label
         if root is None:
-            root = self.root_handle()
-        elif root in labels:
+            if self._view is None:
+                self._view = self._build_view(self.root_handle())
+            return self._view
+        if root in self._leaf_label:
             raise TreeError(f"view root {root} is a leaf")
+        return self._build_view(root)
+
+    def _build_view(self, root: int) -> RootedView:
+        adj, ends, labels = self._adj, self._ends, self._leaf_label
         # plain dict and list work, no method calls: the exact search reads
         # this view for every state it generates (split_bits, good-pair keys)
         parent_edge: dict[int, int | None] = {root: None}
@@ -286,6 +298,7 @@ class Phylogeny:
                     parent_edge[y] = e
                     order.append(y)
                     kids.append(y)
+        # the smallest taxon below each node, the children's sort key
         min_taxon: dict[int, str] = {}
         for x in reversed(order):
             kids = children[x]
@@ -294,41 +307,36 @@ class Phylogeny:
                 min_taxon[x] = min_taxon[kids[0]]
             else:
                 min_taxon[x] = labels[x]
-        return RootedView(order, parent_edge, children, min_taxon)
+        return RootedView(order, parent_edge, children)
 
-    def split_bits(self, view: RootedView | None = None) -> dict[int, int]:
+    def split_bits(self) -> dict[int, int]:
         """Away-side taxa of each internal edge as a bitset, from one post-order pass.
 
         Bit i stands for the i-th taxon in sorted order.  The away side is the
-        side without the view's root, by default the side without the
-        smallest taxon.
+        side without the smallest taxon.
         """
-        if view is None:
-            view = self.rooted_view()
+        order, parent_edge, children = self.rooted_view()
         bit = {t: 1 << i for i, t in enumerate(sorted(self._label_leaf))}
         below: dict[int, int] = {}
-        for x in reversed(view.order):
-            kids = view.children[x]
+        for x in reversed(order):
+            kids = children[x]
             acc = 0 if kids else bit[self._leaf_label[x]]
             for c in kids:
                 acc |= below[c]
             below[x] = acc
-        return {view.parent_edge[x]: below[x] for x in view.order[1:] if view.children[x]}
+        return {parent_edge[x]: below[x] for x in order[1:] if children[x]}
 
     # ------------------------------------------------------------------
     # comparison and copying
 
-    def canonical_equal(self, other: "Phylogeny", other_view: RootedView | None = None) -> bool:
-        """Same taxa, same per-taxon leaf weights, same weighted splits.
-
-        ``other_view``, when given, must be ``other.rooted_view()``.
-        """
+    def canonical_equal(self, other: "Phylogeny") -> bool:
+        """Same taxa, same per-taxon leaf weights, same weighted splits."""
         if self.taxa() != other.taxa():
             return False
         if self.leaf_weight_map() != other.leaf_weight_map():
             return False
         return {b: self._wt[e] for e, b in self.split_bits().items()} == {
-            b: other._wt[e] for e, b in other.split_bits(other_view).items()
+            b: other._wt[e] for e, b in other.split_bits().items()
         }
 
     def copy(self) -> "Phylogeny":
@@ -345,6 +353,7 @@ class Phylogeny:
         out._leaf_label = dict(self._leaf_label)
         out._label_leaf = dict(self._label_leaf)
         out._internal_ws = None
+        out._view = None
         return out
 
     def __repr__(self) -> str:
@@ -368,8 +377,8 @@ def finiteness_check(a: Phylogeny, b: Phylogeny) -> tuple[bool, list[str]]:
     leaf-edge weights and the internal weight multisets both agree.  Returns
     (feasible, reasons) with one message per failed requirement.
 
-    A taxon-set mismatch is a usage error, not an infinite distance, and
-    raises TreeError.
+    A taxon-set mismatch is not an infinite distance either: it raises
+    TreeError, which the command line reports as a domain failure (exit 1).
     """
     if a.taxa() != b.taxa():
         only_a = set(a.taxa()) - set(b.taxa())

@@ -104,10 +104,10 @@ def _translate(ops: list[NniOp], emap: dict[int, int]) -> list[NniOp]:
 def _linear_maps(
     a: Phylogeny, b: Phylogeny, b_spine: tuple[list[int], list[int]]
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Edge and node maps from linear tree ``b`` onto linear tree ``a``.
+    """Edge map from linear tree ``b`` onto linear tree ``a``, and spine node map.
 
     ``b_spine`` is ``spine(b)``, left unchanged.  The spines must carry the
-    same weight sequence up to direction; leaves at corresponding spine
+    same weight sequence up to direction; leaf edges at corresponding spine
     positions are matched in label order.
     """
     spine_a, order_a = spine(a)
@@ -135,7 +135,6 @@ def _linear_maps(
             raise TreeError("linear trees do not have matching leaf positions")
         for (_, ea), (_, eb) in zip(leaves_a, leaves_b):
             emap[eb] = ea
-            nmap[b.other_end(eb, nb)] = a.other_end(ea, na)
     return emap, nmap
 
 

@@ -189,6 +189,17 @@ def test_infeasible_pair_exits_one(tmp_path, capsys):
     assert "infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["approx", "exact", "gep"])
+def test_taxon_set_mismatch_exits_one(tmp_path, capsys, command):
+    a = tmp_path / "a.nwk"
+    b = tmp_path / "b.nwk"
+    a.write_text("(a:1,b:1,c:1);\n")
+    b.write_text("((a:1,b:1):2,(c:1,d:1):2);\n")
+    assert main([command, str(a), str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "taxon sets differ" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as err:
         main(["approx", "only-one-file"])

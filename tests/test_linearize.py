@@ -24,11 +24,10 @@ from oracles import caterpillar, random_phylogeny, walk_up_oracle
 
 def _chains(t):
     """{endnode: (junction, edge path)} for every endnode whose terminal is a junction."""
-    view = t.rooted_view()
-    nxt = endnode_paths(t, view=view)
+    nxt = endnode_paths(t)
     classes = t.classify_nodes()
     return {
-        E: (nxt[E], chain_path(t, view, E, nxt[E]))
+        E: (nxt[E], chain_path(t, E, nxt[E]))
         for E, c in classes.items()
         if c is NodeClass.ENDNODE and E in nxt and classes.get(nxt[E]) is NodeClass.JUNCTION
     }

@@ -78,7 +78,6 @@ def test_reversed_triplet_is_same_move():
         apply_nni(a, op)
         apply_nni(b, NniOp(op.e3, op.e2, op.e1))
         assert a.canonical_equal(b)
-    assert NniOp(7, 2, 4).canonical() == NniOp(4, 2, 7).canonical()
 
 
 def test_self_inverse():
@@ -348,9 +347,10 @@ def test_trace_round_trip(tmp_path):
     assert cost == sum((t.weight(op.e2) for op in ops), Fraction(0))
 
 
-def test_each_trace_pass_builds_three_rooted_views(tmp_path, monkeypatch):
-    # the source's digest, the target's digest and end-tree comparison (one
-    # view), and the replayed tree's end-tree comparison
+def test_trace_passes_build_each_rooted_view_once(tmp_path, monkeypatch):
+    # writing builds the source's view (its digest), the target's (its digest
+    # and the end-tree comparison) and the replayed tree's; the two trees keep
+    # theirs, so checking builds only the replayed tree's
     rng = random.Random(426)
     t = random_phylogeny(rng, 12)
     u = t.copy()
@@ -359,21 +359,21 @@ def test_each_trace_pass_builds_three_rooted_views(tmp_path, monkeypatch):
         op = random_valid_op(rng, u)
         apply_nni(u, op)
         ops.append(op)
-    views = []
-    real = Phylogeny.rooted_view
+    built = []
+    real = Phylogeny._build_view
 
-    def counting_view(self, root=None):
-        views.append(self)
+    def counting_build(self, root):
+        built.append(self)
         return real(self, root)
 
-    monkeypatch.setattr(Phylogeny, "rooted_view", counting_view)
+    monkeypatch.setattr(Phylogeny, "_build_view", counting_build)
     path = tmp_path / "ops.jsonl"
     write_trace(path, t, u, ops)
-    assert len(views) == 3 and views.count(u) == 1
-    views.clear()
+    assert len(built) == 3 and built.count(t) == 1 and built.count(u) == 1
+    built.clear()
     ok, _, reason = check_trace(path, t, u)
     assert ok, reason
-    assert len(views) == 3 and views.count(u) == 1
+    assert len(built) == 1 and built[0] is not t and built[0] is not u
 
 
 def test_blank_lines_keep_file_line_numbers(tmp_path):

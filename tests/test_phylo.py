@@ -14,6 +14,7 @@ from nnidist.gen import generate_pair
 from nnidist.newick import serialize
 from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import NodeClass, Phylogeny, TreeError, finiteness_check
+from nnidist.pipeline import approx_nni
 
 from oracles import (
     caterpillar,
@@ -198,6 +199,12 @@ def test_rooted_view_orders_children_by_smallest_taxon():
         internal = [x for x in t.nodes() if not t.is_leaf(x)]
         for root in (None, rng.choice(internal)):
             view = t.rooted_view(root)
+
+            def below(x):
+                """The taxa on x's side of its parent edge."""
+                e = view.parent_edge[x]
+                return sides_by_removal(t, e)[t.endpoints(e).index(x)]
+
             assert view.order[0] == (t.root_handle() if root is None else root)
             assert sorted(view.order) == t.nodes()
             seen = set()
@@ -208,14 +215,40 @@ def test_rooted_view_orders_children_by_smallest_taxon():
                     parent = t.other_end(e, x)
                     assert parent in seen and x in view.children[parent]
                 seen.add(x)
-                # the taxa below x are those on x's side of its parent edge
-                below = set(t.taxa()) if e is None else sides_by_removal(t, e)[
-                    t.endpoints(e).index(x)
-                ]
-                assert view.min_taxon[x] == min(below)
-                mins = [view.min_taxon[c] for c in view.children[x]]
+                mins = [min(below(c)) for c in view.children[x]]
                 assert mins == sorted(mins)
                 assert len(view.children[x]) == t.degree(x) - (e is not None)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(
+    n=st.integers(4, 16),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 32),
+    dup=st.booleans(),
+    steps=st.lists(st.sampled_from(["move", "copy", "view"]), max_size=12),
+)
+def test_kept_rooted_view_matches_a_fresh_build(n, seed, moves, dup, steps):
+    # a view from an explicit root is never kept, so it is built from the tree
+    # as it is now; the default view may have been kept from an earlier call
+    def current(t):
+        return t.rooted_view() == t.rooted_view(t.root_handle())
+
+    rng = random.Random(seed)
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    trees = [t1, t2]
+    for step in steps:
+        t = rng.choice(trees)
+        if step == "move":
+            apply_nni(t, random_valid_op(rng, t))
+        elif step == "copy":
+            trees.append(t.copy())
+        else:
+            t.rooted_view()
+        assert all(current(t) for t in trees)
+    # moves and copies keep every tree finite against every other
+    approx_nni(rng.choice(trees), rng.choice(trees))
+    assert all(current(t) for t in trees)
 
 
 def test_rooted_view_rejects_a_leaf_root():
