@@ -1,15 +1,17 @@
-"""Exact distance by A* search over split-bitset states.
+"""Exact distance by A* search over split-bitset states, in integer costs.
 
 Only practical for small instances (up to about eight taxa); its job is to
 be unarguably correct so the approximation can be measured against it.
-Moves are the two non-redundant swaps per internal edge.  A state is the
-sorted tuple of its internal edges' (split bitset, weight rank) pairs,
-packed into ints: the split bitsets of :meth:`Phylogeny.split_bits` and
-their weights are what :meth:`Phylogeny.canonical_equal` compares, and the
-leaf weights never change along a search.  The ranks and the good-pair keys
-both come from one :class:`nnidist.goodpairs.PairBound` of tree 2.
 
-The heuristic ``h(T)`` is that table's lower bound: the internal weight of
+*States.*  Moves are the two non-redundant swaps per internal edge.  A
+state is the sorted tuple of its internal edges' (split bitset, weight
+rank) pairs, packed into ints.  The bitsets are the away sides of the
+good-pair keys of one :class:`nnidist.goodpairs.PairBound` of tree 2, which
+also gives the ranks.  Splits and their weights are what
+:meth:`Phylogeny.canonical_equal` compares, and the leaf weights never
+change along a search.
+
+*Heuristic.*  ``h(T)`` is that table's lower bound: the internal weight of
 T that has no good-pair partner in tree 2.  It keeps the search exact
 because it is admissible and consistent.  A move on edge e moves two
 subtrees past e, so every other edge keeps its split and the internal
@@ -20,14 +22,31 @@ most that weight: ``h(s) <= step + h(s')`` for every move s -> s', and
 least cost, so the goal's cost when it is settled is the distance (Hart,
 Nilsson and Raphael 1968).  With h = 0 the search is uniform-cost search.
 
+*Kernel.*  For the same reason a successor needs no tree of its own.
+:func:`neighbors` makes one :meth:`PairBound.sides` pass over the expanded
+tree; then each move's new key for e comes from two entries of that pass
+(:meth:`PairBound.moved_key`), the successor's state replaces e's one
+entry of the parent's tuple, and its h changes by e's term alone.
+
+*Integer costs.*  Edge weights never move, so :class:`SearchTable` scales
+them once: each weight times the lcm of the internal weights'
+denominators, in per-edge rank and cost tables.  Costs, h and priorities
+are ints inside the search, and the distance becomes a ``Fraction`` once,
+at the end.
+
+*One tree per popped state.*  A frontier entry holds its parent tree and
+the move from it; the state's own tree is built (a copy and one move) only
+when the entry is popped unsettled, and :func:`neighbors` reads it once.
+
 Ties break on (cost + h, state key), so the returned witness is
-deterministic.  A frontier entry holds its parent tree and the move from it;
-the state's own tree is rebuilt only when the entry is popped unsettled.
+deterministic; it is replayed against tree 2 before it is returned.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import insort
 from fractions import Fraction
 
 from nnidist.goodpairs import PairBound
@@ -41,22 +60,78 @@ class StateLimitError(RuntimeError):
     """The search settled more states than the caller allowed."""
 
 
-def neighbors(tree: Phylogeny) -> list[tuple[NniOp, Phylogeny, Fraction]]:
-    """The 2(n-3) distinct single-move successors of ``tree``.
+class SearchTable:
+    """The integer tables of one search from t1 to t2.
+
+    ``scale`` is the lcm of the internal weights' denominators.  Per
+    internal edge id of t1, which a move keeps with its weight, ``rank[e]``
+    is w(e)'s rank in ``bound``, ``cost[e]`` is w(e) × ``scale`` and
+    ``field[e]`` is w(e)'s count field (see ``PairBound.edge_fields``).
+    ``paired`` holds each of tree 2's keys as (packed state entry, weight
+    vector): ints only, the same test as a lookup in ``bound.target``.
+    """
+
+    def __init__(self, t1: Phylogeny, t2: Phylogeny) -> None:
+        self.bound = bound = PairBound(t2)
+        internal = t1.internal_edges()
+        self.scale = math.lcm(*(t1.weight(e).denominator for e in internal))
+        self.width = width = len(bound.rank)
+        self.rank = {e: bound.rank[t1.weight(e)] for e in internal}
+        self.cost = {e: self.scaled(t1.weight(e)) for e in internal}
+        self.field = bound.edge_fields(t1)
+        self.paired = {(bits * width + bound.rank[w], vec) for w, bits, vec in bound.target}
+
+    def scaled(self, w: Fraction) -> int:
+        return w.numerator * (self.scale // w.denominator)
+
+    def state(self, tree: Phylogeny) -> tuple[tuple[int, ...], int]:
+        """The state of ``tree`` and its scaled h, from the weights, not the edge ids."""
+        rank, width = self.bound.rank, self.width
+        entries = []
+        h = 0
+        for w, bits, vec in self.bound.edge_keys(tree).values():
+            entry = bits * width + rank[w]
+            entries.append(entry)
+            if (entry, vec) not in self.paired:
+                h += self.scaled(w)
+        return tuple(sorted(entries)), h
+
+
+def neighbors(
+    tree: Phylogeny, table: SearchTable
+) -> list[tuple[NniOp, tuple[int, ...], int, int]]:
+    """The 2(n-3) distinct single-move successors of ``tree``: (move, state, step, h).
 
     A swap across edge e moves one subtree from each side; fixing the lowest
     numbered edge on the u side and varying the v side covers both reachable
-    arrangements, the other two operand choices are mirror images.
+    arrangements, the other two operand choices are mirror images.  ``tree``
+    carries t1's edge ids; the step and h are scaled by ``table.scale``.
     """
+    bound, rank, width, cost, paired = (
+        table.bound, table.rank, table.width, table.cost, table.paired)
+    sides = bound.sides(tree, table.field)
+    entry: dict[int, int] = {}
+    term: dict[int, int] = {}
+    for e, (_, bits, vec) in bound.edge_keys(tree, sides).items():
+        entry[e] = packed = bits * width + rank[e]
+        term[e] = 0 if (packed, vec) in paired else cost[e]
+    state = sorted(entry.values())
+    h = sum(term.values())
     out = []
-    for e2 in tree.internal_edges():
+    for e2 in sorted(entry):
         u, v = tree.endpoints(e2)
         a1 = min(e for e in tree.adjacent_edges(u) if e != e2)
+        rest = list(state)
+        rest.remove(entry[e2])
+        step = cost[e2]
+        others = h - term[e2]
         for e3 in sorted(e for e in tree.adjacent_edges(v) if e != e2):
-            op = NniOp(a1, e2, e3)
-            nxt = tree.copy()
-            cost = apply_nni(nxt, op)
-            out.append((op, nxt, cost))
+            _, bits, vec = bound.moved_key(tree, sides, a1, e2, e3)
+            packed = bits * width + rank[e2]
+            moved = list(rest)
+            insort(moved, packed)
+            nh = others if (packed, vec) in paired else others + step
+            out.append((NniOp(a1, e2, e3), tuple(moved), step, nh))
     return out
 
 
@@ -73,26 +148,18 @@ def exact_dnni(
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
-    bound = PairBound(t2)
-    rank = bound.rank
-    width = len(rank)
-
-    def state(keys: dict[int, tuple[Fraction, int, int]]) -> tuple[int, ...]:
-        return tuple(sorted(bits * width + rank[w] for w, bits, _ in keys.values()))
-
-    goal = state(bound.edge_keys(t2))
-    keys = bound.edge_keys(t1)
-    start = state(keys)
+    table = SearchTable(t1, t2)
+    goal, _ = table.state(t2)
+    start, h = table.state(t1)
     if start == goal:
         return Fraction(0), []
 
-    # no tree (nor the rooted view a keyed tree keeps) per entry.  A state is
-    # pushed again only at a lower cost, so no two entries tie on
+    # A state is pushed again only at a lower cost, so no two entries tie on
     # (cost + h, key) and trees and moves are never compared.
-    frontier: list[tuple[Fraction, tuple[int, ...], Fraction, Phylogeny, NniOp | None]] = [
-        (bound.unpaired_weight(keys), start, Fraction(0), t1, None)
+    frontier: list[tuple[int, tuple[int, ...], int, Phylogeny, NniOp | None]] = [
+        (h, start, 0, t1, None)
     ]
-    best: dict[tuple[int, ...], Fraction] = {start: Fraction(0)}
+    best: dict[tuple[int, ...], int] = {start: 0}
     via: dict[tuple[int, ...], tuple[tuple[int, ...], NniOp]] = {}
     settled: set[tuple[int, ...]] = set()
 
@@ -108,10 +175,11 @@ def exact_dnni(
                 back, op = via[back]
                 ops.append(op)
             ops.reverse()
+            distance = Fraction(cost, table.scale)
             replayed, total, reason = verify_transform(t1, ops, t2)
-            if not replayed or total != cost:
+            if not replayed or total != distance:
                 raise TreeError(f"witness failed replay: {reason}")
-            return cost, ops
+            return distance, ops
         if len(settled) > state_limit:
             raise StateLimitError(
                 f"settled more than {state_limit} states without reaching the target"
@@ -119,15 +187,11 @@ def exact_dnni(
         if move is not None:
             tree = tree.copy()
             apply_nni(tree, move)
-        for op, nxt, step in neighbors(tree):
-            keys = bound.edge_keys(nxt)
-            nkey = state(keys)
+        for op, nkey, step, nh in neighbors(tree, table):
             ncost = cost + step
             if nkey not in best or ncost < best[nkey]:
                 best[nkey] = ncost
                 via[nkey] = (key, op)
-                heapq.heappush(
-                    frontier, (ncost + bound.unpaired_weight(keys), nkey, ncost, tree, op)
-                )
+                heapq.heappush(frontier, (ncost + nh, nkey, ncost, tree, op))
 
     raise TreeError("search space exhausted without reaching the target tree")

@@ -15,6 +15,15 @@ check is needed.  Distinct edges of one tree have distinct splits, so keys
 are unique within a tree and every edge has at most one partner: the
 target edge with its key in :class:`PairBound`'s table of tree 2.
 
+The same pass (:class:`Sides`) serves the move-key kernel.  A move on edge
+e changes e's key alone (see :func:`lower_bound`), and e's new away side is
+the union of two parts of the old tree: the part beyond e's other edge at
+one end and the part beyond the moved edge at the other.  Each part is one
+entry of the pass, or its complement when the pass walked that edge from
+the other end, so :meth:`PairBound.moved_key` costs O(1) big-int operations
+and needs no copy of the tree (DasGupta, He, Jiang, Li, Tromp and Zhang,
+"On computing the nearest neighbor interchange distance", DIMACS 2000).
+
 ``partition_labeling`` is the paper's O(log n)-round parallel labeling of
 the same question, kept and tested on its own.  Each tree is augmented by
 subdividing every internal edge and hanging a pseudo-leaf labeled with the
@@ -37,8 +46,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from nnidist.phylo import Phylogeny, TreeError, finiteness_check
+from nnidist.phylo import Phylogeny, RootedView, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime, par_prefix_sums
 
 
@@ -340,18 +350,34 @@ class GoodEdgePairSet:
         return len(self.pairs)
 
 
+class Sides(NamedTuple):
+    """What lies beyond each node's parent edge in one tree, from one post-order pass.
+
+    ``bits[x]`` is the taxa bitset below node x of the tree's rooted ``view``
+    and ``vecs[x]`` the count vector of the internal weights below it, x's
+    parent edge included when that edge is internal.  The root's entries
+    hold every taxon and every internal weight.  ``field[e]`` is the count
+    field of internal edge e's weight: a vector holding that weight once.
+    """
+
+    view: RootedView
+    bits: dict[int, int]
+    vecs: dict[int, int]
+    field: dict[int, int]
+
+
 class PairBound:
     """The good-pair table of one fixed target tree.
 
     ``rank`` numbers the target's distinct internal weights in increasing
-    order.  The table maps the exact key (see :meth:`edge_keys`) of each of
+    order.  ``target`` maps the exact key (see :meth:`edge_keys`) of each of
     the target's internal edges to that edge; keys are unique within a tree,
     so an edge of another tree is paired exactly when its key is in the
     table.  The bound of a tree T, :func:`lower_bound` against the target,
     is then the weight of T's edges whose keys are not in the table, one
     key pass per tree.  Trees must be finite against the target (see
-    ``finiteness_check``).  :mod:`nnidist.exact` uses it as its A* heuristic
-    and says why it is consistent.
+    ``finiteness_check``).  :mod:`nnidist.exact` uses it, scaled to
+    integers, as its A* heuristic and says why it is consistent.
     """
 
     def __init__(self, target: Phylogeny) -> None:
@@ -359,43 +385,123 @@ class PairBound:
         # one count field per distinct weight, wide enough for n - 3 repeats
         width = target.n_taxa.bit_length()
         self._fields = {w: 1 << (width * r) for w, r in self.rank.items()}
-        self._target = {key: e for e, key in self.edge_keys(target).items()}
+        # bit i is the i-th taxon in sorted order, as in Phylogeny.split_bits
+        self._bit = {t: 1 << i for i, t in enumerate(target.taxa())}
+        self.target = {key: e for e, key in self.edge_keys(target).items()}
 
-    def edge_keys(self, tree: Phylogeny) -> dict[int, tuple[Fraction, int, int]]:
-        """Exact good-pair key of every internal edge, in one post-order pass.
+    def edge_fields(self, tree: Phylogeny) -> dict[int, int]:
+        """The count field of each internal edge's weight, by edge id.
+
+        A move keeps every edge's id and weight, so a caller that reads the
+        sides of many trees linked by moves builds this once.
+        """
+        fields = self._fields
+        _, parent_edge, children = tree.rooted_view()
+        # an internal edge is the parent edge of a node with children
+        return {
+            e: fields[tree.weight(e)]
+            for x, e in parent_edge.items()
+            if e is not None and children[x]
+        }
+
+    def sides(self, tree: Phylogeny, field: dict[int, int] | None = None) -> Sides:
+        """The taxa and internal weights below every node of ``tree``'s rooted view.
+
+        ``field`` is ``self.edge_fields(tree)`` when the caller has it already.
+        """
+        if field is None:
+            field = self.edge_fields(tree)
+        view = tree.rooted_view()
+        order, parent_edge, children = view
+        bit = self._bit
+        bits: dict[int, int] = {}
+        vecs: dict[int, int] = {}
+        for x in reversed(order):
+            kids = children[x]
+            if kids:
+                below = vec = 0
+                for c in kids:
+                    below |= bits[c]
+                    vec += vecs[c]
+                e = parent_edge[x]
+                if e is not None:
+                    vec += field[e]
+            else:
+                below, vec = bit[tree.leaf_label(x)], 0
+            bits[x] = below
+            vecs[x] = vec
+        return Sides(view, bits, vecs, field)
+
+    def edge_keys(
+        self, tree: Phylogeny, sides: Sides | None = None
+    ) -> dict[int, tuple[Fraction, int, int]]:
+        """Exact good-pair key of every internal edge, read off :meth:`sides`.
 
         The key is (weight, away-side taxa bitset, away-side count vector of
         the other internal weights), the away side being the one without the
-        smallest taxon.  The taxa come from :meth:`Phylogeny.split_bits`.
+        smallest taxon: the side below the edge, since the view hangs from
+        the smallest taxon's neighbour.  ``sides`` is ``self.sides(tree)``
+        when the caller has it already.
         """
-        order, parent_edge, children = tree.rooted_view()
-        taxa_at = tree.split_bits()
-        # internal weights on the away side of each node's parent edge, that edge included
-        weights_at: dict[int, int] = {}
+        if sides is None:
+            sides = self.sides(tree)
+        view, bits, vecs, field = sides
+        order, parent_edge, children = view
         keys: dict[int, tuple[Fraction, int, int]] = {}
         for x in reversed(order[1:]):
-            kids = children[x]
-            away = sum(weights_at[c] for c in kids)
-            if kids:
+            if children[x]:
                 e = parent_edge[x]
-                w = tree.weight(e)
-                keys[e] = (w, taxa_at[e], away)
-                away += self._fields[w]
-            weights_at[x] = away
+                keys[e] = (tree.weight(e), bits[x], vecs[x] - field[e])
         return keys
+
+    def moved_key(
+        self, tree: Phylogeny, sides: Sides, e1: int, e2: int, e3: int
+    ) -> tuple[Fraction, int, int]:
+        """e2's key after the move (e1, e2, e3), from two entries of ``sides``.
+
+        ``sides`` is ``self.sides(tree)`` before the move.  The move carries
+        e1 from e2's end u to its end v and e3 the other way, so afterwards
+        e2's side at u is what lay beyond u's third edge b, seen from u, and
+        what lay beyond e3, seen from v.  Beyond an edge seen from its parent
+        end is the child's entry; seen from the node whose parent edge it
+        is, it is the complement of that node's entry with the edge's own
+        weight added back.  The union is then turned to the side without the
+        smallest taxon.  Every other edge keeps its key (see
+        :func:`lower_bound`), so one move costs O(1) big-int operations.
+        """
+        view, bits, vecs, field = sides
+        parent_edge = view.parent_edge
+        root = view.order[0]
+        every, total = bits[root], vecs[root]
+        u, v = tree.endpoints(e2)
+        if v in tree.endpoints(e1):
+            u, v = v, u
+        b = next(x for x in tree.adjacent_edges(u) if x != e1 and x != e2)
+        side = vec = 0
+        for y, x in ((u, b), (v, e3)):
+            if parent_edge[y] == x:
+                # x leads to the root: beyond it lies the complement of y's
+                # entry, and x itself
+                side |= every ^ bits[y]
+                vec += total - vecs[y] + field[x]
+            else:
+                c = tree.other_end(x, y)
+                side |= bits[c]
+                vec += vecs[c]
+        if side & 1:  # the smallest taxon's side: the key names the other one
+            return tree.weight(e2), every ^ side, total - vec - field[e2]
+        return tree.weight(e2), side, vec
 
     def pairs(self, keys: dict[int, tuple[Fraction, int, int]]) -> list[tuple[int, int]]:
         """The sorted (edge, target edge) good pairs of the tree with these keys."""
-        target = self._target
+        target = self.target
         return sorted((e, target[key]) for e, key in keys.items() if key in target)
 
-    def unpaired_weight(self, keys: dict[int, tuple[Fraction, int, int]]) -> Fraction:
-        """The bound of the tree whose :meth:`edge_keys` are ``keys``."""
-        target = self._target
-        return sum((key[0] for key in keys.values() if key not in target), Fraction(0))
-
     def __call__(self, tree: Phylogeny) -> Fraction:
-        return self.unpaired_weight(self.edge_keys(tree))
+        """The bound of ``tree``: the weight of its edges without a partner."""
+        target = self.target
+        keys = self.edge_keys(tree).values()
+        return sum((key[0] for key in keys if key not in target), Fraction(0))
 
 
 def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:

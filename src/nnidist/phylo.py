@@ -284,7 +284,7 @@ class Phylogeny:
     def _build_view(self, root: int) -> RootedView:
         adj, ends, labels = self._adj, self._ends, self._leaf_label
         # plain dict and list work, no method calls: the exact search reads
-        # this view for every state it generates (split_bits, good-pair keys)
+        # this view for every state it expands (its good-pair sides)
         parent_edge: dict[int, int | None] = {root: None}
         children: dict[int, list[int]] = {}
         order = [root]

@@ -315,21 +315,25 @@ def nni_by_rebuild(tree: Phylogeny, e1: int, e2: int, e3: int) -> Phylogeny | No
 def uniform_cost_distance(t1: Phylogeny, t2: Phylogeny):
     """Exact (distance, witness) by plain uniform-cost search, no heuristic.
 
-    States are canonical Newick strings; every internal edge offers its two
-    distinct swaps.  Returns None when the search space runs out.
+    States are the weighted split sets found by explicit edge removal (leaf
+    weights never change), so any positive ``Fraction`` weight works, not
+    only those a Newick decimal can spell; every internal edge offers its
+    two distinct swaps.  Returns None when the search space runs out.
     """
-    from nnidist import newick
     from nnidist.nni import NniOp, apply_nni
 
-    goal = newick.serialize(t2)
-    start = newick.serialize(t1)
+    def state(tree: Phylogeny) -> frozenset:
+        return frozenset((s, tree.weight(e)) for e, s in splits_by_removal(tree).items())
+
+    goal = state(t2)
+    start = state(t1)
     counter = itertools.count()
-    frontier = [(Fraction(0), start, next(counter), t1)]
+    frontier = [(Fraction(0), next(counter), start, t1)]
     best = {start: Fraction(0)}
     via = {}
     settled = set()
     while frontier:
-        cost, key, _, tree = heapq.heappop(frontier)
+        cost, _, key, tree = heapq.heappop(frontier)
         if key in settled:
             continue
         settled.add(key)
@@ -346,11 +350,11 @@ def uniform_cost_distance(t1: Phylogeny, t2: Phylogeny):
                 op = NniOp(a1, e2, e3)
                 nxt = tree.copy()
                 ncost = cost + apply_nni(nxt, op)
-                nkey = newick.serialize(nxt)
+                nkey = state(nxt)
                 if nkey not in best or ncost < best[nkey]:
                     best[nkey] = ncost
                     via[nkey] = (key, op)
-                    heapq.heappush(frontier, (ncost, nkey, next(counter), nxt))
+                    heapq.heappush(frontier, (ncost, next(counter), nkey, nxt))
     return None
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
-from nnidist.exact import StateLimitError, exact_dnni, neighbors
+from nnidist.exact import SearchTable, StateLimitError, exact_dnni, neighbors
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, verify_transform
@@ -102,9 +102,19 @@ def test_four_taxa_single_swap_is_forced():
     assert ok and cost == d
 
 
+def successors(tree: Phylogeny, table: SearchTable):
+    """Each move of ``neighbors``, the tree it gives and the move's cost."""
+    out = []
+    for op, _, _, _ in neighbors(tree, table):
+        nxt = tree.copy()
+        cost = apply_nni(nxt, op)
+        out.append((op, nxt, cost))
+    return out
+
+
 def test_four_taxa_has_two_neighbors_and_involution():
     t = quartet(Fraction(2), "b")
-    moves = neighbors(t)
+    moves = successors(t, SearchTable(t, t))
     assert len(moves) == 2
     seen = set()
     for op, nxt, cost in moves:
@@ -122,9 +132,10 @@ def test_five_taxa_move_count_and_topology_closure():
     frontier = [tree]
     states = {newick.serialize(tree)}
     shapes = {frozenset(splits_by_removal(tree).values())}
+    table = SearchTable(tree, tree)
     while frontier:
         cur = frontier.pop()
-        moves = neighbors(cur)
+        moves = successors(cur, table)
         assert len(moves) == 2 * (5 - 3)
         for _, nxt, _ in moves:
             key = newick.serialize(nxt)
@@ -210,15 +221,22 @@ def test_witness_is_deterministic():
 def test_heuristic_is_zero_at_the_goal_and_consistent(n, seed, moves, dup):
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
     h = PairBound(t2)
-    assert h(t2) == 0
+    table = SearchTable(t1, t2)
+    assert h(t2) == 0 and table.state(t2)[1] == 0
     # the start, its successors and theirs: every move s -> s' on the way
     layer = [t1]
     for _ in range(2):
         following = []
         for tree in layer:
             here = h(tree)
-            for _, nxt, step in neighbors(tree):
+            for op, state, scaled_step, scaled_h in neighbors(tree, table):
+                nxt = tree.copy()
+                step = apply_nni(nxt, op)
                 assert here <= step + h(nxt)
+                # the search's incremental state, step and h are the moved tree's own
+                assert Fraction(scaled_step, table.scale) == step
+                assert Fraction(scaled_h, table.scale) == h(nxt)
+                assert state == table.state(nxt)[0]
                 following.append(nxt)
         layer = following[:6]
 
@@ -246,3 +264,36 @@ def test_distances_match_uniform_cost_search():
             assert distance == reference, f"n={n} seed={seed}"
             ok, cost, _ = verify_transform(t1, witness, t2)
             assert ok and cost == distance
+
+
+def test_integer_costs_are_exact_for_mixed_denominators():
+    # thirds, sevenths, tenths and a 40-digit decimal on the four internal
+    # edges, one of them twice on odd seeds: the search scales by their lcm
+    # and converts back once
+    long = Fraction("1.000000000000000000000000000000000000007")
+    pool = [Fraction(1, 3), Fraction(5, 7), Fraction("0.1"), long]
+    checked = 0
+    for seed in range(6):
+        rng = random.Random(400 + seed)
+        shape = random_phylogeny(rng, 7)
+        internal = shape.internal_edges()
+        ws = rng.sample(pool, len(pool))
+        if seed % 2:
+            ws[0] = ws[1]
+        weights = {e: shape.weight(e) for e in shape.edge_ids()}
+        weights.update(zip(internal, ws))
+        t1 = Phylogeny(
+            {e: shape.endpoints(e) for e in shape.edge_ids()},
+            weights,
+            {v: shape.leaf_label(v) for v in shape.nodes() if shape.is_leaf(v)},
+        )
+        t2 = t1.copy()
+        for _ in range(5):
+            apply_nni(t2, random_valid_op(rng, t2))
+        distance, witness = exact_dnni(t1, t2)
+        assert type(distance) is Fraction
+        assert distance == uniform_cost_distance(t1, t2)[0], f"seed={seed}"
+        ok, cost, _ = verify_transform(t1, witness, t2)
+        assert ok and cost == distance
+        checked += distance > 0
+    assert checked >= 4

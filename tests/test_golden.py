@@ -9,6 +9,11 @@ serialization in the header digests) fails here and has to say why.
 The round accounting of the same instances is pinned too: the SHA-256 of
 ``json.dumps(metrics, sort_keys=True)``, so a change that alters the rounds,
 work or peak parallelism of any phase fails here as well.
+
+So are the exact search's answers on acceptance criterion 2's 220
+instances (the make-up of the ``exact_small`` benchmark workload): one line
+per instance with its distance and witness moves.  A change to the search's
+states, costs or tie-break that picks another optimal witness fails here.
 """
 
 import hashlib
@@ -16,7 +21,9 @@ import json
 
 import pytest
 
+from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
+from nnidist.newick import format_weight
 from nnidist.nni import trace_lines
 from nnidist.pipeline import approx_nni
 
@@ -61,3 +68,19 @@ def test_round_accounting_is_pinned(n, seed, digest):
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=3 * n, dup_weights=seed % 2 == 0)
     metrics = json.dumps(approx_nni(t1, t2).metrics, sort_keys=True)
     assert hashlib.sha256(metrics.encode()).hexdigest() == digest
+
+
+EXACT_WITNESSES = "52a63bed70056995dc39ab60d5a6832d1288deda9663e3353606b1417d690ef8"
+
+
+def test_exact_distances_and_witnesses_are_pinned():
+    lines = []
+    for n, count in ((5, 100), (6, 100), (7, 20)):
+        for s in range(1, count + 1):
+            t1, t2, _ = generate_pair(seed=s, n=n, moves=n - 1, dup_weights=s % 3 == 0)
+            d, ops = exact_dnni(t1, t2)
+            lines.append(
+                f"{n} {s} {format_weight(d)} " + " ".join(f"{o.e1},{o.e2},{o.e3}" for o in ops)
+            )
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_WITNESSES

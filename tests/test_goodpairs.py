@@ -28,6 +28,7 @@ from nnidist.goodpairs import (
     relabel_merge,
     single_label_partition,
 )
+from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 from oracles import (
@@ -360,6 +361,52 @@ def test_keys_are_unique_and_the_table_pairs_like_the_oracle(n, seed, moves):
         keys = table.edge_keys(tree)
         assert len(set(keys.values())) == len(keys) == n - 3
     assert table.pairs(table.edge_keys(t1)) == sorted(good_pair_oracle(t1, t2))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 20),
+    dup=st.booleans(),
+)
+def test_moved_key_is_the_key_of_the_moved_tree(n, seed, moves, dup):
+    t1, t2, _ = generate_pair(seed, n, moves, dup_weights=dup)
+    table = PairBound(t2)
+    for tree in (t1, t2):
+        keys = table.edge_keys(tree)
+        sides = table.sides(tree)
+        parent_edge = sides.view.parent_edge
+        root = sides.view.order[0]
+        complements = set()
+        for e2 in tree.internal_edges():
+            # all eight operand choices, the mirror images included
+            for u, v in (tree.endpoints(e2), tree.endpoints(e2)[::-1]):
+                at_u = [e for e in tree.adjacent_edges(u) if e != e2]
+                for e1 in at_u:
+                    (b,) = [e for e in at_u if e != e1]
+                    for e3 in tree.adjacent_edges(v):
+                        if e3 == e2:
+                            continue
+                        moved = tree.copy()
+                        apply_nni(moved, NniOp(e1, e2, e3))
+                        after = table.edge_keys(moved)
+                        assert table.moved_key(tree, sides, e1, e2, e3) == after[e2]
+                        del after[e2]
+                        assert after == {e: k for e, k in keys.items() if e != e2}
+                        # beyond b or e3 lies the root: a complement of sides
+                        if parent_edge[u] == b:
+                            complements.add("e1 side")
+                        if parent_edge[v] == e3:
+                            complements.add("e3 side")
+        # an internal edge that hangs from a node other than the root offers
+        # the complement on both sides of it (at every n >= 6 one does)
+        deep = any(
+            e is not None and not tree.is_leaf(c) and tree.other_end(e, c) != root
+            for c, e in parent_edge.items()
+        )
+        assert complements == ({"e1 side", "e3 side"} if deep else set())
+        assert deep or n < 6
 
 
 @pytest.mark.parametrize("seed", range(20))
