@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 
-from nnidist import newick
-from nnidist.balance import build_auxiliary
-from nnidist.gen import generate_pair, random_tree
-from nnidist.phylo import finiteness_check
+import pytest
 
-from oracles import random_phylogeny, weighted_splits
+from nnidist import newick
+from nnidist.balance import AuxiliaryTree, build_auxiliary, check_auxiliary
+from nnidist.gen import generate_pair, random_tree
+from nnidist.phylo import Phylogeny, TreeError, finiteness_check
+
+from oracles import caterpillar, random_phylogeny, weighted_splits
 
 
 def leaf_depth_by_walk(tree, label):
@@ -93,3 +95,56 @@ def test_companion_depth_is_logarithmic():
         t = random_tree(random.Random(n), n)
         aux = build_auxiliary(t)
         assert aux.depth <= math.ceil(math.log2(n - 1)) + 1
+
+
+def as_companion(tree):
+    """``tree`` as ``check_auxiliary`` takes a companion, leaf levels walked."""
+    slots = {tree.leaf_node(s): (leaf_depth_by_walk(tree, s), 0) for s in tree.taxa()}
+    return AuxiliaryTree(tree, [], {}, slots, 0)
+
+
+def reweighted(tree, changes):
+    """The same tree with the weights of some edges replaced."""
+    edges = {e: tree.endpoints(e) for e in tree.edge_ids()}
+    weights = {e: changes.get(e, tree.weight(e)) for e in tree.edge_ids()}
+    labels = {v: tree.leaf_label(v) for v in tree.nodes() if tree.is_leaf(v)}
+    return Phylogeny(edges, weights, labels)
+
+
+def test_check_auxiliary_rejects_leaf_depth_spread():
+    # a caterpillar hung from its end holds leaves at every depth
+    t = caterpillar(8)
+    with pytest.raises(TreeError, match="depths spread"):
+        check_auxiliary(t, as_companion(t))
+
+
+def test_check_auxiliary_rejects_descending_path():
+    t = random_phylogeny(random.Random(603), 12)
+    tree = build_auxiliary(t).tree
+    view = tree.rooted_view()
+    # an internal edge below an internal edge, their weights swapped
+    e, up = next(
+        (view.parent_edge[x], view.parent_edge[tree.other_end(view.parent_edge[x], x)])
+        for x in view.order[1:]
+        if view.children[x]
+        and view.parent_edge[tree.other_end(view.parent_edge[x], x)] is not None
+    )
+    bad = reweighted(tree, {e: tree.weight(up), up: tree.weight(e)})
+    assert bad.internal_weight_multiset() == t.internal_weight_multiset()
+    with pytest.raises(TreeError, match="descending"):
+        check_auxiliary(t, as_companion(bad))
+
+
+def test_check_auxiliary_rejects_changed_weights():
+    t = random_phylogeny(random.Random(604), 12)
+    tree = build_auxiliary(t).tree
+    top = max(tree.internal_edges(), key=tree.weight)
+    heavier = reweighted(tree, {top: tree.weight(top) + 1000})
+    with pytest.raises(TreeError, match="internal weight multiset"):
+        check_auxiliary(t, as_companion(heavier))
+    leaf = tree.leaf_edge_of(tree.taxa()[-1])
+    moved = reweighted(tree, {leaf: tree.weight(leaf) + 1000})
+    with pytest.raises(TreeError, match="leaf weights"):
+        check_auxiliary(t, as_companion(moved))
+    # the unchanged companion passes the same check
+    check_auxiliary(t, as_companion(tree))
