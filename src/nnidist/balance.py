@@ -7,33 +7,23 @@ enumerated level by level left to right, receive the source's internal
 weights in ascending order, which forces every root-to-leaf weight sequence
 to be non-decreasing.  Leaf edges keep their taxon's original weight.
 
-Slots: the subtree roots sit at positions (1,1) and (1,2); the children of
-(l,j) are (l+1,2j-1) and (l+1,2j).  The anchor leaf and the root carry no
-position.  Two sources with equal taxa and equal internal weight multisets
-produce byte-identical companions, which is what lets the later stages line
-the two trees up against each other: the pipeline builds one companion per
-component and checks it once, since the two trees have the same leaf weights
-and internal weight multiset and the shape checks read the companion alone.
+Node ids follow preorder (root 0, anchor leaf 1), and each edge takes its id
+when the subtree below it is finished; the companion's linearization breaks
+ties on these ids.  Two sources with equal taxa and equal internal weight
+multisets produce byte-identical companions, which is what lets the later
+stages line the two trees up against each other: the pipeline builds one
+companion per component and checks it once, since the two trees have the
+same leaf weights and internal weight multiset and the shape checks read the
+companion alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from nnidist.phylo import Phylogeny, TreeError
-
-Position = tuple[int, int]
-
-
-@dataclass
-class AuxiliaryTree:
-    tree: Phylogeny
-    level_edges: list[int]               # internal edges in level order
-    slot_nodes: dict[Position, int]      # position -> node
-    node_slots: dict[int, Position]      # node -> position
-    depth: int                           # deepest position level
 
 
 def _left_size(k: int) -> int:
@@ -44,103 +34,72 @@ def _left_size(k: int) -> int:
     return min(2 ** (d - 1), k - 2 ** (d - 2))
 
 
-def build_auxiliary(source: Phylogeny) -> AuxiliaryTree:
+def build_auxiliary(source: Phylogeny) -> Phylogeny:
     """Deterministic balanced companion of ``source`` (see module docstring)."""
-    taxa = list(source.taxa())
-    anchor, rest = taxa[0], taxa[1:]
+    anchor, *rest = source.taxa()
     leaf_w = source.leaf_weight_map()
-    internal_w = list(source.internal_weight_multiset())
-
-    edges: dict[int, tuple[int, int]] = {}
-    weights: dict[int, Fraction] = {}
-    labels: dict[int, str] = {}
-    slot_nodes: dict[Position, int] = {}
-    counter = {"node": 0, "edge": 0}
-
-    def alloc_node() -> int:
-        counter["node"] += 1
-        return counter["node"] - 1
-
-    def add_edge(u: int, v: int) -> int:
-        e = counter["edge"]
-        counter["edge"] += 1
-        edges[e] = (u, v)
-        return e
-
-    root = alloc_node()
-    anchor_leaf = alloc_node()
-    labels[anchor_leaf] = anchor
-    weights[add_edge(root, anchor_leaf)] = leaf_w[anchor]
-
+    edges: dict[int, tuple[int, int]] = {0: (0, 1)}
+    weights: dict[int, Fraction] = {0: leaf_w[anchor]}
+    labels = {1: anchor}
+    slots: list[tuple[int, int, int]] = []   # (level, j, edge) of each internal edge
+    node_ids = count(2)
     leaf_iter = iter(rest)
 
-    def build(k: int, level: int, j: int) -> int:
-        node = alloc_node()
-        slot_nodes[(level, j)] = node
+    def hang(parent: int, k: int, level: int, j: int) -> None:
+        """Hang the next ``k`` taxa below ``parent`` at position (level, j).
+
+        The children of (l, j) sit at (l+1, 2j-1) and (l+1, 2j).  The
+        subtree's recursion depth is its height, O(log n).
+        """
+        node = next(node_ids)
         if k == 1:
-            label = next(leaf_iter)
-            labels[node] = label
-            return node
-        lk = _left_size(k)
-        left = build(lk, level + 1, 2 * j - 1)
-        add_edge(node, left)
-        right = build(k - lk, level + 1, 2 * j)
-        add_edge(node, right)
-        return node
+            labels[node] = next(leaf_iter)
+        else:
+            lk = _left_size(k)
+            hang(node, lk, level + 1, 2 * j - 1)
+            hang(node, k - lk, level + 1, 2 * j)
+        e = len(edges)
+        edges[e] = (parent, node)
+        if k == 1:
+            weights[e] = leaf_w[labels[node]]
+        else:
+            slots.append((level, j, e))
 
-    n_rest = len(rest)
-    left_k = math.ceil(n_rest / 2)
-    add_edge(root, build(left_k, 1, 1))
-    add_edge(root, build(n_rest - left_k, 1, 2))
-
-    node_slots = {v: p for p, v in slot_nodes.items()}
-    internal_nodes = {u for e, (u, v) in edges.items()} | {v for e, (u, v) in edges.items()}
-    internal_nodes -= set(labels)
-
-    # parent edge of each positioned node; internal ones get the sorted weights
-    parent_edge: dict[int, int] = {}
-    for e, (u, v) in edges.items():
-        parent_edge[v] = e
-    level_edges = [
-        parent_edge[slot_nodes[p]]
-        for p in sorted(slot_nodes)
-        if slot_nodes[p] not in labels
-    ]
-    if len(level_edges) != len(internal_w):
-        raise TreeError("companion construction lost internal edges")
-    for e, w in zip(level_edges, internal_w):
+    left_k = math.ceil(len(rest) / 2)
+    hang(0, left_k, 1, 1)
+    hang(0, len(rest) - left_k, 1, 2)
+    for (_, _, e), w in zip(sorted(slots), source.internal_weight_multiset()):
         weights[e] = w
-    for v, label in labels.items():
-        if v != anchor_leaf:
-            weights[parent_edge[v]] = leaf_w[label]
-
-    tree = Phylogeny(edges, weights, labels)
-    depth = max((p[0] for p in slot_nodes), default=0)
-    return AuxiliaryTree(tree, level_edges, slot_nodes, node_slots, depth)
+    return Phylogeny(edges, weights, labels)
 
 
-def check_auxiliary(source: Phylogeny, aux: AuxiliaryTree) -> None:
+def check_auxiliary(source: Phylogeny, tree: Phylogeny) -> None:
     """Structural postconditions, enforced on every companion the pipeline builds.
 
     Raises TreeError when leaf depths (anchor aside) spread by more than one
     level, when some root-to-leaf internal weight sequence decreases, or when
-    the weight multiset changed.
+    the weight multiset changed.  Depths and paths are read off the
+    companion's rooted view, which hangs from the root handle.
     """
-    tree = aux.tree
     if tree.internal_weight_multiset() != source.internal_weight_multiset():
         raise TreeError("companion changed the internal weight multiset")
     if tree.leaf_weight_map() != source.leaf_weight_map():
         raise TreeError("companion changed leaf weights")
-    anchor = tree.taxa()[0]
-    depths = [
-        aux.node_slots[tree.leaf_node(s)][0] for s in tree.taxa() if s != anchor
-    ]
-    if max(depths) - min(depths) > 1:
-        raise TreeError(f"companion leaf depths spread {min(depths)}..{max(depths)}")
-    # every root-to-leaf path: no internal weight below the root drops
-    view = tree.rooted_view()
-    for x in view.order[1:]:
-        e = view.parent_edge[x]
-        up = view.parent_edge[tree.other_end(e, x)]
-        if up is not None and view.children[x] and tree.weight(e) < tree.weight(up):
+    anchor = tree.leaf_node(tree.taxa()[0])
+    order, parent_edge, children = tree.rooted_view()
+    depth = {order[0]: 0}
+    leaf_depths = []
+    for x in order[1:]:
+        e = parent_edge[x]
+        parent = tree.other_end(e, x)
+        depth[x] = depth[parent] + 1
+        up = parent_edge[parent]
+        if not children[x]:
+            if x != anchor:
+                leaf_depths.append(depth[x])
+        elif up is not None and tree.weight(e) < tree.weight(up):
+            # no internal weight below the root drops on a root-to-leaf path
             raise TreeError("companion has a descending weight path")
+    if max(leaf_depths) - min(leaf_depths) > 1:
+        raise TreeError(
+            f"companion leaf depths spread {min(leaf_depths)}..{max(leaf_depths)}")

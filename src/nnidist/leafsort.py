@@ -13,14 +13,15 @@ the walker's original spot.  The net effect is an exact transposition of
 the two leaves, 2k-1 moves for a path of k edges, touching each path edge
 at most twice.
 
-Which leaf goes where is decided by a recursive matching of the two trees
-that maximizes the number of taxa already in place: structurally
-interchangeable sibling subtrees (equal sizes and internal weights) may be
-matched crosswise, which costs nothing because exchanging them yields the
-same unrooted tree.  Positions are read off each tree's
+Which leaf goes where is decided by a matching of the two trees that
+maximizes the number of taxa already in place: structurally interchangeable
+sibling subtrees (equal sizes and internal weights) may be matched
+crosswise, which costs nothing because exchanging them yields the same
+unrooted tree.  Positions are read off each tree's
 :meth:`Phylogeny.rooted_view`: its parent edges give the signatures and the
 swap paths, and its order by smallest taxon breaks ties between
-interchangeable siblings.
+interchangeable siblings.  Signatures are flat tuples of ints and every pass
+is a loop over a node list, so no depth of tree exhausts the stack.
 """
 
 from __future__ import annotations
@@ -33,100 +34,92 @@ from nnidist.nni import NniOp, apply_nni
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
-Slot = tuple[int, ...]
 
+def ranked_view(
+    tree: Phylogeny, root: int | None, rank: dict[Fraction, int]
+) -> tuple[int, dict[int, list[int]], dict[int, tuple[int, ...]]]:
+    """Root, ranked children and flat signature of each node of the rooted view.
 
-@dataclass
-class SlotView:
-    """A deterministic rooted reading of a tree for position bookkeeping."""
-
-    tree: Phylogeny
-    root: int
-    parent_edge: dict[int, int | None]
-    children: dict[int, list[int]]
-    node_slot: dict[int, Slot]
-    taxon_slot: dict[str, Slot]
-    sig: dict[int, tuple]
-
-
-def build_slot_view(tree: Phylogeny, root: int | None = None) -> SlotView:
-    """Slots and signatures over the tree's rooted view (from ``root`` if given).
-
-    A node's signature is (its edge's weight, its shape): child ordering
-    must not depend on which taxon sits where, so a leaf has no weight and
-    a bare terminal marker.  Children are ranked by size, then signature;
-    the ranking is stable, so interchangeable siblings keep the view's order
-    by smallest taxon.
+    A leaf's signature is ``(0,)``, with no weight, so that child order does
+    not depend on which taxon sits where.  An internal node's is the rank of
+    its parent edge's weight (``rank`` is increasing and >= 1; the root takes
+    0) followed by its ranked children's.  Every node below the root has two
+    children, so the encoding is prefix-free: signatures compare as the
+    nested ``(weight, shape)`` tuples they spell, and k leaves take 2k - 1
+    ints.  Children are ranked by size, then signature; the sort is stable,
+    so interchangeable siblings keep the view's order by smallest taxon.
     """
     order, parent_edge, children = tree.rooted_view(root)
-    sig: dict[int, tuple] = {}
-    size: dict[int, int] = {}
+    sig: dict[int, tuple[int, ...]] = {}
     kids: dict[int, list[int]] = {}
     for v in reversed(order):
-        ranked = sorted(children[v], key=lambda c: (-size[c], sig[c]))
-        kids[v] = ranked
+        ranked = kids[v] = sorted(children[v], key=lambda c: (-len(sig[c]), sig[c]))
         if not ranked:
-            size[v] = 1
-            sig[v] = (Fraction(0), (0,))
+            sig[v] = (0,)
             continue
-        size[v] = sum(size[c] for c in ranked)
         e = parent_edge[v]
-        sig[v] = (Fraction(0) if e is None else tree.weight(e), (1, *(sig[c] for c in ranked)))
-
-    node_slot: dict[int, Slot] = {order[0]: ()}
-    for v in order:
-        for i, c in enumerate(kids[v]):
-            node_slot[c] = node_slot[v] + (i,)
-    taxon_slot = {
-        tree.leaf_label(v): node_slot[v] for v in order if not kids[v]
-    }
-    return SlotView(tree, order[0], parent_edge, kids, node_slot, taxon_slot, sig)
+        flat = [0 if e is None else rank[tree.weight(e)]]
+        for c in ranked:
+            flat += sig[c]
+        sig[v] = tuple(flat)
+    return order[0], kids, sig
 
 
-def leaf_permutation(v1: SlotView, v2: SlotView) -> dict[str, Slot]:
-    """Where each taxon must sit in ``v1``'s coordinates to realize ``v2``.
+def leaf_permutation(
+    source: Phylogeny,
+    target: Phylogeny,
+    source_root: int | None = None,
+    target_root: int | None = None,
+) -> dict[str, str]:
+    """Which taxon of ``source`` holds the position each taxon must take.
 
-    Interchangeable sibling subtrees are matched to keep as many taxa in
-    place as possible.  Returns taxon -> target slot.
+    Maps each taxon to the one sitting, in ``source``, where ``target`` puts
+    it; the trees are read from the given view roots.  Interchangeable
+    sibling subtrees are matched to keep as many taxa in place as possible.
+    The map lists ``source``'s leaves in ranked preorder: its values are
+    their taxa in that order.
     """
-    if v1.sig[v1.root] != v2.sig[v2.root]:
+    ws = source.internal_weight_multiset()
+    if ws != target.internal_weight_multiset():
+        raise TreeError("trees do not share an internal structure")
+    rank = {w: i for i, w in enumerate(ws, 1)}  # equal weights keep the last i
+    r1, kids1, sig1 = ranked_view(source, source_root, rank)
+    r2, kids2, sig2 = ranked_view(target, target_root, rank)
+    if sig1[r1] != sig2[r2]:
         raise TreeError("trees do not share an internal structure")
 
-    memo: dict[tuple[int, int], tuple[int, tuple]] = {}
+    # breadth-first, every pair of children with equal signatures under a
+    # listed pair, so the reverse order scores each pair after its children
+    pairs = [(r1, r2)]
+    for u1, u2 in pairs:
+        pairs.extend(
+            (c1, c2) for c1 in kids1[u1] for c2 in kids2[u2] if sig1[c1] == sig2[c2])
+    score: dict[tuple[int, int], int] = {}
+    choice: dict[tuple[int, int], tuple[int, ...]] = {}
+    for u1, u2 in reversed(pairs):
+        c1 = kids1[u1]
+        if not c1:
+            score[u1, u2] = int(source.leaf_label(u1) == target.leaf_label(u2))
+            continue
+        # max keeps the first best permutation
+        score[u1, u2], choice[u1, u2] = max(
+            (
+                (sum(score[pair] for pair in zip(c1, perm)), perm)
+                for perm in permutations(kids2[u2])
+                if all(sig1[a] == sig2[b] for a, b in zip(c1, perm))
+            ),
+            key=lambda scored: scored[0],
+        )
 
-    def agree(u1: int, u2: int) -> int:
-        if v1.tree.is_leaf(u1):
-            return 1 if v1.tree.leaf_label(u1) == v2.tree.leaf_label(u2) else 0
-        key = (u1, u2)
-        if key in memo:
-            return memo[key][0]
-        c1, c2 = v1.children[u1], v2.children[u2]
-        best, best_perm = -1, None
-        for perm in permutations(range(len(c2))):
-            if any(
-                v1.sig[c1[i]] != v2.sig[c2[p]]
-                for i, p in enumerate(perm)
-            ):
-                continue
-            total = sum(agree(c1[i], c2[p]) for i, p in enumerate(perm))
-            if total > best:
-                best, best_perm = total, perm
-        memo[key] = (best, best_perm)
-        return best
-
-    def descend(u1: int, u2: int, out: dict[str, Slot]) -> None:
-        if v1.tree.is_leaf(u1):
-            out[v2.tree.leaf_label(u2)] = v1.node_slot[u1]
-            return
-        agree(u1, u2)
-        perm = memo[(u1, u2)][1]
-        c1, c2 = v1.children[u1], v2.children[u2]
-        for i, p in enumerate(perm):
-            descend(c1[i], c2[p], out)
-
-    want: dict[str, Slot] = {}
-    descend(v1.root, v2.root, want)
-    return want
+    goes_to: dict[str, str] = {}
+    stack = [(r1, r2)]
+    while stack:
+        u1, u2 = stack.pop()
+        if kids1[u1]:
+            stack.extend(reversed(list(zip(kids1[u1], choice[u1, u2]))))
+        else:
+            goes_to[target.leaf_label(u2)] = source.leaf_label(u1)
+    return goes_to
 
 
 def _climb(tree: Phylogeny, up: dict[int, int | None], x: int) -> list[int]:
@@ -209,35 +202,30 @@ def sort_leaves(
     """
     rt = rt or ParRuntime()
     work = source.copy()
-    v1 = build_slot_view(work, source_root)
-    want = leaf_permutation(v1, build_slot_view(target, target_root))
+    goes_to = leaf_permutation(work, target, source_root, target_root)
 
-    at = dict(v1.taxon_slot)
-    slot_taxon = {s: t for t, s in at.items()}
-
-    # permutation on occupied leaf slots; each cycle is resolved by swapping
-    # the displaced taxon onward until the last one lands in the first slot
-    seen: set[Slot] = set()
+    # each cycle is resolved by swapping the displaced taxon onward until the
+    # last one lands in the first one's position; cycles start in ranked
+    # preorder of the source's leaves
+    seen: set[str] = set()
     cycles: list[list[str]] = []
-    for s in sorted(slot_taxon):
-        if s in seen:
-            continue
-        cycle_slots = []
-        cur = s
-        while cur not in seen:
-            seen.add(cur)
-            cycle_slots.append(cur)
-            cur = want[slot_taxon[cur]]
-        if len(cycle_slots) > 1:
-            cycles.append([slot_taxon[c] for c in cycle_slots])
+    for taxon in goes_to.values():
+        cycle = []
+        while taxon not in seen:
+            seen.add(taxon)
+            cycle.append(taxon)
+            taxon = goes_to[taxon]
+        if len(cycle) > 1:
+            cycles.append(cycle)
 
     rt.round(phase, cycles)
 
+    up = work.rooted_view().parent_edge
     ops: list[NniOp] = []
     for taxa in cycles:
         carry = taxa[0]
         for other in taxa[1:]:
-            ops += swap_leaves(work, carry, other, v1.parent_edge)
+            ops += swap_leaves(work, carry, other, up)
             carry = other
         problems = work.validate()
         if problems:

@@ -14,6 +14,10 @@ produce byte-identical text.  It reads the view the tree keeps, so a tree
 that was already compared or keyed is serialized without a second walk.
 Both directions are iterative, so tree depth is bounded by memory, not by
 the recursion limit.
+
+Newick text holds decimals only, so a tree can be written, digested or
+traced only if every weight has a finite decimal form: a library-built
+weight such as 1/3 makes :func:`format_weight` raise :class:`TreeError`.
 """
 
 from __future__ import annotations
@@ -67,7 +71,10 @@ def parse_weight(text: str, offset: int = 0) -> Fraction:
 
 
 def format_weight(w: Fraction) -> str:
-    """Render a Fraction as the shortest plain decimal, e.g. 13/4 -> ``3.25``."""
+    """Render a Fraction as the shortest plain decimal, e.g. 13/4 -> ``3.25``.
+
+    Raises TreeError for a weight with no finite decimal form, such as 1/3.
+    """
     den = w.denominator
     if den == 1:
         return str(w.numerator)
@@ -80,7 +87,7 @@ def format_weight(w: Fraction) -> str:
         den //= 5
         b += 1
     if den != 1:
-        raise ValueError(f"{w} has no finite decimal form")
+        raise TreeError(f"weight {w} has no finite decimal form for Newick text or traces")
     k = max(a, b)
     scaled = w.numerator * 10**k // w.denominator
     digits = str(scaled).rjust(k + 1, "0")

@@ -34,7 +34,9 @@ tree's weight once per middle edge and recorded value: a later record whose
 parsed cost is the very object already verified for that edge needs no
 second comparison.  A tree keeps its rooted view until its next move, so
 each trace function builds the target's view once: the header digest and the
-end-tree comparison both read it.
+end-tree comparison both read it.  Digests and records spell weights as Newick
+decimals, so a trace needs every weight to have a finite decimal form; for a
+weight such as 1/3 the trace functions raise :class:`TreeError`.
 """
 
 from __future__ import annotations

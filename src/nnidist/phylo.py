@@ -9,7 +9,7 @@ bitsets, node classes) that the rest of the package builds on.
 :meth:`Phylogeny.rooted_view` is the one place where rooting and child order
 are decided: the tree hangs from the internal node next to the smallest
 taxon, and children are ordered by the smallest taxon below them.
-Serialization, the canonical edge order, the leaf sort's slot view, the
+Serialization, the canonical edge order, the leaf sort's ranked view, the
 companion check, the split bitsets and the good-pair keys all read it.
 Each tree keeps that view from its first use until its next move, so no
 caller passes a view along.

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from nnidist.balance import AuxiliaryTree, build_auxiliary, check_auxiliary
+from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges
 from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.leafsort import sort_leaves
@@ -179,7 +179,7 @@ def _aux_order_target(
 
 def _forward_to_balanced(
     component: Phylogeny,
-    aux: AuxiliaryTree,
+    aux: Phylogeny,
     aux_lin: LinearizeResult,
     aux_spine: tuple[list[int], list[int]],
     rt: ParRuntime,
@@ -199,7 +199,7 @@ def _forward_to_balanced(
     balanced = sorted_edges.tree
     for _ in replay(balanced, rebalance):
         pass
-    root = nmap[aux.tree.root_handle()]
+    root = nmap[aux.root_handle()]
     return (lin.ops, sorted_edges.ops, rebalance), balanced, root
 
 
@@ -226,7 +226,7 @@ def _component_sequence(
     # descending-path checks read aux alone.
     aux = build_auxiliary(c1)
     check_auxiliary(c1, aux)
-    aux_lin = linearize(aux.tree, rt)
+    aux_lin = linearize(aux, rt)
     aux_spine = spine(aux_lin.tree)
     (lin1, sort1, rebal1), balanced1, root1 = _forward_to_balanced(
         c1, aux, aux_lin, aux_spine, rt)

@@ -239,6 +239,39 @@ def path_between(tree: Phylogeny, a: int, b: int) -> list[int]:
     return list(reversed(path))
 
 
+def nested_signatures(tree: Phylogeny, root: int):
+    """Children ranked on nested ``(weight, shape)`` signatures, by recursion.
+
+    Hangs the tree from ``root``.  A leaf's signature is ``(0, (0,))``; an
+    internal node's is ``(weight of its edge toward the root, (1, *its ranked
+    children's signatures))``, with weight 0 at the root.  Children are
+    sorted by smallest taxon below, then (stably) by size descending and
+    signature.  Returns ``(ranked children, signature)`` per node.
+    """
+    ranked: dict[int, list[int]] = {}
+    sig: dict[int, tuple] = {}
+
+    def visit(node, via):  # -> (size, smallest taxon)
+        if tree.is_leaf(node):
+            ranked[node] = []
+            sig[node] = (Fraction(0), (0,))
+            return 1, tree.leaf_label(node)
+        kids = []
+        for e in tree.adjacent_edges(node):
+            if e != via:
+                child = tree.other_end(e, node)
+                kids.append((child, *visit(child, e)))
+        kids.sort(key=lambda k: k[2])
+        kids.sort(key=lambda k: (-k[1], sig[k[0]]))
+        ranked[node] = [k[0] for k in kids]
+        weight = Fraction(0) if via is None else tree.weight(via)
+        sig[node] = (weight, (1, *(sig[k[0]] for k in kids)))
+        return sum(k[1] for k in kids), min(k[2] for k in kids)
+
+    visit(root, None)
+    return ranked, sig
+
+
 def walk_up_oracle(tree: Phylogeny):
     """Sequential reference for the pointer-jumping walks.
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nnidist import newick
-from nnidist.balance import AuxiliaryTree, build_auxiliary, check_auxiliary
+from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.gen import generate_pair, random_tree
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 
@@ -29,31 +29,51 @@ def leaf_depth_by_walk(tree, label):
     raise AssertionError("unreachable leaf")
 
 
+def internal_weights_by_level(tree):
+    """Internal edge weights, level by level from the root handle, left to right."""
+    order, frontier = [], [(tree.root_handle(), None)]
+    for node, via in frontier:
+        for e in tree.adjacent_edges(node):
+            child = tree.other_end(e, node)
+            if e != via and not tree.is_leaf(child):
+                order.append(tree.weight(e))
+                frontier.append((child, e))
+    return order
+
+
+def companion_depth(tree):
+    return max(leaf_depth_by_walk(tree, s) for s in tree.taxa())
+
+
 def test_quartet_companion():
     t = newick.parse("(a:1,b:2,(c:3,d:4):5);")
     aux = build_auxiliary(t)
-    assert aux.tree.internal_weight_multiset() == (Fraction(5),)
-    assert aux.tree.leaf_weight_map() == t.leaf_weight_map()
+    assert aux.internal_weight_multiset() == (Fraction(5),)
+    assert aux.leaf_weight_map() == t.leaf_weight_map()
     # anchor a at the handle, b and c on the left subtree, d alone right
-    assert weighted_splits(aux.tree) == {frozenset({"b", "c"}): Fraction(5)}
-    assert aux.depth == 2
-    assert len(aux.level_edges) == 1
+    assert weighted_splits(aux) == {frozenset({"b", "c"}): Fraction(5)}
+    assert companion_depth(aux) == 2
+    assert len(aux.internal_edges()) == 1
 
 
 def test_non_descending_paths_and_depth_spread():
     rng = random.Random(601)
     for _ in range(20):
         t = random_phylogeny(rng, rng.randint(3, 70), weights="small")
-        aux = build_auxiliary(t)
-        tree = aux.tree
+        tree = build_auxiliary(t)
         assert tree.validate() == []
         assert tree.internal_weight_multiset() == t.internal_weight_multiset()
         taxa = tree.taxa()
         depths = [leaf_depth_by_walk(tree, s) for s in taxa if s != taxa[0]]
         assert max(depths) - min(depths) <= 1
-        # slot bookkeeping agrees with walked depths
+        # the checker's view-based depths agree with walked depths
+        check_auxiliary(t, tree)
+        view = tree.rooted_view()
+        view_depth = {view.order[0]: 0}
+        for x in view.order[1:]:
+            view_depth[x] = view_depth[tree.other_end(view.parent_edge[x], x)] + 1
         for s in taxa[1:]:
-            assert aux.node_slots[tree.leaf_node(s)][0] == leaf_depth_by_walk(tree, s)
+            assert view_depth[tree.leaf_node(s)] == leaf_depth_by_walk(tree, s)
 
         # every root-to-leaf internal weight sequence is sorted
         root = tree.root_handle()
@@ -73,8 +93,7 @@ def test_non_descending_paths_and_depth_spread():
 def test_level_edges_carry_sorted_weights():
     rng = random.Random(602)
     t = random_phylogeny(rng, 24)
-    aux = build_auxiliary(t)
-    ws = [aux.tree.weight(e) for e in aux.level_edges]
+    ws = internal_weights_by_level(build_auxiliary(t))
     assert ws == sorted(ws)
     assert tuple(sorted(ws)) == t.internal_weight_multiset()
 
@@ -85,22 +104,19 @@ def test_finite_pair_gets_identical_companions():
         assert finiteness_check(t1, t2)[0]
         a1 = build_auxiliary(t1)
         a2 = build_auxiliary(t2)
-        assert newick.serialize(a1.tree) == newick.serialize(a2.tree)
-        assert a1.level_edges == a2.level_edges
-        assert a1.slot_nodes == a2.slot_nodes
+        assert newick.serialize(a1) == newick.serialize(a2)
+        # node and edge ids too: the companion's linearization breaks ties on them
+        assert {e: a1.endpoints(e) for e in a1.edge_ids()} == {
+            e: a2.endpoints(e) for e in a2.edge_ids()}
+        assert {e: a1.weight(e) for e in a1.edge_ids()} == {
+            e: a2.weight(e) for e in a2.edge_ids()}
 
 
 def test_companion_depth_is_logarithmic():
     for n in (8, 16, 33, 64, 128):
         t = random_tree(random.Random(n), n)
         aux = build_auxiliary(t)
-        assert aux.depth <= math.ceil(math.log2(n - 1)) + 1
-
-
-def as_companion(tree):
-    """``tree`` as ``check_auxiliary`` takes a companion, leaf levels walked."""
-    slots = {tree.leaf_node(s): (leaf_depth_by_walk(tree, s), 0) for s in tree.taxa()}
-    return AuxiliaryTree(tree, [], {}, slots, 0)
+        assert companion_depth(aux) <= math.ceil(math.log2(n - 1)) + 1
 
 
 def reweighted(tree, changes):
@@ -115,12 +131,12 @@ def test_check_auxiliary_rejects_leaf_depth_spread():
     # a caterpillar hung from its end holds leaves at every depth
     t = caterpillar(8)
     with pytest.raises(TreeError, match="depths spread"):
-        check_auxiliary(t, as_companion(t))
+        check_auxiliary(t, t)
 
 
 def test_check_auxiliary_rejects_descending_path():
     t = random_phylogeny(random.Random(603), 12)
-    tree = build_auxiliary(t).tree
+    tree = build_auxiliary(t)
     view = tree.rooted_view()
     # an internal edge below an internal edge, their weights swapped
     e, up = next(
@@ -132,19 +148,19 @@ def test_check_auxiliary_rejects_descending_path():
     bad = reweighted(tree, {e: tree.weight(up), up: tree.weight(e)})
     assert bad.internal_weight_multiset() == t.internal_weight_multiset()
     with pytest.raises(TreeError, match="descending"):
-        check_auxiliary(t, as_companion(bad))
+        check_auxiliary(t, bad)
 
 
 def test_check_auxiliary_rejects_changed_weights():
     t = random_phylogeny(random.Random(604), 12)
-    tree = build_auxiliary(t).tree
+    tree = build_auxiliary(t)
     top = max(tree.internal_edges(), key=tree.weight)
     heavier = reweighted(tree, {top: tree.weight(top) + 1000})
     with pytest.raises(TreeError, match="internal weight multiset"):
-        check_auxiliary(t, as_companion(heavier))
+        check_auxiliary(t, heavier)
     leaf = tree.leaf_edge_of(tree.taxa()[-1])
     moved = reweighted(tree, {leaf: tree.weight(leaf) + 1000})
     with pytest.raises(TreeError, match="leaf weights"):
-        check_auxiliary(t, as_companion(moved))
+        check_auxiliary(t, moved)
     # the unchanged companion passes the same check
-    check_auxiliary(t, as_companion(tree))
+    check_auxiliary(t, tree)

@@ -17,7 +17,7 @@ from nnidist import newick
 from nnidist.exact import SearchTable, StateLimitError, exact_dnni, neighbors
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
-from nnidist.nni import NniOp, apply_nni, verify_transform
+from nnidist.nni import NniOp, apply_nni, trace_lines, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 from oracles import (
     random_phylogeny,
@@ -100,6 +100,18 @@ def test_four_taxa_single_swap_is_forced():
     assert len(ops) == 1
     ok, cost, _ = verify_transform(t1, ops, t2)
     assert ok and cost == d
+
+
+def test_non_decimal_weight_is_solved_but_not_traced():
+    # the search needs only exact arithmetic; Newick text and traces need
+    # weights with a finite decimal form
+    t1 = quartet(Fraction(1, 3), "b")
+    t2 = quartet(Fraction(1, 3), "c")
+    d, ops = exact_dnni(t1, t2)
+    assert d == Fraction(1, 3)
+    assert verify_transform(t1, ops, t2)[:2] == (True, d)
+    with pytest.raises(TreeError, match="weight 1/3"):
+        trace_lines(t1, t2, ops)
 
 
 def successors(tree: Phylogeny, table: SearchTable):

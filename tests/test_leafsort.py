@@ -11,16 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist.balance import build_auxiliary
-from nnidist.leafsort import (
-    build_slot_view,
-    leaf_permutation,
-    sort_leaves,
-    swap_leaves,
-)
+from nnidist.leafsort import leaf_permutation, ranked_view, sort_leaves, swap_leaves
 from nnidist.nni import verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 
-from oracles import path_between, random_phylogeny
+from oracles import caterpillar, nested_signatures, path_between, random_phylogeny
 
 # Hypothesis caches the constants of local source files while the tests are
 # collected; keep that cache out of the working tree
@@ -56,7 +51,7 @@ def permuted_leaves(tree, mapping):
 
 def companion(n, seed, weights="distinct"):
     rng = random.Random(seed)
-    return build_auxiliary(random_phylogeny(rng, n, weights=weights)).tree
+    return build_auxiliary(random_phylogeny(rng, n, weights=weights))
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 17, 33])
@@ -184,16 +179,15 @@ def test_interchangeable_subtrees_cost_nothing():
 
 def test_leaf_permutation_counts_fixed_points():
     tree = companion(9, 870)
-    view = build_slot_view(tree)
-    want = leaf_permutation(view, view)
-    assert want == view.taxon_slot
+    want = leaf_permutation(tree, tree)
+    assert want == {t: t for t in tree.taxa()}
 
 
 def test_leaf_permutation_rejects_mismatched_shapes():
     a = companion(8, 880)
     b = companion(9, 881)
     with pytest.raises(TreeError):
-        leaf_permutation(build_slot_view(a), build_slot_view(b))
+        leaf_permutation(a, b)
 
 
 def test_sort_leaves_determinism():
@@ -204,3 +198,53 @@ def test_sort_leaves_determinism():
     a = sort_leaves(tree, target)
     b = sort_leaves(tree, target)
     assert a.ops == b.ops
+
+
+def subtree(kids, x):
+    """``x`` and every node below it in the ranked view ``kids``."""
+    nodes = [x]
+    for v in nodes:
+        nodes.extend(kids[v])
+    return nodes
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+    explicit_root=st.booleans(),
+)
+def test_flat_signatures_rank_as_nested_tuples(n, seed, repeats, explicit_root):
+    rng = random.Random(seed)
+    tree = random_phylogeny(rng, n, "small" if repeats else "distinct")
+    root = tree.root_handle()
+    if explicit_root:
+        root = rng.choice([v for v in tree.nodes() if not tree.is_leaf(v)])
+    rank = {w: i for i, w in enumerate(sorted(set(tree.internal_weight_multiset())), 1)}
+    view_root, kids, sig = ranked_view(tree, root if explicit_root else None, rank)
+    expect_kids, expect_sig = nested_signatures(tree, root)
+    assert view_root == root
+    assert kids == expect_kids
+    # equal, less and size agree on every pair of nodes below the root, not
+    # only on siblings: the matching compares nodes across the two trees
+    below = [v for v in tree.nodes() if v != root]
+    for x in below:
+        assert len(sig[x]) == 2 * sum(tree.is_leaf(v) for v in subtree(kids, x)) - 1
+        for y in below:
+            assert (sig[x] == sig[y]) == (expect_sig[x] == expect_sig[y])
+            assert (sig[x] < sig[y]) == (expect_sig[x] < expect_sig[y])
+
+
+def test_sort_leaves_on_deep_caterpillar():
+    # signatures and matching are loops, so a 3000-deep tree sorts without
+    # exhausting the stack
+    tree = caterpillar(3000)
+    result = sort_leaves(tree, tree.copy())
+    assert result.ops == [] and result.cycles == 0
+    swapped = with_taxa_swapped(tree, "t010", "t2000")
+    result = sort_leaves(swapped, tree)
+    assert result.cycles == 1
+    assert result.tree.canonical_equal(tree)
+    ok, _, reason = verify_transform(swapped, result.ops, tree)
+    assert ok, reason

@@ -15,6 +15,7 @@ from nnidist.newick import (
     serialize,
 )
 from nnidist.nni import check_trace, trace_lines
+from nnidist.phylo import TreeError
 
 from oracles import (
     caterpillar,
@@ -155,7 +156,7 @@ def test_format_weight_values(value, expected):
 
 
 def test_format_weight_rejects_non_decimal():
-    with pytest.raises(ValueError):
+    with pytest.raises(TreeError, match="weight 1/3"):
         format_weight(Fraction(1, 3))
 
 
