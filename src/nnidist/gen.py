@@ -42,7 +42,9 @@ def random_tree(rng: random.Random, n: int, dup_weights: bool = False) -> Phylog
     for i in range(3):
         attach_leaf(center, labels[i])
     for i in range(3, n):
-        split = rng.choice(sorted(edges))
+        # the edge ids are 0..k-1, so this draws what choice(sorted(edges))
+        # drew, without an O(k log k) sort per taxon
+        split = rng.choice(range(len(edges)))
         u, v = edges[split]
         mid = next_node
         next_node += 1

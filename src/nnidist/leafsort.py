@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from nnidist.nni import NniOp, apply_nni
-from nnidist.phylo import Phylogeny, TreeError
+from nnidist.phylo import Phylogeny, TreeError, require_same_taxa
 from nnidist.runtime import ParRuntime
 
 
@@ -77,8 +77,10 @@ def leaf_permutation(
     it; the trees are read from the given view roots.  Interchangeable
     sibling subtrees are matched to keep as many taxa in place as possible.
     The map lists ``source``'s leaves in ranked preorder: its values are
-    their taxa in that order.
+    their taxa in that order.  Raises TreeError when the two trees hold
+    different taxa or do not share an internal structure.
     """
+    require_same_taxa(source, target)
     ws = source.internal_weight_multiset()
     if ws != target.internal_weight_multiset():
         raise TreeError("trees do not share an internal structure")

@@ -9,12 +9,18 @@ So two back-to-back moves on one middle edge are worth at most one, and
 :func:`shorten` cancels or merges every such pair in one pass over the
 names, without a tree.
 
-One kernel, :func:`apply_nni`, applies every move: it checks the operation
+One kernel, :func:`move`, applies every move: it checks the three edge ids
 and then edits the tree's edge table and adjacency lists in place, a handful
-of dict operations per move.  Every sequence is applied by one replay core,
+of dict operations per move, and returns the middle edge's endpoints.
+:func:`apply_nni` is a thin wrapper over it that takes an :class:`NniOp`
+and returns the move's cost.  Every sequence is applied by one replay core,
 :func:`replay`, which calls the kernel per move and raises
 :class:`ReplayError` at the first invalid move or a wrong end tree; sequence
 application, verification, trace writing and trace checking all consume it.
+``replay`` reads a move as its first three items, so it takes an
+:class:`NniOp` or a trace record tuple alike.  :class:`NniOp` is a
+``NamedTuple`` of (e1, e2, e3), so an operation equals the plain tuple of
+its three ids.
 
 A move never changes an edge's weight, so a sequence's cost is counted per
 middle-edge id and totalled once as ``sum(count[e] * w(e))``
@@ -26,17 +32,22 @@ target trees, then one record per operation in order.  :func:`trace_lines`
 writes every record in one fixed spelling,
 ``{"e1": A, "e2": B, "e3": C, "w": "W", "u": U, "v": V}``, the bytes
 ``json.dumps`` gives, built from pieces cached per middle edge.  The reader
-matches that spelling with one regular expression and sends any other line
-through ``json.loads``; a canonical line decodes to exactly what the
-expression captures, so both routes accept the same records with the same
-failure reasons.  :func:`check_trace` compares a record's cost with the
-tree's weight once per middle edge and recorded value: a later record whose
-parsed cost is the very object already verified for that edge needs no
-second comparison.  A tree keeps its rooted view until its next move, so
-each trace function builds the target's view once: the header digest and the
-end-tree comparison both read it.  Digests and records spell weights as Newick
-decimals, so a trace needs every weight to have a finite decimal form; for a
-weight such as 1/3 the trace functions raise :class:`TreeError`.
+matches that spelling with one regular expression first and tests a line
+for blank only when that match fails; any other filled line goes through
+``json.loads``.  A canonical line decodes to exactly what the expression
+captures, so both routes accept the same records with the same failure
+reasons.  The expression admits only canonical JSON integers, so each
+distinct id string is converted to an int once per trace and looked up
+afterwards.  Records are plain ``(e1, e2, e3, u, v, w)`` tuples that go
+straight through :func:`replay`.  :func:`check_trace` compares a record's
+cost with the tree's weight once per middle edge and recorded value: a
+later record whose parsed cost is the very object already verified for
+that edge needs no second comparison.  A tree keeps its rooted view until
+its next move, so each trace function builds the target's view once: the
+header digest and the end-tree comparison both read it.  Digests and
+records spell weights as Newick decimals, so a trace needs every weight to
+have a finite decimal form; for a weight such as 1/3 the trace functions
+raise :class:`TreeError`.
 """
 
 from __future__ import annotations
@@ -44,12 +55,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections import Counter, namedtuple
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from nnidist import newick
 from nnidist.phylo import Phylogeny, TreeError
@@ -57,27 +67,25 @@ from nnidist.phylo import Phylogeny, TreeError
 TRACE_FORMAT = 1
 
 
-@dataclass(frozen=True)
-class NniOp:
+class NniOp(NamedTuple):
     e1: int
     e2: int
     e3: int
 
 
-def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
-    """Apply ``op`` to ``tree`` in place and return its cost.
+def move(tree: Phylogeny, e1: int, e2: int, e3: int) -> tuple[int, int]:
+    """Apply the move (e1, e2, e3) to ``tree`` in place; return e2's stored endpoints.
 
     Raises TreeError unless (e1, e2, e3) is a path of three distinct edges,
     and KeyError for an unknown edge id (looked up in the order e2, e1, e3);
     either is raised before the tree changes.  This is the one writer of a
     tree's edge table and adjacency lists, so it drops the tree's kept
-    rooted view.
+    rooted view.  The move does not change e2's endpoints.
     """
-    e1, e2, e3 = op.e1, op.e2, op.e3
     if e1 == e2 or e2 == e3 or e1 == e3:
         raise TreeError(f"operation ({e1},{e2},{e3}) repeats an edge")
     ends, adj = tree._ends, tree._adj
-    u, v = ends[e2]
+    stored = u, v = ends[e2]
     a1, b1 = ends[e1]
     a3, b3 = ends[e3]
     if v == a1 or v == b1:
@@ -96,6 +104,13 @@ def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
     adj[v].append(e1)
     adj[v].remove(e3)
     adj[u].append(e3)
+    return stored
+
+
+def apply_nni(tree: Phylogeny, op: NniOp) -> Fraction:
+    """Apply ``op`` to ``tree`` in place and return its cost; see :func:`move`."""
+    e1, e2, e3 = op
+    move(tree, e1, e2, e3)
     return tree._wt[e2]
 
 
@@ -104,19 +119,19 @@ class ReplayError(TreeError):
 
 
 def replay(
-    work: Phylogeny, ops: Iterable[NniOp], target: Phylogeny | None = None
-) -> Iterator[tuple[NniOp, int, int]]:
+    work: Phylogeny, ops: Iterable[tuple], target: Phylogeny | None = None
+) -> Iterator[tuple[tuple, int, int]]:
     """Apply ``ops`` to ``work`` in place, yielding (op, u, v) per move.
 
-    (u, v) are the middle edge's endpoints, which the move does not change.
-    Raises ReplayError at the first invalid operation and, once all are
-    applied, when ``target`` is given and ``work`` does not match it.
+    An operation is any sequence whose first three items are e1, e2 and e3:
+    an :class:`NniOp`, or a record tuple of a trace.  (u, v) are the middle
+    edge's endpoints, which the move does not change.  Raises ReplayError at
+    the first invalid operation and, once all are applied, when ``target``
+    is given and ``work`` does not match it.
     """
-    ends = work._ends
     for i, op in enumerate(ops):
         try:
-            u, v = ends[op.e2]
-            apply_nni(work, op)
+            u, v = move(work, op[0], op[1], op[2])
         except (TreeError, KeyError) as exc:
             raise ReplayError(f"operation {i} invalid: {exc}") from exc
         yield op, u, v
@@ -227,7 +242,7 @@ def trace_lines(
     pieces: dict[int, tuple[str, str]] = {}
     lines = [json.dumps(header)]
     for i, (op, u, v) in enumerate(replay(source.copy(), ops, target)):
-        e1, e2, e3 = op.e1, op.e2, op.e3
+        e1, e2, e3 = op
         if not type(e1) is type(e2) is type(e3) is int:
             raise TreeError(f"operation {i} ({e1!r},{e2!r},{e3!r}): edge ids must be integers")
         piece = pieces.get(e2)
@@ -249,18 +264,17 @@ class TraceError(ValueError):
     """Raised when a trace file is malformed or does not replay."""
 
 
-def _trace_body(path: str | Path) -> tuple[dict, Iterator[tuple[int, str]]]:
-    """Read a trace and check its header; returns (header, numbered record lines).
+def _trace_body(path: str | Path) -> tuple[dict, list[str], int]:
+    """Read a trace and check its header; returns (header, lines, first record index).
 
-    Blank lines are skipped; the numbers are the file's own line numbers.
-    The numbered lines are handed out one at a time, so a long trace holds
-    its line texts but no pair per line.
+    The records are the non-blank lines from that index on; a line's index
+    plus one is its line number in the file.
     """
     try:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise TraceError(f"trace is not text: {exc}") from exc
-    filled = sum(1 for ln in lines if ln.strip())
+    filled = sum(map(bool, map(str.strip, lines)))
     if not filled:
         raise TraceError("empty trace file")
     first = next(k for k, ln in enumerate(lines) if ln.strip())
@@ -279,14 +293,7 @@ def _trace_body(path: str | Path) -> tuple[dict, Iterator[tuple[int, str]]]:
         raise TraceError(f"unsupported trace format {header['format']}")
     if header["ops"] != filled - 1:
         raise TraceError(f"header says {header['ops']} ops, file has {filled - 1}")
-    numbered = islice(enumerate(lines, start=1), first + 1, None)
-    return header, ((k, ln) for k, ln in numbered if ln.strip())
-
-
-# A parsed operation record: the move, its middle edge's recorded endpoints and
-# its recorded cost.  replay() reads only e1, e2 and e3, so it takes a record as
-# the move itself; a tuple is cheaper to build than an NniOp.
-_Record = namedtuple("_Record", "e1 e2 e3 u v w")
+    return header, lines, first + 1
 
 
 # The one spelling trace_lines writes a record in.  The ids are JSON integers
@@ -300,39 +307,59 @@ _CANONICAL_RECORD = re.compile(
 )
 
 
-def _parse_records(body: Iterable[tuple[int, str]]) -> Iterator[_Record]:
-    """Parse numbered record lines one at a time, each distinct cost string once.
+def _parse_records(
+    lines: list[str], start: int
+) -> Iterator[tuple[int, int, int, int, int, Fraction]]:
+    """Parse the record lines from ``lines[start]`` on into (e1, e2, e3, u, v, w) tuples.
 
-    A line in the canonical spelling is read off the regular expression; any
-    other line goes through ``json.loads`` and its type checks.
+    Records are handed out one at a time and blank lines are skipped.  A line
+    in the canonical spelling is read off the regular expression; only when
+    that match fails is the line tested for blank, and a filled one goes
+    through ``json.loads`` and its type checks.  Each distinct id string is
+    converted once per trace, as is each distinct cost string: the
+    expression admits only canonical JSON integers, so an id string names
+    one int wherever it stands, and every record with one cost string holds
+    the same ``Fraction`` object.
     """
+    ids: dict[str, int] = {}
     weights: dict[str, Fraction] = {}
     canonical = _CANONICAL_RECORD.fullmatch
-    for k, line in body:
+    for k, line in enumerate(islice(lines, start, None), start + 1):
         try:
             m = canonical(line)
             if m is not None:
                 e1, e2, e3, w, u, v = m.groups()
-                e1, e2, e3, u, v = int(e1), int(e2), int(e3), int(u), int(v)
+                try:
+                    rec = ids[e1], ids[e2], ids[e3], ids[u], ids[v], weights[w]
+                except KeyError:
+                    for s in (e1, e2, e3, u, v):
+                        if s not in ids:
+                            ids[s] = int(s)
+                    if w not in weights:
+                        weights[w] = newick.parse_weight(w)
+                    rec = ids[e1], ids[e2], ids[e3], ids[u], ids[v], weights[w]
+            elif not line.strip():
+                continue
             else:
-                rec = json.loads(line)
-                e1, e2, e3, u, v, w = rec["e1"], rec["e2"], rec["e3"], rec["u"], rec["v"], rec["w"]
+                r = json.loads(line)
+                e1, e2, e3, u, v, w = r["e1"], r["e2"], r["e3"], r["u"], r["v"], r["w"]
                 if not type(e1) is type(e2) is type(e3) is type(u) is type(v) is int:
                     raise TypeError("edge and node ids must be integers")
                 if not isinstance(w, str):
                     raise TypeError(f"cost {w!r} is not a decimal string")
-            value = weights.get(w)
-            if value is None:
-                value = weights[w] = newick.parse_weight(w)
+                value = weights.get(w)
+                if value is None:
+                    value = weights[w] = newick.parse_weight(w)
+                rec = e1, e2, e3, u, v, value
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise TraceError(f"line {k}: bad operation record: {exc}") from exc
-        yield _Record(e1, e2, e3, u, v, value)
+        yield rec
 
 
 def read_trace(path: str | Path) -> tuple[dict, list[NniOp]]:
     """Load a trace file; returns (header, operations). Structural checks only."""
-    header, body = _trace_body(path)
-    return header, [NniOp(r.e1, r.e2, r.e3) for r in _parse_records(body)]
+    header, lines, start = _trace_body(path)
+    return header, [NniOp(*rec[:3]) for rec in _parse_records(lines, start)]
 
 
 def check_trace(
@@ -347,7 +374,7 @@ def check_trace(
     the cost is that of the records checked before the failing one.
     """
     try:
-        header, body = _trace_body(path)
+        header, lines, start = _trace_body(path)
     except TraceError as exc:
         return False, Fraction(0), str(exc)
     if header.get("source") != tree_digest(source):
@@ -358,19 +385,18 @@ def check_trace(
     # middle edge -> the parsed cost object already found equal to its weight;
     # _parse_records hands out one object per distinct cost string
     verified: dict[int, Fraction] = {}
-    steps = replay(source.copy(), _parse_records(body), target)
+    steps = replay(source.copy(), _parse_records(lines, start), target)
     try:
-        for i, (rec, u, v) in enumerate(steps):
-            if not (rec.u == u and rec.v == v or rec.u == v and rec.v == u):
+        for i, ((_, e2, _, ru, rv, w), u, v) in enumerate(steps):
+            if not (ru == u and rv == v or ru == v and rv == u):
                 return False, counted_cost(source, counts), (
                     f"operation {i}: recorded endpoints do not match replay")
-            e2 = rec.e2
-            if verified.get(e2) is not rec.w:
+            if verified.get(e2) is not w:
                 cost = source.weight(e2)
-                if rec.w != cost:
+                if w != cost:
                     return False, counted_cost(source, counts), (
-                        f"operation {i}: recorded cost {newick.format_weight(rec.w)} != {cost}")
-                verified[e2] = rec.w
+                        f"operation {i}: recorded cost {newick.format_weight(w)} != {cost}")
+                verified[e2] = w
             counts[e2] += 1
     except (TraceError, ReplayError) as exc:
         return False, counted_cost(source, counts), str(exc)

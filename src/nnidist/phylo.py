@@ -16,7 +16,7 @@ caller passes a view along.
 
 Weights are `fractions.Fraction` throughout so that costs compose exactly.
 
-:func:`nnidist.nni.apply_nni` is the one writer of the edge table and the
+:func:`nnidist.nni.move` is the one writer of the edge table and the
 adjacency lists after construction, and a move keeps every node's degree.
 So a node is a leaf exactly when it carries a taxon label (construction
 checks that labels sit on the degree-1 nodes and nowhere else), and
@@ -267,7 +267,7 @@ class Phylogeny:
         """One BFS from ``root`` (default :meth:`root_handle`), one bottom-up pass.
 
         The default view is built on the first call and kept until
-        :func:`nnidist.nni.apply_nni` next moves the tree, so every caller
+        :func:`nnidist.nni.move` next moves the tree, so every caller
         reads one shared view and none may change it.  A view from an
         explicit ``root`` is built fresh on every call and never kept.
         ``root`` must be an internal node, so every labeled node is a leaf
@@ -369,6 +369,16 @@ def _adjacency(ends: dict[int, tuple[int, int]]) -> dict[int, list[int]]:
     return adj
 
 
+def require_same_taxa(a: Phylogeny, b: Phylogeny) -> None:
+    """Raise TreeError naming the taxa found in only one of the two trees."""
+    if a.taxa() != b.taxa():
+        only_a = set(a.taxa()) - set(b.taxa())
+        only_b = set(b.taxa()) - set(a.taxa())
+        raise TreeError(
+            f"taxon sets differ (only first: {sorted(only_a)}, only second: {sorted(only_b)})"
+        )
+
+
 def finiteness_check(a: Phylogeny, b: Phylogeny) -> tuple[bool, list[str]]:
     """Decide whether any NNI sequence can transform ``a`` into ``b``.
 
@@ -380,12 +390,7 @@ def finiteness_check(a: Phylogeny, b: Phylogeny) -> tuple[bool, list[str]]:
     A taxon-set mismatch is not an infinite distance either: it raises
     TreeError, which the command line reports as a domain failure (exit 1).
     """
-    if a.taxa() != b.taxa():
-        only_a = set(a.taxa()) - set(b.taxa())
-        only_b = set(b.taxa()) - set(a.taxa())
-        raise TreeError(
-            f"taxon sets differ (only first: {sorted(only_a)}, only second: {sorted(only_b)})"
-        )
+    require_same_taxa(a, b)
     reasons: list[str] = []
     wa, wb = a.leaf_weight_map(), b.leaf_weight_map()
     bad = sorted(s for s in wa if wa[s] != wb[s])

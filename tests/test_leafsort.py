@@ -190,6 +190,28 @@ def test_leaf_permutation_rejects_mismatched_shapes():
         leaf_permutation(a, b)
 
 
+def with_taxon_renamed(tree, old, new):
+    """The same tree with taxon ``old`` called ``new``."""
+    edges = {e: tree.endpoints(e) for e in tree.edge_ids()}
+    weights = {e: tree.weight(e) for e in tree.edge_ids()}
+    labels = {v: tree.leaf_label(v) for v in tree.nodes() if tree.is_leaf(v)}
+    labels[tree.leaf_node(old)] = new
+    return Phylogeny(edges, weights, labels)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["renamed-target", "renamed-source"])
+def test_different_taxon_sets_are_refused(flip):
+    a = caterpillar(8)
+    b = with_taxon_renamed(a, "t003", "u003")
+    a, b = (b, a) if flip else (a, b)
+    only_a, only_b = (["u003"], ["t003"]) if flip else (["t003"], ["u003"])
+    reason = f"taxon sets differ (only first: {only_a}, only second: {only_b})"
+    for run in (leaf_permutation, sort_leaves):
+        with pytest.raises(TreeError) as err:
+            run(a, b)
+        assert str(err.value) == reason
+
+
 def test_sort_leaves_determinism():
     tree = companion(14, 890)
     rng = random.Random(891)

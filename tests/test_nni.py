@@ -644,22 +644,34 @@ def record_lines(draw):
     return pad + "{" + body + "}" + pad
 
 
-def _parsed(parse, body):
+def _parsed(records):
     """(records with their exact types, failure reason or None) of one parse."""
     out = []
     try:
-        for rec in parse(body):
+        for rec in records:
             out.append(tuple((type(x), x) for x in rec))
     except TraceError as exc:
         return out, str(exc)
     return out, None
 
 
+def _parse_both(lines):
+    """Both parses of record ``lines`` read after a header, as the file's lines 2 on."""
+    lines = ['{"kind": "nni-trace"}', *lines]
+    body = [(k, ln) for k, ln in enumerate(lines, start=1) if k > 1 and ln.strip()]
+    return _parsed(_parse_records(lines, 1)), _parsed(parse_records_by_json(body))
+
+
 @settings(max_examples=300, **SETTINGS)
-@given(lines=st.lists(record_lines(), min_size=1, max_size=4))
-def test_record_parse_matches_the_json_reference(lines):
-    body = list(enumerate(lines, start=2))
-    assert _parsed(_parse_records, body) == _parsed(parse_records_by_json, body)
+@given(
+    lines=st.lists(record_lines(), min_size=1, max_size=4),
+    blanks=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["", " ", "\t "])), max_size=2),
+)
+def test_record_parse_matches_the_json_reference(lines, blanks):
+    for at, blank in blanks:
+        lines.insert(at, blank)
+    ours, reference = _parse_both(lines)
+    assert ours == reference
 
 
 @pytest.mark.parametrize("key, text", [
@@ -669,5 +681,55 @@ def test_record_parse_matches_the_json_reference(lines):
 def test_each_odd_spelling_parses_as_json_does(key, text):
     line = '{"e1": 3, "e2": 4, "e3": 5, "w": "2.5", "u": 6, "v": 7}'
     old = '"2.5"' if key == "w" else {"e1": "3", "v": "7"}[key]
-    body = [(2, line), (3, line.replace(f'"{key}": {old}', f'"{key}": {text}'))]
-    assert _parsed(_parse_records, body) == _parsed(parse_records_by_json, body)
+    ours, reference = _parse_both([line, line.replace(f'"{key}": {old}', f'"{key}": {text}')])
+    assert ours == reference
+
+
+def test_a_repeated_id_spelling_reads_back_the_same():
+    # every id string is converted once per trace and then looked up, so
+    # each spelling must keep its own value in every field and every record;
+    # "-0" and "0" are two spellings of one int
+    rng = random.Random(436)
+    spellings = ["0", "-0", "7", "-7", "70", "12345678901234567890"]
+    lines = [
+        '{"e1": %s, "e2": %s, "e3": %s, "w": "%s", "u": %s, "v": %s}' % (
+            *(rng.choice(spellings) for _ in range(3)),
+            rng.choice(["1", "2.5", "0.50"]),
+            *(rng.choice(spellings) for _ in range(2)))
+        for _ in range(500)
+    ]
+    ours, reference = _parse_both(lines)
+    assert ours == reference and ours[1] is None and len(ours[0]) == 500
+    for line, rec in zip(lines, ours[0]):
+        assert tuple(x for _, x in rec[:5]) == tuple(json.loads(line)[k] for k in ID_KEYS)
+        assert all(t is int for t, _ in rec[:5])
+
+
+def test_an_overlong_id_is_refused_after_short_ones():
+    # the id memo converts a new spelling with int(), so a 5000-digit id
+    # fails with int()'s own message at its own line, whatever came before
+    line = '{"e1": 3, "e2": 4, "e3": 5, "w": "2.5", "u": 6, "v": 7}'
+    long_id = "9" * 5000
+    with pytest.raises(ValueError) as err:
+        int(long_id)
+    lines = [line, "", line.replace('"e3": 5', f'"e3": {long_id}'), line]
+    ours, reference = _parse_both(lines)
+    assert ours == reference
+    assert ours[1] == f"line 4: bad operation record: {err.value}"
+    assert len(ours[0]) == 1
+
+
+def test_replay_takes_operations_and_record_tuples():
+    rng = random.Random(437)
+    t = random_phylogeny(rng, 12)
+    end, ops = _walk(rng, t, 20)
+    a, b = t.copy(), t.copy()
+    steps = list(replay(a, ops, end))
+    records = [(*op, u, v, t.weight(op.e2)) for op, u, v in steps]
+    assert [(rec, u, v) for rec, u, v in replay(b, records, end)] == [
+        (rec, u, v) for rec, (_, u, v) in zip(records, steps)]
+    assert a.canonical_equal(b)
+    # an NniOp is a tuple of its three ids, so it equals the plain tuple
+    assert ops[0] == tuple(ops[0]) and [op[:3] for op in records] == ops
+    with pytest.raises(ReplayError, match="operation 0 invalid"):
+        list(replay(t.copy(), [(ops[0].e1, ops[0].e2, ops[0].e1, 0, 0, Fraction(1))]))
