@@ -2,6 +2,8 @@
 
 Only practical for small instances (up to about eight taxa); its job is to
 be unarguably correct so the approximation can be measured against it.
+:mod:`nnidist.pipeline` also solves every good-pair component of at most
+six taxa with it, where it is both cheaper and optimal.
 
 *States.*  Moves are the two non-redundant swaps per internal edge.  A
 state is the sorted tuple of its internal edges' (split bitset, weight
@@ -52,6 +54,7 @@ from fractions import Fraction
 from nnidist.goodpairs import PairBound
 from nnidist.nni import NniOp, apply_nni, verify_transform
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
+from nnidist.runtime import ParRuntime
 
 DEFAULT_STATE_LIMIT = 5_000_000
 
@@ -139,11 +142,14 @@ def exact_dnni(
     t1: Phylogeny,
     t2: Phylogeny,
     state_limit: int = DEFAULT_STATE_LIMIT,
+    rt: ParRuntime | None = None,
 ) -> tuple[Fraction, list[NniOp]]:
     """Minimum transformation cost and one optimal witness sequence.
 
     Raises :class:`StateLimitError` once more than ``state_limit`` states
-    are settled without reaching ``t2``.
+    are settled without reaching ``t2``.  With ``rt``, a search that reaches
+    ``t2`` is recorded there as one round of phase ``exact`` with one task
+    per settled state.
     """
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
@@ -179,6 +185,8 @@ def exact_dnni(
             replayed, total, reason = verify_transform(t1, ops, t2)
             if not replayed or total != distance:
                 raise TreeError(f"witness failed replay: {reason}")
+            if rt is not None:
+                rt.round("exact", settled)
             return distance, ops
         if len(settled) > state_limit:
             raise StateLimitError(

@@ -25,7 +25,9 @@ its three ids.
 A move never changes an edge's weight, so a sequence's cost is counted per
 middle-edge id and totalled once as ``sum(count[e] * w(e))``
 (:func:`counted_cost`): still an exact ``Fraction``, equal to the sum of the
-moves' costs, with no ``Fraction`` arithmetic per move.
+moves' costs, with no ``Fraction`` arithmetic per move.  The total itself
+is summed in ints over the lcm of the counted weights' denominators, so one
+``Fraction`` is built per sequence.
 
 Traces are JSON lines: a header with digests of the canonical source and
 target trees, then one record per operation in order.  :func:`trace_lines`
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -140,8 +143,15 @@ def replay(
 
 
 def counted_cost(tree: Phylogeny, counts: Mapping[int, int]) -> Fraction:
-    """Exact total ``sum(counts[e] * w(e))`` of moves counted per middle-edge id."""
-    return sum((tree.weight(e) * k for e, k in counts.items()), Fraction(0))
+    """Exact total ``sum(counts[e] * w(e))`` of moves counted per middle-edge id.
+
+    Summed in ints over the lcm of the counted weights' denominators, so one
+    ``Fraction`` is built, at the end, and it is the same exact value.
+    """
+    weights = [(tree.weight(e), k) for e, k in counts.items()]
+    scale = math.lcm(*(w.denominator for w, _ in weights))
+    return Fraction(
+        sum(w.numerator * (scale // w.denominator) * k for w, k in weights), scale)
 
 
 def apply_sequence(tree: Phylogeny, ops: Iterable[NniOp]) -> tuple[Phylogeny, Fraction]:

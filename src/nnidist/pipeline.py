@@ -1,16 +1,18 @@
 """The full approximation: decompose on good pairs, then per component
-linearize, merge-sort edges, rebalance, and transport leaves.
+linearize, merge-sort edges, rebalance, and transport leaves, or, on a
+component of at most six taxa, search for an optimal answer.
 
-Each component is solved by meeting in the middle.  Tree 1 is made linear,
-its internal edges are merge-sorted into the order of the linearized
-balanced companion, and the companion's linearization is replayed backwards
-to reach the balanced shape.  Tree 2 travels the same road forward; its
-sequence is inverted and appended after a leaf sort aligns the two balanced
-forms.  Operation sequences produced on one tree's edge ids are carried to
-the other's through structural isomorphisms: corresponding edges are matched
-once (positionally for two linear trees with equal spine weight sequences,
-by canonical traversal for equal trees) and the correspondence stays valid
-because matched operations change both trees in lockstep.
+A component of more than six taxa is solved by meeting in the middle.
+Tree 1 is made linear, its internal edges are merge-sorted into the order
+of the linearized balanced companion, and the companion's linearization is
+replayed backwards to reach the balanced shape.  Tree 2 travels the same
+road forward; its sequence is inverted and appended after a leaf sort
+aligns the two balanced forms.  Operation sequences produced on one tree's
+edge ids are carried to the other's through structural isomorphisms:
+corresponding edges are matched once (positionally for two linear trees
+with equal spine weight sequences, by canonical traversal for equal trees)
+and the correspondence stays valid because matched operations change both
+trees in lockstep.
 
 The inverse of tree 2's journey often starts by undoing or redoing the move
 just before it.  So each component's joined sequence goes through
@@ -25,6 +27,19 @@ A component without an internal edge is a three-leaf star whose two trees
 were already found to agree, so it is skipped without building anything.
 Any other component has moves to make: every good pair was cut, and two
 canonically equal trees would pair every internal edge.
+
+A component with one to three internal edges (four to six taxa) is solved
+by the exact search, :func:`nnidist.exact.exact_dnni`, in phase ``exact``
+instead of the four phases above.  Six taxa have 105 unrooted topologies
+and three internal weights at most 3! placements, so the search settles at
+most 630 states: O(1) work per component, recorded as one round whose work
+is the number of settled states.  The approximation bound still holds: the
+O(log n)·opt guarantee needs each component's answer to cost no more than
+the four-phase one, and an optimal answer costs at most any other.  The span
+still is O(log n): components run side by side, and one round per small
+component adds at most one round to the whole run's ``exact`` phase.  The
+cutoff is fixed: at four internal edges the search already costs an order
+of magnitude more time than the four phases.
 
 Pseudo-leaf edges inside components carry the edge id of the cut they stand
 for, so stitched sequences are valid on the full trees as emitted: a swap
@@ -41,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+from nnidist import exact
 from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges
 from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
@@ -68,7 +84,14 @@ PHASE_NAMES = (
     "linearize_aux_2",
     "edge_sort_2",
     "linearize_2",
+    "exact",
 )
+
+# the most internal edges a component solved by the exact search has, and
+# the most states that search can settle: 105 topologies of six taxa times
+# 3! placements of three internal weights
+EXACT_MAX_INTERNAL = 3
+EXACT_STATE_LIMIT = 630
 
 
 @dataclass
@@ -216,8 +239,13 @@ def _component_sequence(
     # Every good pair was cut, so a component with an internal edge holds
     # none, and two canonically equal trees would pair every edge: its trees
     # differ.  A star's taxa and leaf weights are equal, so it needs no move.
-    if not c1.internal_edges():
+    internal = len(c1.internal_edges())
+    if not internal:
         return [], {}
+    # through the module, so that wrappers installed on exact see the call
+    if internal <= EXACT_MAX_INTERNAL:
+        cost, ops = exact.exact_dnni(c1, c2, EXACT_STATE_LIMIT, rt)
+        return ops, {"exact": cost}
 
     # both sides share one companion: equal taxa, leaf weights and internal
     # weight multisets build byte-identical companions.  One check serves

@@ -19,6 +19,7 @@ from nnidist.gen import generate_pair
 from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, trace_lines, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
+from nnidist.runtime import ParRuntime
 from oracles import (
     random_phylogeny,
     random_valid_op,
@@ -207,6 +208,49 @@ def test_state_limit_is_an_error_not_an_answer():
     assert not t1.canonical_equal(t2)
     with pytest.raises(StateLimitError):
         exact_dnni(t1, t2, state_limit=0)
+
+
+def test_six_taxa_with_distinct_weights_have_630_states():
+    # the pipeline's state limit for components of six taxa: 105 topologies
+    # times 3! placements of three distinct internal weights, all reachable
+    t1, _, _ = scrambled(17, 6, 0, "distinct")
+    table = SearchTable(t1, t1)
+    start = table.state(t1)[0]
+    seen = {start}
+    layer = [t1]
+    while layer:
+        following = []
+        for tree in layer:
+            for op, state, _, _ in neighbors(tree, table):
+                if state not in seen:
+                    seen.add(state)
+                    nxt = tree.copy()
+                    apply_nni(nxt, op)
+                    following.append(nxt)
+        layer = following
+    assert len(seen) == 105 * 6
+
+
+def test_a_recorded_search_is_one_round_of_its_settled_states(monkeypatch):
+    import nnidist.exact as exact_mod
+
+    expanded = []
+    real = exact_mod.neighbors
+
+    def counting(tree, table):
+        expanded.append(tree)
+        return real(tree, table)
+
+    monkeypatch.setattr(exact_mod, "neighbors", counting)
+    t1, t2, _ = scrambled(31, 6, 4)
+    rt = ParRuntime()
+    recorded = exact_dnni(t1, t2, rt=rt)
+    # every settled state but the goal was expanded once
+    settled = len(expanded) + 1
+    assert rt.snapshot() == {
+        "exact": {"rounds": 1, "work": settled, "peak_parallelism": settled}
+    }
+    assert recorded == exact_dnni(t1, t2)
 
 
 def test_infinite_instances_are_rejected():

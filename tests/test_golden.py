@@ -28,16 +28,16 @@ from nnidist.nni import trace_lines
 from nnidist.pipeline import approx_nni
 
 GOLDEN = [
-    (8, 1, "c59942bfd1897f0fad57a6e7f82c8926c23495a48539dab1c37f4a9881100dcf"),
+    (8, 1, "a79317c724e20794af26d0a3c140bcc016ed11f5333eab21ac2be96a6fc33943"),
     (8, 2, "c699d927a30b29e675f38928d1d092497a568f14884d6d23e40d81074d94c504"),
     (16, 1, "4d6de3f8cfce2781cf3d808c4eb006c323eed48fc371f74d0c65092605ce4480"),
     (16, 2, "9f92dafa1c66efc4c4e14f60632c9da96c169ec37cce191e7e5fb2e4b85bce83"),
     (32, 1, "2622f4c91fb7881029859bc102e7ec2ad01077413a9eceddb369c8a892924e67"),
-    (32, 2, "694417f2a92d8a713c504ed4ce73060260186cc5a0bee5867b839c9bb6fe7beb"),
+    (32, 2, "d3051e114aac2de79098dd8e2a858172e67e1c047198a349d48471f3b8d31a7d"),
     (64, 1, "15475b7983def34e0d00d62486e87d02edbf89cbd768a897880ded491dc6f4e6"),
-    (64, 2, "d06f6e5cb5e861fde3330c8d39a0a2000a5dbe0445a3e91e91da2b7328be0048"),
+    (64, 2, "1772f529804da12aed958ded0c6cc1175d414aca7bd2e5cc0147f7c36b634b78"),
     (128, 1, "ec1357ac3409079de60bfe456b3680c79e828fbd03fb0a91a52c69d092203c5e"),
-    (128, 2, "d68d884002d6cff771abc1094722dccbaadd04ae45fa7db978ac2cfbb9011b3f"),
+    (128, 2, "a345fba8a1dcd3e375619bddbe465892cbccc270cbdee5aa2b712cfb4de5ee5b"),
 ]
 
 
@@ -50,16 +50,16 @@ def test_trace_bytes_are_pinned(n, seed, digest):
 
 
 GOLDEN_METRICS = [
-    (8, 1, "b3525cbeab3bda4b06e06b1f501e1e23d5e97ad9f42e01ece67876f6563f0486"),
+    (8, 1, "fb1195a622e57a2cc75bed7e0b907a6db89f65c776eac386be54f5e23d4fa6bb"),
     (8, 2, "1145e6a70007b15cd38740ec08dac47227305295c53b50c55c37b4622f93ae04"),
     (16, 1, "dc96d2a616fc32bd3181e1042b304d9b3431477cb42e6ab8397fa49ea3959075"),
     (16, 2, "b52e3890c1a2a02cbc68ba2d1f39d01773666dcbba188256240b8545dc64306d"),
     (32, 1, "14dd4cfa4fd060f74e2fd9680082f8e7d43e8f94d080ddd47ac0a647ffb9a5e6"),
-    (32, 2, "7dca98ba208e392cb3cddf00cc7626afa2bbdb66667f0850f3905494e79fbb05"),
+    (32, 2, "a0f5a6fafd3510bc25fac9df2a6543f3ceec437a4953e072b82cd76c279feb95"),
     (64, 1, "52cbff52fcd72b808039f26064891267e28a57357ea85c998e05d9c7e43d15d8"),
-    (64, 2, "fdcc87246bce396cef8149c3bb9f6bcd9086223cef4fe80a14c8deb4cfe54ed7"),
+    (64, 2, "475429a1086e077b4cd1471d582644cc466daf443d86018548c766fc16354fad"),
     (128, 1, "04c7a247a82efab2a6ae50d84415c88930dc48d251cabb4d2f2674f65cea4ba6"),
-    (128, 2, "7212c4fcc767c9e8c942c1ea3a09999d8fbfa30d25d40914f22054b026a44187"),
+    (128, 2, "9964549d8e13c2a6b1611b3b2ce43ac4bdedc3b07bceb7ba6a4b62023ee2a370"),
 ]
 
 

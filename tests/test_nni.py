@@ -23,6 +23,7 @@ from nnidist.nni import (
     apply_nni,
     apply_sequence,
     check_trace,
+    counted_cost,
     invert_sequence,
     read_trace,
     replay,
@@ -187,6 +188,35 @@ def test_apply_nni_matches_the_rebuilding_reference(n, seed, repeats, data):
             assert tree.validate() == []
             assert weighted_splits(tree) == weighted_splits(expected)
             assert tree.leaf_weight_map() == expected.leaf_weight_map()
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(
+    n=st.integers(3, 12),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_counted_cost_is_the_fraction_sum(n, seed, data):
+    # thirds and sevenths next to decimals and arbitrary fractions: the
+    # integer sum over the lcm gives the very Fraction of the plain sum
+    shape = random_phylogeny(random.Random(seed), n)
+    ids = shape.edge_ids()
+    weight = st.one_of(
+        st.sampled_from([Fraction(1, 3), Fraction(1, 7), Fraction(5, 7), Fraction("0.1"), Fraction(2)]),
+        st.fractions(min_value=Fraction(1, 10**4), max_value=10**6, max_denominator=10**4),
+    )
+    ws = data.draw(st.lists(weight, min_size=len(ids), max_size=len(ids)))
+    tree = Phylogeny(
+        {e: shape.endpoints(e) for e in ids},
+        dict(zip(ids, ws)),
+        {v: shape.leaf_label(v) for v in shape.nodes() if shape.is_leaf(v)},
+    )
+    counts = data.draw(st.dictionaries(st.sampled_from(ids), st.integers(1, 50)))
+    got = counted_cost(tree, counts)
+    assert type(got) is Fraction
+    assert got == sum((tree.weight(e) * k for e, k in counts.items()), Fraction(0))
+    empty = counted_cost(tree, {})
+    assert type(empty) is Fraction and empty == 0
 
 
 def test_apply_sequence_and_inverse():

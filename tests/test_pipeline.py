@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,40 @@ def test_components_are_independent():
         assert ok, reason
         found += 1
     assert found >= 3
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 1), (6, 1), (7, 3)])
+def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatch):
+    # criterion 8's counters, per component size: up to three internal edges
+    # the exact search answers alone, from four the companion is built and
+    # checked and the trees are linearized
+    import nnidist.pipeline as pipeline_mod
+
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=2 * n)
+    assert not find_good_edge_pairs(t1, t2).pairs
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(pipeline_mod, "check_auxiliary",
+                        counting("aux", pipeline_mod.check_auxiliary))
+    monkeypatch.setattr(pipeline_mod, "linearize", counting("linearize", pipeline_mod.linearize))
+    monkeypatch.setattr(pipeline_mod.exact, "exact_dnni",
+                        counting("exact", pipeline_mod.exact.exact_dnni))
+    result = approx_nni(t1, t2)
+    if n <= 6:
+        assert calls == {"exact": 1}
+        assert result.phase_costs["exact"] == result.cost > 0
+        assert result.metrics["exact"]["rounds"] == 1
+    else:
+        assert calls["exact"] == 0
+        assert calls["aux"] == 1 and calls["linearize"] > 0
+        assert result.phase_costs["exact"] == 0
+        assert "exact" not in result.metrics
 
 
 def test_span_is_the_max_over_components():

@@ -17,8 +17,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
 from nnidist.cli import main
+from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
-from nnidist.nni import check_trace, write_trace
+from nnidist.goodpairs import find_good_edge_pairs
+from nnidist.nni import check_trace, verify_transform, write_trace
 from nnidist.phylo import Phylogeny
 from nnidist.pipeline import approx_nni
 
@@ -44,6 +46,27 @@ def test_every_pipeline_trace_checks(n, seed, moves, dup):
         path = Path(d) / "trace.jsonl"
         write_trace(path, t1, t2, result.sequence)
         assert check_trace(path, t1, t2) == (True, result.cost, None)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(
+    n=st.integers(4, 6),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(1, 12),
+    dup=st.booleans(),
+)
+def test_small_instances_are_solved_exactly(n, seed, moves, dup):
+    # at most six taxa and no good pair: one component, answered by the
+    # exact search, so the approximation is the distance
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    result = approx_nni(t1, t2)
+    ok, cost, reason = verify_transform(t1, result.sequence, t2)
+    assert ok and cost == result.cost, reason
+    distance, witness = exact_dnni(t1, t2)
+    assert result.cost >= distance
+    if not find_good_edge_pairs(t1, t2).pairs:
+        assert result.cost == distance
+        assert result.sequence == witness
 
 
 @settings(max_examples=60, **SETTINGS)
