@@ -3,7 +3,7 @@
 The sort is a bottom-up merge over "blocks": maximal runs of spine positions
 whose edges are already sorted by target rank, ascending or descending in
 alternation.  A first pass swaps adjacent edges pairwise so size-2 blocks
-alternate (block j ascending exactly when j is odd); each merge stage then
+alternate (block j ascending exactly when j is even); each merge stage then
 pairs blocks middle-out (first with last, and so on) and merges every pair
 with "pull" moves.
 
@@ -88,7 +88,6 @@ def make_alternating(
     order: list[int],
     rank: dict[int, int],
     rt: ParRuntime,
-    phase: str,
 ) -> tuple[list[NniOp], list[Block]]:
     """Swap adjacent position pairs in place so size-2 blocks alternate.
 
@@ -100,7 +99,7 @@ def make_alternating(
         (rank[order[j]] < rank[order[j + 1]]) != ((j // 2) % 2 == 0)
         for j in range(0, m - 1, 2)
     ]
-    rt.round(phase, swaps)
+    rt.round("edgesort", swaps)
 
     ops: list[NniOp] = []
     new_order = list(order)
@@ -167,7 +166,6 @@ def merge_stage(
     blocks: list[Block],
     rank: dict[int, int],
     rt: ParRuntime,
-    phase: str,
 ) -> tuple[list[NniOp], list[Block]]:
     """Merge paired blocks in place; returns (ops, next stage's blocks).
 
@@ -184,12 +182,10 @@ def merge_stage(
         passed = [blocks[0]]
 
     # round 1: every participating edge publishes its target rank
-    local_rank = {
-        e: rank[e]
-        for li, ri in pair_idx
-        for e in blocks[li].edges + blocks[ri].edges
-    }
-    rt.round(phase, local_rank)
+    rt.round(
+        "edgesort",
+        [rank[e] for li, ri in pair_idx for e in blocks[li].edges + blocks[ri].edges],
+    )
 
     # round 2: one planning task per pair, (pulls, merged run)
     plans = []
@@ -197,11 +193,11 @@ def merge_stage(
         left, right = blocks[li], blocks[ri]
         run = sorted(
             left.edges + right.edges,
-            key=lambda e: local_rank[e],
+            key=lambda e: rank[e],
             reverse=not left.ascending,
         )
-        plans.append((_pull_plan(left, right, local_rank, outer=(pos == 0)), run))
-    rt.round(phase, plans)
+        plans.append((_pull_plan(left, right, rank, outer=(pos == 0)), run))
+    rt.round("edgesort", plans)
 
     predicted = [e for b in passed for e in b.edges]
     for _, run in plans:
@@ -276,13 +272,12 @@ def merge_sort_edges(
     source: Phylogeny,
     target: list[int],
     rt: ParRuntime | None = None,
-    phase: str = "edgesort",
 ) -> EdgeSortResult:
     """Emit NNI moves arranging ``source``'s internal edges into ``target`` order.
 
     ``source`` must be linear; it is not modified.  The result tree's spine,
     read from one of its two ends, lists the internal edges exactly in
-    ``target`` order.
+    ``target`` order.  The rounds count as phase ``edgesort``.
     """
     rt = rt or ParRuntime()
     tree = source.copy()
@@ -301,10 +296,10 @@ def merge_sort_edges(
     if order == target:
         return EdgeSortResult([], tree, 0)
 
-    ops, blocks = make_alternating(tree, order, rank, rt, phase)
+    ops, blocks = make_alternating(tree, order, rank, rt)
     stages = 1
     while len(blocks) > 1:
-        stage_ops, blocks = merge_stage(tree, blocks, rank, rt, phase)
+        stage_ops, blocks = merge_stage(tree, blocks, rank, rt)
         ops += stage_ops
         stages += 1
 

@@ -234,7 +234,7 @@ def single_label_partition(ra: ContractedSubtree, rpa: ContractedSubtree) -> Par
 
 
 def _subtree_max(
-    sub: ContractedSubtree, init: dict[int, int], rt: ParRuntime, phase: str
+    sub: ContractedSubtree, init: dict[int, int], rt: ParRuntime
 ) -> dict[int, int]:
     """Max of initial values over each contraction subtree, by pointer jumping.
 
@@ -245,18 +245,18 @@ def _subtree_max(
     ptr = dict(sub.parent)
     while any(p is not None for p in ptr.values()):
         pushes = [(ptr[v], val[v]) for v in sub.nodes if ptr[v] is not None]
-        rt.round(phase, pushes)
+        rt.round("gep", pushes)
         received: dict[int, int] = {}
         for target, x in pushes:
             received[target] = max(received.get(target, 0), x)
         updates = {v: max(val[v], x) for v, x in received.items()}
-        rt.round(phase, updates)
+        rt.round("gep", updates)
         val.update(updates)
         ptr = {v: (ptr[p] if p is not None else None) for v, p in ptr.items()}
     return val
 
 
-def _radix_rank(items: list[tuple[int, int]], rt: ParRuntime, phase: str) -> list[int]:
+def _radix_rank(items: list[tuple[int, int]], rt: ParRuntime) -> list[int]:
     """Dense ranks (from 1) of two-component fingerprints, radix style."""
     order = list(range(len(items)))
     for component in (1, 0):
@@ -265,7 +265,7 @@ def _radix_rank(items: list[tuple[int, int]], rt: ParRuntime, phase: str) -> lis
         counts = [0] * len(keys)
         for i in order:
             counts[pos[items[i][component]]] += 1
-        offsets = [a - b for a, b in zip(par_prefix_sums(rt, phase, counts), counts)]
+        offsets = [a - b for a, b in zip(par_prefix_sums(rt, "gep", counts), counts)]
         placed = [0] * len(order)
         slots = list(offsets)
         for i in order:
@@ -276,8 +276,8 @@ def _radix_rank(items: list[tuple[int, int]], rt: ParRuntime, phase: str) -> lis
     flags = [
         int(r == 0 or items[i] != items[order[r - 1]]) for r, i in enumerate(order)
     ]
-    rt.round(phase, flags)
-    running = par_prefix_sums(rt, phase, flags)
+    rt.round("gep", flags)
+    running = par_prefix_sums(rt, "gep", flags)
     rank = [0] * len(items)
     for r, i in enumerate(order):
         rank[i] = running[r]
@@ -290,21 +290,20 @@ def relabel_merge(
     rho_a: PartitionLabeling,
     rho_b: PartitionLabeling,
     rt: ParRuntime | None = None,
-    phase: str = "gep",
 ) -> PartitionLabeling:
-    """Combine two half labelings over the union contraction pair."""
+    """Combine two half labelings over the union contraction pair (phase ``gep``)."""
     rt = rt or ParRuntime()
     fingerprints: list[tuple[int, int]] = []
     owners: list[tuple[int, int]] = []
     for side, (sub, half_a, half_b) in enumerate(
         ((rab, rho_a.rho, rho_b.rho), (rpab, rho_a.rho_p, rho_b.rho_p))
     ):
-        max_a = _subtree_max(sub, half_a, rt, phase)
-        max_b = _subtree_max(sub, half_b, rt, phase)
+        max_a = _subtree_max(sub, half_a, rt)
+        max_b = _subtree_max(sub, half_b, rt)
         for v in sub.nodes:
             fingerprints.append((max_a[v], max_b[v]))
             owners.append((side, v))
-    ranks = _radix_rank(fingerprints, rt, phase)
+    ranks = _radix_rank(fingerprints, rt)
     rho: dict[int, int] = {}
     rho_p: dict[int, int] = {}
     for (side, v), r in zip(owners, ranks):
@@ -315,7 +314,10 @@ def relabel_merge(
 def partition_labeling(
     aug1: AugmentedTree, aug2: AugmentedTree, rt: ParRuntime | None = None
 ) -> PartitionLabeling:
-    """Joint labeling of both trees' nodes by descendant label multisets."""
+    """Joint labeling of both trees' nodes by descendant label multisets.
+
+    Pairing up label sets counts as phase ``gep.pairing``, merging as ``gep``.
+    """
     rt = rt or ParRuntime()
     if Counter(aug1.label.values()) != Counter(aug2.label.values()):
         raise TreeError("leaf label multisets differ between the trees")

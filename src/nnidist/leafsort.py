@@ -192,7 +192,6 @@ def sort_leaves(
     source: Phylogeny,
     target: Phylogeny,
     rt: ParRuntime | None = None,
-    phase: str = "leafsort",
     source_root: int | None = None,
     target_root: int | None = None,
 ) -> LeafSortResult:
@@ -200,7 +199,8 @@ def sort_leaves(
 
     When the two trees' anchors sit at different structural positions, pass
     corresponding internal nodes as explicit view roots so the position
-    bookkeeping lines up.
+    bookkeeping lines up.  The one round of leaf cycles counts as phase
+    ``leafsort``.
     """
     rt = rt or ParRuntime()
     work = source.copy()
@@ -220,7 +220,7 @@ def sort_leaves(
         if len(cycle) > 1:
             cycles.append(cycle)
 
-    rt.round(phase, cycles)
+    rt.round("leafsort", cycles)
 
     up = work.rooted_view().parent_edge
     ops: list[NniOp] = []

@@ -108,7 +108,6 @@ def min_leaf_edge(tree: Phylogeny, node: int) -> int:
 def endnode_paths(
     tree: Phylogeny,
     rt: ParRuntime | None = None,
-    phase: str = "endnode_paths",
     classes: dict[int, NodeClass] | None = None,
 ) -> dict[int, int]:
     """The terminal of every non-root node, by pointer jumping.
@@ -117,7 +116,8 @@ def endnode_paths(
     ``tree.rooted_view()`` that is a junction, an endnode or the root.  Uses
     one initialization round plus at most ceil(log2 n) jump rounds: each jump
     replaces a node's pointer by its pointer's pointer, doubling the settled
-    length, and moves one id per node.
+    length, and moves one id per node.  The rounds count as phase
+    ``linearize.paths``.
     """
     rt = rt or ParRuntime()
     if classes is None:
@@ -127,14 +127,14 @@ def endnode_paths(
     terminal.add(order[0])
 
     nxt = {v: tree.other_end(parent_edge[v], v) for v in order[1:]}
-    rt.round(phase, nxt)
+    rt.round("linearize.paths", nxt)
 
     # a node whose pointer reaches a terminal is settled for good, so each
     # round visits only the nodes that still jump
     active = [v for v, u in nxt.items() if u not in terminal]
     while active:
         jumps = {v: nxt[nxt[v]] for v in active}
-        rt.round(phase, jumps)
+        rt.round("linearize.paths", jumps)
         nxt.update(jumps)
         active = [v for v in active if nxt[v] not in terminal]
     return nxt
@@ -151,13 +151,13 @@ def chain_path(tree: Phylogeny, v: int, stop: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def linearize(
-    tree: Phylogeny, rt: ParRuntime | None = None, phase: str = "linearize"
-) -> LinearizeResult:
+def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
     """Emit an NNI sequence turning ``tree`` into a linear tree.
 
     The input is not modified; the result carries the transformed copy, the
-    operations (already applied to it), and the outer iteration count.
+    operations (already applied to it), and the outer iteration count.  The
+    rounds count as phase ``linearize``, the pointer jumping inside them as
+    ``linearize.paths``.
     """
     rt = rt or ParRuntime()
     work = tree.copy()
@@ -165,12 +165,12 @@ def linearize(
     iterations = 0
     while True:
         classes = work.classify_nodes()
-        rt.round(phase, classes)
+        rt.round("linearize", classes)
         junctions = {x for x, c in classes.items() if c is NodeClass.JUNCTION}
         if not junctions:
             break
         iterations += 1
-        nxt = endnode_paths(work, rt, phase=phase + ".paths", classes=classes)
+        nxt = endnode_paths(work, rt, classes=classes)
 
         # endnodes whose terminal is a junction announce themselves with
         # their chain and its weight; the chains are disjoint, so the walks
@@ -182,7 +182,7 @@ def linearize(
                 path = chain_path(work, E, J)
                 dist = sum(work.weight(e) for e in path)
                 acts.append((J, (dist, E, path)))
-        rt.round(phase, acts)
+        rt.round("linearize", acts)
 
         candidates: dict[int, list] = {}
         for junction, val in acts:
@@ -190,7 +190,7 @@ def linearize(
 
         # each activated junction keeps its lightest chain (ties by endnode id)
         selected = {J: min(cands) for J, cands in sorted(candidates.items())}
-        rt.round(phase, selected)
+        rt.round("linearize", selected)
 
         # plan the splices against the frozen pre-round tree
         plans = []
@@ -206,7 +206,7 @@ def linearize(
                 node = work.other_end(e_i, node)
                 plan.append(NniOp(min_leaf_edge(work, node), e_i, e_x))
             plans.append(plan)
-        rt.round(phase, plans)
+        rt.round("linearize", plans)
 
         for plan in plans:
             for op in plan:

@@ -265,17 +265,19 @@ def _component_sequence(
         balanced1, balanced2, rt, source_root=root1, target_root=root2
     )
 
-    back = invert_sequence(lin2 + sort2 + rebal2)
-    back = _translate(back, _equal_tree_edge_map(leafs.tree, balanced2))
-    ops, origin = shorten(lin1 + sort1 + rebal1 + leafs.ops + back)
+    # each phase's moves in PHASE_NAMES order: tree 2's road runs backwards,
+    # translated onto the leaf-sorted tree
+    emap = _equal_tree_edge_map(leafs.tree, balanced2)
+    phases = [lin1, sort1, rebal1, leafs.ops] + [
+        _translate(invert_sequence(part), emap) for part in (rebal2, sort2, lin2)
+    ]
+    ops, origin = shorten([op for part in phases for op in part])
 
     # a kept move belongs to the phase of the first move it stands for, and
     # origin increases, so each phase keeps one contiguous slice of ops
-    lengths = (len(lin1), len(sort1), len(rebal1), len(leafs.ops),
-               len(rebal2), len(sort2), len(lin2))
     costs = {}
     lo = 0
-    for name, end in zip(PHASE_NAMES, accumulate(lengths)):
+    for name, end in zip(PHASE_NAMES, accumulate(map(len, phases))):
         hi = bisect_left(origin, end)
         if hi > lo:  # an empty slice costs nothing
             costs[name] = counted_cost(c1, Counter(o.e2 for o in ops[lo:hi]))
@@ -283,11 +285,8 @@ def _component_sequence(
     return ops, costs
 
 
-def approx_nni(
-    t1: Phylogeny, t2: Phylogeny, rt: ParRuntime | None = None
-) -> ApproxResult:
+def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     """Approximate transformation sequence from ``t1`` to ``t2``."""
-    rt = rt or ParRuntime()
     ok, reasons = finiteness_check(t1, t2)
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
@@ -306,6 +305,7 @@ def approx_nni(
         sequence.extend(ops)
         for name, value in costs.items():
             totals[name] += value
+    rt = ParRuntime()
     rt.add_side_by_side(part_rts)
 
     ok, cost, reason = verify_transform(t1, sequence, t2)

@@ -224,7 +224,7 @@ def test_criterion_07_span_counters(corpus200):
     for n, seed, t1, t2, _result in rows:
         rt = ParRuntime()
         endnode_paths(t1, rt)
-        rounds = rt.metrics["endnode_paths"].rounds
+        rounds = rt.metrics["linearize.paths"].rounds
         assert rounds <= clg(n) + 2, f"n={n} seed={seed}: paths {rounds}"
 
         lin = linearize(t1)
@@ -259,9 +259,9 @@ def test_criterion_08_structural_postconditions(corpus200, monkeypatch):
         calls["aux"] += 1
         return real_check(source, aux)
 
-    def counting_linearize(tree, rt=None, phase="linearize"):
+    def counting_linearize(tree, rt=None):
         calls["linearize"] += 1
-        return real_linearize(tree, rt, phase)
+        return real_linearize(tree, rt)
 
     monkeypatch.setattr(pipeline_mod, "check_auxiliary", counting_check)
     monkeypatch.setattr(pipeline_mod, "linearize", counting_linearize)
@@ -279,7 +279,7 @@ def test_criterion_08_structural_postconditions(corpus200, monkeypatch):
     print("\ncriterion 8: postconditions wired into the pipeline and hold")
 
 
-def test_criterion_09_determinism_across_threads():
+def test_criterion_09_determinism_across_fresh_runtimes():
     plans = ((8, range(1, 8)), (16, range(1, 8)), (32, range(1, 7)))
     instances = 0
     for n, seeds in plans:
@@ -289,7 +289,7 @@ def test_criterion_09_determinism_across_threads():
             )
             blobs = []
             for _ in range(3):
-                result = approx_nni(t1, t2, ParRuntime())
+                result = approx_nni(t1, t2)
                 blobs.append(
                     (
                         "\n".join(trace_lines(t1, t2, result.sequence)).encode(),

@@ -118,7 +118,7 @@ def test_alternating_pass_blocks():
     rank = {e: i for i, e in enumerate(target)}
     work = tree.copy()
     order = read_order(work)
-    ops, blocks = make_alternating(work, order, rank, ParRuntime(), "t")
+    ops, blocks = make_alternating(work, order, rank, ParRuntime())
     for j, block in enumerate(blocks):
         ranks = [rank[e] for e in block.edges]
         assert block.ascending == (j % 2 == 0)
@@ -140,10 +140,10 @@ def run_stages(n, seed):
     rank = {e: i for i, e in enumerate(target)}
     work = tree.copy()
     rt = ParRuntime()
-    ops, blocks = make_alternating(work, read_order(work), rank, rt, "t")
+    ops, blocks = make_alternating(work, read_order(work), rank, rt)
     while len(blocks) > 1:
         before = [Block(list(b.edges), b.ascending) for b in blocks]
-        stage_ops, blocks = merge_stage(work, blocks, rank, rt, "t")
+        stage_ops, blocks = merge_stage(work, blocks, rank, rt)
         yield work, rank, before, blocks, stage_ops
 
 
@@ -203,7 +203,7 @@ def test_presorted_pair_stage_emits_nothing():
     # the merged run is the spine order as it stands
     rank = {order[0]: 0, order[1]: 1, order[2]: 2}
     blocks = [Block(order[:2], True), Block(order[2:], False)]
-    ops, merged = merge_stage(tree.copy(), blocks, rank, ParRuntime(), "t")
+    ops, merged = merge_stage(tree.copy(), blocks, rank, ParRuntime())
     assert ops == []
     assert len(merged) == 1
     assert merged[0].edges == order
@@ -217,7 +217,7 @@ def test_merge_stage_rejects_a_wrong_prediction():
     rank = {e0: 0, e2: 1, e1: 2}
     blocks = [Block([e0, e2], True), Block([e1], False)]
     with pytest.raises(TreeError, match="predicted order"):
-        merge_stage(tree.copy(), blocks, rank, ParRuntime(), "t")
+        merge_stage(tree.copy(), blocks, rank, ParRuntime())
 
 
 def _order_variants(tree, order, rng):

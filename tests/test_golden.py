@@ -27,6 +27,11 @@ from nnidist.newick import format_weight
 from nnidist.nni import trace_lines
 from nnidist.pipeline import approx_nni
 
+def _ids(rows):
+    # n-seed alone, so a digest that moves by design keeps its test's name
+    return [f"{n}-{seed}" for n, seed, _ in rows]
+
+
 GOLDEN = [
     (8, 1, "a79317c724e20794af26d0a3c140bcc016ed11f5333eab21ac2be96a6fc33943"),
     (8, 2, "c699d927a30b29e675f38928d1d092497a568f14884d6d23e40d81074d94c504"),
@@ -41,7 +46,7 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("n,seed,digest", GOLDEN)
+@pytest.mark.parametrize("n,seed,digest", GOLDEN, ids=_ids(GOLDEN))
 def test_trace_bytes_are_pinned(n, seed, digest):
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=3 * n, dup_weights=seed % 2 == 0)
     result = approx_nni(t1, t2)
@@ -63,7 +68,7 @@ GOLDEN_METRICS = [
 ]
 
 
-@pytest.mark.parametrize("n,seed,digest", GOLDEN_METRICS)
+@pytest.mark.parametrize("n,seed,digest", GOLDEN_METRICS, ids=_ids(GOLDEN_METRICS))
 def test_round_accounting_is_pinned(n, seed, digest):
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=3 * n, dup_weights=seed % 2 == 0)
     metrics = json.dumps(approx_nni(t1, t2).metrics, sort_keys=True)

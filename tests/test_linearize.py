@@ -57,7 +57,7 @@ def test_walk_rounds_within_doubling_budget():
         rt = ParRuntime()
         endnode_paths(t, rt)
         n = t.n_taxa
-        assert rt.span("endnode_paths") <= math.ceil(math.log2(n)) + 2
+        assert rt.span("linearize.paths") <= math.ceil(math.log2(n)) + 2
 
 
 def test_already_linear_inputs_need_no_ops():

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from nnidist.edgesort import merge_sort_edges
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
-from nnidist.goodpairs import decompose, find_good_edge_pairs
+from nnidist.goodpairs import (
+    augment_and_root,
+    decompose,
+    find_good_edge_pairs,
+    partition_labeling,
+)
+from nnidist.leafsort import sort_leaves
+from nnidist.linearize import endnode_paths, linearize
+from nnidist.newick import parse
 from nnidist.nni import verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.pipeline import PHASE_NAMES, ApproxResult, approx_nni
@@ -177,12 +186,41 @@ def test_span_is_the_max_over_components():
     assert sum(m["rounds"] for m in metrics.values()) < summed_rounds
 
 
-def test_deterministic_across_thread_counts():
+def test_rounds_count_under_fixed_phase_names():
+    # golden instance (32, 2) has components on both sides of the six-taxon
+    # cutoff, so it reports every phase the pipeline records
+    t1, t2, _ = generate_pair(seed=2, n=32, moves=96, dup_weights=True)
+    assert set(approx_nni(t1, t2).metrics) == {
+        "edgesort", "exact", "leafsort", "linearize", "linearize.paths"}
+
+    # each phase function records only its own names when called directly
+    rt = ParRuntime()
+    endnode_paths(t1, rt)
+    assert set(rt.metrics) == {"linearize.paths"}
+
+    lin = linearize(t1).tree
+    rt = ParRuntime()
+    order = sorted(lin.internal_edges(), key=lambda e: (lin.weight(e), e))
+    merge_sort_edges(lin, order, rt)
+    assert set(rt.metrics) == {"edgesort"}
+
+    source = parse("((A:1,B:1):2,(C:1,D:1):3,(E:1,F:1):2);")
+    target = parse("((A:1,C:1):2,(B:1,D:1):3,(E:1,F:1):2);")
+    rt = ParRuntime()
+    assert sort_leaves(source, target, rt).cycles == 1
+    assert set(rt.metrics) == {"leafsort"}
+
+    rt = ParRuntime()
+    partition_labeling(augment_and_root(t1), augment_and_root(t2), rt)
+    assert set(rt.metrics) == {"gep", "gep.pairing"}
+
+
+def test_deterministic_across_fresh_runtimes():
     # repeated runs, each on a fresh runtime, agree byte for byte
     t1, t2, _ = generate_pair(seed=11, n=24, moves=50)
     runs = []
     for _ in range(3):
-        result = approx_nni(t1, t2, ParRuntime())
+        result = approx_nni(t1, t2)
         runs.append((tuple(result.sequence),
                      json.dumps(result.metrics, sort_keys=True)))
     assert runs[0] == runs[1] == runs[2]
