@@ -23,6 +23,11 @@ simply flips for the next stage.  Every stage ends by checking that its
 predicted order runs along one path through all internal edges
 (:func:`linearize.is_spine_order`), which is the spine read from one end or
 the other; the check is one pass over the order and does not walk the tree.
+
+The swaps and the pull loop read the tree's edge table, adjacency lists and
+leaf labels directly and apply their moves with :func:`nnidist.nni.move`:
+a stage moves every spine edge once, and accessor calls and tuple copies per
+move made up much of the phase's time.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from nnidist.linearize import is_spine_order, min_leaf_edge, spine
-from nnidist.nni import NniOp, apply_nni
+from nnidist.nni import NniOp, move
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
@@ -50,36 +55,44 @@ class EdgeSortResult:
 
 def _end_swap(tree: Phylogeny, end_node: int, first: int, second: int) -> list[NniOp]:
     """Swap the outermost two spine edges; ``first`` touches the end node."""
-    v1 = tree.other_end(first, end_node)
-    v2 = tree.other_end(second, v1)
-    ops = [NniOp(first, second, min_leaf_edge(tree, v2))]
-    apply_nni(tree, ops[0])
-    ops.append(NniOp(min_leaf_edge(tree, end_node), first, second))
-    apply_nni(tree, ops[1])
-    return ops
+    ends = tree._ends
+    a, b = ends[first]
+    v1 = b if a == end_node else a
+    a, b = ends[second]
+    v2 = b if a == v1 else a
+    low = min_leaf_edge(tree, v2)
+    move(tree, first, second, low)
+    top = min_leaf_edge(tree, end_node)
+    move(tree, top, first, second)
+    return [NniOp(first, second, low), NniOp(top, first, second)]
 
 
 def _mid_swap(tree: Phylogeny, a: int, b: int) -> list[NniOp]:
-    """Swap two adjacent mid-spine edges (four moves, each edge twice)."""
-    shared = set(tree.endpoints(a)) & set(tree.endpoints(b))
-    node_b = next(iter(shared))
-    node_a = tree.other_end(a, node_b)
-    node_c = tree.other_end(b, node_b)
+    """Swap two adjacent mid-spine edges (four moves, each edge twice).
+
+    All four moves are planned on the tree before the first one.
+    """
+    ends, adj, labels = tree._ends, tree._adj, tree._leaf_label
+    a0, a1 = ends[a]
+    node_b, node_a = (a0, a1) if a0 in ends[b] else (a1, a0)
+    b0, b1 = ends[b]
+    node_c = b1 if b0 == node_b else b0
     e_prev = next(
-        e for e in tree.adjacent_edges(node_a) if e != a and not tree.is_edge_leaf(e)
+        e for e in adj[node_a]
+        if e != a and ends[e][0] not in labels and ends[e][1] not in labels
     )
     e_next = next(
-        e for e in tree.adjacent_edges(node_c) if e != b and not tree.is_edge_leaf(e)
+        e for e in adj[node_c]
+        if e != b and ends[e][0] not in labels and ends[e][1] not in labels
     )
-    ops = []
-    for op in (
+    ops = [
         NniOp(e_prev, a, min_leaf_edge(tree, node_b)),
         NniOp(e_next, b, a),
         NniOp(e_next, b, min_leaf_edge(tree, node_c)),
         NniOp(e_next, a, min_leaf_edge(tree, node_a)),
-    ):
-        apply_nni(tree, op)
-        ops.append(op)
+    ]
+    for e1, e2, e3 in ops:
+        move(tree, e1, e2, e3)
     return ops
 
 
@@ -101,20 +114,20 @@ def make_alternating(
     ]
     rt.round("edgesort", swaps)
 
+    ends = tree._ends
     ops: list[NniOp] = []
     new_order = list(order)
     for j in range(0, m - 1, 2):
         if not swaps[j // 2]:
             continue
         a, b = new_order[j], new_order[j + 1]
-        shared = set(tree.endpoints(a)) & set(tree.endpoints(b))
-        node_b = next(iter(shared))
         if j == 0:
-            end = tree.other_end(a, node_b)
-            ops += _end_swap(tree, end, a, b)
+            # a's end not shared with b is the spine's end node
+            a0, a1 = ends[a]
+            ops += _end_swap(tree, a1 if a0 in ends[b] else a0, a, b)
         elif j + 1 == m - 1:
-            end = tree.other_end(b, node_b)
-            ops += _end_swap(tree, end, b, a)
+            b0, b1 = ends[b]
+            ops += _end_swap(tree, b1 if b0 in ends[a] else b0, b, a)
         else:
             ops += _mid_swap(tree, a, b)
         new_order[j], new_order[j + 1] = b, a
@@ -211,6 +224,7 @@ def merge_stage(
     if current == predicted or current == predicted[::-1]:
         pass  # already in stage order; nothing to emit
     else:
+        ends, adj, labels = tree._ends, tree._adj, tree._leaf_label
         junction: int | None = None
         chain_top: int | None = None
         stopped = False
@@ -221,31 +235,33 @@ def merge_stage(
             left, right = blocks[li], blocks[ri]
             pulls = plans[pos][0]
             if junction is None:
-                ends_a = set(tree.endpoints(left.edges[-1]))
-                ends_b = set(tree.endpoints(right.edges[0]))
-                junction = next(iter(ends_a & ends_b))
+                a0, a1 = ends[left.edges[-1]]
+                junction = a0 if a0 in ends[right.edges[0]] else a1
             for side, g in pulls:
-                if g not in tree.adjacent_edges(junction):
+                at = adj[junction]
+                if g not in at:
                     raise TreeError("merge pull lost the junction")
                 if chain_top is None:
                     f = next(
-                        e
-                        for e in tree.adjacent_edges(junction)
-                        if e != g and not tree.is_edge_leaf(e)
+                        e for e in at
+                        if e != g and ends[e][0] not in labels and ends[e][1] not in labels
                     )
                 else:
-                    f = next(
-                        e
-                        for e in tree.adjacent_edges(junction)
-                        if e not in (g, chain_top)
-                    )
-                far = tree.other_end(g, junction)
-                far_leaves = sum(
-                    1 for e in tree.adjacent_edges(far) if tree.is_edge_leaf(e)
-                )
-                op = NniOp(f, g, min_leaf_edge(tree, far))
-                apply_nni(tree, op)
-                ops.append(op)
+                    f = next(e for e in at if e != g and e != chain_top)
+                g0, g1 = ends[g]
+                far = g1 if g0 == junction else g0
+                # far's leaf count and min_leaf_edge(tree, far) in one pass
+                far_leaves = 0
+                leaf = low = None
+                for e in adj[far]:
+                    y0, y1 = ends[e]
+                    y = y0 if y0 in labels else y1 if y1 in labels else None
+                    if y is not None:
+                        far_leaves += 1
+                        if low is None or y < leaf:
+                            leaf, low = y, e
+                move(tree, f, g, low)
+                ops.append(NniOp(f, g, low))
                 if far_leaves == 2:
                     # ran into a tree end: the chain is spliced back in
                     if side == "L":

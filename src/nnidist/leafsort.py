@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from nnidist.nni import NniOp, apply_nni
+from nnidist.nni import NniOp, move
 from nnidist.phylo import Phylogeny, TreeError, require_same_taxa
 from nnidist.runtime import ParRuntime
 
@@ -50,6 +50,7 @@ def ranked_view(
     so interchangeable siblings keep the view's order by smallest taxon.
     """
     order, parent_edge, children = tree.rooted_view(root)
+    wt = tree._wt
     sig: dict[int, tuple[int, ...]] = {}
     kids: dict[int, list[int]] = {}
     for v in reversed(order):
@@ -58,7 +59,7 @@ def ranked_view(
             sig[v] = (0,)
             continue
         e = parent_edge[v]
-        flat = [0 if e is None else rank[tree.weight(e)]]
+        flat = [0 if e is None else rank[wt[e]]]
         for c in ranked:
             flat += sig[c]
         sig[v] = tuple(flat)
@@ -124,11 +125,15 @@ def leaf_permutation(
     return goes_to
 
 
-def _climb(tree: Phylogeny, up: dict[int, int | None], x: int) -> list[int]:
+def _climb(ends: dict[int, tuple[int, int]], up: dict[int, int | None], x: int) -> list[int]:
     """Nodes from ``x`` up to the root of the view whose parent edges are ``up``."""
     nodes = [x]
-    while up[nodes[-1]] is not None:
-        nodes.append(tree.other_end(up[nodes[-1]], nodes[-1]))
+    e = up[x]
+    while e is not None:
+        a, b = ends[e]
+        x = b if a == x else a
+        nodes.append(x)
+        e = up[x]
     return nodes
 
 
@@ -144,14 +149,30 @@ def swap_leaves(
     so leaves every internal edge's endpoints unchanged; only the two leaf
     edges move.  The path is unique, so it does not depend on the view's
     root.
+
+    The swap then checks that it did exactly that, in O(path) and not by a
+    full :meth:`Phylogeny.validate`, and raises TreeError otherwise: every
+    edge it named (the path, the displaced subtrees' edges and the two leaf
+    edges) has the endpoints it had before the swap, except that the two
+    leaf edges sit on each other's former attachment nodes, and every path
+    node holds exactly the edges it held before, with the two leaf edges
+    traded at the path's ends.  A move writes only the endpoints of the
+    edges it names and the adjacency of its middle edge's ends, so these
+    are all the entries the swap wrote, and the tree they describe is the
+    tree before the swap, which was valid, with the two taxa exchanged.  So
+    the check is no weaker than ``validate``, and it also fails on a valid
+    tree that is not that one, which ``validate`` accepts.
     """
-    lx = tree.leaf_edge_of(x)
-    ly = tree.leaf_edge_of(y)
-    u = tree.other_end(lx, tree.leaf_node(x))
-    w = tree.other_end(ly, tree.leaf_node(y))
+    ends, adj, leaf_node = tree._ends, tree._adj, tree._label_leaf
+    xv, yv = leaf_node[x], leaf_node[y]
+    lx, ly = adj[xv][0], adj[yv][0]
+    a0, a1 = ends[lx]
+    u = a1 if a0 == xv else a0
+    a0, a1 = ends[ly]
+    w = a1 if a0 == yv else a0
     if u == w:
         return []  # same attachment point; the unrooted tree is unchanged
-    a, b = _climb(tree, up, u), _climb(tree, up, w)
+    a, b = _climb(ends, up, u), _climb(ends, up, w)
     while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
         a.pop()
         b.pop()
@@ -159,25 +180,37 @@ def swap_leaves(
     edges = [up[v] for v in a[:-1]] + [up[v] for v in b[-2::-1]]
     m = len(edges)
 
+    # what the swap must leave behind, read before the first move
+    want_ends = {e: ends[e] for e in edges}
+    want_ends[lx] = tuple(w if z == u else z for z in ends[lx])
+    want_ends[ly] = tuple(u if z == w else z for z in ends[ly])
+    want_adj = [sorted(adj[v]) for v in nodes]
+    want_adj[0] = sorted(ly if e == lx else e for e in adj[u])
+    want_adj[-1] = sorted(lx if e == ly else e for e in adj[w])
+
     ops: list[NniOp] = []
-    displaced: dict[int, int] = {}
-    for i in range(m):
-        if i < m - 1:
-            partner = next(
-                e
-                for e in tree.adjacent_edges(nodes[i + 1])
-                if e not in (edges[i], edges[i + 1])
-            )
-            displaced[i + 1] = partner
-        else:
-            partner = ly
-        op = NniOp(lx, edges[i], partner)
-        apply_nni(tree, op)
-        ops.append(op)
+    displaced: list[int] = []
+    for i in range(m - 1):
+        # the subtree hanging off the next path node, before the walker
+        # reaches it
+        e_in, e_out = edges[i], edges[i + 1]
+        partner = next(e for e in adj[nodes[i + 1]] if e != e_in and e != e_out)
+        want_ends[partner] = ends[partner]
+        displaced.append(partner)
+        move(tree, lx, e_in, partner)
+        ops.append(NniOp(lx, e_in, partner))
+    move(tree, lx, edges[-1], ly)
+    ops.append(NniOp(lx, edges[-1], ly))
     for i in range(m - 2, -1, -1):
-        op = NniOp(ly, edges[i], displaced[i + 1])
-        apply_nni(tree, op)
-        ops.append(op)
+        move(tree, ly, edges[i], displaced[i])
+        ops.append(NniOp(ly, edges[i], displaced[i]))
+
+    for e, pair in want_ends.items():
+        if ends[e] != pair:
+            raise TreeError(f"swapping taxa {x} and {y} left edge {e} at {ends[e]}, not {pair}")
+    for v, es in zip(nodes, want_adj):
+        if sorted(adj[v]) != es:
+            raise TreeError(f"swapping taxa {x} and {y} left node {v} with edges {adj[v]}")
     return ops
 
 
@@ -200,7 +233,9 @@ def sort_leaves(
     When the two trees' anchors sit at different structural positions, pass
     corresponding internal nodes as explicit view roots so the position
     bookkeeping lines up.  The one round of leaf cycles counts as phase
-    ``leafsort``.
+    ``leafsort``.  Each swap checks its own outcome (see
+    :func:`swap_leaves`), so no cycle is followed by a full ``validate``;
+    the end tree is compared with ``target``.
     """
     rt = rt or ParRuntime()
     work = source.copy()
@@ -229,9 +264,6 @@ def sort_leaves(
         for other in taxa[1:]:
             ops += swap_leaves(work, carry, other, up)
             carry = other
-        problems = work.validate()
-        if problems:
-            raise TreeError("leaf cycle broke the tree: " + problems[0])
 
     if not work.canonical_equal(target):
         raise TreeError("leaf sort failed to reach the target arrangement")

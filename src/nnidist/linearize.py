@@ -7,27 +7,31 @@ every round is O(n) work, as in Wyllie's list ranking.  The edge paths
 themselves are walked once, afterwards, and only where they are read: from
 each endnode whose terminal is a junction up to that junction.  Pathnodes
 have one internal child, so those chains are disjoint and the walks and
-their weight sums are O(n) per iteration.  Each junction then picks the
-lightest endnode chain hanging below it and splices that chain's leaves
-upward with one NNI per chain edge, which turns the junction into a pathnode
-and the chain's endnode into a pathnode.  Junctions are never created, and
-at least half of them disappear each iteration, so the loop runs at most
-ceil(log2 n) times.
+their weight sums are O(n) per iteration.  The sums are ints: each weight
+is scaled once per call to the lcm of the tree's denominators, so the sums
+order exactly as the ``Fraction`` sums would, without ``Fraction``
+arithmetic.  Each junction then picks the lightest endnode chain hanging
+below it and splices that chain's leaves upward with one NNI per chain
+edge, which turns the junction into a pathnode and the chain's endnode
+into a pathnode.  Junctions are never created, and at least half of them
+disappear each iteration, so the loop runs at most ceil(log2 n) times.
 
 A linear tree's internal nodes form one path, its spine; :func:`spine` reads
 it, :func:`is_spine_order` checks a claimed spine edge order without reading
 it, and :func:`min_leaf_edge` is the tie-break every phase uses to pick one
 of an endnode's two leaves.  These and :meth:`Phylogeny.classify_nodes` read
 the tree's edge table, adjacency and labels directly: they run on every
-stage of every phase.
+stage of every phase.  So do the chain walks and splice plans here, and the
+splices are applied with :func:`nnidist.nni.move`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from nnidist.nni import NniOp, apply_nni
+from nnidist.nni import NniOp, move
 from nnidist.phylo import NodeClass, Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
@@ -83,18 +87,23 @@ def is_spine_order(tree: Phylogeny, order: Sequence[int]) -> bool:
     ends, labels = tree._ends, tree._leaf_label
     if len(order) != tree.n_taxa - 3:
         return False
-    prev: tuple[int, ...] = ()
-    joint = None
+    p = q = joint = None
     for e in order:
         cur = ends.get(e)
-        if cur is None or cur[0] in labels or cur[1] in labels:
+        if cur is None:
             return False
-        if prev:
-            shared = set(prev).intersection(cur)
-            if len(shared) != 1 or joint in shared:
+        a, b = cur
+        if a in labels or b in labels:
+            return False
+        if p is not None:
+            at_a = a == p or a == q
+            if at_a == (b == p or b == q):
+                return False  # no shared node, or both (a repeated edge)
+            shared = a if at_a else b
+            if shared == joint:
                 return False
-            (joint,) = shared
-        prev = cur
+            joint = shared
+        p, q = a, b
     return True
 
 
@@ -126,7 +135,11 @@ def endnode_paths(
     terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
     terminal.add(order[0])
 
-    nxt = {v: tree.other_end(parent_edge[v], v) for v in order[1:]}
+    ends = tree._ends
+    nxt = {}
+    for v in order[1:]:
+        a, b = ends[parent_edge[v]]
+        nxt[v] = b if a == v else a
     rt.round("linearize.paths", nxt)
 
     # a node whose pointer reaches a terminal is settled for good, so each
@@ -142,12 +155,13 @@ def endnode_paths(
 
 def chain_path(tree: Phylogeny, v: int, stop: int) -> tuple[int, ...]:
     """Edge ids walked from ``v`` up the rooted view to its ancestor ``stop``, in order."""
-    parent_edge = tree.rooted_view().parent_edge
+    ends, parent_edge = tree._ends, tree.rooted_view().parent_edge
     path = []
     while v != stop:
         e = parent_edge[v]
         path.append(e)
-        v = tree.other_end(e, v)
+        a, b = ends[e]
+        v = b if a == v else a
     return tuple(path)
 
 
@@ -161,6 +175,11 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
     """
     rt = rt or ParRuntime()
     work = tree.copy()
+    ends, adj = work._ends, work._adj
+    # chain weights in ints over the lcm of the weights' denominators: they
+    # order exactly as the Fractions do, and a move never changes a weight
+    scale = math.lcm(*(w.denominator for w in work._wt.values()))
+    iw = {e: w.numerator * (scale // w.denominator) for e, w in work._wt.items()}
     ops: list[NniOp] = []
     iterations = 0
     while True:
@@ -180,7 +199,7 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
             J = nxt.get(E)
             if J in junctions:
                 path = chain_path(work, E, J)
-                dist = sum(work.weight(e) for e in path)
+                dist = sum(iw[e] for e in path)
                 acts.append((J, (dist, E, path)))
         rt.round("linearize", acts)
 
@@ -199,19 +218,20 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
             # the root has a leaf neighbour, so J is not the root and has a
             # parent edge
             up = work.rooted_view().parent_edge[J]
-            e_x = next(e for e in work.adjacent_edges(J) if e != chain[0] and e != up)
+            e_x = next(e for e in adj[J] if e != chain[0] and e != up)
             plan = []
             node = J
             for e_i in chain:
-                node = work.other_end(e_i, node)
+                a, b = ends[e_i]
+                node = b if a == node else a
                 plan.append(NniOp(min_leaf_edge(work, node), e_i, e_x))
             plans.append(plan)
         rt.round("linearize", plans)
 
         for plan in plans:
-            for op in plan:
-                apply_nni(work, op)
-                ops.append(op)
+            for e1, e2, e3 in plan:
+                move(work, e1, e2, e3)
+            ops += plan
 
     if not is_linear(work):
         raise TreeError("linearize postcondition failed: junction survived")

@@ -217,14 +217,17 @@ def verify_transform(
 
     Returns (ok, total cost, reason).  The cost is the cost of the prefix
     that could be applied, so failures still report where the money went.
+    The replay loop only counts the moves applied; their middle edges are
+    counted once, afterwards.
     """
-    counts: Counter[int] = Counter()
+    applied, reason = 0, None
     try:
-        for op, _, _ in replay(source.copy(), ops, target):
-            counts[op.e2] += 1
+        for applied, _ in enumerate(replay(source.copy(), ops, target), 1):
+            pass
     except ReplayError as exc:
-        return False, counted_cost(source, counts), str(exc)
-    return True, counted_cost(source, counts), None
+        reason = str(exc)
+    counts = Counter(op.e2 for op in islice(ops, applied))
+    return reason is None, counted_cost(source, counts), reason
 
 
 def tree_digest(tree: Phylogeny) -> str:

@@ -308,6 +308,53 @@ def walk_up_oracle(tree: Phylogeny):
     return out
 
 
+def linearize_by_fraction_sums(tree: Phylogeny):
+    """Reference linearize: the same splices, chain weights summed as Fractions.
+
+    Per iteration every endnode walks up to its terminal (``walk_up_oracle``,
+    whose chain weight is a ``Fraction`` sum); each junction keeps its
+    lightest endnode chain, ties going to the smaller endnode id; all
+    splices are planned on the tree as it stands and then applied, junctions
+    in id order.  A splice hangs the leaf of smallest id at each chain node,
+    from the junction down, over the junction's third edge.  Returns the
+    moves.
+    """
+    from nnidist.nni import NniOp, apply_nni
+
+    work = tree.copy()
+    ops = []
+    while True:
+        classes = classify_by_leaf_count(work)
+        junctions = {x for x, c in classes.items() if c == "junction"}
+        if not junctions:
+            return ops
+        walks = walk_up_oracle(work)
+        best = {}
+        for E in sorted(x for x, c in classes.items() if c == "endnode"):
+            if E not in walks or walks[E][0] not in junctions:
+                continue
+            J, _, dist, _, path = walks[E]
+            if J not in best or (dist, E) < best[J][:2]:
+                best[J] = (dist, E, path)
+        plans = []
+        for J in sorted(best):
+            chain = list(reversed(best[J][2]))
+            up = walks[J][4][0]  # J is not the root: the root has a leaf
+            (e_x,) = [e for e in work.adjacent_edges(J) if e not in (chain[0], up)]
+            node = J
+            for e in chain:
+                node = work.other_end(e, node)
+                low = min(
+                    (work.other_end(f, node), f)
+                    for f in work.adjacent_edges(node)
+                    if work.is_leaf(work.other_end(f, node))
+                )[1]
+                plans.append(NniOp(low, e, e_x))
+        for op in plans:
+            apply_nni(work, op)
+        ops += plans
+
+
 def random_valid_op(rng: random.Random, tree: Phylogeny):
     """A uniformly chosen well-formed operation (for apply/invert tests)."""
     from nnidist.nni import NniOp

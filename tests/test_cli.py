@@ -40,7 +40,7 @@ def test_approx_metrics_report(pair_files, tmp_path):
         assert {"rounds", "work", "peak_parallelism"} <= set(phase)
 
 
-def test_approx_traces_match_across_thread_counts(pair_files, tmp_path):
+def test_approx_traces_match_across_runs(pair_files, tmp_path):
     # two runs of the command write byte-identical traces
     p1, p2, _ = pair_files
     blobs = []

@@ -4,12 +4,14 @@ import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from nnidist import leafsort
 from nnidist.balance import build_auxiliary
 from nnidist.leafsort import leaf_permutation, ranked_view, sort_leaves, swap_leaves
 from nnidist.nni import verify_transform
@@ -113,6 +115,101 @@ def test_swap_leaves_same_attachment_is_free():
     weights = {e: Fraction(w) for e, w in enumerate([1, 2, 3, 4, 5])}
     tree = Phylogeny(edges, weights, {0: "a", 1: "b", 2: "c", 3: "d"})
     assert swap_leaves(tree, "a", "b", tree.rooted_view().parent_edge) == []
+
+
+def attachment(tree, taxon):
+    return tree.other_end(tree.leaf_edge_of(taxon), tree.leaf_node(taxon))
+
+
+def skipping_last_move(real_move, count):
+    """A ``move`` that applies ``count - 1`` moves and then skips one."""
+    calls = []
+
+    def faulty(tree, e1, e2, e3):
+        calls.append((e1, e2, e3))
+        if len(calls) == count:
+            return tree.endpoints(e2)
+        return real_move(tree, e1, e2, e3)
+
+    return faulty
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_swap_missing_its_last_move_fails_at_that_swap(monkeypatch, seed):
+    rng = random.Random(870 + seed)
+    tree = companion(17, 880 + seed)
+    while True:
+        x, y = rng.sample(tree.taxa(), 2)
+        m = len(path_between(tree, attachment(tree, x), attachment(tree, y)))
+        if m >= 2:
+            break
+    work = tree.copy()
+    up = work.rooted_view().parent_edge
+    monkeypatch.setattr(leafsort, "move", skipping_last_move(leafsort.move, 2 * m - 1))
+    with pytest.raises(TreeError, match=f"swapping taxa {x} and {y}"):
+        swap_leaves(work, x, y, up)
+    # one displaced subtree is left one node off its home: a valid tree, so
+    # a validate() after the swap would have let it through
+    assert work.validate() == []
+    assert not work.canonical_equal(with_taxa_swapped(tree, x, y))
+
+
+def test_sort_leaves_fails_at_the_faulty_swap_not_at_the_end(monkeypatch):
+    tree = companion(33, 890)
+    rng = random.Random(891)
+    target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
+    real_swap, real_move = leafsort.swap_leaves, leafsort.move
+    faults = []
+
+    def swap_with_fault(work, x, y, up):
+        # the first swap over a path of two or more edges loses its last move
+        m = len(path_between(work, attachment(work, x), attachment(work, y)))
+        if not faults and m >= 2:
+            faults.append((x, y))
+            monkeypatch.setattr(leafsort, "move", skipping_last_move(real_move, 2 * m - 1))
+        try:
+            return real_swap(work, x, y, up)
+        finally:
+            monkeypatch.setattr(leafsort, "move", real_move)
+
+    monkeypatch.setattr(leafsort, "swap_leaves", swap_with_fault)
+    with pytest.raises(TreeError, match="swapping taxa") as info:
+        sort_leaves(tree, target)
+    (x, y), = faults
+    assert f"swapping taxa {x} and {y}" in str(info.value)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+)
+def test_each_swap_moves_only_its_two_leaf_edges(n, seed, repeats):
+    tree = companion(n, seed, weights="small" if repeats else "distinct")
+    rng = random.Random(seed)
+    target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
+    real_swap = leafsort.swap_leaves
+    swaps = []
+
+    def checked_swap(work, x, y, up):
+        lx, ly = work.leaf_edge_of(x), work.leaf_edge_of(y)
+        u, w = attachment(work, x), attachment(work, y)
+        before = {e: work.endpoints(e) for e in work.edge_ids()}
+        ops = real_swap(work, x, y, up)
+        after = {e: work.endpoints(e) for e in work.edge_ids()}
+        moved = {e for e in before if after[e] != before[e]}
+        # every internal edge keeps its endpoints, and the two leaf edges
+        # trade attachment nodes
+        assert moved == ({lx, ly} if u != w else set())
+        assert attachment(work, x) == w and attachment(work, y) == u
+        swaps.append(ops)
+        return ops
+
+    with patch.object(leafsort, "swap_leaves", checked_swap):
+        result = sort_leaves(tree, target)
+    assert result.ops == [op for ops in swaps for op in ops]
+    assert result.tree.canonical_equal(target)
 
 
 def anchor_fixing_permutation(rng, taxa):

@@ -19,7 +19,7 @@ from nnidist.nni import verify_transform
 from nnidist.phylo import NodeClass, Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 
-from oracles import caterpillar, random_phylogeny, walk_up_oracle
+from oracles import caterpillar, linearize_by_fraction_sums, random_phylogeny, walk_up_oracle
 
 
 def _chains(t):
@@ -132,6 +132,79 @@ def test_linearize_breaks_weight_ties_by_endnode_id(text, weights):
     tied = [X for X, (J, _) in chains.items() if J == chains[E][0]]
     assert len(tied) == 2 and E == min(tied)
     assert [t.weight(e) for e in chains[E][1]] == weights
+
+
+def _three_arms(arms):
+    """One junction with three caterpillar arms; arm k's internal weights are ``arms[k]``.
+
+    Weights run from the junction out; each arm node has one leaf but the
+    last, which has two.  Arm 0 carries the smallest taxon, so the rooted
+    view hangs from it, and arms 1 and 2 are the junction's endnode chains,
+    arm 1's endnode with the smaller id.  Leaf edges weigh 1.
+    """
+    edges, weights, labels = {}, {}, {}
+
+    def add(u, v, w):
+        e = len(edges)
+        edges[e] = (u, v)
+        weights[e] = Fraction(w)
+
+    fresh = 1
+    for ws in arms:
+        up = 0
+        for i, w in enumerate(ws):
+            x, fresh = fresh, fresh + 1
+            add(up, x, w)
+            for _ in range(2 if i == len(ws) - 1 else 1):
+                labels[fresh] = f"t{len(labels):03d}"
+                add(x, fresh, 1)
+                fresh += 1
+            up = x
+    return Phylogeny(edges, weights, labels)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "chains, spliced",
+    [
+        (([F(1, 3)] * 3, [1]), [F(1, 3)] * 3),
+        (([1], [F(1, 3)] * 3), [1]),
+        (([F(2, 7), F(5, 7)], [1]), [F(2, 7), F(5, 7)]),
+        # 0.1 + 0.2 > 0.3 in floats
+        (([F(1, 10), F(2, 10)], [F(3, 10)]), [F(1, 10), F(2, 10)]),
+        (([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]), [F(1, 2), F(1, 2)]),
+        (([F(1, 3)] * 3, [1 - F(1, 10**30)]), [1 - F(1, 10**30)]),
+        (([F(2, 7)] * 7, [F(1, 3)] * 6), [F(2, 7)] * 7),
+    ],
+    ids=["thirds-first", "one-first", "sevenths", "tenths", "repeated", "near-tie", "long"],
+)
+def test_int_chain_weights_choose_as_fraction_sums(chains, spliced):
+    # the chain sums are ints over the lcm of the denominators; they must
+    # tie, and break ties by endnode id, exactly where the Fraction sums do
+    t = _three_arms(([2, 3],) + chains)
+    res = linearize(t)
+    assert res.iterations == 1 and is_linear(res.tree)
+    assert res.ops == linearize_by_fraction_sums(t)
+    assert [t.weight(op.e2) for op in res.ops] == spliced
+
+
+def test_linearize_matches_the_fraction_sum_oracle():
+    rng = random.Random(507)
+    pool = [F(1, 3), F(2, 3), F(2, 7), F(5, 7), F(1, 2), F(1, 10), F(3, 10), F(1)]
+    moved = 0
+    for _ in range(40):
+        shape = random_phylogeny(rng, rng.randint(6, 48))
+        t = Phylogeny(
+            {e: shape.endpoints(e) for e in shape.edge_ids()},
+            {e: rng.choice(pool) for e in shape.edge_ids()},
+            {v: shape.leaf_label(v) for v in shape.nodes() if shape.is_leaf(v)},
+        )
+        ops = linearize(t).ops
+        assert ops == linearize_by_fraction_sums(t)
+        moved += len(ops)
+    assert moved > 100
 
 
 def _three_caterpillars(n):
