@@ -1,10 +1,14 @@
 """Making a tree linear: every internal node adjacent to at least one leaf.
 
-Per iteration the tree is oriented toward the root handle and every non-root
-node learns, by pointer jumping, its terminal: its nearest ancestor that is
-not a pathnode.  A jump round moves O(1) data per node (one terminal id), so
-every round is O(n) work, as in Wyllie's list ranking.  The edge paths
-themselves are walked once, afterwards, and only where they are read: from
+Per iteration one top-down pass from the root handle gives every non-root
+node its parent edge and its terminal, its nearest ancestor that is not a
+pathnode, in O(n).  The paper's schedule finds the terminals by pointer
+jumping, as in Wyllie's list ranking; the pass records that schedule's
+rounds, computed from each node's hop distance to its terminal (see
+:func:`endnode_paths`), without running the jumps.  The node classes carry
+over from one iteration to the next: a move changes the class of its middle
+edge's two ends only.  The edge paths themselves are walked once,
+afterwards, up the pass's parent edges and only where they are read: from
 each endnode whose terminal is a junction up to that junction.  Pathnodes
 have one internal child, so those chains are disjoint and the walks and
 their weight sums are O(n) per iteration.  The sums are ints: each weight
@@ -118,44 +122,74 @@ def endnode_paths(
     tree: Phylogeny,
     rt: ParRuntime | None = None,
     classes: dict[int, NodeClass] | None = None,
+    parent_edge: dict[int, int] | None = None,
 ) -> dict[int, int]:
-    """The terminal of every non-root node, by pointer jumping.
+    """The terminal of every non-root node, from one top-down pass.
 
-    A node's terminal is its nearest proper ancestor in
-    ``tree.rooted_view()`` that is a junction, an endnode or the root.  Uses
-    one initialization round plus at most ceil(log2 n) jump rounds: each jump
-    replaces a node's pointer by its pointer's pointer, doubling the settled
-    length, and moves one id per node.  The rounds count as phase
-    ``linearize.paths``.
+    With the tree hung from :meth:`Phylogeny.root_handle`, a node's terminal
+    is its nearest proper ancestor that is a junction, an endnode or the
+    root.  One depth-first pass from the root hands every node its terminal
+    and its hop distance d to it; ``classes`` (default: classified here)
+    tells which ancestors are pathnodes.  When ``parent_edge`` is given,
+    every non-root node's edge toward the root is written into it.
+
+    The rounds, counted as phase ``linearize.paths``, are those of pointer
+    jumping as in Wyllie's list ranking: one initialization round with one
+    task per non-root node, then round k = 1, 2, ... with one task per node
+    more than 2**(k - 1) hops below its terminal, for as long as there is
+    one.  After round k a node's pointer has covered min(2**k, d) hops, so
+    that is the schedule the jumps would run; its widths come from a tally
+    of the distances instead, and take at most ceil(log2 n) jump rounds.
     """
     rt = rt or ParRuntime()
     if classes is None:
         classes = tree.classify_nodes()
-    order, parent_edge, _ = tree.rooted_view()
-    terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
-    terminal.add(order[0])
+    if parent_edge is None:
+        parent_edge = {}
+    ends, adj, labels = tree._ends, tree._adj, tree._leaf_label
+    pathnode = NodeClass.PATHNODE
+    root = tree.root_handle()
+    terminal: dict[int, int] = {}
+    # tally[b] counts the nodes at d hops with (d - 1).bit_length() == b:
+    # each takes part in jump rounds 1 to b
+    tally = [0] * (len(adj).bit_length() + 1)
+    # (node, its parent edge, its children's terminal, their distance - 1)
+    stack = [(root, None, root, 0)]
+    while stack:
+        x, up, t, h = stack.pop()
+        b = h.bit_length()
+        for e in adj[x]:
+            if e == up:
+                continue
+            y, z = ends[e]
+            if y == x:
+                y = z
+            parent_edge[y] = e
+            terminal[y] = t
+            tally[b] += 1
+            if y not in labels:
+                if classes[y] is pathnode:
+                    stack.append((y, e, t, h + 1))
+                else:
+                    stack.append((y, e, y, 0))
+    rt.round("linearize.paths", terminal)
+    width = len(terminal)
+    for settled in tally:
+        width -= settled
+        if not width:
+            break
+        rt.round("linearize.paths", range(width))
+    return terminal
 
+
+def chain_path(
+    tree: Phylogeny, v: int, stop: int, parent_edge: dict[int, int]
+) -> tuple[int, ...]:
+    """Edge ids walked from ``v`` up to its ancestor ``stop``, in order.
+
+    ``parent_edge`` is the table :func:`endnode_paths` filled for ``tree``.
+    """
     ends = tree._ends
-    nxt = {}
-    for v in order[1:]:
-        a, b = ends[parent_edge[v]]
-        nxt[v] = b if a == v else a
-    rt.round("linearize.paths", nxt)
-
-    # a node whose pointer reaches a terminal is settled for good, so each
-    # round visits only the nodes that still jump
-    active = [v for v, u in nxt.items() if u not in terminal]
-    while active:
-        jumps = {v: nxt[nxt[v]] for v in active}
-        rt.round("linearize.paths", jumps)
-        nxt.update(jumps)
-        active = [v for v in active if nxt[v] not in terminal]
-    return nxt
-
-
-def chain_path(tree: Phylogeny, v: int, stop: int) -> tuple[int, ...]:
-    """Edge ids walked from ``v`` up the rooted view to its ancestor ``stop``, in order."""
-    ends, parent_edge = tree._ends, tree.rooted_view().parent_edge
     path = []
     while v != stop:
         e = parent_edge[v]
@@ -180,27 +214,36 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
     # order exactly as the Fractions do, and a move never changes a weight
     scale = math.lcm(*(w.denominator for w in work._wt.values()))
     iw = {e: w.numerator * (scale // w.denominator) for e, w in work._wt.items()}
+    new_op = tuple.__new__
     ops: list[NniOp] = []
     iterations = 0
+    # the classes carry over between iterations: a move changes the class
+    # of its middle edge's two ends only
+    classes = work.classify_nodes()
     while True:
-        classes = work.classify_nodes()
         rt.round("linearize", classes)
         junctions = {x for x, c in classes.items() if c is NodeClass.JUNCTION}
         if not junctions:
             break
+        # each iteration turns a junction into a pathnode and makes none, so
+        # only classes gone stale can outlast the internal node count
+        if iterations == len(classes):
+            raise TreeError("linearize did not converge: junction classes went stale")
         iterations += 1
-        nxt = endnode_paths(work, rt, classes=classes)
+        parent_edge: dict[int, int] = {}
+        nxt = endnode_paths(work, rt, classes, parent_edge)
 
         # endnodes whose terminal is a junction announce themselves with
         # their chain and its weight; the chains are disjoint, so the walks
         # read each edge at most once
         acts = []
-        for E in sorted(x for x, c in classes.items() if c is NodeClass.ENDNODE):
-            J = nxt.get(E)
-            if J in junctions:
-                path = chain_path(work, E, J)
-                dist = sum(iw[e] for e in path)
-                acts.append((J, (dist, E, path)))
+        for E, c in classes.items():
+            if c is NodeClass.ENDNODE:
+                J = nxt.get(E)
+                if J in junctions:
+                    path = chain_path(work, E, J, parent_edge)
+                    dist = sum(iw[e] for e in path)
+                    acts.append((J, (dist, E, path)))
         rt.round("linearize", acts)
 
         candidates: dict[int, list] = {}
@@ -217,21 +260,24 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
             chain = list(reversed(path))
             # the root has a leaf neighbour, so J is not the root and has a
             # parent edge
-            up = work.rooted_view().parent_edge[J]
+            up = parent_edge[J]
             e_x = next(e for e in adj[J] if e != chain[0] and e != up)
             plan = []
             node = J
             for e_i in chain:
                 a, b = ends[e_i]
                 node = b if a == node else a
-                plan.append(NniOp(min_leaf_edge(work, node), e_i, e_x))
+                # tuple.__new__ skips the NamedTuple's Python-level __new__
+                plan.append(new_op(NniOp, (min_leaf_edge(work, node), e_i, e_x)))
             plans.append(plan)
         rt.round("linearize", plans)
 
+        moved = set()
         for plan in plans:
             for e1, e2, e3 in plan:
-                move(work, e1, e2, e3)
+                moved.update(move(work, e1, e2, e3))
             ops += plan
+        classes.update(work.classify_nodes(moved))
 
     if not is_linear(work):
         raise TreeError("linearize postcondition failed: junction survived")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class TreeError(ValueError):
@@ -242,11 +242,14 @@ class Phylogeny:
     # ------------------------------------------------------------------
     # derived views
 
-    def classify_nodes(self) -> dict[int, NodeClass]:
-        """Node class for every internal node (leaves are not classified)."""
+    def classify_nodes(self, nodes: Iterable[int] | None = None) -> dict[int, NodeClass]:
+        """Node class of every internal node, or of the internal ``nodes`` given.
+
+        Leaves are not classified.  The mapping's order is unspecified.
+        """
         ends, labels = self._ends, self._leaf_label
         out: dict[int, NodeClass] = {}
-        for x in sorted(self._adj):
+        for x in self._adj if nodes is None else nodes:
             if x in labels:
                 continue
             # x is internal, so an edge at x touches a leaf only at its far end

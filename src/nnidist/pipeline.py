@@ -121,7 +121,9 @@ class ApproxResult:
 
 
 def _translate(ops: list[NniOp], emap: dict[int, int]) -> list[NniOp]:
-    return [NniOp(emap[o.e1], emap[o.e2], emap[o.e3]) for o in ops]
+    # tuple.__new__ skips the NamedTuple's Python-level __new__: same values, same type
+    new = tuple.__new__
+    return [new(NniOp, (emap[e1], emap[e2], emap[e3])) for e1, e2, e3 in ops]
 
 
 def _linear_maps(

@@ -308,6 +308,43 @@ def walk_up_oracle(tree: Phylogeny):
     return out
 
 
+def pointer_jumping_oracle(tree: Phylogeny):
+    """Terminals by simulated pointer jumping, and the rounds that records.
+
+    The jump loop that ``linearize.endnode_paths`` ran before it read its
+    rounds off the hop distances: every non-root node points at its parent
+    in the rooted view, then, round by round, every node whose pointer is
+    not yet a terminal (a junction, an endnode or the root) replaces it by
+    its pointer's pointer.  Returns (the terminal of every non-root node,
+    the ``ParRuntime.snapshot()`` of the rounds, phase ``linearize.paths``).
+    """
+    from nnidist.phylo import NodeClass
+    from nnidist.runtime import ParRuntime
+
+    rt = ParRuntime()
+    classes = tree.classify_nodes()
+    order, parent_edge, _ = tree.rooted_view()
+    terminal = {x for x, c in classes.items() if c is not NodeClass.PATHNODE}
+    terminal.add(order[0])
+
+    ends = tree._ends
+    nxt = {}
+    for v in order[1:]:
+        a, b = ends[parent_edge[v]]
+        nxt[v] = b if a == v else a
+    rt.round("linearize.paths", nxt)
+
+    # a node whose pointer reaches a terminal is settled for good, so each
+    # round visits only the nodes that still jump
+    active = [v for v, u in nxt.items() if u not in terminal]
+    while active:
+        jumps = {v: nxt[nxt[v]] for v in active}
+        rt.round("linearize.paths", jumps)
+        nxt.update(jumps)
+        active = [v for v in active if nxt[v] not in terminal]
+    return nxt, rt.snapshot()
+
+
 def linearize_by_fraction_sums(tree: Phylogeny):
     """Reference linearize: the same splices, chain weights summed as Fractions.
 

@@ -24,10 +24,11 @@ from oracles import caterpillar, linearize_by_fraction_sums, random_phylogeny, w
 
 def _chains(t):
     """{endnode: (junction, edge path)} for every endnode whose terminal is a junction."""
-    nxt = endnode_paths(t)
+    parent_edge = {}
+    nxt = endnode_paths(t, parent_edge=parent_edge)
     classes = t.classify_nodes()
     return {
-        E: (nxt[E], chain_path(t, E, nxt[E]))
+        E: (nxt[E], chain_path(t, E, nxt[E], parent_edge))
         for E, c in classes.items()
         if c is NodeClass.ENDNODE and E in nxt and classes.get(nxt[E]) is NodeClass.JUNCTION
     }
@@ -87,6 +88,40 @@ def test_linearize_random_trees():
         assert res.iterations <= math.ceil(math.log2(n))
         # the original tree is untouched
         assert t.internal_weight_multiset() == res.tree.internal_weight_multiset()
+
+
+@pytest.mark.parametrize(
+    "seed, weights, ops, iterations, metrics",
+    [
+        (508, "distinct", 284, 3, {
+            "linearize": {"rounds": 13, "work": 1416, "peak_parallelism": 298},
+            "linearize.paths": {"rounds": 19, "work": 6647, "peak_parallelism": 597}}),
+        (509, "small", 358, 4, {
+            "linearize": {"rounds": 17, "work": 1717, "peak_parallelism": 298},
+            "linearize.paths": {"rounds": 29, "work": 11030, "peak_parallelism": 597}}),
+    ],
+    ids=["distinct", "small"],
+)
+def test_linearize_round_schedule_is_pinned(seed, weights, ops, iterations, metrics):
+    # 300 taxa over several iterations: with the classes carried from one
+    # iteration to the next and the schedule read off the hop distances, the
+    # counts are those of reclassifying every iteration and running the jumps
+    rt = ParRuntime()
+    res = linearize(random_phylogeny(random.Random(seed), 300, weights), rt)
+    assert (len(res.ops), res.iterations) == (ops, iterations)
+    assert rt.snapshot() == metrics
+
+
+def test_stale_classes_fail_instead_of_looping(monkeypatch):
+    # with the classes carried between iterations never refreshed, the
+    # junctions never go away: linearize must stop with an error, not loop
+    real = Phylogeny.classify_nodes
+    monkeypatch.setattr(
+        Phylogeny, "classify_nodes", lambda self, nodes=None: real(self) if nodes is None else {})
+    t = random_phylogeny(random.Random(504), 40)
+    assert not is_linear(t)
+    with pytest.raises(TreeError, match="did not converge"):
+        linearize(t)
 
 
 def test_linearize_operates_each_chain_edge_once_per_iteration():

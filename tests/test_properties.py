@@ -1,5 +1,6 @@
 """Property tests: Newick text is a fixed point of parse then serialize, every
-pipeline trace checks, and no corrupted trace crashes verify.
+pipeline trace checks, no corrupted trace crashes verify, and linearize's
+terminals and rounds are those of pointer jumping.
 
 Examples are derandomized and no example database is kept, so each run
 draws the same examples.
@@ -11,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -20,11 +21,18 @@ from nnidist.cli import main
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import find_good_edge_pairs
+from nnidist.linearize import endnode_paths
 from nnidist.nni import check_trace, verify_transform, write_trace
 from nnidist.phylo import Phylogeny
 from nnidist.pipeline import approx_nni
+from nnidist.runtime import ParRuntime
 
-from oracles import random_phylogeny
+from oracles import (
+    caterpillar,
+    classify_by_leaf_count,
+    pointer_jumping_oracle,
+    random_phylogeny,
+)
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 # Hypothesis caches the constants of local source files while the tests are
@@ -87,6 +95,64 @@ def test_parse_of_serialize_serializes_to_the_same_text(n, seed, repeats, denomi
     again = newick.parse(text)
     assert newick.serialize(again) == text
     assert again.canonical_equal(tree)
+
+
+def _hung_from(tree: Phylogeny, leaf: int) -> Phylogeny:
+    """``tree`` with ``leaf`` and the smallest taxon's leaf trading labels.
+
+    The root handle, the internal node next to the smallest taxon, is then
+    ``leaf``'s neighbour.
+    """
+    labels = {v: tree.leaf_label(v) for v in tree.nodes() if tree.is_leaf(v)}
+    first = tree.leaf_node(min(tree.taxa()))
+    labels[first], labels[leaf] = labels[leaf], labels[first]
+    return Phylogeny(
+        {e: tree.endpoints(e) for e in tree.edge_ids()},
+        {e: tree.weight(e) for e in tree.edge_ids()},
+        labels,
+    )
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(
+    shape=st.sampled_from(["random", "caterpillar", "star", "quartet"]),
+    n=st.integers(3, 80),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+    handle=st.sampled_from(["as drawn", "endnode", "pathnode"]),
+)
+@example(shape="caterpillar", n=40, seed=1, repeats=False, handle="pathnode")
+@example(shape="random", n=80, seed=2, repeats=True, handle="endnode")
+@example(shape="star", n=3, seed=3, repeats=False, handle="as drawn")
+@example(shape="quartet", n=4, seed=4, repeats=True, handle="pathnode")
+def test_terminals_and_rounds_match_pointer_jumping(shape, n, seed, repeats, handle):
+    # the top-down pass must give the jump loop's terminals and record its
+    # linearize.paths rounds, work and width exactly, wherever the root
+    # handle sits: at an endnode, or a pathnode mid-chain
+    rng = random.Random(seed)
+    draw = "small" if repeats else "distinct"
+    if shape == "caterpillar":
+        n = max(n, 4)
+        ws = [rng.randint(1, 4) if repeats else i + 1 for i in range(n - 3)]
+        tree = caterpillar(n, ws)
+    else:
+        n = {"star": 3, "quartet": 4}.get(shape, n)
+        tree = random_phylogeny(rng, n, draw)
+    classes = classify_by_leaf_count(tree)
+    leaves = [
+        v for v in tree.nodes() if tree.is_leaf(v)
+        and classes[tree.other_end(tree.adjacent_edges(v)[0], v)] == handle
+    ]
+    if leaves:
+        tree = _hung_from(tree, rng.choice(leaves))
+
+    expect, metrics = pointer_jumping_oracle(tree)
+    rt = ParRuntime()
+    parent_edge = {}
+    assert endnode_paths(tree, rt, None, parent_edge) == expect
+    assert rt.snapshot() == metrics
+    view = tree.rooted_view().parent_edge
+    assert parent_edge == {x: e for x, e in view.items() if e is not None}
 
 
 @pytest.fixture(scope="module")
