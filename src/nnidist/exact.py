@@ -7,11 +7,16 @@ six taxa with it, where it is both cheaper and optimal.
 
 *States.*  Moves are the two non-redundant swaps per internal edge.  A
 state is the sorted tuple of its internal edges' (split bitset, weight
-rank) pairs, packed into ints.  The bitsets are the away sides of the
-good-pair keys of one :class:`nnidist.goodpairs.PairBound` of tree 2, which
-also gives the ranks.  Splits and their weights are what
-:meth:`Phylogeny.canonical_equal` compares, and the leaf weights never
-change along a search.
+rank) pairs, packed into ints.  Both are read straight off the good-pair
+keys (rank, away-side bitset, count vector) of one
+:class:`nnidist.goodpairs.PairBound` of tree 2, all ints.  Splits and their
+weights are what :meth:`Phylogeny.canonical_equal` compares, and the leaf
+weights never change along a search.  The count vectors give each weight a
+field only as wide as its multiplicity needs; every tree of a search has
+tree 1's weights, which finiteness makes tree 2's multiset, and each field
+counts one side's copies of its weight, so no field carries into the next.
+The goal state is read off the table's own keys of tree 2, which is keyed
+once per search.
 
 *Heuristic.*  ``h(T)`` is that table's lower bound: the internal weight of
 T that has no good-pair partner in tree 2.  It keeps the search exact
@@ -67,11 +72,12 @@ class SearchTable:
     """The integer tables of one search from t1 to t2.
 
     ``scale`` is the lcm of the internal weights' denominators.  Per
-    internal edge id of t1, which a move keeps with its weight, ``rank[e]``
-    is w(e)'s rank in ``bound``, ``cost[e]`` is w(e) × ``scale`` and
-    ``field[e]`` is w(e)'s count field (see ``PairBound.edge_fields``).
-    ``paired`` holds each of tree 2's keys as (packed state entry, weight
-    vector): ints only, the same test as a lookup in ``bound.target``.
+    internal edge id of t1, which a move keeps with its weight, ``cost[e]``
+    is w(e) × ``scale``, and ``fields`` holds w(e)'s rank and count field
+    (see ``PairBound.edge_fields``, which also refuses a t1 whose weights
+    would carry).  ``paired`` holds each of tree 2's keys as (packed state
+    entry, count vector): the same test as a lookup in ``bound.target``.
+    ``goal`` is tree 2's state, packed from those same keys.
     """
 
     def __init__(self, t1: Phylogeny, t2: Phylogeny) -> None:
@@ -79,24 +85,24 @@ class SearchTable:
         internal = t1.internal_edges()
         self.scale = math.lcm(*(t1.weight(e).denominator for e in internal))
         self.width = width = len(bound.rank)
-        self.rank = {e: bound.rank[t1.weight(e)] for e in internal}
         self.cost = {e: self.scaled(t1.weight(e)) for e in internal}
-        self.field = bound.edge_fields(t1)
-        self.paired = {(bits * width + bound.rank[w], vec) for w, bits, vec in bound.target}
+        self.fields = bound.edge_fields(t1)
+        self.paired = {(bits * width + rank, vec) for rank, bits, vec in bound.target}
+        self.goal = tuple(sorted(packed for packed, _ in self.paired))
 
     def scaled(self, w: Fraction) -> int:
         return w.numerator * (self.scale // w.denominator)
 
     def state(self, tree: Phylogeny) -> tuple[tuple[int, ...], int]:
-        """The state of ``tree`` and its scaled h, from the weights, not the edge ids."""
-        rank, width = self.bound.rank, self.width
+        """The state of ``tree`` and its scaled h; h reads ``cost`` by t1's edge ids."""
+        width, cost, paired = self.width, self.cost, self.paired
         entries = []
         h = 0
-        for w, bits, vec in self.bound.edge_keys(tree).values():
-            entry = bits * width + rank[w]
+        for e, (rank, bits, vec) in self.bound.edge_keys(tree).items():
+            entry = bits * width + rank
             entries.append(entry)
-            if (entry, vec) not in self.paired:
-                h += self.scaled(w)
+            if (entry, vec) not in paired:
+                h += cost[e]
         return tuple(sorted(entries)), h
 
 
@@ -110,13 +116,12 @@ def neighbors(
     arrangements, the other two operand choices are mirror images.  ``tree``
     carries t1's edge ids; the step and h are scaled by ``table.scale``.
     """
-    bound, rank, width, cost, paired = (
-        table.bound, table.rank, table.width, table.cost, table.paired)
-    sides = bound.sides(tree, table.field)
+    bound, width, cost, paired = table.bound, table.width, table.cost, table.paired
+    sides = bound.sides(tree, table.fields)
     entry: dict[int, int] = {}
     term: dict[int, int] = {}
-    for e, (_, bits, vec) in bound.edge_keys(tree, sides).items():
-        entry[e] = packed = bits * width + rank[e]
+    for e, (rank, bits, vec) in bound.edge_keys(tree, sides).items():
+        entry[e] = packed = bits * width + rank
         term[e] = 0 if (packed, vec) in paired else cost[e]
     state = sorted(entry.values())
     h = sum(term.values())
@@ -129,8 +134,8 @@ def neighbors(
         step = cost[e2]
         others = h - term[e2]
         for e3 in sorted(e for e in tree.adjacent_edges(v) if e != e2):
-            _, bits, vec = bound.moved_key(tree, sides, a1, e2, e3)
-            packed = bits * width + rank[e2]
+            rank, bits, vec = bound.moved_key(tree, sides, a1, e2, e3)
+            packed = bits * width + rank
             moved = list(rest)
             insort(moved, packed)
             nh = others if (packed, vec) in paired else others + step
@@ -155,7 +160,7 @@ def exact_dnni(
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
     table = SearchTable(t1, t2)
-    goal, _ = table.state(t2)
+    goal = table.goal
     start, h = table.state(t1)
     if start == goal:
         return Fraction(0), []

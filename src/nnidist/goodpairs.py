@@ -6,14 +6,23 @@ of the remaining internal weights.  Components obtained by cutting both
 trees at all good pairs can then be solved independently.
 
 Detection is an exact join.  One post-order pass per tree over its rooted
-view gives every internal edge the key (weight, away-side taxa as the
+view gives every internal edge the key (weight rank, away-side taxa as the
 integer bitset of :meth:`Phylogeny.split_bits`, away-side multiset of the
-other internal weights as an integer with one count field per weight
-rank).  The key spells out the definition, so two edges form a good pair
-exactly when their keys are equal; no separate soundness or completeness
-check is needed.  Distinct edges of one tree have distinct splits, so keys
-are unique within a tree and every edge has at most one partner: the
-target edge with its key in :class:`PairBound`'s table of tree 2.
+other internal weights as an integer count vector), three ints.  The key
+spells out the definition, so two edges form a good pair exactly when their
+keys are equal; no separate soundness or completeness check is needed.
+Distinct edges of one tree have distinct splits, so keys are unique within
+a tree and every edge has at most one partner: the target edge with its key
+in :class:`PairBound`'s table of tree 2.
+
+The count vector gives weight w a field ``m_w.bit_length()`` bits wide,
+m_w being w's multiplicity among tree 2's internal edges, at an offset that
+is the prefix sum of the widths in rank order; with distinct weights that
+is one bit per weight.  Every field of every vector the kernels form, the
+sums and complements of :meth:`PairBound.moved_key` included, counts the
+copies of w on one side of some cut, so it lies in 0..m_w and never carries
+into its neighbour.  That holds only for trees with tree 2's multiplicities,
+which finiteness guarantees and :meth:`PairBound.edge_fields` checks.
 
 The same pass (:class:`Sides`) serves the move-key kernel.  A move on edge
 e changes e's key alone (see :func:`lower_bound`), and e's new away side is
@@ -114,12 +123,14 @@ class AugmentedTree:
         return v in self.label
 
 
+def _weight_counts(tree: Phylogeny) -> Counter[Fraction]:
+    """Multiplicity of each distinct internal weight, in increasing weight order."""
+    return Counter(tree.internal_weight_multiset())
+
+
 def _weight_rank(tree: Phylogeny) -> dict[Fraction, int]:
     """Rank of each distinct internal weight, read off the sorted multiset."""
-    rank: dict[Fraction, int] = {}
-    for w in tree.internal_weight_multiset():
-        rank.setdefault(w, len(rank))
-    return rank
+    return {w: r for r, w in enumerate(_weight_counts(tree))}
 
 
 def augment_and_root(tree: Phylogeny) -> AugmentedTree:
@@ -352,19 +363,27 @@ class GoodEdgePairSet:
         return len(self.pairs)
 
 
+Key = tuple[int, int, int]
+
+
 class Sides(NamedTuple):
     """What lies beyond each node's parent edge in one tree, from one post-order pass.
 
     ``bits[x]`` is the taxa bitset below node x of the tree's rooted ``view``
     and ``vecs[x]`` the count vector of the internal weights below it, x's
     parent edge included when that edge is internal.  The root's entries
-    hold every taxon and every internal weight.  ``field[e]`` is the count
-    field of internal edge e's weight: a vector holding that weight once.
+    hold every taxon and every internal weight.  ``rank[e]`` is internal
+    edge e's weight rank and ``field[e]`` its count field: the vector
+    holding that weight once, the lowest bit of its field (see
+    :class:`PairBound`).  A field of ``vecs[x]`` counts the copies of its
+    weight below x, at most the weight's multiplicity, so adding the
+    children's vectors never carries from one field into the next.
     """
 
     view: RootedView
     bits: dict[int, int]
     vecs: dict[int, int]
+    rank: dict[int, int]
     field: dict[int, int]
 
 
@@ -372,47 +391,71 @@ class PairBound:
     """The good-pair table of one fixed target tree.
 
     ``rank`` numbers the target's distinct internal weights in increasing
-    order.  ``target`` maps the exact key (see :meth:`edge_keys`) of each of
-    the target's internal edges to that edge; keys are unique within a tree,
-    so an edge of another tree is paired exactly when its key is in the
-    table.  The bound of a tree T, :func:`lower_bound` against the target,
-    is then the weight of T's edges whose keys are not in the table, one
-    key pass per tree.  Trees must be finite against the target (see
-    ``finiteness_check``).  :mod:`nnidist.exact` uses it, scaled to
-    integers, as its A* heuristic and says why it is consistent.
+    order.  A count vector gives the weight of rank r the bits from
+    ``offsets[r]`` to ``offsets[r + 1]``: ``m.bit_length()`` of them for a
+    weight on m of the target's internal edges, enough for every count from
+    0 to m.  ``offsets[-1]`` is the vector's width, one bit per weight when
+    the weights are distinct.  ``target`` maps the exact key (see
+    :meth:`edge_keys`) of each of the target's internal edges to that edge;
+    keys are unique within a tree, so an edge of another tree is paired
+    exactly when its key is in the table.  The bound of a tree T,
+    :func:`lower_bound` against the target, is then the weight of T's edges
+    whose keys are not in the table, one key pass per tree.  Trees must be
+    finite against the target (see ``finiteness_check``); one with another
+    internal weight multiset is refused (see :meth:`edge_fields`).
+    :mod:`nnidist.exact` uses the bound, scaled to integers, as its A*
+    heuristic and says why it is consistent.
     """
 
     def __init__(self, target: Phylogeny) -> None:
-        self.rank = _weight_rank(target)
-        # one count field per distinct weight, wide enough for n - 3 repeats
-        width = target.n_taxa.bit_length()
-        self._fields = {w: 1 << (width * r) for w, r in self.rank.items()}
+        counts = _weight_counts(target)
+        self.rank: dict[Fraction, int] = {}
+        self.offsets = offsets = [0]
+        # weight -> (rank, field), so each edge costs one Fraction lookup
+        self._slot: dict[Fraction, tuple[int, int]] = {}
+        for r, (w, m) in enumerate(counts.items()):
+            self.rank[w] = r
+            self._slot[w] = (r, 1 << offsets[-1])
+            offsets.append(offsets[-1] + m.bit_length())
+        # rank -> multiplicity, which edge_fields holds every tree to
+        self._counts = Counter(dict(enumerate(counts.values())))
         # bit i is the i-th taxon in sorted order, as in Phylogeny.split_bits
         self._bit = {t: 1 << i for i, t in enumerate(target.taxa())}
         self.target = {key: e for e, key in self.edge_keys(target).items()}
 
-    def edge_fields(self, tree: Phylogeny) -> dict[int, int]:
-        """The count field of each internal edge's weight, by edge id.
+    def edge_fields(self, tree: Phylogeny) -> tuple[dict[int, int], dict[int, int]]:
+        """The weight rank and the count field of each internal edge, by edge id.
 
-        A move keeps every edge's id and weight, so a caller that reads the
-        sides of many trees linked by moves builds this once.
+        A field is only as wide as the target's multiplicity of its weight
+        needs, so one more copy of a weight would carry into the next field
+        and mis-key silently: a tree whose internal weight multiset is not
+        the target's raises ``TreeError``.  A move keeps every edge's id and
+        weight, so a caller that reads the sides of many trees linked by
+        moves builds this once.
         """
-        fields = self._fields
+        slot = self._slot
         _, parent_edge, children = tree.rooted_view()
-        # an internal edge is the parent edge of a node with children
-        return {
-            e: fields[tree.weight(e)]
-            for x, e in parent_edge.items()
-            if e is not None and children[x]
-        }
+        rank: dict[int, int] = {}
+        field: dict[int, int] = {}
+        # an internal edge is the parent edge of a node with children; a
+        # weight the target lacks gets rank -1, which the count check refuses
+        for x, e in parent_edge.items():
+            if e is not None and children[x]:
+                rank[e], field[e] = slot.get(tree.weight(e), (-1, 0))
+        if Counter(rank.values()) != self._counts:
+            raise TreeError("internal weight multiset differs from the target tree's")
+        return rank, field
 
-    def sides(self, tree: Phylogeny, field: dict[int, int] | None = None) -> Sides:
+    def sides(
+        self, tree: Phylogeny, fields: tuple[dict[int, int], dict[int, int]] | None = None
+    ) -> Sides:
         """The taxa and internal weights below every node of ``tree``'s rooted view.
 
-        ``field`` is ``self.edge_fields(tree)`` when the caller has it already.
+        ``fields`` is ``self.edge_fields(tree)`` when the caller has it already.
         """
-        if field is None:
-            field = self.edge_fields(tree)
+        if fields is None:
+            fields = self.edge_fields(tree)
+        rank, field = fields
         view = tree.rooted_view()
         order, parent_edge, children = view
         bit = self._bit
@@ -432,33 +475,31 @@ class PairBound:
                 below, vec = bit[tree.leaf_label(x)], 0
             bits[x] = below
             vecs[x] = vec
-        return Sides(view, bits, vecs, field)
+        return Sides(view, bits, vecs, rank, field)
 
-    def edge_keys(
-        self, tree: Phylogeny, sides: Sides | None = None
-    ) -> dict[int, tuple[Fraction, int, int]]:
+    def edge_keys(self, tree: Phylogeny, sides: Sides | None = None) -> dict[int, Key]:
         """Exact good-pair key of every internal edge, read off :meth:`sides`.
 
-        The key is (weight, away-side taxa bitset, away-side count vector of
-        the other internal weights), the away side being the one without the
-        smallest taxon: the side below the edge, since the view hangs from
-        the smallest taxon's neighbour.  ``sides`` is ``self.sides(tree)``
-        when the caller has it already.
+        The key is (weight rank, away-side taxa bitset, away-side count
+        vector of the other internal weights), all ints, the away side being
+        the one without the smallest taxon: the side below the edge, since
+        the view hangs from the smallest taxon's neighbour.  Taking the
+        edge's own field off the entry below it leaves every field in
+        0..m_w, so nothing borrows.  ``sides`` is ``self.sides(tree)`` when
+        the caller has it already.
         """
         if sides is None:
             sides = self.sides(tree)
-        view, bits, vecs, field = sides
+        view, bits, vecs, rank, field = sides
         order, parent_edge, children = view
-        keys: dict[int, tuple[Fraction, int, int]] = {}
+        keys: dict[int, Key] = {}
         for x in reversed(order[1:]):
             if children[x]:
                 e = parent_edge[x]
-                keys[e] = (tree.weight(e), bits[x], vecs[x] - field[e])
+                keys[e] = (rank[e], bits[x], vecs[x] - field[e])
         return keys
 
-    def moved_key(
-        self, tree: Phylogeny, sides: Sides, e1: int, e2: int, e3: int
-    ) -> tuple[Fraction, int, int]:
+    def moved_key(self, tree: Phylogeny, sides: Sides, e1: int, e2: int, e3: int) -> Key:
         """e2's key after the move (e1, e2, e3), from two entries of ``sides``.
 
         ``sides`` is ``self.sides(tree)`` before the move.  The move carries
@@ -468,10 +509,13 @@ class PairBound:
         end is the child's entry; seen from the node whose parent edge it
         is, it is the complement of that node's entry with the edge's own
         weight added back.  The union is then turned to the side without the
-        smallest taxon.  Every other edge keeps its key (see
-        :func:`lower_bound`), so one move costs O(1) big-int operations.
+        smallest taxon.  Each of these vectors counts the copies of a weight
+        on one side of a cut, and the two parts are disjoint, so every field
+        stays in 0..m_w and neither the sums nor the complements carry or
+        borrow.  Every other edge keeps its key (see :func:`lower_bound`),
+        so one move costs O(1) big-int operations.
         """
-        view, bits, vecs, field = sides
+        view, bits, vecs, rank, field = sides
         parent_edge = view.parent_edge
         root = view.order[0]
         every, total = bits[root], vecs[root]
@@ -491,10 +535,10 @@ class PairBound:
                 side |= bits[c]
                 vec += vecs[c]
         if side & 1:  # the smallest taxon's side: the key names the other one
-            return tree.weight(e2), every ^ side, total - vec - field[e2]
-        return tree.weight(e2), side, vec
+            return rank[e2], every ^ side, total - vec - field[e2]
+        return rank[e2], side, vec
 
-    def pairs(self, keys: dict[int, tuple[Fraction, int, int]]) -> list[tuple[int, int]]:
+    def pairs(self, keys: dict[int, Key]) -> list[tuple[int, int]]:
         """The sorted (edge, target edge) good pairs of the tree with these keys."""
         target = self.target
         return sorted((e, target[key]) for e, key in keys.items() if key in target)
@@ -502,8 +546,8 @@ class PairBound:
     def __call__(self, tree: Phylogeny) -> Fraction:
         """The bound of ``tree``: the weight of its edges without a partner."""
         target = self.target
-        keys = self.edge_keys(tree).values()
-        return sum((key[0] for key in keys if key not in target), Fraction(0))
+        keys = self.edge_keys(tree).items()
+        return sum((tree.weight(e) for e, key in keys if key not in target), Fraction(0))
 
 
 def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:

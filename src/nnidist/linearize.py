@@ -12,13 +12,14 @@ afterwards, up the pass's parent edges and only where they are read: from
 each endnode whose terminal is a junction up to that junction.  Pathnodes
 have one internal child, so those chains are disjoint and the walks and
 their weight sums are O(n) per iteration.  The sums are ints: each weight
-is scaled once per call to the lcm of the tree's denominators, so the sums
-order exactly as the ``Fraction`` sums would, without ``Fraction``
-arithmetic.  Each junction then picks the lightest endnode chain hanging
-below it and splices that chain's leaves upward with one NNI per chain
-edge, which turns the junction into a pathnode and the chain's endnode
-into a pathnode.  Junctions are never created, and at least half of them
-disappear each iteration, so the loop runs at most ceil(log2 n) times.
+is scaled once per call, at the first junction, to the lcm of the tree's
+denominators, so the sums order exactly as the ``Fraction`` sums would,
+without ``Fraction`` arithmetic.  Each junction then picks the lightest
+endnode chain hanging below it and splices that chain's leaves upward with
+one NNI per chain edge, which turns the junction into a pathnode and the
+chain's endnode into a pathnode.  Junctions are never created, and at least
+half of them disappear each iteration, so the loop runs at most
+ceil(log2 n) times.
 
 A linear tree's internal nodes form one path, its spine; :func:`spine` reads
 it, :func:`is_spine_order` checks a claimed spine edge order without reading
@@ -210,10 +211,7 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
     rt = rt or ParRuntime()
     work = tree.copy()
     ends, adj = work._ends, work._adj
-    # chain weights in ints over the lcm of the weights' denominators: they
-    # order exactly as the Fractions do, and a move never changes a weight
-    scale = math.lcm(*(w.denominator for w in work._wt.values()))
-    iw = {e: w.numerator * (scale // w.denominator) for e, w in work._wt.items()}
+    iw: dict[int, int] | None = None
     new_op = tuple.__new__
     ops: list[NniOp] = []
     iterations = 0
@@ -230,6 +228,13 @@ def linearize(tree: Phylogeny, rt: ParRuntime | None = None) -> LinearizeResult:
         if iterations == len(classes):
             raise TreeError("linearize did not converge: junction classes went stale")
         iterations += 1
+        if iw is None:
+            # chain weights in ints over the lcm of the weights'
+            # denominators: they order exactly as the Fractions do, and a
+            # move never changes a weight.  Built at the first junction, so
+            # a tree that is linear already never pays for it
+            scale = math.lcm(*(w.denominator for w in work._wt.values()))
+            iw = {e: w.numerator * (scale // w.denominator) for e, w in work._wt.items()}
         parent_edge: dict[int, int] = {}
         nxt = endnode_paths(work, rt, classes, parent_edge)
 

@@ -36,6 +36,7 @@ from oracles import (
     good_pair_oracle,
     random_phylogeny,
     splits_by_removal,
+    weight_partition_by_removal,
 )
 
 # Hypothesis caches the constants of local source files while the tests are
@@ -356,11 +357,31 @@ def test_find_matches_quadratic_oracle(seed):
 def test_keys_are_unique_and_the_table_pairs_like_the_oracle(n, seed, moves):
     # repeated weights give many edges one weight, yet their splits still differ
     t1, t2, _ = generate_pair(seed, n, moves, dup_weights=True)
+    check_keys_pair_like_the_oracle(t1, t2, n)
+
+
+def check_keys_pair_like_the_oracle(t1, t2, n):
     table = PairBound(t2)
     for tree in (t1, t2):
         keys = table.edge_keys(tree)
         assert len(set(keys.values())) == len(keys) == n - 3
+        # each key spells its edge's weight and the weights beyond it: a
+        # field that carried into its neighbour would read a wrong count
+        for e, (rank, _, vec) in keys.items():
+            assert rank == table.rank[tree.weight(e)]
+            assert decoded(table, vec) == Counter(weight_partition_by_removal(tree, e)[0])
     assert table.pairs(table.edge_keys(t1)) == sorted(good_pair_oracle(t1, t2))
+
+
+def decoded(table, vec):
+    """The weight multiset a count vector spells, field by field."""
+    out = Counter()
+    for w, r in table.rank.items():
+        lo, hi = table.offsets[r], table.offsets[r + 1]
+        count = (vec >> lo) & ((1 << (hi - lo)) - 1)
+        if count:
+            out[w] = count
+    return out
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -372,6 +393,10 @@ def test_keys_are_unique_and_the_table_pairs_like_the_oracle(n, seed, moves):
 )
 def test_moved_key_is_the_key_of_the_moved_tree(n, seed, moves, dup):
     t1, t2, _ = generate_pair(seed, n, moves, dup_weights=dup)
+    check_moved_keys(t1, t2, n)
+
+
+def check_moved_keys(t1, t2, n):
     table = PairBound(t2)
     for tree in (t1, t2):
         keys = table.edge_keys(tree)
@@ -391,7 +416,10 @@ def test_moved_key_is_the_key_of_the_moved_tree(n, seed, moves, dup):
                         moved = tree.copy()
                         apply_nni(moved, NniOp(e1, e2, e3))
                         after = table.edge_keys(moved)
-                        assert table.moved_key(tree, sides, e1, e2, e3) == after[e2]
+                        key = table.moved_key(tree, sides, e1, e2, e3)
+                        assert key == after[e2]
+                        away, _ = weight_partition_by_removal(moved, e2)
+                        assert decoded(table, key[2]) == Counter(away)
                         del after[e2]
                         assert after == {e: k for e, k in keys.items() if e != e2}
                         # beyond b or e3 lies the root: a complement of sides
@@ -407,6 +435,96 @@ def test_moved_key_is_the_key_of_the_moved_tree(n, seed, moves, dup):
         )
         assert complements == ({"e1 side", "e3 side"} if deep else set())
         assert deep or n < 6
+
+
+def reweighted(tree, internal):
+    """``tree`` with internal edge e weighing ``internal[e]``, ids and leaves kept."""
+    edges = {e: tree.endpoints(e) for e in tree.edge_ids()}
+    weights = {e: Fraction(internal.get(e, tree.weight(e))) for e in edges}
+    labels = {x: tree.leaf_label(x) for x in tree.nodes() if tree.is_leaf(x)}
+    return Phylogeny(edges, weights, labels)
+
+
+def repeated_pair(seed, n, moves, repeats):
+    """A finite pair whose internal weights all repeat one value ("one") or
+    come in multiplicities 1, 1, 2, 4, 8, ... ("mixed"): the move sequence
+    keeps every edge id with its weight, so both trees get one reweighting."""
+    t1, t2, _ = generate_pair(seed, n, moves)
+    internal = t1.internal_edges()
+    if repeats == "one":
+        weights = {e: 5 for e in internal}
+    else:
+        weights = {e: i.bit_length() + 1 for i, e in enumerate(internal)}
+    return reweighted(t1, weights), reweighted(t2, weights)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 80),
+    repeats=st.sampled_from(["one", "mixed"]),
+)
+def test_keys_pair_like_the_oracle_under_repeated_weights(n, seed, moves, repeats):
+    t1, t2 = repeated_pair(seed, n, moves, repeats)
+    if repeats == "one":
+        # one field, wide enough for every internal edge
+        assert PairBound(t2).offsets == [0, (n - 3).bit_length()]
+    check_keys_pair_like_the_oracle(t1, t2, n)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 20),
+    repeats=st.sampled_from(["one", "mixed"]),
+)
+def test_moved_key_is_the_key_of_the_moved_tree_under_repeated_weights(
+    n, seed, moves, repeats
+):
+    t1, t2 = repeated_pair(seed, n, moves, repeats)
+    check_moved_keys(t1, t2, n)
+
+
+@pytest.mark.parametrize("dup", [False, True])
+@pytest.mark.parametrize("n", [4, 9, 40, 300])
+def test_count_fields_are_as_wide_as_the_multiplicities(n, dup):
+    t1, t2, _ = generate_pair(n, n, 2 * n, dup_weights=dup)
+    table = PairBound(t2)
+    counts = Counter(t2.internal_weight_multiset())
+    widths = [b - a for a, b in zip(table.offsets, table.offsets[1:])]
+    assert widths == [m.bit_length() for w, m in sorted(counts.items())]
+    assert table.offsets[-1] == sum(m.bit_length() for m in counts.values())
+    if not dup:
+        # distinct weights: one bit per weight
+        assert table.offsets == list(range(n - 2))
+    rank, field = table.edge_fields(t1)
+    for e in t1.internal_edges():
+        assert rank[e] == table.rank[t1.weight(e)]
+        assert field[e] == 1 << table.offsets[rank[e]]
+    # the root's vector holds every copy, and each field reads back its count
+    sides = table.sides(t1)
+    total = sides.vecs[sides.view.order[0]]
+    assert total.bit_length() <= table.offsets[-1]
+    assert decoded(table, total) == counts
+
+
+@pytest.mark.parametrize(
+    "target, weights",
+    [
+        ([1, 2, 3, 4], [1, 2, 2, 4]),  # 3 is gone
+        ([1, 2, 3, 4], [1, 2, 3, 5]),  # 5 has no field
+        ([1, 2, 2, 3, 4], [1, 1, 2, 3, 4]),  # a second 1 would carry into 2's field
+        ([1, 2, 3, 3, 4], [1, 2, 3, 4, 4]),  # a second 4 runs past the last field
+    ],
+)
+def test_a_tree_with_other_multiplicities_is_refused(target, weights):
+    table = PairBound(caterpillar(len(target) + 3, target))
+    tree = caterpillar(len(weights) + 3, weights)
+    for call in (table.edge_fields, table.sides, table.edge_keys, table):
+        with pytest.raises(TreeError, match="multiset differs"):
+            call(tree)
 
 
 @pytest.mark.parametrize("seed", range(20))
