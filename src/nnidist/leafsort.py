@@ -13,6 +13,16 @@ the walker's original spot.  The net effect is an exact transposition of
 the two leaves, 2k-1 moves for a path of k edges, touching each path edge
 at most twice.
 
+Such a swap moves only its two leaf edges; every internal edge keeps its
+endpoints.  So every swap of every cycle is planned on one table,
+:class:`LeafTable`, without moving the tree: one rooted view's parent links
+give each swap's path, and an adjacency copy, in which a swap exchanges its
+two leaf edges, gives the subtree hanging off each path node.  The planned
+moves pass through :func:`nnidist.nni.shorten` as they are produced, which
+cancels a swap's way back where the next swap walks out along the same
+edges (about half of the planned moves on a 1024-taxon pair), and only the
+kept moves are applied, once, by :func:`nnidist.nni.replay`.
+
 Which leaf goes where is decided by a matching of the two trees that
 maximizes the number of taxa already in place: structurally interchangeable
 sibling subtrees (equal sizes and internal weights) may be matched
@@ -28,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
-from nnidist.nni import NniOp, move
+from nnidist.nni import NniOp, replay, shorten
 from nnidist.phylo import Phylogeny, TreeError, require_same_taxa
 from nnidist.runtime import ParRuntime
 
@@ -125,93 +135,74 @@ def leaf_permutation(
     return goes_to
 
 
-def _climb(ends: dict[int, tuple[int, int]], up: dict[int, int | None], x: int) -> list[int]:
-    """Nodes from ``x`` up to the root of the view whose parent edges are ``up``."""
-    nodes = [x]
-    e = up[x]
-    while e is not None:
-        a, b = ends[e]
-        x = b if a == x else a
-        nodes.append(x)
-        e = up[x]
-    return nodes
+class LeafTable:
+    """Where each taxon hangs while a tree's leaves are swapped, kept apart from the tree.
 
-
-def swap_leaves(
-    tree: Phylogeny, x: str, y: str, up: dict[int, int | None]
-) -> list[NniOp]:
-    """Exchange the positions of taxa ``x`` and ``y`` in place.
-
-    ``up`` is the ``parent_edge`` map of a rooted view of ``tree`` taken
-    before any swap: the path between the two attachment nodes is their two
-    climbs toward the view's root, cut where they meet.  One view serves
-    every swap, because a full swap puts every displaced subtree back and
-    so leaves every internal edge's endpoints unchanged; only the two leaf
-    edges move.  The path is unique, so it does not depend on the view's
-    root.
-
-    The swap then checks that it did exactly that, in O(path) and not by a
-    full :meth:`Phylogeny.validate`, and raises TreeError otherwise: every
-    edge it named (the path, the displaced subtrees' edges and the two leaf
-    edges) has the endpoints it had before the swap, except that the two
-    leaf edges sit on each other's former attachment nodes, and every path
-    node holds exactly the edges it held before, with the two leaf edges
-    traded at the path's ends.  A move writes only the endpoints of the
-    edges it names and the adjacency of its middle edge's ends, so these
-    are all the entries the swap wrote, and the tree they describe is the
-    tree before the swap, which was valid, with the two taxa exchanged.  So
-    the check is no weaker than ``validate``, and it also fails on a valid
-    tree that is not that one, which ``validate`` accepts.
+    A full swap leaves every internal edge's endpoints unchanged and moves
+    only its two leaf edges, so one rooted view of the tree, taken before
+    the first swap, gives the path of every later swap: ``up`` (each node's
+    parent edge), ``parent`` and ``depth``, read at internal nodes only.
+    ``adj`` is a copy of the adjacency lists and ``at`` maps each taxon to
+    the node its leaf edge hangs from; :meth:`swap` exchanges the two leaf
+    edges in both, in O(1).  The tree itself is never moved.
     """
-    ends, adj, leaf_node = tree._ends, tree._adj, tree._label_leaf
-    xv, yv = leaf_node[x], leaf_node[y]
-    lx, ly = adj[xv][0], adj[yv][0]
-    a0, a1 = ends[lx]
-    u = a1 if a0 == xv else a0
-    a0, a1 = ends[ly]
-    w = a1 if a0 == yv else a0
-    if u == w:
-        return []  # same attachment point; the unrooted tree is unchanged
-    a, b = _climb(ends, up, u), _climb(ends, up, w)
-    while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
-        a.pop()
-        b.pop()
-    nodes = a + b[-2::-1]
-    edges = [up[v] for v in a[:-1]] + [up[v] for v in b[-2::-1]]
-    m = len(edges)
 
-    # what the swap must leave behind, read before the first move
-    want_ends = {e: ends[e] for e in edges}
-    want_ends[lx] = tuple(w if z == u else z for z in ends[lx])
-    want_ends[ly] = tuple(u if z == w else z for z in ends[ly])
-    want_adj = [sorted(adj[v]) for v in nodes]
-    want_adj[0] = sorted(ly if e == lx else e for e in adj[u])
-    want_adj[-1] = sorted(lx if e == ly else e for e in adj[w])
+    def __init__(self, tree: Phylogeny) -> None:
+        order, self.up, children = tree.rooted_view()
+        self.parent: dict[int, int] = {}
+        self.depth = {order[0]: 0}
+        for v in order:
+            for c in children[v]:
+                self.parent[c] = v
+                self.depth[c] = self.depth[v] + 1
+        self.adj = {v: list(es) for v, es in tree._adj.items()}
+        self.leaf_edge = {x: tree._adj[v][0] for x, v in tree._label_leaf.items()}
+        self.at = {x: self.parent[v] for x, v in tree._label_leaf.items()}
 
-    ops: list[NniOp] = []
-    displaced: list[int] = []
-    for i in range(m - 1):
-        # the subtree hanging off the next path node, before the walker
-        # reaches it
-        e_in, e_out = edges[i], edges[i + 1]
-        partner = next(e for e in adj[nodes[i + 1]] if e != e_in and e != e_out)
-        want_ends[partner] = ends[partner]
-        displaced.append(partner)
-        move(tree, lx, e_in, partner)
-        ops.append(NniOp(lx, e_in, partner))
-    move(tree, lx, edges[-1], ly)
-    ops.append(NniOp(lx, edges[-1], ly))
-    for i in range(m - 2, -1, -1):
-        move(tree, ly, edges[i], displaced[i])
-        ops.append(NniOp(ly, edges[i], displaced[i]))
+    def swap(self, x: str, y: str) -> list[NniOp]:
+        """The 2k - 1 moves exchanging taxa ``x`` and ``y``, k the length of their path.
 
-    for e, pair in want_ends.items():
-        if ends[e] != pair:
-            raise TreeError(f"swapping taxa {x} and {y} left edge {e} at {ends[e]}, not {pair}")
-    for v, es in zip(nodes, want_adj):
-        if sorted(adj[v]) != es:
-            raise TreeError(f"swapping taxa {x} and {y} left node {v} with edges {adj[v]}")
-    return ops
+        The path between the two attachment nodes is their climbs toward
+        the view's root, cut where they meet; it is unique, so it does not
+        depend on the view's root.  Each outward step swaps the walking
+        leaf edge with the one other edge at the next path node (its
+        partner), read from ``adj``; the way back swaps the partners home.
+        The table then records the exchange.
+        """
+        lx, ly = self.leaf_edge[x], self.leaf_edge[y]
+        at, adj = self.at, self.adj
+        u, w = at[x], at[y]
+        if u == w:
+            return []  # same attachment point; the unrooted tree is unchanged
+        parent, depth, up = self.parent, self.depth, self.up
+        a, b = [u], [w]
+        for _ in range(depth[u] - depth[w]):
+            a.append(parent[a[-1]])
+        for _ in range(depth[w] - depth[u]):
+            b.append(parent[b[-1]])
+        while a[-1] != b[-1]:
+            a.append(parent[a[-1]])
+            b.append(parent[b[-1]])
+        nodes = a + b[-2::-1]
+        edges = [up[v] for v in a[:-1]] + [up[v] for v in b[-2::-1]]
+
+        ops: list[NniOp] = []
+        partners: list[int] = []
+        for i in range(len(edges) - 1):
+            e_in, e_out = edges[i], edges[i + 1]
+            for p in adj[nodes[i + 1]]:
+                if p != e_in and p != e_out:
+                    break
+            partners.append(p)
+            ops.append(NniOp(lx, e_in, p))
+        ops.append(NniOp(lx, edges[-1], ly))
+        for i in range(len(partners) - 1, -1, -1):
+            ops.append(NniOp(ly, edges[i], partners[i]))
+
+        adj[u][adj[u].index(lx)] = ly
+        adj[w][adj[w].index(ly)] = lx
+        at[x], at[y] = w, u
+        return ops
 
 
 @dataclass
@@ -233,9 +224,20 @@ def sort_leaves(
     When the two trees' anchors sit at different structural positions, pass
     corresponding internal nodes as explicit view roots so the position
     bookkeeping lines up.  The one round of leaf cycles counts as phase
-    ``leafsort``.  Each swap checks its own outcome (see
-    :func:`swap_leaves`), so no cycle is followed by a full ``validate``;
-    the end tree is compared with ``target``.
+    ``leafsort``.
+
+    Plan, shorten, apply: every swap of every cycle is planned on one
+    :class:`LeafTable`, the planned moves pass through
+    :func:`nnidist.nni.shorten` as they are produced, and only the kept
+    moves are applied, once, with :func:`nnidist.nni.replay`, to a copy of
+    ``source``.  ``ops`` holds those kept moves, no two adjacent ones on one
+    middle edge.  The end tree is then compared with ``target``.  That
+    replay and comparison are the whole check, and they are no weaker than
+    checking each swap as it is applied: the replay raises ReplayError (a
+    TreeError) at the first move that is not a path of three edges in the
+    tree it meets, and the comparison raises TreeError for a valid sequence
+    that ends at any tree but ``target``.  So a result is returned exactly
+    when its moves turn ``source`` into ``target``.
     """
     rt = rt or ParRuntime()
     work = source.copy()
@@ -257,14 +259,14 @@ def sort_leaves(
 
     rt.round("leafsort", cycles)
 
-    up = work.rooted_view().parent_edge
-    ops: list[NniOp] = []
-    for taxa in cycles:
-        carry = taxa[0]
-        for other in taxa[1:]:
-            ops += swap_leaves(work, carry, other, up)
-            carry = other
-
+    # shorten reads the plan once, in order, so no planned move is stored
+    # unless it is kept
+    table = LeafTable(work)
+    planned = chain.from_iterable(
+        table.swap(x, y) for taxa in cycles for x, y in zip(taxa, taxa[1:]))
+    ops, _ = shorten(planned)
+    for _ in replay(work, ops):
+        pass
     if not work.canonical_equal(target):
         raise TreeError("leaf sort failed to reach the target arrangement")
     return LeafSortResult(ops, work, len(cycles))

@@ -1,7 +1,11 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the slow, obvious way (edge removal, BFS, brute
-force) and shares no code with the package internals it checks.
+force) and shares no code with the package internals it checks.  The one
+exception is the swap-by-swap leaf sort, :func:`sort_leaves_by_swaps`: it
+applies and checks each swap on the tree with ``nni.move`` as it goes,
+where ``leafsort`` plans every swap on a table first, and it shares the
+leaf matching, which it does not check.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from nnidist.phylo import Phylogeny
+from nnidist.leafsort import leaf_permutation
+from nnidist.nni import NniOp, move
+from nnidist.phylo import Phylogeny, TreeError
 
 
 def random_phylogeny(
@@ -270,6 +276,135 @@ def nested_signatures(tree: Phylogeny, root: int):
 
     visit(root, None)
     return ranked, sig
+
+
+def _climb(ends: dict[int, tuple[int, int]], up: dict[int, int | None], x: int) -> list[int]:
+    """Nodes from ``x`` up to the root of the view whose parent edges are ``up``."""
+    nodes = [x]
+    e = up[x]
+    while e is not None:
+        a, b = ends[e]
+        x = b if a == x else a
+        nodes.append(x)
+        e = up[x]
+    return nodes
+
+
+def swap_leaves(
+    tree: Phylogeny, x: str, y: str, up: dict[int, int | None]
+) -> list[NniOp]:
+    """Exchange the positions of taxa ``x`` and ``y`` in place.
+
+    ``up`` is the ``parent_edge`` map of a rooted view of ``tree`` taken
+    before any swap: the path between the two attachment nodes is their two
+    climbs toward the view's root, cut where they meet.  One view serves
+    every swap, because a full swap puts every displaced subtree back and
+    so leaves every internal edge's endpoints unchanged; only the two leaf
+    edges move.  The path is unique, so it does not depend on the view's
+    root.
+
+    The swap then checks that it did exactly that, in O(path) and not by a
+    full :meth:`Phylogeny.validate`, and raises TreeError otherwise: every
+    edge it named (the path, the displaced subtrees' edges and the two leaf
+    edges) has the endpoints it had before the swap, except that the two
+    leaf edges sit on each other's former attachment nodes, and every path
+    node holds exactly the edges it held before, with the two leaf edges
+    traded at the path's ends.  A move writes only the endpoints of the
+    edges it names and the adjacency of its middle edge's ends, so these
+    are all the entries the swap wrote, and the tree they describe is the
+    tree before the swap, which was valid, with the two taxa exchanged.  So
+    the check is no weaker than ``validate``, and it also fails on a valid
+    tree that is not that one, which ``validate`` accepts.
+    """
+    ends, adj, leaf_node = tree._ends, tree._adj, tree._label_leaf
+    xv, yv = leaf_node[x], leaf_node[y]
+    lx, ly = adj[xv][0], adj[yv][0]
+    a0, a1 = ends[lx]
+    u = a1 if a0 == xv else a0
+    a0, a1 = ends[ly]
+    w = a1 if a0 == yv else a0
+    if u == w:
+        return []  # same attachment point; the unrooted tree is unchanged
+    a, b = _climb(ends, up, u), _climb(ends, up, w)
+    while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
+        a.pop()
+        b.pop()
+    nodes = a + b[-2::-1]
+    edges = [up[v] for v in a[:-1]] + [up[v] for v in b[-2::-1]]
+    m = len(edges)
+
+    # what the swap must leave behind, read before the first move
+    want_ends = {e: ends[e] for e in edges}
+    want_ends[lx] = tuple(w if z == u else z for z in ends[lx])
+    want_ends[ly] = tuple(u if z == w else z for z in ends[ly])
+    want_adj = [sorted(adj[v]) for v in nodes]
+    want_adj[0] = sorted(ly if e == lx else e for e in adj[u])
+    want_adj[-1] = sorted(lx if e == ly else e for e in adj[w])
+
+    ops: list[NniOp] = []
+    displaced: list[int] = []
+    for i in range(m - 1):
+        # the subtree hanging off the next path node, before the walker
+        # reaches it
+        e_in, e_out = edges[i], edges[i + 1]
+        partner = next(e for e in adj[nodes[i + 1]] if e != e_in and e != e_out)
+        want_ends[partner] = ends[partner]
+        displaced.append(partner)
+        move(tree, lx, e_in, partner)
+        ops.append(NniOp(lx, e_in, partner))
+    move(tree, lx, edges[-1], ly)
+    ops.append(NniOp(lx, edges[-1], ly))
+    for i in range(m - 2, -1, -1):
+        move(tree, ly, edges[i], displaced[i])
+        ops.append(NniOp(ly, edges[i], displaced[i]))
+
+    for e, pair in want_ends.items():
+        if ends[e] != pair:
+            raise TreeError(f"swapping taxa {x} and {y} left edge {e} at {ends[e]}, not {pair}")
+    for v, es in zip(nodes, want_adj):
+        if sorted(adj[v]) != es:
+            raise TreeError(f"swapping taxa {x} and {y} left node {v} with edges {adj[v]}")
+    return ops
+
+def sort_leaves_by_swaps(
+    source: Phylogeny,
+    target: Phylogeny,
+    source_root: int | None = None,
+    target_root: int | None = None,
+) -> tuple[list[NniOp], Phylogeny, int]:
+    """The leaf sort applied swap by swap; returns (moves, end tree, cycles).
+
+    Every move is applied as it is made and every swap checks its own
+    outcome (see :func:`swap_leaves`); nothing is shortened.
+    """
+    work = source.copy()
+    goes_to = leaf_permutation(work, target, source_root, target_root)
+
+    # each cycle is resolved by swapping the displaced taxon onward until the
+    # last one lands in the first one's position; cycles start in ranked
+    # preorder of the source's leaves
+    seen: set[str] = set()
+    cycles: list[list[str]] = []
+    for taxon in goes_to.values():
+        cycle = []
+        while taxon not in seen:
+            seen.add(taxon)
+            cycle.append(taxon)
+            taxon = goes_to[taxon]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+
+    up = work.rooted_view().parent_edge
+    ops: list[NniOp] = []
+    for taxa in cycles:
+        carry = taxa[0]
+        for other in taxa[1:]:
+            ops += swap_leaves(work, carry, other, up)
+            carry = other
+
+    if not work.canonical_equal(target):
+        raise TreeError("leaf sort failed to reach the target arrangement")
+    return ops, work, len(cycles)
 
 
 def walk_up_oracle(tree: Phylogeny):

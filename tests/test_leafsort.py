@@ -4,20 +4,23 @@ import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import oracles
 from nnidist import leafsort
 from nnidist.balance import build_auxiliary
-from nnidist.leafsort import leaf_permutation, ranked_view, sort_leaves, swap_leaves
-from nnidist.nni import verify_transform
+from nnidist.leafsort import LeafTable, leaf_permutation, ranked_view, sort_leaves
+from nnidist.nni import NniOp, ReplayError, apply_sequence, shorten, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 
-from oracles import caterpillar, nested_signatures, path_between, random_phylogeny
+from oracles import (
+    caterpillar, nested_signatures, path_between, random_phylogeny, sort_leaves_by_swaps,
+    swap_leaves,
+)
 
 # Hypothesis caches the constants of local source files while the tests are
 # collected; keep that cache out of the working tree
@@ -56,17 +59,35 @@ def companion(n, seed, weights="distinct"):
     return build_auxiliary(random_phylogeny(rng, n, weights=weights))
 
 
+def attachment(tree, taxon):
+    return tree.other_end(tree.leaf_edge_of(taxon), tree.leaf_node(taxon))
+
+
+def assert_transposition(before, after, x, y):
+    """``after`` is ``before`` with the leaf edges of x and y traded.
+
+    Every edge keeps its endpoints, in order, except that the two leaf
+    edges sit on each other's former attachment nodes.
+    """
+    u, w = attachment(before, x), attachment(before, y)
+    want = {e: before.endpoints(e) for e in before.edge_ids()}
+    lx, ly = before.leaf_edge_of(x), before.leaf_edge_of(y)
+    want[lx] = tuple(w if z == u else z for z in want[lx])
+    want[ly] = tuple(u if z == w else z for z in want[ly])
+    assert {e: after.endpoints(e) for e in after.edge_ids()} == want
+
+
 @pytest.mark.parametrize("n", [4, 6, 9, 17, 33])
 def test_swap_leaves_is_a_transposition(n):
+    # one swap's planned moves, applied to a copy, trade the two leaf edges
+    # and move nothing else
     rng = random.Random(800 + n)
     for _ in range(10):
         tree = random_phylogeny(rng, n)
         x, y = rng.sample(tree.taxa(), 2)
-        work = tree.copy()
-        ops = swap_leaves(work, x, y, work.rooted_view().parent_edge)
+        work, _ = apply_sequence(tree, LeafTable(tree).swap(x, y))
+        assert_transposition(tree, work, x, y)
         assert work.canonical_equal(with_taxa_swapped(tree, x, y))
-        ok, _, reason = verify_transform(tree, ops, work)
-        assert ok, reason
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -77,21 +98,28 @@ def test_swap_leaves_is_a_transposition(n):
     swaps=st.integers(1, 10),
 )
 def test_one_view_serves_every_swap(n, seed, repeats, swaps):
-    # swap_leaves climbs a parent-edge map taken before the first swap; that
-    # is sound only because a swap leaves every internal edge where it was
+    # the table climbs a rooted view taken before the first swap; that is
+    # sound only because a swap leaves every internal edge where it was
     rng = random.Random(seed)
     tree = random_phylogeny(rng, n, "small" if repeats else "distinct")
-    work = tree.copy()
-    up = work.rooted_view().parent_edge
-    ends = {e: work.endpoints(e) for e in work.internal_edges()}
+    edges = {e: tree.endpoints(e) for e in tree.edge_ids()}
+    table = LeafTable(tree)
+    work = tree
     expect = tree
     ops = []
     for _ in range(swaps):
         x, y = rng.sample(tree.taxa(), 2)
-        ops += swap_leaves(work, x, y, up)
-        assert {e: work.endpoints(e) for e in work.internal_edges()} == ends
+        swap = table.swap(x, y)
+        before, (work, _) = work, apply_sequence(work, swap)
+        assert_transposition(before, work, x, y)
+        ops += swap
         expect = with_taxa_swapped(expect, x, y)
         assert work.canonical_equal(expect)
+        # the table follows the moved tree, which planning never touched
+        assert table.at == {t: attachment(work, t) for t in tree.taxa()}
+        assert {v: sorted(es) for v, es in table.adj.items()} == {
+            v: sorted(work.adjacent_edges(v)) for v in work.nodes()}
+    assert {e: tree.endpoints(e) for e in tree.edge_ids()} == edges
     ok, _, reason = verify_transform(tree, ops, work)
     assert ok, reason
 
@@ -103,10 +131,11 @@ def test_swap_leaves_path_length_law():
         x, y = rng.sample(tree.taxa(), 2)
         u = tree.other_end(tree.leaf_edge_of(x), tree.leaf_node(x))
         w = tree.other_end(tree.leaf_edge_of(y), tree.leaf_node(y))
-        m = len(path_between(tree, u, w))
-        work = tree.copy()
-        ops = swap_leaves(work, x, y, work.rooted_view().parent_edge)
-        assert len(ops) == (2 * m - 1 if m else 0)
+        path = path_between(tree, u, w)
+        ops = LeafTable(tree).swap(x, y)
+        assert len(ops) == (2 * len(path) - 1 if path else 0)
+        # out along the path and back, each path edge the middle of a move
+        assert [op.e2 for op in ops] == path + path[-2::-1]
 
 
 def test_swap_leaves_same_attachment_is_free():
@@ -114,11 +143,7 @@ def test_swap_leaves_same_attachment_is_free():
     edges = {0: (4, 0), 1: (4, 1), 2: (5, 2), 3: (5, 3), 4: (4, 5)}
     weights = {e: Fraction(w) for e, w in enumerate([1, 2, 3, 4, 5])}
     tree = Phylogeny(edges, weights, {0: "a", 1: "b", 2: "c", 3: "d"})
-    assert swap_leaves(tree, "a", "b", tree.rooted_view().parent_edge) == []
-
-
-def attachment(tree, taxon):
-    return tree.other_end(tree.leaf_edge_of(taxon), tree.leaf_node(taxon))
+    assert LeafTable(tree).swap("a", "b") == []
 
 
 def skipping_last_move(real_move, count):
@@ -136,6 +161,7 @@ def skipping_last_move(real_move, count):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_a_swap_missing_its_last_move_fails_at_that_swap(monkeypatch, seed):
+    # the swap-by-swap oracle checks each swap as it applies it
     rng = random.Random(870 + seed)
     tree = companion(17, 880 + seed)
     while True:
@@ -145,7 +171,7 @@ def test_a_swap_missing_its_last_move_fails_at_that_swap(monkeypatch, seed):
             break
     work = tree.copy()
     up = work.rooted_view().parent_edge
-    monkeypatch.setattr(leafsort, "move", skipping_last_move(leafsort.move, 2 * m - 1))
+    monkeypatch.setattr(oracles, "move", skipping_last_move(oracles.move, 2 * m - 1))
     with pytest.raises(TreeError, match=f"swapping taxa {x} and {y}"):
         swap_leaves(work, x, y, up)
     # one displaced subtree is left one node off its home: a valid tree, so
@@ -154,29 +180,88 @@ def test_a_swap_missing_its_last_move_fails_at_that_swap(monkeypatch, seed):
     assert not work.canonical_equal(with_taxa_swapped(tree, x, y))
 
 
+def recording_swaps(monkeypatch, fault=None):
+    """Patch ``LeafTable.swap`` to record every planned swap as (x, y, moves).
+
+    ``fault(k, moves)`` may change the moves of the k-th swap in place
+    before they are recorded and returned.
+    """
+    real_swap = leafsort.LeafTable.swap
+    swaps = []
+
+    def swap(table, x, y):
+        ops = real_swap(table, x, y)
+        if fault is not None:
+            fault(len(swaps), ops)
+        swaps.append((x, y, ops))
+        return ops
+
+    monkeypatch.setattr(leafsort.LeafTable, "swap", swap)
+    return swaps
+
+
 def test_sort_leaves_fails_at_the_faulty_swap_not_at_the_end(monkeypatch):
+    # the first swap over a path of three or more edges reads a wrong
+    # partner: the last path edge, which meets neither end of the first
     tree = companion(33, 890)
     rng = random.Random(891)
     target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
-    real_swap, real_move = leafsort.swap_leaves, leafsort.move
     faults = []
 
-    def swap_with_fault(work, x, y, up):
-        # the first swap over a path of two or more edges loses its last move
-        m = len(path_between(work, attachment(work, x), attachment(work, y)))
-        if not faults and m >= 2:
-            faults.append((x, y))
-            monkeypatch.setattr(leafsort, "move", skipping_last_move(real_move, 2 * m - 1))
-        try:
-            return real_swap(work, x, y, up)
-        finally:
-            monkeypatch.setattr(leafsort, "move", real_move)
+    def wrong_partner(k, ops):
+        if not faults and len(ops) >= 5:
+            wrong = ops[len(ops) // 2].e2
+            ops[0] = NniOp(ops[0].e1, ops[0].e2, wrong)
+            ops[-1] = NniOp(ops[-1].e1, ops[-1].e2, wrong)
+            faults.append(k)
 
-    monkeypatch.setattr(leafsort, "swap_leaves", swap_with_fault)
-    with pytest.raises(TreeError, match="swapping taxa") as info:
+    swaps = recording_swaps(monkeypatch, wrong_partner)
+    with pytest.raises(ReplayError) as info:
         sort_leaves(tree, target)
-    (x, y), = faults
-    assert f"swapping taxa {x} and {y}" in str(info.value)
+    # the replay stops at the kept move that stands for the faulty one
+    (k,) = faults
+    plan = [op for _, _, ops in swaps for op in ops]
+    at = sum(len(ops) for _, _, ops in swaps[:k])
+    kept, origin = shorten(plan)
+    assert kept[origin.index(at)] == plan[at]
+    assert str(info.value).startswith(f"operation {origin.index(at)} invalid")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sort_leaves_refuses_a_plan_missing_one_move(monkeypatch, seed):
+    tree = companion(33, 900 + seed)
+    rng = random.Random(910 + seed)
+    target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
+    swaps = recording_swaps(monkeypatch)
+    sort_leaves(tree, target)
+    k = rng.choice([k for k, (_, _, ops) in enumerate(swaps) if ops])
+    drop = rng.randrange(len(swaps[k][2]))
+
+    def drop_one(i, ops):
+        if i == k:
+            del ops[drop]
+
+    recording_swaps(monkeypatch, drop_one)
+    with pytest.raises(TreeError):
+        sort_leaves(tree, target)
+
+
+def test_sort_leaves_refuses_a_plan_missing_its_last_move(monkeypatch):
+    # every kept move replays, so only the end comparison can catch this
+    tree = companion(33, 920)
+    rng = random.Random(921)
+    target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
+    swaps = recording_swaps(monkeypatch)
+    sort_leaves(tree, target)
+    last = max(k for k, (_, _, ops) in enumerate(swaps) if ops)
+
+    def drop_last(i, ops):
+        if i == last:
+            del ops[-1]
+
+    recording_swaps(monkeypatch, drop_last)
+    with pytest.raises(TreeError, match="leaf sort failed to reach the target arrangement"):
+        sort_leaves(tree, target)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -189,27 +274,47 @@ def test_each_swap_moves_only_its_two_leaf_edges(n, seed, repeats):
     tree = companion(n, seed, weights="small" if repeats else "distinct")
     rng = random.Random(seed)
     target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
-    real_swap = leafsort.swap_leaves
-    swaps = []
-
-    def checked_swap(work, x, y, up):
-        lx, ly = work.leaf_edge_of(x), work.leaf_edge_of(y)
-        u, w = attachment(work, x), attachment(work, y)
-        before = {e: work.endpoints(e) for e in work.edge_ids()}
-        ops = real_swap(work, x, y, up)
-        after = {e: work.endpoints(e) for e in work.edge_ids()}
-        moved = {e for e in before if after[e] != before[e]}
-        # every internal edge keeps its endpoints, and the two leaf edges
-        # trade attachment nodes
-        assert moved == ({lx, ly} if u != w else set())
-        assert attachment(work, x) == w and attachment(work, y) == u
-        swaps.append(ops)
-        return ops
-
-    with patch.object(leafsort, "swap_leaves", checked_swap):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        swaps = recording_swaps(monkeypatch)
         result = sort_leaves(tree, target)
-    assert result.ops == [op for ops in swaps for op in ops]
+    # each planned swap, applied after the ones before it, is an exact
+    # transposition: every internal edge keeps its endpoints, and the two
+    # leaf edges trade attachment nodes
+    work = tree
+    for x, y, ops in swaps:
+        before, (work, _) = work, apply_sequence(work, ops)
+        assert_transposition(before, work, x, y)
+    assert work.canonical_equal(target)
+    assert result.ops == shorten([op for _, _, ops in swaps for op in ops])[0]
     assert result.tree.canonical_equal(target)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 80),
+    seed=st.integers(0, 10**6),
+    repeats=st.booleans(),
+    explicit_roots=st.booleans(),
+)
+def test_sort_leaves_keeps_what_shorten_keeps_of_the_swaps(n, seed, repeats, explicit_roots):
+    # the planner returns exactly the swap-by-swap oracle's moves, shortened
+    tree = companion(n, seed, weights="small" if repeats else "distinct")
+    rng = random.Random(seed)
+    if explicit_roots:
+        # the target keeps the source's node ids, so one node roots both
+        root = rng.choice([v for v in tree.nodes() if not tree.is_leaf(v)])
+        roots = (root, root)
+        taxa = tree.taxa()
+        target = permuted_leaves(tree, dict(zip(taxa, rng.sample(taxa, len(taxa)))))
+    else:
+        roots = (None, None)
+        target = permuted_leaves(tree, anchor_fixing_permutation(rng, tree.taxa()))
+    result = sort_leaves(tree, target, None, *roots)
+    ops, end, cycles = sort_leaves_by_swaps(tree, target, *roots)
+    assert result.ops == shorten(ops)[0]
+    assert result.cycles == cycles
+    assert result.tree.canonical_equal(end)
+    assert all(a.e2 != b.e2 for a, b in zip(result.ops, result.ops[1:]))
 
 
 def anchor_fixing_permutation(rng, taxa):
