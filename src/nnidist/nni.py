@@ -9,14 +9,18 @@ So two back-to-back moves on one middle edge are worth at most one, and
 :func:`shorten` cancels or merges every such pair in one pass over the
 names, without a tree.
 
-One kernel, :func:`move`, applies every move: it checks the three edge ids
-and then edits the tree's edge table and adjacency lists in place, a handful
-of dict operations per move, and returns the middle edge's endpoints.
-:func:`apply_nni` is a thin wrapper over it that takes an :class:`NniOp`
-and returns the move's cost.  Every sequence is applied by one replay core,
-:func:`replay`, which calls the kernel per move and raises
-:class:`ReplayError` at the first invalid move or a wrong end tree; sequence
-application, verification, trace writing and trace checking all consume it.
+Two writers apply moves, with the same checks and the same edits to the
+edge table.  :func:`move` checks the three edge ids, then edits the tree's
+edge table and adjacency lists in place, a handful of dict operations per
+move, and returns the middle edge's endpoints: it is the kernel of the
+phases, which read the tree between moves.  :func:`apply_nni` is a thin
+wrapper over it that takes an :class:`NniOp` and returns the move's cost.
+Every whole sequence is applied by one replay core, :func:`replay`, which
+writes the edge table alone, inline, and rebuilds the adjacency once when it
+ends; until then the adjacency is stale.  It raises :class:`ReplayError` at
+the first invalid move or a wrong end tree; sequence application,
+verification, trace writing, trace checking, the leaf sort's kept moves,
+the rebalance and the exact search's witness all consume it.
 ``replay`` reads a move as its first three items, so it takes an
 :class:`NniOp` or a trace record tuple alike.  :class:`NniOp` is a
 ``NamedTuple`` of (e1, e2, e3), so an operation equals the plain tuple of
@@ -65,7 +69,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from nnidist import newick
-from nnidist.phylo import Phylogeny, TreeError
+from nnidist.phylo import Phylogeny, TreeError, _adjacency
 
 TRACE_FORMAT = 1
 
@@ -81,9 +85,11 @@ def move(tree: Phylogeny, e1: int, e2: int, e3: int) -> tuple[int, int]:
 
     Raises TreeError unless (e1, e2, e3) is a path of three distinct edges,
     and KeyError for an unknown edge id (looked up in the order e2, e1, e3);
-    either is raised before the tree changes.  This is the one writer of a
-    tree's edge table and adjacency lists, so it drops the tree's kept
-    rooted view.  The move does not change e2's endpoints.
+    either is raised before the tree changes.  It writes the edge table and
+    the adjacency lists, for callers that read the tree between moves, and
+    drops the tree's kept rooted view.  :func:`replay` makes the same checks
+    and table edits inline and leaves the adjacency to its end.  The move
+    does not change e2's endpoints.
     """
     if e1 == e2 or e2 == e3 or e1 == e3:
         raise TreeError(f"operation ({e1},{e2},{e3}) repeats an edge")
@@ -131,13 +137,43 @@ def replay(
     edge's endpoints, which the move does not change.  Raises ReplayError at
     the first invalid operation and, once all are applied, when ``target``
     is given and ``work`` does not match it.
+
+    Each move gets the checks :func:`move` makes, with the same messages,
+    but only the two changed rows of the edge table are written: the
+    adjacency lists are stale until the replay ends, so a caller reads
+    nothing of ``work`` but its weights between two yields.  The adjacency
+    is rebuilt from the edge table once, in edge-table order as
+    :meth:`Phylogeny.copy` builds it, when the replay ends, fails or is
+    closed early, so ``work`` is a valid tree afterwards in every case.
     """
-    for i, op in enumerate(ops):
-        try:
-            u, v = move(work, op[0], op[1], op[2])
-        except (TreeError, KeyError) as exc:
-            raise ReplayError(f"operation {i} invalid: {exc}") from exc
-        yield op, u, v
+    ends = work._ends
+    work._view = None
+    try:
+        # move's checks and table edit, inlined: a call per move costs more
+        # than the edit itself on a whole-answer replay.  A property test in
+        # tests/test_nni.py holds the two copies to the same tables and errors
+        for i, op in enumerate(ops):
+            e1, e2, e3 = op[0], op[1], op[2]
+            try:
+                if e1 == e2 or e2 == e3 or e1 == e3:
+                    raise TreeError(f"operation ({e1},{e2},{e3}) repeats an edge")
+                su, sv = u, v = ends[e2]
+                a1, b1 = ends[e1]
+                a3, b3 = ends[e3]
+                if v == a1 or v == b1:
+                    u, v = v, u
+                far1 = b1 if a1 == u else a1 if b1 == u else v
+                far3 = b3 if a3 == v else a3 if b3 == v else u
+                if far1 == v or far3 == u:
+                    raise TreeError(f"operation ({e1},{e2},{e3}) is not an edge path")
+            except (TreeError, KeyError) as exc:
+                raise ReplayError(f"operation {i} invalid: {exc}") from exc
+            assert far1 != far3
+            ends[e1] = (v, far1) if a1 == u else (far1, v)
+            ends[e3] = (u, far3) if a3 == v else (far3, u)
+            yield op, su, sv
+    finally:
+        work._adj = _adjacency(ends)
     if target is not None and not work.canonical_equal(target):
         raise ReplayError("replay does not match the target tree")
 
@@ -166,7 +202,7 @@ def invert_sequence(ops: Sequence[NniOp]) -> list[NniOp]:
     return list(reversed(ops))
 
 
-def shorten(ops: Sequence[NniOp]) -> tuple[list[NniOp], list[int]]:
+def shorten(ops: Iterable[NniOp]) -> tuple[list[NniOp], list[int]]:
     """Cancel or merge back-to-back moves on one middle edge, in one pass.
 
     Returns ``(kept, origin)``: a sequence with the same end tree, no longer

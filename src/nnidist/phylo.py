@@ -16,14 +16,17 @@ caller passes a view along.
 
 Weights are `fractions.Fraction` throughout so that costs compose exactly.
 
-:func:`nnidist.nni.move` is the one writer of the edge table and the
-adjacency lists after construction, and a move keeps every node's degree.
-So a node is a leaf exactly when it carries a taxon label (construction
-checks that labels sit on the degree-1 nodes and nowhere else), and
+After construction only moves write the edge table and the adjacency
+lists, and a move keeps every node's degree.  :func:`nnidist.nni.move`
+writes the table and the adjacency, for callers that read the tree between
+moves; :func:`nnidist.nni.replay` writes the table alone, so the adjacency
+is stale until the replay ends and rebuilds it from the table.  So a node
+is a leaf exactly when it carries a taxon label (construction checks that
+labels sit on the degree-1 nodes and nowhere else), and
 :meth:`Phylogeny.is_leaf` reads the label table, not the adjacency.
 Nothing writes the weights after construction and a move keeps leaf edges
 leaf edges, so the sorted internal weight multiset is computed once per tree;
-the move kernel drops the kept rooted view.
+both writers drop the kept rooted view.
 """
 
 from __future__ import annotations
@@ -270,9 +273,10 @@ class Phylogeny:
         """One BFS from ``root`` (default :meth:`root_handle`), one bottom-up pass.
 
         The default view is built on the first call and kept until
-        :func:`nnidist.nni.move` next moves the tree, so every caller
-        reads one shared view and none may change it.  A view from an
-        explicit ``root`` is built fresh on every call and never kept.
+        :func:`nnidist.nni.move` or :func:`nnidist.nni.replay` next moves
+        the tree, so every caller reads one shared view and none may change
+        it.  A view from an explicit ``root`` is built fresh on every call
+        and never kept.
         ``root`` must be an internal node, so every labeled node is a leaf
         of the view.
         """

@@ -12,7 +12,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import oracles
 from nnidist import leafsort
+from nnidist import pipeline
 from nnidist.balance import build_auxiliary
+from nnidist.gen import generate_pair
 from nnidist.leafsort import LeafTable, leaf_permutation, ranked_view, sort_leaves
 from nnidist.nni import NniOp, ReplayError, apply_sequence, shorten, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
@@ -472,3 +474,36 @@ def test_sort_leaves_on_deep_caterpillar():
     assert result.tree.canonical_equal(tree)
     ok, _, reason = verify_transform(swapped, result.ops, tree)
     assert ok, reason
+
+
+def shuffled_adjacency(rng, tree):
+    """A copy of ``tree`` with every node's adjacency list in a random order."""
+    out = tree.copy()
+    for es in out._adj.values():
+        rng.shuffle(es)
+    return out
+
+
+@pytest.mark.parametrize("n,seed", [(16, 1), (32, 2), (64, 3), (128, 4)])
+def test_sort_leaves_plans_the_same_moves_on_any_adjacency_order(monkeypatch, n, seed):
+    # a replay rebuilds the adjacency in edge-table order, a move edits it in
+    # place, so the pipeline's balanced trees may list edges in either
+    # order; the leaf sort's plan must not depend on it
+    calls = []
+
+    def recording(source, target, rt=None, source_root=None, target_root=None):
+        result = sort_leaves(source, target, rt, source_root, target_root)
+        calls.append((source, target, source_root, target_root, result.ops))
+        return result
+
+    monkeypatch.setattr(pipeline, "sort_leaves", recording)
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=5 * n)
+    pipeline.approx_nni(t1, t2)
+    assert calls
+    rng = random.Random(seed)
+    for source, target, source_root, target_root, ops in calls:
+        for _ in range(3):
+            got = sort_leaves(
+                shuffled_adjacency(rng, source), shuffled_adjacency(rng, target),
+                None, source_root, target_root)
+            assert got.ops == ops

@@ -4,6 +4,7 @@ import json
 import random
 import tempfile
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from nnidist.nni import (
     check_trace,
     counted_cost,
     invert_sequence,
+    move,
     read_trace,
     replay,
     shorten,
@@ -763,3 +765,105 @@ def test_replay_takes_operations_and_record_tuples():
     assert ops[0] == tuple(ops[0]) and [op[:3] for op in records] == ops
     with pytest.raises(ReplayError, match="operation 0 invalid"):
         list(replay(t.copy(), [(ops[0].e1, ops[0].e2, ops[0].e1, 0, 0, Fraction(1))]))
+
+
+def _adjacency_matches_table(tree):
+    """Each node's adjacency list holds exactly the edges whose endpoint it is."""
+    held = {x: [] for x in tree.nodes()}
+    for e in tree.edge_ids():
+        for x in tree.endpoints(e):
+            if x not in held:
+                return False
+            held[x].append(e)
+    return all(sorted(tree.adjacent_edges(x)) == sorted(es) for x, es in held.items())
+
+
+def _one_move_case(tree, data):
+    """(e1, e2, e3) of one drawn kind: valid, repeated ids, a non-path, or unknown ids."""
+    kind = data.draw(st.sampled_from(["valid", "repeat", "non-path", "unknown"]))
+    e2 = data.draw(st.sampled_from(tree.internal_edges()))
+    u, v = tree.endpoints(e2)
+    at_u = [f for f in tree.adjacent_edges(u) if f != e2]
+    at_v = [f for f in tree.adjacent_edges(v) if f != e2]
+    if data.draw(st.booleans()):
+        at_u, at_v = at_v, at_u
+    ids = [data.draw(st.sampled_from(at_u)), e2, data.draw(st.sampled_from(at_v))]
+    if kind == "repeat":
+        i, j = data.draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+        ids[j] = ids[i]
+    elif kind == "non-path":
+        # both outer edges at one end of the middle edge, or a leaf edge as
+        # the middle edge
+        ids = data.draw(st.sampled_from([
+            [at_u[0], e2, at_u[1]],
+            [e2, tree.leaf_edge_of(tree.taxa()[0]), at_u[0]],
+        ]))
+    elif kind == "unknown":
+        # any non-empty set of positions, so the lookup order e2, e1, e3 shows
+        unknown = [-1, max(tree.edge_ids()) + 1, -7]
+        for k in data.draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1)):
+            ids[k] = unknown[k]
+    return kind, tuple(ids)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(n=st.integers(4, 20), seed=st.integers(0, 10**6), data=st.data())
+def test_a_one_move_replay_edits_the_table_as_move_does(n, seed, data):
+    # replay inlines move's checks and table edit; the two copies must agree
+    # on every operation, valid or not, and replay must leave a whole tree
+    tree = random_phylogeny(random.Random(seed), n)
+    kind, (e1, e2, e3) = _one_move_case(tree, data)
+    by_move, by_replay = tree.copy(), tree.copy()
+    try:
+        stored, moved = move(by_move, e1, e2, e3), None
+    except (TreeError, KeyError) as exc:
+        stored, moved = None, exc
+    if moved is None:
+        assert kind == "valid"
+        assert list(replay(by_replay, [(e1, e2, e3)])) == [((e1, e2, e3), *stored)]
+    else:
+        assert kind != "valid"
+        with pytest.raises(ReplayError) as err:
+            list(replay(by_replay, [(e1, e2, e3)]))
+        assert str(err.value) == f"operation 0 invalid: {moved}"
+        assert err.value.__cause__.__class__ is moved.__class__
+        assert list(by_move._ends.items()) == list(tree._ends.items())
+    assert list(by_replay._ends.items()) == list(by_move._ends.items())
+    assert by_replay.validate() == [] and _adjacency_matches_table(by_replay)
+    assert by_replay.canonical_equal(by_move)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(
+    n=st.integers(4, 24),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 30),
+    end=st.sampled_from(["complete", "fail", "close"]),
+    data=st.data(),
+)
+def test_a_replay_leaves_a_valid_tree_however_it_ends(n, seed, moves, end, data):
+    rng = random.Random(seed)
+    tree = random_phylogeny(rng, n)
+    _, ops = _walk(rng, tree, moves)
+    k = data.draw(st.integers(0, moves))
+    if end == "fail":
+        # the move at k repeats an edge, so the replay stops before it
+        e = tree.internal_edges()[0]
+        ops = ops[:k] + [NniOp(e, e, e)]
+    work = tree.copy()
+    steps = replay(work, ops)
+    if end == "complete":
+        k = len(list(steps))
+    elif end == "fail":
+        with pytest.raises(ReplayError, match=f"operation {k} invalid"):
+            list(steps)
+    else:
+        for _ in islice(steps, k):
+            pass
+        steps.close()
+    expected = tree.copy()
+    for op in ops[:k]:
+        move(expected, *op)
+    assert list(work._ends.items()) == list(expected._ends.items())
+    assert work.validate() == [] and _adjacency_matches_table(work)
+    assert work.canonical_equal(expected)
