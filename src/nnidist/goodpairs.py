@@ -1,4 +1,4 @@
-"""Matching edge pairs across two trees and splitting the instance on them.
+"""Matching edge pairs across two trees, the bound they give, and splitting on them.
 
 An internal edge of one tree and one of the other form a good pair when they
 have the same weight and cutting them induces the same partition of taxa and
@@ -32,327 +32,16 @@ entry of the pass, or its complement when the pass walked that edge from
 the other end, so :meth:`PairBound.moved_key` costs O(1) big-int operations
 and needs no copy of the tree (DasGupta, He, Jiang, Li, Tromp and Zhang,
 "On computing the nearest neighbor interchange distance", DIMACS 2000).
-
-``partition_labeling`` is the paper's O(log n)-round parallel labeling of
-the same question, kept and tested on its own.  Each tree is augmented by
-subdividing every internal edge and hanging a pseudo-leaf labeled with the
-edge weight's rank off the new node.  Two subdivision nodes then cut
-identical taxa and weight partitions exactly when the leaf-label multisets
-below them agree, and the labeling gives nodes across both trees equal
-integer labels if and only if their descendant label multisets are equal.
-
-The labeling is built label class by label class (a node's class count
-suffices for a single class) and merged pairwise: every node of a contracted
-union tree gets a two-component fingerprint (the largest label of each half
-found below it, zero when that half is absent), fingerprints are radix
-sorted, and each distinct fingerprint becomes a fresh dense label.  Labels
-stay monotone along root paths, so "largest below" is the label of the
-topmost labeled descendant and fingerprints capture exact contents.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from nnidist.phylo import Phylogeny, RootedView, TreeError, finiteness_check
-from nnidist.runtime import ParRuntime, par_prefix_sums
-
-
-@dataclass
-class AugmentedTree:
-    root: int
-    parent: dict[int, int | None]
-    children: dict[int, list[int]]
-    label: dict[int, str]              # leaf node -> label (taxon or weight class)
-    subdivision_edge: dict[int, int]   # subdivision node -> source internal edge
-    weight_leaf_edge: dict[int, int]   # weight leaf -> source internal edge
-    pre: dict[int, int] = field(default_factory=dict)
-    post: dict[int, int] = field(default_factory=dict)
-    depth: dict[int, int] = field(default_factory=dict)
-    euler: list[int] = field(default_factory=list)
-    first: dict[int, int] = field(default_factory=dict)
-    _table: list[list[int]] = field(default_factory=list)
-
-    def _index(self) -> None:
-        counter = 0
-        post_counter = 0
-        stack: list[tuple[int, int]] = [(self.root, 0)]
-        self.depth[self.root] = 0
-        while stack:
-            node, child_pos = stack.pop()
-            if child_pos == 0:
-                self.pre[node] = counter
-                counter += 1
-                self.first[node] = len(self.euler)
-            self.euler.append(node)
-            kids = self.children.get(node, [])
-            if child_pos < len(kids):
-                stack.append((node, child_pos + 1))
-                child = kids[child_pos]
-                self.depth[child] = self.depth[node] + 1
-                stack.append((child, 0))
-            else:
-                self.post[node] = post_counter
-                post_counter += 1
-        # sparse table of minimum-depth positions over the tour
-        idx = list(range(len(self.euler)))
-        self._table = [idx]
-        span = 1
-        while 2 * span <= len(self.euler):
-            prev = self._table[-1]
-            row = []
-            for i in range(len(self.euler) - 2 * span + 1):
-                a, b = prev[i], prev[i + span]
-                row.append(a if self.depth[self.euler[a]] <= self.depth[self.euler[b]] else b)
-            self._table.append(row)
-            span *= 2
-
-    def lca(self, u: int, v: int) -> int:
-        lo, hi = sorted((self.first[u], self.first[v]))
-        width = hi - lo + 1
-        k = width.bit_length() - 1
-        row = self._table[k]
-        a, b = row[lo], row[hi - (1 << k) + 1]
-        best = a if self.depth[self.euler[a]] <= self.depth[self.euler[b]] else b
-        return self.euler[best]
-
-    def is_leaf(self, v: int) -> bool:
-        return v in self.label
-
-
-def _weight_counts(tree: Phylogeny) -> Counter[Fraction]:
-    """Multiplicity of each distinct internal weight, in increasing weight order."""
-    return Counter(tree.internal_weight_multiset())
-
-
-def _weight_rank(tree: Phylogeny) -> dict[Fraction, int]:
-    """Rank of each distinct internal weight, read off the sorted multiset."""
-    return {w: r for r, w in enumerate(_weight_counts(tree))}
-
-
-def augment_and_root(tree: Phylogeny) -> AugmentedTree:
-    anchor = min(tree.taxa())
-    anchor_node = tree.leaf_node(anchor)
-    root = tree.other_end(tree.leaf_edge_of(anchor), anchor_node)
-
-    ranks = _weight_rank(tree)
-    base = tree.max_node_id() + 1
-    sub_node = {}
-    wt_node = {}
-    for i, e in enumerate(tree.internal_edges()):
-        sub_node[e] = base + 2 * i
-        wt_node[e] = base + 2 * i + 1
-
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {}
-    label: dict[int, str] = {}
-    stack = [(root, None)]
-    while stack:
-        node, up_edge = stack.pop()
-        kids = []
-        for e in sorted(tree.adjacent_edges(node)):
-            if e == up_edge:
-                continue
-            other = tree.other_end(e, node)
-            if tree.is_edge_leaf(e):
-                kids.append(other)
-                parent[other] = node
-                label[other] = tree.leaf_label(other)
-            else:
-                s, w = sub_node[e], wt_node[e]
-                kids.append(s)
-                parent[s] = node
-                children[s] = [other, w]
-                parent[other] = s
-                parent[w] = s
-                label[w] = f":w:{ranks[tree.weight(e)]}"
-                stack.append((other, e))
-        children[node] = kids
-    out = AugmentedTree(
-        root,
-        parent,
-        children,
-        label,
-        {s: e for e, s in sub_node.items()},
-        {w: e for e, w in wt_node.items()},
-    )
-    out._index()
-    return out
-
-
-@dataclass
-class ContractedSubtree:
-    source: AugmentedTree
-    labels: frozenset[str]
-    nodes: list[int]              # in source preorder
-    parent: dict[int, int | None]
-    children: dict[int, list[int]]
-    leaves: list[int]
-    root: int
-
-
-def induced_subtree(aug: AugmentedTree, labels: set[str]) -> ContractedSubtree:
-    """The subtree spanned by leaves with the given labels, chains contracted."""
-    if not labels:
-        raise TreeError("cannot induce a subtree on an empty label set")
-    sel = sorted(
-        (v for v, lab in aug.label.items() if lab in labels),
-        key=lambda v: aug.pre[v],
-    )
-    if not sel:
-        raise TreeError("no leaves carry the requested labels")
-    picked = set(sel)
-    for a, b in zip(sel, sel[1:]):
-        picked.add(aug.lca(a, b))
-    nodes = sorted(picked, key=lambda v: aug.pre[v])
-
-    parent: dict[int, int | None] = {}
-    stack: list[int] = []
-    for x in nodes:
-        while stack and not (
-            aug.pre[stack[-1]] <= aug.pre[x] and aug.post[stack[-1]] >= aug.post[x]
-        ):
-            stack.pop()
-        parent[x] = stack[-1] if stack else None
-        stack.append(x)
-    children: dict[int, list[int]] = {v: [] for v in nodes}
-    for v in nodes:
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    return ContractedSubtree(aug, frozenset(labels), nodes, parent, children, sel, nodes[0])
-
-
-@dataclass
-class PartitionLabeling:
-    rho: dict[int, int]     # first tree's contraction nodes -> label
-    rho_p: dict[int, int]   # second tree's
-
-
-def single_label_partition(ra: ContractedSubtree, rpa: ContractedSubtree) -> PartitionLabeling:
-    """Descendant-leaf counts label a single-class contraction pair."""
-
-    def counts(sub: ContractedSubtree) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for v in reversed(sub.nodes):
-            kids = sub.children[v]
-            out[v] = 1 if not kids else sum(out[c] for c in kids)
-        return out
-
-    return PartitionLabeling(counts(ra), counts(rpa))
-
-
-def _subtree_max(
-    sub: ContractedSubtree, init: dict[int, int], rt: ParRuntime
-) -> dict[int, int]:
-    """Max of initial values over each contraction subtree, by pointer jumping.
-
-    Every node repeatedly pushes its running value to its jump target and the
-    pointers double, so log-many two-phase rounds cover the whole subtree.
-    """
-    val = {v: init.get(v, 0) for v in sub.nodes}
-    ptr = dict(sub.parent)
-    while any(p is not None for p in ptr.values()):
-        pushes = [(ptr[v], val[v]) for v in sub.nodes if ptr[v] is not None]
-        rt.round("gep", pushes)
-        received: dict[int, int] = {}
-        for target, x in pushes:
-            received[target] = max(received.get(target, 0), x)
-        updates = {v: max(val[v], x) for v, x in received.items()}
-        rt.round("gep", updates)
-        val.update(updates)
-        ptr = {v: (ptr[p] if p is not None else None) for v, p in ptr.items()}
-    return val
-
-
-def _radix_rank(items: list[tuple[int, int]], rt: ParRuntime) -> list[int]:
-    """Dense ranks (from 1) of two-component fingerprints, radix style."""
-    order = list(range(len(items)))
-    for component in (1, 0):
-        keys = sorted({items[i][component] for i in order})
-        pos = {k: p for p, k in enumerate(keys)}
-        counts = [0] * len(keys)
-        for i in order:
-            counts[pos[items[i][component]]] += 1
-        offsets = [a - b for a, b in zip(par_prefix_sums(rt, "gep", counts), counts)]
-        placed = [0] * len(order)
-        slots = list(offsets)
-        for i in order:
-            b = pos[items[i][component]]
-            placed[slots[b]] = i
-            slots[b] += 1
-        order = placed
-    flags = [
-        int(r == 0 or items[i] != items[order[r - 1]]) for r, i in enumerate(order)
-    ]
-    rt.round("gep", flags)
-    running = par_prefix_sums(rt, "gep", flags)
-    rank = [0] * len(items)
-    for r, i in enumerate(order):
-        rank[i] = running[r]
-    return rank
-
-
-def relabel_merge(
-    rab: ContractedSubtree,
-    rpab: ContractedSubtree,
-    rho_a: PartitionLabeling,
-    rho_b: PartitionLabeling,
-    rt: ParRuntime | None = None,
-) -> PartitionLabeling:
-    """Combine two half labelings over the union contraction pair (phase ``gep``)."""
-    rt = rt or ParRuntime()
-    fingerprints: list[tuple[int, int]] = []
-    owners: list[tuple[int, int]] = []
-    for side, (sub, half_a, half_b) in enumerate(
-        ((rab, rho_a.rho, rho_b.rho), (rpab, rho_a.rho_p, rho_b.rho_p))
-    ):
-        max_a = _subtree_max(sub, half_a, rt)
-        max_b = _subtree_max(sub, half_b, rt)
-        for v in sub.nodes:
-            fingerprints.append((max_a[v], max_b[v]))
-            owners.append((side, v))
-    ranks = _radix_rank(fingerprints, rt)
-    rho: dict[int, int] = {}
-    rho_p: dict[int, int] = {}
-    for (side, v), r in zip(owners, ranks):
-        (rho if side == 0 else rho_p)[v] = r
-    return PartitionLabeling(rho, rho_p)
-
-
-def partition_labeling(
-    aug1: AugmentedTree, aug2: AugmentedTree, rt: ParRuntime | None = None
-) -> PartitionLabeling:
-    """Joint labeling of both trees' nodes by descendant label multisets.
-
-    Pairing up label sets counts as phase ``gep.pairing``, merging as ``gep``.
-    """
-    rt = rt or ParRuntime()
-    if Counter(aug1.label.values()) != Counter(aug2.label.values()):
-        raise TreeError("leaf label multisets differ between the trees")
-
-    items = []
-    for a in sorted(set(aug1.label.values())):
-        ra = induced_subtree(aug1, {a})
-        rpa = induced_subtree(aug2, {a})
-        items.append((frozenset({a}), single_label_partition(ra, rpa)))
-
-    while len(items) > 1:
-        pairs = [(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
-        rt.round("gep.pairing", pairs)
-        merged = []
-        for (set_a, lab_a), (set_b, lab_b) in pairs:
-            union = set_a | set_b
-            rab = induced_subtree(aug1, set(union))
-            rpab = induced_subtree(aug2, set(union))
-            merged.append((union, relabel_merge(rab, rpab, lab_a, lab_b, rt)))
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-
-    return items[0][1]
 
 
 @dataclass
@@ -408,7 +97,7 @@ class PairBound:
     """
 
     def __init__(self, target: Phylogeny) -> None:
-        counts = _weight_counts(target)
+        counts = Counter(target.internal_weight_multiset())
         self.rank: dict[Fraction, int] = {}
         self.offsets = offsets = [0]
         # weight -> (rank, field), so each edge costs one Fraction lookup

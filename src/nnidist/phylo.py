@@ -10,7 +10,8 @@ bitsets, node classes) that the rest of the package builds on.
 are decided: the tree hangs from the internal node next to the smallest
 taxon, and children are ordered by the smallest taxon below them.
 Serialization, the canonical edge order, the leaf sort's ranked view, the
-companion check, the split bitsets and the good-pair keys all read it.
+companion check, the split bitsets, the good-pair keys and the paper's
+partition labeling all read it.
 Each tree keeps that view from its first use until its next move, so no
 caller passes a view along.
 

@@ -24,7 +24,9 @@ cost.  The round and work counters describe the schedule that made the
 moves, before shortening.
 
 A component without an internal edge is a three-leaf star whose two trees
-were already found to agree, so it is skipped without building anything.
+were already found to agree.  ``decompose`` still builds both as validated
+trees and checks their finiteness, like every component; the pipeline then
+skips it with no move.
 Any other component has moves to make: every good pair was cut, and two
 canonically equal trees would pair every internal edge.
 

@@ -19,11 +19,8 @@ from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair, random_tree
-from nnidist.goodpairs import (
-    augment_and_root,
-    find_good_edge_pairs,
-    partition_labeling,
-)
+from nnidist.goodpairs import find_good_edge_pairs
+from nnidist.labeling import augment_and_root, partition_labeling
 from nnidist.linearize import endnode_paths, is_linear, linearize
 from nnidist.nni import check_trace, trace_lines, verify_transform, write_trace
 from nnidist.phylo import Phylogeny

@@ -1,4 +1,4 @@
-"""Good-pair detection and decomposition against brute-force references."""
+"""Good-pair detection, decomposition and the partition labeling against brute-force references."""
 
 from __future__ import annotations
 
@@ -18,12 +18,14 @@ from nnidist.gen import generate_pair
 from nnidist.goodpairs import (
     GoodEdgePairSet,
     PairBound,
-    PartitionLabeling,
-    augment_and_root,
     decompose,
     find_good_edge_pairs,
-    induced_subtree,
     lower_bound,
+)
+from nnidist.labeling import (
+    PartitionLabeling,
+    augment_and_root,
+    induced_subtree,
     partition_labeling,
     relabel_merge,
     single_label_partition,
@@ -117,7 +119,7 @@ def internal_nodes(aug):
 
 
 # ----------------------------------------------------------------------
-# augmentation
+# augmentation (nnidist.labeling, as are the next two sections)
 
 def test_augment_four_taxa_gains_one_subdivision_and_one_weight_leaf():
     tree = random_phylogeny(random.Random(4), 4)

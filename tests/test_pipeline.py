@@ -10,12 +10,8 @@ import pytest
 from nnidist.edgesort import merge_sort_edges
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
-from nnidist.goodpairs import (
-    augment_and_root,
-    decompose,
-    find_good_edge_pairs,
-    partition_labeling,
-)
+from nnidist.goodpairs import decompose, find_good_edge_pairs
+from nnidist.labeling import augment_and_root, partition_labeling
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import endnode_paths, linearize
 from nnidist.newick import parse
