@@ -268,13 +268,20 @@ def lower_bound(
 def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
     """Split at the cut edges; each cut becomes a pseudo-leaf in both parts.
 
-    One walk per component, from its smallest node id, collects its nodes'
-    labels and its edges; cut edge e ends at pseudo-leaf ``base + cuts[e]``.
+    One walk per component over the edge table, from its smallest node id,
+    collects its nodes' labels and its edges; cut edge e ends at pseudo-leaf
+    ``base + cuts[e]``.  A part of a valid tree cut at internal edges is
+    valid: every node keeps its degree and every cut edge ends at a new
+    labeled leaf, so the parts are built without ``validate()``.  Two
+    checks stand for what a cut can break: a part of fewer than three
+    leaves, which only a cut leaf edge leaves, and a pseudo-leaf label
+    ``:cut:k:`` that a taxon already carries.
     """
-    base = tree.max_node_id() + 1
+    ends, adj, wt, leaf_label = tree._ends, tree._adj, tree._wt, tree._leaf_label
+    base = max(adj) + 1
     seen: set[int] = set()
     built: list[Phylogeny] = []
-    for start in tree.nodes():
+    for start in sorted(adj):
         if start in seen:
             continue
         stack = [start]
@@ -283,19 +290,24 @@ def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
         while stack:
             u = stack.pop()
             seen.add(u)
-            if tree.is_leaf(u):
-                labels[u] = tree.leaf_label(u)
-            for e in tree.adjacent_edges(u):
-                if e in cuts:
-                    edges[e] = (u, base + cuts[e])
-                    labels[base + cuts[e]] = f":cut:{cuts[e]}:"
+            if u in leaf_label:
+                labels[u] = leaf_label[u]
+            for e in adj[u]:
+                k = cuts.get(e)
+                if k is not None:
+                    edges[e] = (u, base + k)
+                    labels[base + k] = f":cut:{k}:"
                 elif e not in edges:  # a tree: the far end is new
-                    edges[e] = tree.endpoints(e)
-                    stack.append(tree.other_end(e, u))
+                    edges[e] = x, y = ends[e]
+                    stack.append(y if x == u else x)
+        if len(labels) < 3:
+            raise TreeError(f"a cut leaves a part of {len(labels)} leaves, need at least 3")
         order = sorted(edges)
-        built.append(Phylogeny(
-            {e: edges[e] for e in order}, {e: tree.weight(e) for e in order}, labels
-        ))
+        part = Phylogeny._from_tables(
+            {e: edges[e] for e in order}, {e: wt[e] for e in order}, labels)
+        if len(part._label_leaf) != len(labels):
+            raise TreeError("duplicate taxon labels")
+        built.append(part)
     return built
 
 
@@ -309,10 +321,11 @@ def decompose(
     cuts2 = {e2: k for k, (_, e2) in enumerate(pair_set.pairs)}
     parts1 = _cut_components(t1, cuts1)
     parts2 = _cut_components(t2, cuts2)
-    by_taxa = {frozenset(p.taxa()): p for p in parts2}
+    # a part's label map is keyed by its taxa: no sorted taxa() tuple per part
+    by_taxa = {frozenset(p._label_leaf): p for p in parts2}
     out = []
-    for part in sorted(parts1, key=lambda p: min(p.taxa())):
-        match = by_taxa.pop(frozenset(part.taxa()), None)
+    for part in sorted(parts1, key=lambda p: min(p._label_leaf)):
+        match = by_taxa.pop(frozenset(part._label_leaf), None)
         if match is None:
             raise TreeError("decomposition components do not match between trees")
         ok, reasons = finiteness_check(part, match)

@@ -134,8 +134,6 @@ def augment_and_root(tree: Phylogeny) -> AugmentedTree:
 
 @dataclass
 class ContractedSubtree:
-    source: AugmentedTree
-    labels: frozenset[str]
     nodes: list[int]              # in source preorder
     parent: dict[int, int | None]
     children: dict[int, list[int]]
@@ -171,7 +169,7 @@ def induced_subtree(aug: AugmentedTree, labels: set[str]) -> ContractedSubtree:
     for v in nodes:
         if parent[v] is not None:
             children[parent[v]].append(v)
-    return ContractedSubtree(aug, frozenset(labels), nodes, parent, children, sel, nodes[0])
+    return ContractedSubtree(nodes, parent, children, sel, nodes[0])
 
 
 @dataclass

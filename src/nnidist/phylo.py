@@ -354,12 +354,34 @@ class Phylogeny:
         :meth:`__init__` builds them, because move sequences name edges in
         the order ``adjacent_edges`` lists them.
         """
+        return Phylogeny._from_tables(
+            dict(self._ends), dict(self._wt), dict(self._leaf_label), dict(self._label_leaf))
+
+    @staticmethod
+    def _from_tables(
+        ends: dict[int, tuple[int, int]],
+        weights: dict[int, Fraction],
+        labels: dict[int, str],
+        label_leaf: dict[str, int] | None = None,
+    ) -> "Phylogeny":
+        """A tree that owns the tables given, built without :meth:`validate`.
+
+        The one constructor besides :meth:`__init__`, for callers whose
+        tables come from a valid tree: :meth:`copy`, and ``goodpairs``,
+        which cuts components out of one.  The adjacency
+        lists are built in edge-table order, and the label map is inverted
+        in label order unless ``label_leaf`` is that inverse already, as
+        :meth:`__init__` builds them.  Nothing is checked: a caller whose
+        labels can collide compares the sizes of ``_leaf_label`` and
+        ``_label_leaf``.
+        """
         out = Phylogeny.__new__(Phylogeny)
-        out._ends = dict(self._ends)
-        out._wt = dict(self._wt)
-        out._adj = _adjacency(out._ends)
-        out._leaf_label = dict(self._leaf_label)
-        out._label_leaf = dict(self._label_leaf)
+        out._ends = ends
+        out._wt = weights
+        out._adj = _adjacency(ends)
+        out._leaf_label = labels
+        out._label_leaf = (
+            {s: v for v, s in labels.items()} if label_leaf is None else label_leaf)
         out._internal_ws = None
         out._view = None
         return out

@@ -1,6 +1,6 @@
 """The full approximation: decompose on good pairs, then per component
 linearize, merge-sort edges, rebalance, and transport leaves, or, on a
-component of at most six taxa, search for an optimal answer.
+component of at most six taxa, find an optimal answer.
 
 A component of more than six taxa is solved by meeting in the middle.
 Tree 1 is made linear, its internal edges are merge-sorted into the order
@@ -24,13 +24,21 @@ cost.  The round and work counters describe the schedule that made the
 moves, before shortening.
 
 A component without an internal edge is a three-leaf star whose two trees
-were already found to agree.  ``decompose`` still builds both as validated
-trees and checks their finiteness, like every component; the pipeline then
-skips it with no move.
+were already found to agree.  ``decompose`` builds every component straight
+from its tree's edge table, without re-validating it, and checks each pair's
+finiteness, stars included; the pipeline then skips a star with no move.
 Any other component has moves to make: every good pair was cut, and two
 canonically equal trees would pair every internal edge.
 
-A component with one to three internal edges (four to six taxa) is solved
+A component with one internal edge e is a quartet, and it takes one move,
+on e, with no search.  Its two trees differ, so they have different splits,
+and of the two moves on e one gives tree 1 tree 2's split.  That move costs
+w(e), which is the component's lower bound: e has no partner, so any answer
+moves it at least once.  So the one move is optimal, and it is the move the
+exact search would return; the answer is recorded as the search records a
+quartet.
+
+A component with two or three internal edges (five or six taxa) is solved
 by the exact search, :func:`nnidist.exact.exact_dnni`, in phase ``exact``
 instead of the four phases above.  Six taxa have 105 unrooted topologies
 and three internal weights at most 3! placements, so the search settles at
@@ -230,6 +238,41 @@ def _forward_to_balanced(
     return (lin.ops, sorted_edges.ops, rebalance), balanced, root
 
 
+def _quartet_answer(
+    c1: Phylogeny, c2: Phylogeny, rt: ParRuntime
+) -> tuple[Fraction, list[NniOp]]:
+    """The one move turning quartet ``c1`` into the quartet ``c2``, and its cost.
+
+    The move is the goal successor that :func:`nnidist.exact.neighbors`
+    lists for ``c1``: e1 is the lowest numbered other edge at the internal
+    edge's first stored end u, and e3 is the edge at its other end v that
+    joins the taxon u keeps in ``c2``'s split.  It is recorded as the
+    search records a quartet, one round of phase ``exact`` settling two
+    states, the start and the goal.  The trees must have equal taxa, leaf
+    weights and internal weight; raises ``TreeError`` when they have one
+    split, so that no single move reaches ``c2``.
+    """
+    (e2,) = c1.internal_edges()
+    u, v = c1.endpoints(e2)
+    a1, b = sorted(e for e in c1.adjacent_edges(u) if e != e2)
+
+    def taxon(tree: Phylogeny, e: int, x: int) -> str:
+        return tree.leaf_label(tree.other_end(e, x))
+
+    # the taxon that shares a side with b's in c2: the other leaf at b's
+    # taxon's internal node there
+    kept = taxon(c1, b, u)
+    edge = c2.leaf_edge_of(kept)
+    x = c2.other_end(edge, c2.leaf_node(kept))
+    partner = next(
+        taxon(c2, e, x) for e in c2.adjacent_edges(x) if e != edge and c2.is_edge_leaf(e))
+    for e3 in sorted(e for e in c1.adjacent_edges(v) if e != e2):
+        if taxon(c1, e3, v) == partner:
+            rt.round("exact", ("start", "goal"))
+            return c1.weight(e2), [NniOp(a1, e2, e3)]
+    raise TreeError("no single move turns the quartet component into its target")
+
+
 def _component_sequence(
     c1: Phylogeny, c2: Phylogeny, rt: ParRuntime
 ) -> tuple[list[NniOp], dict[str, Fraction]]:
@@ -238,14 +281,20 @@ def _component_sequence(
     ``c1`` and ``c2`` passed :func:`finiteness_check` (run on each component
     pair by ``decompose``, or on the full trees by :func:`approx_nni` when
     there is no good pair): equal taxa, leaf weights and internal weight
-    multisets.
+    multisets.  A star needs no move; a quartet takes its one move
+    (:func:`_quartet_answer`); two or three internal edges go to
+    :func:`nnidist.exact.exact_dnni`, and larger components to the four
+    phases.  Both small cases record their moves in phase ``exact``.
     """
     # Every good pair was cut, so a component with an internal edge holds
     # none, and two canonically equal trees would pair every edge: its trees
     # differ.  A star's taxa and leaf weights are equal, so it needs no move.
-    internal = len(c1.internal_edges())
+    internal = c1.n_taxa - 3  # a binary tree of n taxa has n - 3 internal edges
     if not internal:
         return [], {}
+    if internal == 1:
+        cost, ops = _quartet_answer(c1, c2, rt)
+        return ops, {"exact": cost}
     # through the module, so that wrappers installed on exact see the call
     if internal <= EXACT_MAX_INTERNAL:
         cost, ops = exact.exact_dnni(c1, c2, EXACT_STATE_LIMIT, rt)

@@ -203,6 +203,42 @@ def good_pair_oracle(t1: Phylogeny, t2: Phylogeny) -> list[tuple[int, int]]:
     ]
 
 
+def cut_components_by_validation(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
+    """Split at the cut edges through the public API, validating every part.
+
+    The former body of ``goodpairs._cut_components``: one walk per
+    component, from its smallest node id, collects its nodes' labels and
+    its edges; cut edge e ends at pseudo-leaf ``base + cuts[e]``, and each
+    part is built by the validating constructor.
+    """
+    base = tree.max_node_id() + 1
+    seen: set[int] = set()
+    built: list[Phylogeny] = []
+    for start in tree.nodes():
+        if start in seen:
+            continue
+        stack = [start]
+        edges: dict[int, tuple[int, int]] = {}
+        labels: dict[int, str] = {}
+        while stack:
+            u = stack.pop()
+            seen.add(u)
+            if tree.is_leaf(u):
+                labels[u] = tree.leaf_label(u)
+            for e in tree.adjacent_edges(u):
+                if e in cuts:
+                    edges[e] = (u, base + cuts[e])
+                    labels[base + cuts[e]] = f":cut:{cuts[e]}:"
+                elif e not in edges:  # a tree: the far end is new
+                    edges[e] = tree.endpoints(e)
+                    stack.append(tree.other_end(e, u))
+        order = sorted(edges)
+        built.append(Phylogeny(
+            {e: edges[e] for e in order}, {e: tree.weight(e) for e in order}, labels
+        ))
+    return built
+
+
 def renumbered(tree: Phylogeny, rng: random.Random) -> Phylogeny:
     """The same phylogeny rebuilt with shuffled node and edge ids."""
     nodes = tree.nodes()

@@ -18,6 +18,7 @@ from nnidist.gen import generate_pair
 from nnidist.goodpairs import (
     GoodEdgePairSet,
     PairBound,
+    _cut_components,
     decompose,
     find_good_edge_pairs,
     lower_bound,
@@ -35,6 +36,7 @@ from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 from oracles import (
     caterpillar,
+    cut_components_by_validation,
     good_pair_oracle,
     random_phylogeny,
     splits_by_removal,
@@ -630,3 +632,63 @@ def test_decompose_rejects_a_bogus_pair():
     e2 = next(e for e in t2.internal_edges() if sp2[e] != sp1[e1])
     with pytest.raises(TreeError):
         decompose(t1, t2, GoodEdgePairSet([(e1, e2)]))
+
+
+@pytest.mark.parametrize("dup_weights", [False, True])
+@pytest.mark.parametrize("n", [5, 9, 20, 48])
+def test_components_are_the_validating_cut_table_for_table(n, dup_weights):
+    # the parts are built without validate(), so each must be the part the
+    # validating constructor builds, dict order included: move sequences
+    # name edges in the order the adjacency lists them
+    cut = parts = 0
+    for seed in range(1, 9):
+        t1, t2, _ = generate_pair(seed, n, n // 2 + 1, dup_weights=dup_weights)
+        instances = [(t1, t2), (t1, t1.copy())]  # the second cuts every internal edge
+        for a, b in instances:
+            pairs = find_good_edge_pairs(a, b).pairs
+            cut += len(pairs)
+            for tree, cuts in ((a, {e1: k for k, (e1, _) in enumerate(pairs)}),
+                               (b, {e2: k for k, (_, e2) in enumerate(pairs)})):
+                got = _cut_components(tree, cuts)
+                want = cut_components_by_validation(tree, cuts)
+                assert len(got) == len(want) == len(pairs) + 1
+                for part, ref in zip(got, want):
+                    for table in ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf"):
+                        assert list(getattr(part, table).items()) == \
+                            list(getattr(ref, table).items()), table
+                    assert part.validate() == []
+                    parts += 1
+    assert cut > 8 and parts > cut
+
+
+def test_decompose_refuses_cut_edges_with_swapped_weights():
+    # a bogus pair set whose cut edges trade weights between the trees: the
+    # pseudo-leaf edges then differ in weight, so the parts are not finite
+    t1 = caterpillar(8)
+    swap = {0: t1.weight(4), 4: t1.weight(0)}
+    t2 = Phylogeny(
+        {e: t1.endpoints(e) for e in t1.edge_ids()},
+        {e: swap.get(e, t1.weight(e)) for e in t1.edge_ids()},
+        {t1.leaf_node(t): t for t in t1.taxa()},
+    )
+    with pytest.raises(TreeError, match="component pair is not finite"):
+        decompose(t1, t2, GoodEdgePairSet([(0, 0), (4, 4)]))
+
+
+def test_decompose_refuses_a_taxon_named_like_a_cut():
+    # t000 hangs from the end of edge 0, the first cut, so its part would
+    # hold two leaves labeled :cut:0:
+    t1 = relabeled(caterpillar(6), {"t000": ":cut:0:"})
+    t2 = t1.copy()
+    pairs = find_good_edge_pairs(t1, t2)
+    assert pairs.pairs[0] == (0, 0)
+    with pytest.raises(TreeError, match="duplicate taxon labels"):
+        decompose(t1, t2, pairs)
+
+
+def test_decompose_refuses_a_cut_leaf_edge():
+    # a cut leaf edge leaves its leaf in a part of two leaves
+    t1 = caterpillar(6)
+    leaf = t1.leaf_edge_of("t003")
+    with pytest.raises(TreeError):
+        decompose(t1, t1.copy(), GoodEdgePairSet([(leaf, leaf)]))

@@ -2,10 +2,16 @@
 
 import json
 import math
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist.edgesort import merge_sort_edges
 from nnidist.exact import exact_dnni
@@ -17,10 +23,14 @@ from nnidist.linearize import endnode_paths, linearize
 from nnidist.newick import parse
 from nnidist.nni import verify_transform
 from nnidist.phylo import Phylogeny, TreeError
-from nnidist.pipeline import PHASE_NAMES, ApproxResult, approx_nni
+from nnidist.pipeline import PHASE_NAMES, ApproxResult, _quartet_answer, approx_nni
 from nnidist.runtime import ParRuntime
 
 from oracles import caterpillar
+
+# Hypothesis caches the constants of local source files while the tests are
+# collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 def test_identical_trees_cost_nothing():
@@ -131,9 +141,10 @@ def test_components_are_independent():
 
 @pytest.mark.parametrize("n,seed", [(4, 1), (5, 1), (6, 1), (7, 3)])
 def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatch):
-    # criterion 8's counters, per component size: up to three internal edges
-    # the exact search answers alone, from four the companion is built and
-    # checked and the trees are linearized
+    # criterion 8's counters, per component size: a quartet takes its one
+    # move without a search, two or three internal edges the exact search
+    # answers alone, from four the companion is built and checked and the
+    # trees are linearized
     import nnidist.pipeline as pipeline_mod
 
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=2 * n)
@@ -152,7 +163,13 @@ def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatc
     monkeypatch.setattr(pipeline_mod.exact, "exact_dnni",
                         counting("exact", pipeline_mod.exact.exact_dnni))
     result = approx_nni(t1, t2)
-    if n <= 6:
+    if n == 4:
+        # recorded as the search records a quartet: start and goal settled
+        assert calls == {}
+        assert result.phase_costs["exact"] == result.cost > 0
+        assert result.metrics["exact"]["rounds"] == 1
+        assert result.metrics["exact"]["work"] == 2
+    elif n <= 6:
         assert calls == {"exact": 1}
         assert result.phase_costs["exact"] == result.cost > 0
         assert result.metrics["exact"]["rounds"] == 1
@@ -161,6 +178,63 @@ def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatc
         assert calls["aux"] == 1 and calls["linearize"] > 0
         assert result.phase_costs["exact"] == 0
         assert "exact" not in result.metrics
+
+
+# the three quartet topologies, each as the taxa at one end of the internal
+# edge and the taxa at the other, by position in a list of four taxa
+QUARTET_SPLITS = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+QUARTET_TAXA = [":cut:0:", ":cut:1:", ":cut:12:", "t000", "t001", "t007", "zeta"]
+
+
+@st.composite
+def quartet_pair(draw, first, second):
+    """Two finite quartets over one draw of taxa and weights, with splits
+    ``first`` and ``second``, each with its own edge and node ids, endpoint
+    orders and edge-table order."""
+    taxa = draw(st.lists(st.sampled_from(QUARTET_TAXA), min_size=4, max_size=4, unique=True))
+    weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    leaf_w = {t: draw(weight) for t in taxa}
+    mid_w = draw(weight)
+
+    def tree(split):
+        (a, b), (c, d) = split
+        mid, *legs = draw(st.lists(st.integers(0, 30), min_size=5, max_size=5, unique=True))
+        u, v, *leaves = draw(st.lists(st.integers(0, 30), min_size=6, max_size=6, unique=True))
+        flips = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+        rows = [(mid, (v, u) if flips[0] else (u, v), mid_w)]
+        labels = {}
+        for leg, node, leaf, x, flip in zip(legs, (u, u, v, v), leaves, (a, b, c, d), flips[1:]):
+            rows.append((leg, (leaf, node) if flip else (node, leaf), leaf_w[taxa[x]]))
+            labels[leaf] = taxa[x]
+        rows = [rows[i] for i in draw(st.permutations(range(5)))]
+        return Phylogeny({e: ends for e, ends, _ in rows}, {e: w for e, _, w in rows}, labels)
+
+    return tree(QUARTET_SPLITS[first]), tree(QUARTET_SPLITS[second])
+
+
+@pytest.mark.parametrize("first,second", list(permutations(range(3), 2)))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_quartet_takes_the_move_the_exact_search_finds(first, second, data):
+    # every ordered pair of distinct quartet topologies: the closed form
+    # gives the search's cost, witness and recorded schedule
+    c1, c2 = data.draw(quartet_pair(first, second))
+    rt, search_rt = ParRuntime(), ParRuntime()
+    cost, ops = _quartet_answer(c1, c2, rt)
+    assert (cost, ops) == exact_dnni(c1, c2, 630, search_rt)
+    assert rt.snapshot() == search_rt.snapshot()
+    assert cost == c1.weight(ops[0].e2)
+
+
+@pytest.mark.parametrize("split", range(3))
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_quartet_pair_with_one_split_is_refused(split, data):
+    c1, c2 = data.draw(quartet_pair(split, split))
+    rt = ParRuntime()
+    with pytest.raises(TreeError, match="no single move"):
+        _quartet_answer(c1, c2, rt)
+    assert rt.snapshot() == {}
 
 
 def test_span_is_the_max_over_components():
