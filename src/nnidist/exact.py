@@ -2,8 +2,8 @@
 
 Only practical for small instances (up to about eight taxa); its job is to
 be unarguably correct so the approximation can be measured against it.
-:mod:`nnidist.pipeline` also solves every good-pair component of at most
-six taxa with it, where it is both cheaper and optimal.
+:mod:`nnidist.pipeline` also solves every good-pair component of four to
+six taxa with :func:`search`, where it is both cheaper and optimal.
 
 *States.*  Moves are the two non-redundant swaps per internal edge.  A
 state is the sorted tuple of its internal edges' (split bitset, weight
@@ -46,7 +46,10 @@ the move from it; the state's own tree is built (a copy and one move) only
 when the entry is popped unsettled, and :func:`neighbors` reads it once.
 
 Ties break on (cost + h, state key), so the returned witness is
-deterministic; it is replayed against tree 2 before it is returned.
+deterministic.  :func:`search` is the kernel alone: it trusts that the pair
+is finite and leaves the moves to its caller to verify.  :func:`exact_dnni`
+is the checked entry point; it runs ``finiteness_check`` first and replays
+the witness against tree 2 before it returns it.
 """
 
 from __future__ import annotations
@@ -94,11 +97,11 @@ class SearchTable:
         return w.numerator * (self.scale // w.denominator)
 
     def state(self, tree: Phylogeny) -> tuple[tuple[int, ...], int]:
-        """The state of ``tree`` and its scaled h; h reads ``cost`` by t1's edge ids."""
-        width, cost, paired = self.width, self.cost, self.paired
+        """The state of ``tree`` and its scaled h; h and ``fields`` read t1's edge ids."""
+        bound, width, cost, paired = self.bound, self.width, self.cost, self.paired
         entries = []
         h = 0
-        for e, (rank, bits, vec) in self.bound.edge_keys(tree).items():
+        for e, (rank, bits, vec) in bound.edge_keys(tree, bound.sides(tree, self.fields)).items():
             entry = bits * width + rank
             entries.append(entry)
             if (entry, vec) not in paired:
@@ -143,22 +146,18 @@ def neighbors(
     return out
 
 
-def exact_dnni(
-    t1: Phylogeny,
-    t2: Phylogeny,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-    rt: ParRuntime | None = None,
+def search(
+    t1: Phylogeny, t2: Phylogeny, state_limit: int, rt: ParRuntime | None = None
 ) -> tuple[Fraction, list[NniOp]]:
-    """Minimum transformation cost and one optimal witness sequence.
+    """The A* kernel: minimum transformation cost and one optimal witness.
 
-    Raises :class:`StateLimitError` once more than ``state_limit`` states
-    are settled without reaching ``t2``.  With ``rt``, a search that reaches
+    The pair must be finite (see ``finiteness_check``) and the caller
+    verifies the moves; :func:`exact_dnni` does both.  Raises
+    :class:`StateLimitError` once more than ``state_limit`` states are
+    settled without reaching ``t2``.  With ``rt``, a search that reaches
     ``t2`` is recorded there as one round of phase ``exact`` with one task
     per settled state.
     """
-    ok, reasons = finiteness_check(t1, t2)
-    if not ok:
-        raise TreeError("distance is infinite: " + "; ".join(reasons))
     table = SearchTable(t1, t2)
     goal = table.goal
     start, h = table.state(t1)
@@ -186,13 +185,9 @@ def exact_dnni(
                 back, op = via[back]
                 ops.append(op)
             ops.reverse()
-            distance = Fraction(cost, table.scale)
-            replayed, total, reason = verify_transform(t1, ops, t2)
-            if not replayed or total != distance:
-                raise TreeError(f"witness failed replay: {reason}")
             if rt is not None:
                 rt.round("exact", settled)
-            return distance, ops
+            return Fraction(cost, table.scale), ops
         if len(settled) > state_limit:
             raise StateLimitError(
                 f"settled more than {state_limit} states without reaching the target"
@@ -208,3 +203,22 @@ def exact_dnni(
                 heapq.heappush(frontier, (ncost + nh, nkey, ncost, tree, op))
 
     raise TreeError("search space exhausted without reaching the target tree")
+
+
+def exact_dnni(
+    t1: Phylogeny, t2: Phylogeny, state_limit: int = DEFAULT_STATE_LIMIT
+) -> tuple[Fraction, list[NniOp]]:
+    """Minimum transformation cost and one optimal witness sequence, checked.
+
+    Refuses an infinite pair with ``TreeError``, runs :func:`search`, and
+    replays the witness against ``t2`` before returning it.  Raises
+    :class:`StateLimitError` as :func:`search` does.
+    """
+    ok, reasons = finiteness_check(t1, t2)
+    if not ok:
+        raise TreeError("distance is infinite: " + "; ".join(reasons))
+    distance, ops = search(t1, t2, state_limit)
+    replayed, total, reason = verify_transform(t1, ops, t2)
+    if not replayed or total != distance:
+        raise TreeError(f"witness failed replay: {reason}")
+    return distance, ops

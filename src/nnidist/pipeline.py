@@ -30,26 +30,21 @@ finiteness, stars included; the pipeline then skips a star with no move.
 Any other component has moves to make: every good pair was cut, and two
 canonically equal trees would pair every internal edge.
 
-A component with one internal edge e is a quartet, and it takes one move,
-on e, with no search.  Its two trees differ, so they have different splits,
-and of the two moves on e one gives tree 1 tree 2's split.  That move costs
-w(e), which is the component's lower bound: e has no partner, so any answer
-moves it at least once.  So the one move is optimal, and it is the move the
-exact search would return; the answer is recorded as the search records a
-quartet.
-
-A component with two or three internal edges (five or six taxa) is solved
-by the exact search, :func:`nnidist.exact.exact_dnni`, in phase ``exact``
+A component with one to three internal edges (four to six taxa) is solved
+by the exact search, :func:`nnidist.exact.search`, in phase ``exact``
 instead of the four phases above.  Six taxa have 105 unrooted topologies
 and three internal weights at most 3! placements, so the search settles at
 most 630 states: O(1) work per component, recorded as one round whose work
-is the number of settled states.  The approximation bound still holds: the
-O(log n)·opt guarantee needs each component's answer to cost no more than
-the four-phase one, and an optimal answer costs at most any other.  The span
-still is O(log n): components run side by side, and one round per small
-component adds at most one round to the whole run's ``exact`` phase.  The
-cutoff is fixed: at four internal edges the search already costs an order
-of magnitude more time than the four phases.
+is the number of settled states.  ``decompose`` already checked the pair's
+finiteness and :func:`approx_nni` replays the whole answer, so only a
+direct call of :func:`nnidist.exact.exact_dnni` re-checks and replays a
+witness.  The approximation bound still holds: the O(log n)·opt guarantee
+needs each component's answer to cost no more than the four-phase one, and
+an optimal answer costs at most any other.  The span still is O(log n):
+components run side by side, and one round per small component adds at
+most one round to the whole run's ``exact`` phase.  The cutoff is fixed: at
+four internal edges the search already costs an order of magnitude more
+time than the four phases.
 
 Pseudo-leaf edges inside components carry the edge id of the cut they stand
 for, so stitched sequences are valid on the full trees as emitted: a swap
@@ -238,41 +233,6 @@ def _forward_to_balanced(
     return (lin.ops, sorted_edges.ops, rebalance), balanced, root
 
 
-def _quartet_answer(
-    c1: Phylogeny, c2: Phylogeny, rt: ParRuntime
-) -> tuple[Fraction, list[NniOp]]:
-    """The one move turning quartet ``c1`` into the quartet ``c2``, and its cost.
-
-    The move is the goal successor that :func:`nnidist.exact.neighbors`
-    lists for ``c1``: e1 is the lowest numbered other edge at the internal
-    edge's first stored end u, and e3 is the edge at its other end v that
-    joins the taxon u keeps in ``c2``'s split.  It is recorded as the
-    search records a quartet, one round of phase ``exact`` settling two
-    states, the start and the goal.  The trees must have equal taxa, leaf
-    weights and internal weight; raises ``TreeError`` when they have one
-    split, so that no single move reaches ``c2``.
-    """
-    (e2,) = c1.internal_edges()
-    u, v = c1.endpoints(e2)
-    a1, b = sorted(e for e in c1.adjacent_edges(u) if e != e2)
-
-    def taxon(tree: Phylogeny, e: int, x: int) -> str:
-        return tree.leaf_label(tree.other_end(e, x))
-
-    # the taxon that shares a side with b's in c2: the other leaf at b's
-    # taxon's internal node there
-    kept = taxon(c1, b, u)
-    edge = c2.leaf_edge_of(kept)
-    x = c2.other_end(edge, c2.leaf_node(kept))
-    partner = next(
-        taxon(c2, e, x) for e in c2.adjacent_edges(x) if e != edge and c2.is_edge_leaf(e))
-    for e3 in sorted(e for e in c1.adjacent_edges(v) if e != e2):
-        if taxon(c1, e3, v) == partner:
-            rt.round("exact", ("start", "goal"))
-            return c1.weight(e2), [NniOp(a1, e2, e3)]
-    raise TreeError("no single move turns the quartet component into its target")
-
-
 def _component_sequence(
     c1: Phylogeny, c2: Phylogeny, rt: ParRuntime
 ) -> tuple[list[NniOp], dict[str, Fraction]]:
@@ -281,10 +241,9 @@ def _component_sequence(
     ``c1`` and ``c2`` passed :func:`finiteness_check` (run on each component
     pair by ``decompose``, or on the full trees by :func:`approx_nni` when
     there is no good pair): equal taxa, leaf weights and internal weight
-    multisets.  A star needs no move; a quartet takes its one move
-    (:func:`_quartet_answer`); two or three internal edges go to
-    :func:`nnidist.exact.exact_dnni`, and larger components to the four
-    phases.  Both small cases record their moves in phase ``exact``.
+    multisets.  A star needs no move; one to three internal edges go to
+    :func:`nnidist.exact.search`, which records its moves in phase
+    ``exact``, and larger components to the four phases.
     """
     # Every good pair was cut, so a component with an internal edge holds
     # none, and two canonically equal trees would pair every edge: its trees
@@ -292,12 +251,9 @@ def _component_sequence(
     internal = c1.n_taxa - 3  # a binary tree of n taxa has n - 3 internal edges
     if not internal:
         return [], {}
-    if internal == 1:
-        cost, ops = _quartet_answer(c1, c2, rt)
-        return ops, {"exact": cost}
     # through the module, so that wrappers installed on exact see the call
     if internal <= EXACT_MAX_INTERNAL:
-        cost, ops = exact.exact_dnni(c1, c2, EXACT_STATE_LIMIT, rt)
+        cost, ops = exact.search(c1, c2, EXACT_STATE_LIMIT, rt)
         return ops, {"exact": cost}
 
     # both sides share one companion: equal taxa, leaf weights and internal

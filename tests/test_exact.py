@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
-from nnidist.exact import SearchTable, StateLimitError, exact_dnni, neighbors
+from nnidist.exact import (
+    DEFAULT_STATE_LIMIT,
+    SearchTable,
+    StateLimitError,
+    exact_dnni,
+    neighbors,
+    search,
+)
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, trace_lines, verify_transform
@@ -244,13 +251,30 @@ def test_a_recorded_search_is_one_round_of_its_settled_states(monkeypatch):
     monkeypatch.setattr(exact_mod, "neighbors", counting)
     t1, t2, _ = scrambled(31, 6, 4)
     rt = ParRuntime()
-    recorded = exact_dnni(t1, t2, rt=rt)
+    recorded = search(t1, t2, DEFAULT_STATE_LIMIT, rt)
     # every settled state but the goal was expanded once
     settled = len(expanded) + 1
     assert rt.snapshot() == {
         "exact": {"rounds": 1, "work": settled, "peak_parallelism": settled}
     }
     assert recorded == exact_dnni(t1, t2)
+
+
+def test_a_witness_that_misses_the_target_is_refused(monkeypatch):
+    # exact_dnni replays what the search returns: a witness without its last
+    # move stops short of tree 2
+    import nnidist.exact as exact_mod
+
+    real = exact_mod.search
+
+    def dropping(*args):
+        distance, ops = real(*args)
+        return distance, ops[:-1]
+
+    monkeypatch.setattr(exact_mod, "search", dropping)
+    t1, t2, _ = scrambled(31, 6, 4)
+    with pytest.raises(TreeError, match="witness failed replay"):
+        exact_dnni(t1, t2)
 
 
 def test_infinite_instances_are_rejected():

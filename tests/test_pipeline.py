@@ -23,7 +23,7 @@ from nnidist.linearize import endnode_paths, linearize
 from nnidist.newick import parse
 from nnidist.nni import verify_transform
 from nnidist.phylo import Phylogeny, TreeError
-from nnidist.pipeline import PHASE_NAMES, ApproxResult, _quartet_answer, approx_nni
+from nnidist.pipeline import PHASE_NAMES, ApproxResult, _component_sequence, approx_nni
 from nnidist.runtime import ParRuntime
 
 from oracles import caterpillar
@@ -139,33 +139,37 @@ def test_components_are_independent():
     assert found >= 3
 
 
-@pytest.mark.parametrize("n,seed", [(4, 1), (5, 1), (6, 1), (7, 3)])
-def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatch):
-    # criterion 8's counters, per component size: a quartet takes its one
-    # move without a search, two or three internal edges the exact search
-    # answers alone, from four the companion is built and checked and the
-    # trees are linearized
-    import nnidist.pipeline as pipeline_mod
-
-    t1, t2, _ = generate_pair(seed=seed, n=n, moves=2 * n)
-    assert not find_good_edge_pairs(t1, t2).pairs
-    calls = Counter()
-
+def counter_of(calls: Counter):
+    """A wrapper factory: ``counting(name, fn)`` counts each call in ``calls[name]``."""
     def counting(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return counted
+    return counting
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 1), (6, 1), (7, 3)])
+def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatch):
+    # criterion 8's counters, per component size: one to three internal
+    # edges the exact search answers alone, from four the companion is built
+    # and checked and the trees are linearized
+    import nnidist.pipeline as pipeline_mod
+
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=2 * n)
+    assert not find_good_edge_pairs(t1, t2).pairs
+    calls = Counter()
+    counting = counter_of(calls)
 
     monkeypatch.setattr(pipeline_mod, "check_auxiliary",
                         counting("aux", pipeline_mod.check_auxiliary))
     monkeypatch.setattr(pipeline_mod, "linearize", counting("linearize", pipeline_mod.linearize))
-    monkeypatch.setattr(pipeline_mod.exact, "exact_dnni",
-                        counting("exact", pipeline_mod.exact.exact_dnni))
+    monkeypatch.setattr(pipeline_mod.exact, "search",
+                        counting("exact", pipeline_mod.exact.search))
     result = approx_nni(t1, t2)
     if n == 4:
-        # recorded as the search records a quartet: start and goal settled
-        assert calls == {}
+        # a quartet's search settles the start and the goal
+        assert calls == {"exact": 1}
         assert result.phase_costs["exact"] == result.cost > 0
         assert result.metrics["exact"]["rounds"] == 1
         assert result.metrics["exact"]["work"] == 2
@@ -216,25 +220,39 @@ def quartet_pair(draw, first, second):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_a_quartet_takes_the_move_the_exact_search_finds(first, second, data):
-    # every ordered pair of distinct quartet topologies: the closed form
-    # gives the search's cost, witness and recorded schedule
+    # every ordered pair of distinct quartet topologies: one move on the
+    # internal edge e, at the bound w(e), settling the start and the goal
     c1, c2 = data.draw(quartet_pair(first, second))
-    rt, search_rt = ParRuntime(), ParRuntime()
-    cost, ops = _quartet_answer(c1, c2, rt)
-    assert (cost, ops) == exact_dnni(c1, c2, 630, search_rt)
-    assert rt.snapshot() == search_rt.snapshot()
-    assert cost == c1.weight(ops[0].e2)
-
-
-@pytest.mark.parametrize("split", range(3))
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_a_quartet_pair_with_one_split_is_refused(split, data):
-    c1, c2 = data.draw(quartet_pair(split, split))
     rt = ParRuntime()
-    with pytest.raises(TreeError, match="no single move"):
-        _quartet_answer(c1, c2, rt)
-    assert rt.snapshot() == {}
+    ops, costs = _component_sequence(c1, c2, rt)
+    (e,) = c1.internal_edges()
+    assert len(ops) == 1 and ops[0].e2 == e
+    assert costs == {"exact": c1.weight(e)}
+    assert verify_transform(c1, ops, c2) == (True, c1.weight(e), None)
+    assert rt.snapshot() == {"exact": {"rounds": 1, "work": 2, "peak_parallelism": 2}}
+
+
+def test_each_component_is_checked_once_and_the_answer_replayed_once(monkeypatch):
+    # 10 stars, 5 quartets, one component of five taxa and one of nine:
+    # finiteness is checked by approx_nni, by find_good_edge_pairs and once
+    # per component by decompose, and only approx_nni replays moves
+    import nnidist.exact as exact_mod
+    import nnidist.goodpairs as goodpairs_mod
+    import nnidist.pipeline as pipeline_mod
+
+    t1, t2, _ = generate_pair(2, 32, 16)
+    sizes = Counter(a.n_taxa for a, _ in decompose(t1, t2, find_good_edge_pairs(t1, t2)))
+    assert sizes == {3: 10, 4: 5, 5: 1, 9: 1}
+    calls = Counter()
+    counting = counter_of(calls)
+
+    for name in ("finiteness_check", "verify_transform"):
+        real = getattr(pipeline_mod, name)
+        for module in (pipeline_mod, goodpairs_mod, exact_mod):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    approx_nni(t1, t2)
+    assert calls == {"finiteness_check": 2 + sum(sizes.values()), "verify_transform": 1}
 
 
 def test_span_is_the_max_over_components():
