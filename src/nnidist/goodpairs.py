@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from nnidist.nni import counted_cost
 from nnidist.phylo import Phylogeny, RootedView, TreeError, finiteness_check
 
 
@@ -53,6 +54,20 @@ class GoodEdgePairSet:
 
 
 Key = tuple[int, int, int]
+
+
+def _count_layout(target: Phylogeny) -> tuple[Counter, list[int]]:
+    """``target``'s internal weights counted in increasing order, and their fields.
+
+    The weight of rank r gets the bits from ``offsets[r]`` to
+    ``offsets[r + 1]`` of a count vector, ``m.bit_length()`` of them for a
+    weight on m internal edges (see :class:`PairBound`).
+    """
+    counts = Counter(target.internal_weight_multiset())
+    offsets = [0]
+    for m in counts.values():
+        offsets.append(offsets[-1] + m.bit_length())
+    return counts, offsets
 
 
 class Sides(NamedTuple):
@@ -97,15 +112,11 @@ class PairBound:
     """
 
     def __init__(self, target: Phylogeny) -> None:
-        counts = Counter(target.internal_weight_multiset())
-        self.rank: dict[Fraction, int] = {}
-        self.offsets = offsets = [0]
+        counts, offsets = _count_layout(target)
+        self.offsets = offsets
+        self.rank: dict[Fraction, int] = {w: r for r, w in enumerate(counts)}
         # weight -> (rank, field), so each edge costs one Fraction lookup
-        self._slot: dict[Fraction, tuple[int, int]] = {}
-        for r, (w, m) in enumerate(counts.items()):
-            self.rank[w] = r
-            self._slot[w] = (r, 1 << offsets[-1])
-            offsets.append(offsets[-1] + m.bit_length())
+        self._slot = {w: (r, 1 << offsets[r]) for w, r in self.rank.items()}
         # rank -> multiplicity, which edge_fields holds every tree to
         self._counts = Counter(dict(enumerate(counts.values())))
         # bit i is the i-th taxon in sorted order, as in Phylogeny.split_bits
@@ -236,13 +247,21 @@ class PairBound:
         """The bound of ``tree``: the weight of its edges without a partner."""
         target = self.target
         keys = self.edge_keys(tree).items()
-        return sum((tree.weight(e) for e, key in keys if key not in target), Fraction(0))
+        return counted_cost(tree, {e: 1 for e, key in keys if key not in target})
 
 
-def find_good_edge_pairs(t1: Phylogeny, t2: Phylogeny) -> GoodEdgePairSet:
-    ok, reasons = finiteness_check(t1, t2)
-    if not ok:
-        raise TreeError("instance is not finite: " + "; ".join(reasons))
+def find_good_edge_pairs(
+    t1: Phylogeny, t2: Phylogeny, *, checked: bool = False
+) -> GoodEdgePairSet:
+    """Every good pair (t1 edge, t2 edge), sorted, from one key pass per tree.
+
+    The pair must be finite, which this checks unless the caller already
+    has: ``checked=True`` says that ``finiteness_check(t1, t2)`` passed.
+    """
+    if not checked:
+        ok, reasons = finiteness_check(t1, t2)
+        if not ok:
+            raise TreeError("instance is not finite: " + "; ".join(reasons))
     table = PairBound(t2)
     return GoodEdgePairSet(table.pairs(table.edge_keys(t1)))
 
@@ -262,7 +281,7 @@ def lower_bound(
     if pairs is None:
         pairs = find_good_edge_pairs(t1, t2)
     unpaired = set(t1.internal_edges()) - {e1 for e1, _ in pairs.pairs}
-    return sum((t1.weight(e) for e in unpaired), Fraction(0))
+    return counted_cost(t1, dict.fromkeys(unpaired, 1))
 
 
 def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
@@ -311,10 +330,42 @@ def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
     return built
 
 
+def _internal_fields(
+    tree: Phylogeny, cuts: dict[int, int], field: dict[Fraction, int]
+) -> dict[int, int]:
+    """The count field of each internal edge of ``tree`` that is not cut, by edge id.
+
+    ``field`` maps each internal weight of the pair to its field.  A weight
+    without one means the internal weight multisets differ.
+    """
+    ends, leaf, wt = tree._ends, tree._leaf_label, tree._wt
+    out: dict[int, int] = {}
+    try:
+        for e, (u, v) in ends.items():
+            if u not in leaf and v not in leaf and e not in cuts:
+                out[e] = field[wt[e]]
+    except KeyError:
+        raise TreeError("internal weight multisets differ") from None
+    return out
+
+
 def decompose(
     t1: Phylogeny, t2: Phylogeny, pair_set: GoodEdgePairSet
 ) -> list[tuple[Phylogeny, Phylogeny]]:
-    """Cut both trees at all good pairs and match the components by taxa."""
+    """Cut both trees at all good pairs and match the components by taxa.
+
+    The full pair must be finite (see ``finiteness_check``): the same taxa,
+    the same leaf weight per taxon and the same internal weight multiset.
+    Then a component pair, its taxa matched, is finite exactly when its
+    pseudo-leaf edges weigh the same in both trees and so do its internal
+    edges as a multiset.  So the cut edges of each listed pair are compared,
+    and each part's internal weights are summed into a count vector laid out
+    as :class:`PairBound`'s, one field lookup per edge: under finiteness no
+    field carries, so one big-int comparison per component stands for the
+    multiset comparison of ``finiteness_check``.  Pair sets from
+    :func:`find_good_edge_pairs` and built by hand take the same checks.
+    Every part is returned, three-leaf stars included.
+    """
     if not pair_set.pairs:
         return [(t1, t2)]
     cuts1 = {e1: k for k, (e1, _) in enumerate(pair_set.pairs)}
@@ -323,15 +374,27 @@ def decompose(
     parts2 = _cut_components(t2, cuts2)
     # a part's label map is keyed by its taxa: no sorted taxa() tuple per part
     by_taxa = {frozenset(p._label_leaf): p for p in parts2}
-    out = []
+    matched = []
     for part in sorted(parts1, key=lambda p: min(p._label_leaf)):
         match = by_taxa.pop(frozenset(part._label_leaf), None)
         if match is None:
             raise TreeError("decomposition components do not match between trees")
-        ok, reasons = finiteness_check(part, match)
-        if not ok:
-            raise TreeError("component pair is not finite: " + "; ".join(reasons))
-        out.append((part, match))
+        matched.append((part, match))
     if by_taxa:
         raise TreeError("decomposition left unmatched components")
-    return out
+    wt1, wt2 = t1._wt, t2._wt
+    bad = [f":cut:{k}:" for k, (e1, e2) in enumerate(pair_set.pairs)
+           if wt1.get(e1) != wt2.get(e2)]
+    if bad:
+        raise TreeError(
+            f"component pair is not finite: leaf edge weights differ at taxa {bad}")
+    counts, offsets = _count_layout(t2)
+    field = {w: 1 << offsets[r] for r, w in enumerate(counts)}
+    fields1 = _internal_fields(t1, cuts1, field)
+    fields2 = _internal_fields(t2, cuts2, field)
+    for part, match in matched:
+        vec1 = sum([fields1.get(e, 0) for e in part._ends])
+        if vec1 != sum([fields2.get(e, 0) for e in match._ends]):
+            raise TreeError(
+                "component pair is not finite: internal edge weight multisets differ")
+    return matched

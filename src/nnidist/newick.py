@@ -22,13 +22,11 @@ weight such as 1/3 makes :func:`format_weight` raise :class:`TreeError`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 from nnidist.phylo import Phylogeny, TreeError
-
-_STRUCTURAL = set("():,;")
-
 
 class ParseError(ValueError):
     """Syntax error with the byte offset where parsing failed."""
@@ -97,133 +95,125 @@ def format_weight(w: Fraction) -> str:
     return digits[:-k] + ("." + tail if tail else "")
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.edges: dict[int, tuple[int, int]] = {}
-        self.weights: dict[int, Fraction] = {}
-        self.labels: dict[int, str] = {}
-        self.next_node = 0
-        self.next_edge = 0
+# One match per token: a structural character, a colon with the branch
+# length after it (whitespace between the two allowed), or a taxon label.
+# Every character that is not whitespace belongs to a token, so findall
+# drops exactly the whitespace between tokens, and a label or a length
+# ends at the first whitespace or structural character, as the dialect says.
+_TOKEN = re.compile(r"[(),;]|:\s*[^\s(),:;]*|[^\s(),:;]+")
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(self.pos, message)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def new_node(self) -> int:
-        v = self.next_node
-        self.next_node += 1
-        return v
-
-    def add_edge(self, u: int, v: int, w: Fraction) -> int:
-        e = self.next_edge
-        self.next_edge += 1
-        self.edges[e] = (u, v)
-        self.weights[e] = w
-        return e
-
-    def read_label(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in _STRUCTURAL or c.isspace():
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a taxon label or '('")
-        return self.text[start:self.pos]
-
-    def read_weight(self) -> Fraction:
-        self.skip_ws()
-        self.expect(":")
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
-            self.pos += 1
-        return parse_weight(self.text[start:self.pos], start)
-
-    def read_nodes(self) -> int:
-        """Read the parenthesized tree, without recursion; returns the root's child count.
-
-        Nodes are numbered in preorder and edges as their branch lengths are
-        read.  Open nodes sit on a stack as [parent, node, children read];
-        the root, node 0, has no parent and takes any number of children.
-        """
-        self.skip_ws()
-        self.expect("(")
-        stack: list[list] = [[None, self.new_node(), 0]]
-        while True:
-            self.skip_ws()
-            if self.peek() == "(":
-                self.pos += 1
-                stack.append([stack[-1][1], self.new_node(), 0])
-                continue
-            node = self.new_node()
-            self.labels[node] = self.read_label()
-            self.add_edge(stack[-1][1], node, self.read_weight())
-            while True:
-                frame = stack[-1]
-                frame[2] += 1
-                self.skip_ws()
-                if frame[0] is not None and frame[2] == 1:
-                    self.expect(",")
-                    break
-                if self.peek() == ",":
-                    if frame[0] is not None:
-                        raise self.error("internal nodes take exactly two children")
-                    self.pos += 1
-                    break
-                self.expect(")")
-                stack.pop()
-                if not stack:
-                    return frame[2]
-                self.add_edge(frame[0], frame[1], self.read_weight())
-
-    def parse(self) -> Phylogeny:
-        children = self.read_nodes()
-        if children not in (2, 3):
-            raise self.error(f"root has {children} children, expected 2 or 3")
-        self.skip_ws()
-        self.expect(";")
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing characters after ';'")
-        if children == 2:
-            self._suppress_root()
-        dup = len(self.labels) - len(set(self.labels.values()))
-        if dup:
-            raise self.error(f"{dup} duplicate taxon label(s)")
-        try:
-            return Phylogeny(self.edges, self.weights, self.labels)
-        except TreeError as exc:
-            raise ParseError(self.pos, f"not a valid phylogeny: {exc}") from exc
-
-    def _suppress_root(self) -> None:
-        # edges are stored (parent, child), so the root's two are those from node 0
-        (e1, (_, a)), (e2, (_, b)) = [(e, uv) for e, uv in self.edges.items() if uv[0] == 0]
-        w = self.weights.pop(e1) + self.weights.pop(e2)
-        # the sum may have more digits than either term; it must read back
-        # like any other length, or a trace of this tree could not be checked
-        parse_weight(format_weight(w), self.pos)
-        del self.edges[e1], self.edges[e2]
-        self.add_edge(a, b, w)
+def _offset(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or the end of the text past the last."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == i:
+            return m.start()
+    return len(text)
 
 
 def parse(text: str) -> Phylogeny:
-    """Parse one Newick document into a phylogeny."""
-    return _Parser(text).parse()
+    """Parse one Newick document into a phylogeny.
+
+    The text is split into tokens by one regular expression, and one pass
+    over them builds the tables, without recursion.  Nodes are numbered in
+    preorder and edges as their branch lengths are read; trace files name
+    these ids.  Open nodes sit on a stack as [parent, node, children read];
+    the root, node 0, has no parent and takes two or three children.  Each
+    distinct length string goes through :func:`parse_weight` once.  The
+    tree is built from its tables and checked with
+    :meth:`Phylogeny.validate`, which a two-leaf tree can still fail.
+    Error offsets are those of the offending token.
+    """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the text
+    ends: dict[int, tuple[int, int]] = {}
+    wt: dict[int, Fraction] = {}
+    labels: dict[int, str] = {}
+    lengths: dict[str, Fraction] = {}
+
+    def length(i: int) -> Fraction:
+        # a length string not seen before: token i must be ':' and a length
+        tok = tokens[i]
+        if tok[:1] != ":":
+            raise ParseError(_offset(text, i), "expected ':'")
+        digits = tok[1:].lstrip()
+        try:
+            w = lengths[tok] = parse_weight(digits)
+        except ParseError as exc:
+            raise ParseError(_offset(text, i) + len(tok) - len(digits), exc.message) from None
+        return w
+
+    if tokens[0] != "(":
+        raise ParseError(_offset(text, 0), "expected '('")
+    stack: list[list] = [[None, 0, 0]]
+    node = edge = 0
+    i = 1
+    while stack:
+        tok = tokens[i]
+        if tok == "(":
+            node += 1
+            stack.append([stack[-1][1], node, 0])
+            i += 1
+            continue
+        if not tok or tok[0] in "(),:;":
+            raise ParseError(_offset(text, i), "expected a taxon label or '('")
+        node += 1
+        labels[node] = tok
+        w = lengths.get(tokens[i + 1])
+        wt[edge] = length(i + 1) if w is None else w
+        ends[edge] = (stack[-1][1], node)
+        edge += 1
+        i += 2
+        while stack:
+            frame = stack[-1]
+            frame[2] += 1
+            tok = tokens[i]
+            i += 1
+            if frame[0] is not None and frame[2] == 1:
+                if tok != ",":
+                    raise ParseError(_offset(text, i - 1), "expected ','")
+                break
+            if tok == ",":
+                if frame[0] is not None:
+                    raise ParseError(
+                        _offset(text, i - 1), "internal nodes take exactly two children")
+                break
+            if tok != ")":
+                raise ParseError(_offset(text, i - 1), "expected ')'")
+            stack.pop()
+            if stack:
+                w = lengths.get(tokens[i])
+                wt[edge] = length(i) if w is None else w
+                ends[edge] = (frame[0], frame[1])
+                edge += 1
+                i += 1
+    children = frame[2]
+    if children not in (2, 3):
+        raise ParseError(_offset(text, i), f"root has {children} children, expected 2 or 3")
+    if tokens[i] != ";":
+        raise ParseError(_offset(text, i), "expected ';'")
+    if i + 2 != len(tokens):
+        raise ParseError(_offset(text, i + 1), "trailing characters after ';'")
+    end = len(text)
+    if children == 2:
+        # a subdivision point: the root's two edges, the ones from node 0,
+        # become one edge at the next id, weighing their sum
+        (e1, (_, a)), (e2, (_, b)) = [(e, uv) for e, uv in ends.items() if uv[0] == 0]
+        w = wt.pop(e1) + wt.pop(e2)
+        # the sum may have more digits than either term; it must read back
+        # like any other length, or a trace of this tree could not be checked
+        parse_weight(format_weight(w), end)
+        del ends[e1], ends[e2]
+        ends[edge] = (a, b)
+        wt[edge] = w
+    tree = Phylogeny._from_tables(ends, wt, labels)
+    dup = len(labels) - len(tree._label_leaf)
+    if dup:
+        raise ParseError(end, f"{dup} duplicate taxon label(s)")
+    problems = tree.validate()
+    if problems:
+        raise ParseError(end, "not a valid phylogeny: " + "; ".join(problems))
+    return tree
 
 
 def serialize(tree: Phylogeny) -> str:

@@ -368,7 +368,9 @@ class Phylogeny:
 
         The one constructor besides :meth:`__init__`, for callers whose
         tables come from a valid tree: :meth:`copy`, and ``goodpairs``,
-        which cuts components out of one.  The adjacency
+        which cuts components out of one.  ``newick.parse`` builds its
+        tables itself and calls :meth:`validate` on the result, which saves
+        :meth:`__init__`'s copy of every table.  The adjacency
         lists are built in edge-table order, and the label map is inverted
         in label order unless ``label_leaf`` is that inverse already, as
         :meth:`__init__` builds them.  Nothing is checked: a caller whose

@@ -23,12 +23,17 @@ one contiguous slice of the answer and the phase costs still add up to the
 cost.  The round and work counters describe the schedule that made the
 moves, before shortening.
 
-A component without an internal edge is a three-leaf star whose two trees
-were already found to agree.  ``decompose`` builds every component straight
-from its tree's edge table, without re-validating it, and checks each pair's
-finiteness, stars included; the pipeline then skips a star with no move.
-Any other component has moves to make: every good pair was cut, and two
-canonically equal trees would pair every internal edge.
+:func:`approx_nni` checks the full pair's finiteness once, and neither
+detection nor ``decompose`` checks it again.  ``decompose`` builds every
+component straight from its tree's edge table, without re-validating it,
+and checks each component pair, stars included, from the full pair's
+finiteness: the cut edges of each good pair must weigh the same, and each
+pair of parts must hold the same internal count vector, one big-int
+comparison per component.  A component without an internal edge is a
+three-leaf star whose two trees were thereby found to agree, and the
+pipeline skips it with no move.  Any other component has moves to make:
+every good pair was cut, and two canonically equal trees would pair every
+internal edge.
 
 A component with one to three internal edges (four to six taxa) is solved
 by the exact search, :func:`nnidist.exact.search`, in phase ``exact``
@@ -238,12 +243,13 @@ def _component_sequence(
 ) -> tuple[list[NniOp], dict[str, Fraction]]:
     """One component's moves and the cost of each phase that has any.
 
-    ``c1`` and ``c2`` passed :func:`finiteness_check` (run on each component
-    pair by ``decompose``, or on the full trees by :func:`approx_nni` when
-    there is no good pair): equal taxa, leaf weights and internal weight
-    multisets.  A star needs no move; one to three internal edges go to
-    :func:`nnidist.exact.search`, which records its moves in phase
-    ``exact``, and larger components to the four phases.
+    ``c1`` and ``c2`` are a finite pair: :func:`approx_nni` ran
+    :func:`finiteness_check` on the full trees, and ``decompose`` checked
+    each component pair from that (see ``goodpairs.decompose``): equal
+    taxa, leaf weights and internal weight multisets.  A star needs no
+    move; one to three internal edges go to :func:`nnidist.exact.search`,
+    which records its moves in phase ``exact``, and larger components to
+    the four phases.
     """
     # Every good pair was cut, so a component with an internal edge holds
     # none, and two canonically equal trees would pair every edge: its trees
@@ -302,8 +308,9 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
 
     totals = {name: Fraction(0) for name in PHASE_NAMES}
     # every cut is itself a good pair, so a component keeps the splits and
-    # weight partitions of the full trees and holds no further pairs
-    pairs = find_good_edge_pairs(t1, t2)
+    # weight partitions of the full trees and holds no further pairs; the
+    # pair was checked above, so detection does not check it again
+    pairs = find_good_edge_pairs(t1, t2, checked=True)
     sequence: list[NniOp] = []
     # components are independent, so each is counted on its own runtime and
     # their schedules run side by side
@@ -323,7 +330,7 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     if cost != sum(totals.values(), Fraction(0)):
         raise TreeError("phase cost accounting does not add up")
 
-    w = sum((t1.weight(e) for e in t1.internal_edges()), Fraction(0))
+    w = counted_cost(t1, dict.fromkeys(t1.internal_edges(), 1))
     lb = lower_bound(t1, t2, pairs)
     return ApproxResult(
         cost=cost,

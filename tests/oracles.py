@@ -1,11 +1,13 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written the slow, obvious way (edge removal, BFS, brute
-force) and shares no code with the package internals it checks.  The one
-exception is the swap-by-swap leaf sort, :func:`sort_leaves_by_swaps`: it
+force) and shares no code with the package internals it checks.  Two
+exceptions: the swap-by-swap leaf sort, :func:`sort_leaves_by_swaps`,
 applies and checks each swap on the tree with ``nni.move`` as it goes,
 where ``leafsort`` plans every swap on a table first, and it shares the
-leaf matching, which it does not check.
+leaf matching, which it does not check; and the character-by-character
+Newick reader, :func:`parse_by_characters`, shares ``newick``'s length
+parsing and formatting and builds through the validating constructor.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from nnidist.leafsort import leaf_permutation
+from nnidist.newick import ParseError, format_weight, parse_weight
 from nnidist.nni import NniOp, move
 from nnidist.phylo import Phylogeny, TreeError
 
@@ -696,3 +699,139 @@ def parse_records_by_json(body: list[tuple[int, str]]):
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise TraceError(f"line {k}: bad operation record: {exc}") from exc
         yield (e1, e2, e3, u, v, value)
+
+
+_STRUCTURAL = set("():,;")
+
+
+class _Parser:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+        self.edges: dict[int, tuple[int, int]] = {}
+        self.weights: dict[int, Fraction] = {}
+        self.labels: dict[int, str] = {}
+        self.next_node = 0
+        self.next_edge = 0
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(self.pos, message)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def new_node(self) -> int:
+        v = self.next_node
+        self.next_node += 1
+        return v
+
+    def add_edge(self, u: int, v: int, w: Fraction) -> int:
+        e = self.next_edge
+        self.next_edge += 1
+        self.edges[e] = (u, v)
+        self.weights[e] = w
+        return e
+
+    def read_label(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c in _STRUCTURAL or c.isspace():
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a taxon label or '('")
+        return self.text[start:self.pos]
+
+    def read_weight(self) -> Fraction:
+        self.skip_ws()
+        self.expect(":")
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
+            self.pos += 1
+        return parse_weight(self.text[start:self.pos], start)
+
+    def read_nodes(self) -> int:
+        """Read the parenthesized tree, without recursion; returns the root's child count.
+
+        Nodes are numbered in preorder and edges as their branch lengths are
+        read.  Open nodes sit on a stack as [parent, node, children read];
+        the root, node 0, has no parent and takes any number of children.
+        """
+        self.skip_ws()
+        self.expect("(")
+        stack: list[list] = [[None, self.new_node(), 0]]
+        while True:
+            self.skip_ws()
+            if self.peek() == "(":
+                self.pos += 1
+                stack.append([stack[-1][1], self.new_node(), 0])
+                continue
+            node = self.new_node()
+            self.labels[node] = self.read_label()
+            self.add_edge(stack[-1][1], node, self.read_weight())
+            while True:
+                frame = stack[-1]
+                frame[2] += 1
+                self.skip_ws()
+                if frame[0] is not None and frame[2] == 1:
+                    self.expect(",")
+                    break
+                if self.peek() == ",":
+                    if frame[0] is not None:
+                        raise self.error("internal nodes take exactly two children")
+                    self.pos += 1
+                    break
+                self.expect(")")
+                stack.pop()
+                if not stack:
+                    return frame[2]
+                self.add_edge(frame[0], frame[1], self.read_weight())
+
+    def parse(self) -> Phylogeny:
+        children = self.read_nodes()
+        if children not in (2, 3):
+            raise self.error(f"root has {children} children, expected 2 or 3")
+        self.skip_ws()
+        self.expect(";")
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("trailing characters after ';'")
+        if children == 2:
+            self._suppress_root()
+        dup = len(self.labels) - len(set(self.labels.values()))
+        if dup:
+            raise self.error(f"{dup} duplicate taxon label(s)")
+        try:
+            return Phylogeny(self.edges, self.weights, self.labels)
+        except TreeError as exc:
+            raise ParseError(self.pos, f"not a valid phylogeny: {exc}") from exc
+
+    def _suppress_root(self) -> None:
+        # edges are stored (parent, child), so the root's two are those from node 0
+        (e1, (_, a)), (e2, (_, b)) = [(e, uv) for e, uv in self.edges.items() if uv[0] == 0]
+        w = self.weights.pop(e1) + self.weights.pop(e2)
+        # the sum may have more digits than either term; it must read back
+        # like any other length, or a trace of this tree could not be checked
+        parse_weight(format_weight(w), self.pos)
+        del self.edges[e1], self.edges[e2]
+        self.add_edge(a, b, w)
+
+
+def parse_by_characters(text: str) -> Phylogeny:
+    """One Newick document read one character at a time.
+
+    The reference for ``newick.parse``: the same node and edge numbering,
+    the same tables, and a ``ParseError`` for the same inputs.
+    """
+    return _Parser(text).parse()

@@ -23,7 +23,7 @@ from nnidist.goodpairs import (
     lower_bound,
 )
 from nnidist.nni import NniOp, apply_nni
-from nnidist.phylo import Phylogeny, TreeError
+from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from oracles import (
     caterpillar,
     cut_components_by_validation,
@@ -280,6 +280,22 @@ def test_lower_bound_is_the_unpaired_weight(seed):
     assert PairBound(t1)(t2) == w - paired
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_bounds_summed_in_ints_equal_the_fraction_sums(seed):
+    # fractional weights over several denominators, most of them repeated:
+    # the lcm sum must give exactly the Fraction that adding one by one gives
+    t1, t2 = repeated_pair(seed, 9 + 3 * seed, 2 * seed + 4, "mixed")
+    pool = [Fraction(1, 3), Fraction(5, 4), Fraction(2, 7), Fraction(7, 10), Fraction(3)]
+    internal = {e: pool[int(t1.weight(e)) % len(pool)] for e in t1.internal_edges()}
+    t1, t2 = reweighted(t1, internal), reweighted(t2, internal)
+    paired = {e1 for e1, _ in good_pair_oracle(t1, t2)}
+    unpaired = sum((t1.weight(e) for e in t1.internal_edges() if e not in paired), Fraction(0))
+    assert len(set(internal.values())) > 1 and unpaired.denominator > 1
+    assert lower_bound(t1, t2) == unpaired
+    assert PairBound(t2)(t1) == unpaired
+    assert lower_bound(t1, t1.copy()) == PairBound(t1)(t1) == Fraction(0)
+
+
 def test_lower_bound_rejects_infeasible_instances():
     with pytest.raises(TreeError):
         lower_bound(caterpillar(6, [1, 2, 3]), caterpillar(6, [1, 2, 4]))
@@ -409,6 +425,56 @@ def test_decompose_refuses_cut_edges_with_swapped_weights():
     )
     with pytest.raises(TreeError, match="component pair is not finite"):
         decompose(t1, t2, GoodEdgePairSet([(0, 0), (4, 4)]))
+
+
+def test_decompose_refuses_internal_weights_swapped_across_a_cut():
+    # the full trees are finite, and the cut edge 3 keeps its weight, but
+    # weights 1 and 7 trade sides of it: each component's internal multiset
+    # differs between the trees
+    t1 = caterpillar(10, [1, 2, 3, 4, 5, 6, 7])
+    t2 = caterpillar(10, [7, 2, 3, 4, 5, 6, 1])
+    assert finiteness_check(t1, t2) == (True, [])
+    cuts = {3: 0}
+    for a, b in zip(_cut_components(t1, cuts), _cut_components(t2, cuts)):
+        assert a.taxa() == b.taxa()
+        assert finiteness_check(a, b) == (False, ["internal edge weight multisets differ"])
+    with pytest.raises(TreeError, match="component pair is not finite"):
+        decompose(t1, t2, GoodEdgePairSet([(3, 3)]))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(5, 16),
+    seed=st.integers(0, 10**6),
+    repeats=st.sampled_from(["one", "mixed", "distinct"]),
+    data=st.data(),
+)
+def test_decompose_refuses_exactly_the_pair_sets_with_a_part_that_is_not_finite(
+    n, seed, repeats, data
+):
+    # one topology with the internal weights permuted, so the full pair is
+    # finite and every part matches by taxa; the hand-built pair set cuts a
+    # random choice of internal edges.  finiteness_check on each part pair,
+    # the check decompose made before its count vectors, is the reference
+    if repeats == "distinct":
+        t1, _, _ = generate_pair(seed, n, 0)
+    else:
+        t1, _ = repeated_pair(seed, n, 0, repeats)
+    internal = t1.internal_edges()
+    order = data.draw(st.permutations(internal))
+    t2 = reweighted(t1, dict(zip(internal, (t1.weight(e) for e in order))))
+    cut = data.draw(st.lists(st.sampled_from(internal), unique=True, min_size=1))
+    pairs = GoodEdgePairSet([(e, e) for e in cut])
+    cuts = {e: k for k, e in enumerate(cut)}
+    finite = all(
+        finiteness_check(a, b)[0]
+        for a, b in zip(_cut_components(t1, cuts), _cut_components(t2, cuts))
+    )
+    if finite:
+        assert len(decompose(t1, t2, pairs)) == len(cut) + 1
+    else:
+        with pytest.raises(TreeError, match="component pair is not finite"):
+            decompose(t1, t2, pairs)
 
 
 def test_decompose_refuses_a_taxon_named_like_a_cut():

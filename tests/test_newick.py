@@ -1,11 +1,18 @@
 """Newick parsing, canonical serialization, exact decimal weights."""
 
 import random
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nnidist import newick
+from nnidist.gen import generate_pair
 from nnidist.newick import (
     MAX_WEIGHT_DIGITS,
     ParseError,
@@ -19,10 +26,15 @@ from nnidist.phylo import TreeError
 
 from oracles import (
     caterpillar,
+    parse_by_characters,
     random_phylogeny,
     splits_by_removal,
     weighted_splits,
 )
+
+# Hypothesis caches the constants of local source files while the tests are
+# collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 
 
 def test_parse_simple_quartet():
@@ -85,6 +97,7 @@ def test_parse_allows_whitespace_between_tokens():
         "(a:1);",                   # one-child root
         "(a:1,b:2,(c:3,d:4):5",     # unbalanced
         "(a:1,a:2,c:3);",           # duplicate taxa
+        "(a:1,b:2,:5:3);",          # a length where a label belongs
     ],
 )
 def test_parse_rejects(text):
@@ -198,3 +211,85 @@ def test_deep_caterpillar_round_trips_and_traces(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("\n".join(trace_lines(t, t, [])) + "\n")
     assert check_trace(path, t, t) == (True, Fraction(0), None)
+
+
+# ----------------------------------------------------------------------
+# the token parser against the character-by-character reader
+
+# length spellings, so that values repeat and fractional lengths appear in
+# several spellings of one value
+LENGTHS = ["1", "2", "2.5", "2.50", "02.5", "0.125", ".5", "3.", "10", "7"]
+SPACES = ["", "", "", " ", "  ", "\t", "\n", "\u00a0", " \r\n"]
+EDITS = list("(),:;0123456789. ") + ["\u00b2", "\u00a0"]
+
+
+def top_level_children(text):
+    """The child texts of a serialized tree's root, lengths included."""
+    depth, start, out = 0, 1, []
+    for i, c in enumerate(text):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        if (c == "," and depth == 1) or (c == ")" and depth == 0):
+            out.append(text[start:i])
+            start = i + 1
+    return out
+
+
+@st.composite
+def newick_texts(draw):
+    """A generator tree as Newick text, reshaped, respelled and spaced at random."""
+    n = draw(st.integers(3, 14))
+    seed = draw(st.integers(0, 10**6))
+    tree, _, _ = generate_pair(seed, n, 0, dup_weights=draw(st.booleans()))
+    text = serialize(tree)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        # every length respelled from a small pool: repeated and fractional
+        text = re.sub(r"(?<=:)[0-9.]+", lambda m: rng.choice(LENGTHS), text)
+    if draw(st.booleans()):
+        # the root's first two children under a new node: a two-child root
+        a, b, c = top_level_children(text)
+        text = f"(({a},{b}):{rng.choice(LENGTHS)},{c});"
+    # whitespace between tokens, never inside a label or a length
+    pieces = re.split(r"([(),:;])", text)
+    text = "".join(p + rng.choice(SPACES) for p in pieces if p)
+    return rng.choice(SPACES) + text
+
+
+def parsed(parse_fn, text):
+    """The tables ``parse_fn`` builds from ``text`` item for item, or the error type."""
+    try:
+        tree = parse_fn(text)
+    except ParseError:
+        return ParseError
+    return [list(tree._ends.items()), list(tree._wt.items()), list(tree._leaf_label.items())]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=newick_texts())
+def test_parse_builds_the_tables_the_character_reader_builds(text):
+    got = parsed(parse, text)
+    assert got is not ParseError
+    assert got == parsed(parse_by_characters, text)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(
+    text=newick_texts(),
+    edit=st.sampled_from(["insert", "delete", "replace"]),
+    where=st.floats(0, 1, exclude_max=True),
+    char=st.sampled_from(EDITS),
+)
+def test_parse_accepts_and_refuses_one_edit_as_the_character_reader_does(
+    text, edit, where, char
+):
+    i = int(where * len(text))
+    if edit == "insert":
+        text = text[:i] + char + text[i:]
+    elif edit == "delete":
+        text = text[:i] + text[i + 1:]
+    else:
+        text = text[:i] + char + text[i + 1:]
+    assert parsed(parse, text) == parsed(parse_by_characters, text)
