@@ -8,14 +8,14 @@ six taxa with :func:`search`, where it is both cheaper and optimal.
 *States.*  Moves are the two non-redundant swaps per internal edge.  A
 state is the sorted tuple of its internal edges' (split bitset, weight
 rank) pairs, packed into ints.  Both are read straight off the good-pair
-keys (rank, away-side bitset, count vector) of one
-:class:`nnidist.goodpairs.PairBound` of tree 2, all ints.  Splits and their
+keys (rank, away-side bitset, count vector) of :mod:`nnidist.goodpairs`,
+laid out by tree 2's internal weights, all ints.  Splits and their
 weights are what :meth:`Phylogeny.canonical_equal` compares, and the leaf
 weights never change along a search.  The count vectors give each weight a
 field only as wide as its multiplicity needs; every tree of a search has
 tree 1's weights, which finiteness makes tree 2's multiset, and each field
 counts one side's copies of its weight, so no field carries into the next.
-The goal state is read off the table's own keys of tree 2, which is keyed
+The goal state is read off tree 2's keys, which :class:`SearchTable` takes
 once per search.
 
 *Heuristic.*  ``h(T)`` is that table's lower bound: the internal weight of
@@ -30,10 +30,16 @@ least cost, so the goal's cost when it is settled is the distance (Hart,
 Nilsson and Raphael 1968).  With h = 0 the search is uniform-cost search.
 
 *Kernel.*  For the same reason a successor needs no tree of its own.
-:func:`neighbors` makes one :meth:`PairBound.sides` pass over the expanded
-tree; then each move's new key for e comes from two entries of that pass
-(:meth:`PairBound.moved_key`), the successor's state replaces e's one
-entry of the parent's tuple, and its h changes by e's term alone.
+:func:`neighbors` walks the expanded tree's edge table once from
+:meth:`Phylogeny.root_handle`, the root of its rooted view, with no view
+and no child sort: keys do not depend on child order, and a state's tree
+is read once and dropped.  Top-down the walk finds each node's parent
+edge, bottom-up the taxa and internal weights below each node, and with
+them each edge's key and h term; then each move's new key for e comes from
+two entries of that pass, the successor's state replaces e's one entry of
+the parent's tuple, and its h changes by e's term alone.  This is the
+arithmetic of ``goodpairs.walk``, ``sides_below``, ``edge_keys_of`` and
+:meth:`PairBound.moved_key` inlined, and a test holds it equal to them.
 
 *Integer costs.*  Edge weights never move, so :class:`SearchTable` scales
 them once: each weight times the lcm of the internal weights'
@@ -43,7 +49,8 @@ at the end.
 
 *One tree per popped state.*  A frontier entry holds its parent tree and
 the move from it; the state's own tree is built (a copy and one move) only
-when the entry is popped unsettled, and :func:`neighbors` reads it once.
+when the entry is popped unsettled, and :func:`neighbors` walks it once.
+No state's tree is ever given a rooted view.
 
 Ties break on (cost + h, state key), so the returned witness is
 deterministic.  :func:`search` is the kernel alone: it trusts that the pair
@@ -59,7 +66,7 @@ import math
 from bisect import insort
 from fractions import Fraction
 
-from nnidist.goodpairs import PairBound
+from nnidist.goodpairs import KeyLayout, edge_keys_of, sides_below, walk
 from nnidist.nni import NniOp, apply_nni, verify_transform
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime
@@ -74,34 +81,43 @@ class StateLimitError(RuntimeError):
 class SearchTable:
     """The integer tables of one search from t1 to t2.
 
-    ``scale`` is the lcm of the internal weights' denominators.  Per
-    internal edge id of t1, which a move keeps with its weight, ``cost[e]``
-    is w(e) × ``scale``, and ``fields`` holds w(e)'s rank and count field
-    (see ``PairBound.edge_fields``, which also refuses a t1 whose weights
-    would carry).  ``paired`` holds each of tree 2's keys as (packed state
-    entry, count vector): the same test as a lookup in ``bound.target``.
+    Built from tree 2's :class:`nnidist.goodpairs.KeyLayout` and one key
+    pass per tree.  ``scale`` is the lcm of the internal weights'
+    denominators.  Per internal edge id of t1, which a move keeps with its
+    weight, ``cost[e]`` is w(e) × ``scale``, and ``rank[e]`` and
+    ``field[e]`` are w(e)'s rank and count field; a t1 whose internal
+    weight multiset is not tree 2's is refused, since one more copy of a
+    weight would carry into the next field.  ``bit`` maps each taxon to its
+    bit.  ``paired`` holds each of tree 2's keys as (packed state entry,
+    count vector): the same test as a lookup in ``PairBound(t2).target``.
     ``goal`` is tree 2's state, packed from those same keys.
     """
 
     def __init__(self, t1: Phylogeny, t2: Phylogeny) -> None:
-        self.bound = bound = PairBound(t2)
-        internal = t1.internal_edges()
-        self.scale = math.lcm(*(t1.weight(e).denominator for e in internal))
-        self.width = width = len(bound.rank)
-        self.cost = {e: self.scaled(t1.weight(e)) for e in internal}
-        self.fields = bound.edge_fields(t1)
-        self.paired = {(bits * width + rank, vec) for rank, bits, vec in bound.target}
+        layout = KeyLayout(t2)
+        self.bit = layout.bit
+        self.rank, self.field = layout.edge_fields(t1)
+        wt = t1._wt
+        self.scale = math.lcm(*(wt[e].denominator for e in self.rank))
+        self.width = width = len(layout.rank)
+        self.cost = {e: self.scaled(wt[e]) for e in self.rank}
+        keys = edge_keys_of(t2, sides_below(t2, walk(t2), self.bit, *layout.edge_fields(t2)))
+        self.paired = {(bits * width + rank, vec) for rank, bits, vec in keys.values()}
         self.goal = tuple(sorted(packed for packed, _ in self.paired))
 
     def scaled(self, w: Fraction) -> int:
         return w.numerator * (self.scale // w.denominator)
 
     def state(self, tree: Phylogeny) -> tuple[tuple[int, ...], int]:
-        """The state of ``tree`` and its scaled h; h and ``fields`` read t1's edge ids."""
-        bound, width, cost, paired = self.bound, self.width, self.cost, self.paired
+        """The state of ``tree`` and its scaled h, from one key pass.
+
+        ``tree`` carries t1's edge ids, which the fields and h read.
+        """
+        width, cost, paired = self.width, self.cost, self.paired
+        sides = sides_below(tree, walk(tree), self.bit, self.rank, self.field)
         entries = []
         h = 0
-        for e, (rank, bits, vec) in bound.edge_keys(tree, bound.sides(tree, self.fields)).items():
+        for e, (rank, bits, vec) in edge_keys_of(tree, sides).items():
             entry = bits * width + rank
             entries.append(entry)
             if (entry, vec) not in paired:
@@ -118,27 +134,94 @@ def neighbors(
     numbered edge on the u side and varying the v side covers both reachable
     arrangements, the other two operand choices are mirror images.  ``tree``
     carries t1's edge ids; the step and h are scaled by ``table.scale``.
+
+    One walk of the edge table from :meth:`Phylogeny.root_handle` gives
+    the sides of every node, each edge's key and h term, and then each
+    move's key: the arithmetic of ``goodpairs.walk``, ``sides_below``,
+    ``edge_keys_of`` and ``PairBound.moved_key``, inlined.
     """
-    bound, width, cost, paired = table.bound, table.width, table.cost, table.paired
-    sides = bound.sides(tree, table.fields)
+    ends, adj, labels = tree._ends, tree._adj, tree._leaf_label
+    bit, rank, field = table.bit, table.rank, table.field
+    width, cost, paired = table.width, table.cost, table.paired
+    # top-down: each internal node's parent edge and parent, root first; a
+    # leaf's entries are set when it is reached, and its bit added to its
+    # parent's
+    root = tree.root_handle()
+    up: dict[int, int | None] = {root: None}
+    par: dict[int, int] = {}
+    bits: dict[int, int] = {}
+    vecs: dict[int, int] = {}
+    order = [root]
+    for x in order:
+        parent = up[x]
+        below = 0
+        for e in adj[x]:
+            if e != parent:
+                y, z = ends[e]
+                if y == x:
+                    y = z
+                label = labels.get(y)
+                if label is None:
+                    up[y] = e
+                    par[y] = x
+                    order.append(y)
+                else:
+                    bits[y] = b = bit[label]
+                    vecs[y] = 0
+                    below |= b
+        bits[x] = below
+        vecs[x] = 0
+    # bottom-up: each internal node adds its entries to its parent's, and
+    # its parent edge's key is read off them
     entry: dict[int, int] = {}
     term: dict[int, int] = {}
-    for e, (rank, bits, vec) in bound.edge_keys(tree, sides).items():
-        entry[e] = packed = bits * width + rank
-        term[e] = 0 if (packed, vec) in paired else cost[e]
+    for x in reversed(order):
+        e = up[x]
+        if e is None:
+            break
+        below, v = bits[x], vecs[x]
+        entry[e] = packed = below * width + rank[e]
+        term[e] = 0 if (packed, v) in paired else cost[e]
+        v = vecs[x] = v + field[e]
+        p = par[x]
+        bits[p] |= below
+        vecs[p] += v
+    every, total = bits[root], vecs[root]
     state = sorted(entry.values())
     h = sum(term.values())
     out = []
     for e2 in sorted(entry):
-        u, v = tree.endpoints(e2)
-        a1 = min(e for e in tree.adjacent_edges(u) if e != e2)
+        u, v = ends[e2]
+        at_u = [e for e in adj[u] if e != e2]
+        a1 = min(at_u)
+        b = at_u[0] if at_u[1] == a1 else at_u[1]
+        # what lies beyond b, seen from u
+        if up[u] == b:
+            side_u, vec_u = every ^ bits[u], total - vecs[u] + field[b]
+        else:
+            c, d = ends[b]
+            if c == u:
+                c = d
+            side_u, vec_u = bits[c], vecs[c]
         rest = list(state)
         rest.remove(entry[e2])
+        r2, f2 = rank[e2], field[e2]
         step = cost[e2]
         others = h - term[e2]
-        for e3 in sorted(e for e in tree.adjacent_edges(v) if e != e2):
-            rank, bits, vec = bound.moved_key(tree, sides, a1, e2, e3)
-            packed = bits * width + rank
+        for e3 in sorted(e for e in adj[v] if e != e2):
+            # what lies beyond e3, seen from v
+            if up[v] == e3:
+                side, vec = every ^ bits[v], total - vecs[v] + field[e3]
+            else:
+                c, d = ends[e3]
+                if c == v:
+                    c = d
+                side, vec = bits[c], vecs[c]
+            side |= side_u
+            vec += vec_u
+            if side & 1:  # the smallest taxon's side: the key names the other one
+                side, vec = every ^ side, total - vec - f2
+            packed = side * width + r2
             moved = list(rest)
             insort(moved, packed)
             nh = others if (packed, vec) in paired else others + step

@@ -5,10 +5,11 @@ have the same weight and cutting them induces the same partition of taxa and
 of the remaining internal weights.  Components obtained by cutting both
 trees at all good pairs can then be solved independently.
 
-Detection is an exact join.  One post-order pass per tree over its rooted
-view gives every internal edge the key (weight rank, away-side taxa as the
-integer bitset of :meth:`Phylogeny.split_bits`, away-side multiset of the
-other internal weights as an integer count vector), three ints.  The key
+Detection is an exact join.  One post-order pass per tree, hung from the
+internal node next to its smallest taxon, gives every internal edge the key
+(weight rank, away-side taxa as an integer bitset with bit i for the i-th
+taxon in sorted order, away-side multiset of the other internal weights as
+an integer count vector), three ints.  The key
 spells out the definition, so two edges form a good pair exactly when their
 keys are equal; no separate soundness or completeness check is needed.
 Distinct edges of one tree have distinct splits, so keys are unique within
@@ -24,7 +25,11 @@ copies of w on one side of some cut, so it lies in 0..m_w and never carries
 into its neighbour.  That holds only for trees with tree 2's multiplicities,
 which finiteness guarantees and :meth:`PairBound.edge_fields` checks.
 
-The same pass (:class:`Sides`) serves the move-key kernel.  A move on edge
+The pass (:class:`Sides`) reads only each node's parent edge, not the
+order of its children.  Detection takes them from the tree's kept rooted
+view; the exact search, whose trees are read once and dropped, takes them
+from one walk of the edge table from the same root (:func:`walk`).
+The same pass serves the move-key kernel.  A move on edge
 e changes e's key alone (see :func:`lower_bound`), and e's new away side is
 the union of two parts of the old tree: the part beyond e's other edge at
 one end and the part beyond the moved edge at the other.  Each part is one
@@ -42,7 +47,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from nnidist.nni import counted_cost
-from nnidist.phylo import Phylogeny, RootedView, TreeError, finiteness_check
+from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 
 
 @dataclass
@@ -73,42 +78,122 @@ def _count_layout(target: Phylogeny) -> tuple[Counter, list[int]]:
 class Sides(NamedTuple):
     """What lies beyond each node's parent edge in one tree, from one post-order pass.
 
-    ``bits[x]`` is the taxa bitset below node x of the tree's rooted ``view``
-    and ``vecs[x]`` the count vector of the internal weights below it, x's
-    parent edge included when that edge is internal.  The root's entries
-    hold every taxon and every internal weight.  ``rank[e]`` is internal
-    edge e's weight rank and ``field[e]`` its count field: the vector
-    holding that weight once, the lowest bit of its field (see
+    The tree hangs from ``root``, the internal node next to its smallest
+    taxon, and ``parent_edge`` maps each node to its edge toward the root
+    (None at the root), parents first.  ``bits[x]`` is the taxa bitset
+    below node x and ``vecs[x]`` the count vector of the internal weights
+    below it, x's parent edge included when that edge is internal.  The
+    root's entries hold every taxon and every internal weight.  ``rank[e]``
+    is internal edge e's weight rank and ``field[e]`` its count field: the
+    vector holding that weight once, the lowest bit of its field (see
     :class:`PairBound`).  A field of ``vecs[x]`` counts the copies of its
     weight below x, at most the weight's multiplicity, so adding the
-    children's vectors never carries from one field into the next.
+    children's vectors never carries from one field into the next.  Child
+    order plays no part, so a tree's kept rooted view and a walk of its
+    edge table (:func:`walk`) give the same sides.
     """
 
-    view: RootedView
+    root: int
+    parent_edge: dict[int, int | None]
     bits: dict[int, int]
     vecs: dict[int, int]
     rank: dict[int, int]
     field: dict[int, int]
 
 
-class PairBound:
-    """The good-pair table of one fixed target tree.
+def walk(tree: Phylogeny) -> dict[int, int | None]:
+    """Each node's edge toward :meth:`Phylogeny.root_handle`, parents first.
+
+    The kept rooted view's parent edges when the tree keeps one; otherwise
+    one walk of the edge table gives the same edges without the view's
+    child lists and their sort, for trees such as the exact search's
+    states, which are read once and dropped.
+    """
+    if tree._view is not None:
+        return tree._view.parent_edge
+    ends, adj = tree._ends, tree._adj
+    root = tree.root_handle()
+    parent_edge: dict[int, int | None] = {root: None}
+    order = [root]
+    for x in order:
+        for e in adj[x]:
+            u, y = ends[e]
+            if y == x:
+                y = u
+            if y not in parent_edge:
+                parent_edge[y] = e
+                order.append(y)
+    return parent_edge
+
+
+def sides_below(
+    tree: Phylogeny,
+    parent_edge: dict[int, int | None],
+    bit: dict[str, int],
+    rank: dict[int, int],
+    field: dict[int, int],
+) -> Sides:
+    """The :class:`Sides` of ``tree`` hung by ``parent_edge``, parents first.
+
+    ``bit`` maps each taxon to its bit, ``rank`` and ``field`` each internal
+    edge to its weight rank and count field.  Nodes are read children
+    first, each adding its entries into its parent's.
+    """
+    ends, labels = tree._ends, tree._leaf_label
+    bits: dict[int, int] = {}
+    vecs: dict[int, int] = {}
+    for x, e in reversed(parent_edge.items()):
+        if e is None:  # the root, which comes first
+            break
+        label = labels.get(x)
+        if label is None:
+            # internal: its children have added their entries already
+            below = bits[x]
+            vec = vecs[x] = vecs[x] + field[e]
+        else:
+            below = bits[x] = bit[label]
+            vec = vecs[x] = 0
+        u, p = ends[e]
+        if p == x:
+            p = u
+        if p in bits:
+            bits[p] |= below
+            vecs[p] += vec
+        else:
+            bits[p] = below
+            vecs[p] = vec
+    return Sides(x, parent_edge, bits, vecs, rank, field)
+
+
+def edge_keys_of(tree: Phylogeny, sides: Sides) -> dict[int, Key]:
+    """Exact good-pair key of every internal edge, read off ``sides``.
+
+    The key is (weight rank, away-side taxa bitset, away-side count vector
+    of the other internal weights), all ints, the away side being the one
+    without the smallest taxon: the side below the edge, since the tree
+    hangs from the smallest taxon's neighbour.  Taking the edge's own field
+    off the entry below it leaves every field in 0..m_w, so nothing
+    borrows.
+    """
+    labels = tree._leaf_label
+    _, parent_edge, bits, vecs, rank, field = sides
+    return {
+        e: (rank[e], bits[x], vecs[x] - field[e])
+        for x, e in parent_edge.items()
+        if e is not None and x not in labels
+    }
+
+
+class KeyLayout:
+    """Where one fixed target tree's weights and taxa sit in good-pair keys.
 
     ``rank`` numbers the target's distinct internal weights in increasing
     order.  A count vector gives the weight of rank r the bits from
     ``offsets[r]`` to ``offsets[r + 1]``: ``m.bit_length()`` of them for a
     weight on m of the target's internal edges, enough for every count from
     0 to m.  ``offsets[-1]`` is the vector's width, one bit per weight when
-    the weights are distinct.  ``target`` maps the exact key (see
-    :meth:`edge_keys`) of each of the target's internal edges to that edge;
-    keys are unique within a tree, so an edge of another tree is paired
-    exactly when its key is in the table.  The bound of a tree T,
-    :func:`lower_bound` against the target, is then the weight of T's edges
-    whose keys are not in the table, one key pass per tree.  Trees must be
-    finite against the target (see ``finiteness_check``); one with another
-    internal weight multiset is refused (see :meth:`edge_fields`).
-    :mod:`nnidist.exact` uses the bound, scaled to integers, as its A*
-    heuristic and says why it is consistent.
+    the weights are distinct.  ``bit`` gives the i-th taxon in sorted order
+    bit i, so the smallest taxon is bit 0.
     """
 
     def __init__(self, target: Phylogeny) -> None:
@@ -117,11 +202,9 @@ class PairBound:
         self.rank: dict[Fraction, int] = {w: r for r, w in enumerate(counts)}
         # weight -> (rank, field), so each edge costs one Fraction lookup
         self._slot = {w: (r, 1 << offsets[r]) for w, r in self.rank.items()}
-        # rank -> multiplicity, which edge_fields holds every tree to
-        self._counts = Counter(dict(enumerate(counts.values())))
-        # bit i is the i-th taxon in sorted order, as in Phylogeny.split_bits
-        self._bit = {t: 1 << i for i, t in enumerate(target.taxa())}
-        self.target = {key: e for e, key in self.edge_keys(target).items()}
+        # every internal edge's rank, sorted: edge_fields holds every tree to it
+        self._ranks = [r for r, m in enumerate(counts.values()) for _ in range(m)]
+        self.bit = {t: 1 << i for i, t in enumerate(target.taxa())}
 
     def edge_fields(self, tree: Phylogeny) -> tuple[dict[int, int], dict[int, int]]:
         """The weight rank and the count field of each internal edge, by edge id.
@@ -133,76 +216,65 @@ class PairBound:
         weight, so a caller that reads the sides of many trees linked by
         moves builds this once.
         """
-        slot = self._slot
-        _, parent_edge, children = tree.rooted_view()
+        ends, labels, wt, slot = tree._ends, tree._leaf_label, tree._wt, self._slot
         rank: dict[int, int] = {}
         field: dict[int, int] = {}
-        # an internal edge is the parent edge of a node with children; a
-        # weight the target lacks gets rank -1, which the count check refuses
-        for x, e in parent_edge.items():
-            if e is not None and children[x]:
-                rank[e], field[e] = slot.get(tree.weight(e), (-1, 0))
-        if Counter(rank.values()) != self._counts:
+        # a weight the target lacks gets rank -1, which the count check refuses
+        for e, (u, v) in ends.items():
+            if u not in labels and v not in labels:
+                rank[e], field[e] = slot.get(wt[e], (-1, 0))
+        if sorted(rank.values()) != self._ranks:
             raise TreeError("internal weight multiset differs from the target tree's")
         return rank, field
+
+
+class PairBound(KeyLayout):
+    """The good-pair table of one fixed target tree.
+
+    The target's :class:`KeyLayout` and its keys: ``target`` maps the exact
+    key (see :meth:`edge_keys`) of each of the target's internal edges to
+    that edge; keys are unique within a tree, so an edge of another tree is
+    paired exactly when its key is in the table.  The bound of a tree T,
+    :func:`lower_bound` against the target, is then the weight of T's edges
+    whose keys are not in the table, one key pass per tree.  Trees must be
+    finite against the target (see ``finiteness_check``); one with another
+    internal weight multiset is refused (see :meth:`edge_fields`).
+    :mod:`nnidist.exact` uses the bound, scaled to integers, as its A*
+    heuristic and says why it is consistent.
+    """
+
+    def __init__(self, target: Phylogeny) -> None:
+        super().__init__(target)
+        self.target = {key: e for e, key in self.edge_keys(target).items()}
 
     def sides(
         self, tree: Phylogeny, fields: tuple[dict[int, int], dict[int, int]] | None = None
     ) -> Sides:
-        """The taxa and internal weights below every node of ``tree``'s rooted view.
+        """The taxa and internal weights below every node of ``tree``'s kept rooted view.
 
-        ``fields`` is ``self.edge_fields(tree)`` when the caller has it already.
+        ``fields`` is ``self.edge_fields(tree)`` when the caller has it
+        already.  The view is the one the tree keeps until its next move, so
+        detection on a full input tree builds the view that serialization
+        and comparison of that tree read later.
         """
         if fields is None:
             fields = self.edge_fields(tree)
-        rank, field = fields
-        view = tree.rooted_view()
-        order, parent_edge, children = view
-        bit = self._bit
-        bits: dict[int, int] = {}
-        vecs: dict[int, int] = {}
-        for x in reversed(order):
-            kids = children[x]
-            if kids:
-                below = vec = 0
-                for c in kids:
-                    below |= bits[c]
-                    vec += vecs[c]
-                e = parent_edge[x]
-                if e is not None:
-                    vec += field[e]
-            else:
-                below, vec = bit[tree.leaf_label(x)], 0
-            bits[x] = below
-            vecs[x] = vec
-        return Sides(view, bits, vecs, rank, field)
+        return sides_below(tree, tree.rooted_view().parent_edge, self.bit, *fields)
 
     def edge_keys(self, tree: Phylogeny, sides: Sides | None = None) -> dict[int, Key]:
-        """Exact good-pair key of every internal edge, read off :meth:`sides`.
+        """Exact good-pair key of every internal edge (see :func:`edge_keys_of`).
 
-        The key is (weight rank, away-side taxa bitset, away-side count
-        vector of the other internal weights), all ints, the away side being
-        the one without the smallest taxon: the side below the edge, since
-        the view hangs from the smallest taxon's neighbour.  Taking the
-        edge's own field off the entry below it leaves every field in
-        0..m_w, so nothing borrows.  ``sides`` is ``self.sides(tree)`` when
-        the caller has it already.
+        ``sides`` is ``self.sides(tree)`` when the caller has it already.
         """
         if sides is None:
             sides = self.sides(tree)
-        view, bits, vecs, rank, field = sides
-        order, parent_edge, children = view
-        keys: dict[int, Key] = {}
-        for x in reversed(order[1:]):
-            if children[x]:
-                e = parent_edge[x]
-                keys[e] = (rank[e], bits[x], vecs[x] - field[e])
-        return keys
+        return edge_keys_of(tree, sides)
 
-    def moved_key(self, tree: Phylogeny, sides: Sides, e1: int, e2: int, e3: int) -> Key:
+    @staticmethod
+    def moved_key(tree: Phylogeny, sides: Sides, e1: int, e2: int, e3: int) -> Key:
         """e2's key after the move (e1, e2, e3), from two entries of ``sides``.
 
-        ``sides`` is ``self.sides(tree)`` before the move.  The move carries
+        ``sides`` is the sides of ``tree`` before the move.  The move carries
         e1 from e2's end u to its end v and e3 the other way, so afterwards
         e2's side at u is what lay beyond u's third edge b, seen from u, and
         what lay beyond e3, seen from v.  Beyond an edge seen from its parent
@@ -215,14 +287,15 @@ class PairBound:
         borrow.  Every other edge keeps its key (see :func:`lower_bound`),
         so one move costs O(1) big-int operations.
         """
-        view, bits, vecs, rank, field = sides
-        parent_edge = view.parent_edge
-        root = view.order[0]
+        root, parent_edge, bits, vecs, rank, field = sides
+        ends, adj = tree._ends, tree._adj
         every, total = bits[root], vecs[root]
-        u, v = tree.endpoints(e2)
-        if v in tree.endpoints(e1):
+        u, v = ends[e2]
+        if v in ends[e1]:
             u, v = v, u
-        b = next(x for x in tree.adjacent_edges(u) if x != e1 and x != e2)
+        for b in adj[u]:
+            if b != e1 and b != e2:
+                break
         side = vec = 0
         for y, x in ((u, b), (v, e3)):
             if parent_edge[y] == x:
@@ -231,7 +304,9 @@ class PairBound:
                 side |= every ^ bits[y]
                 vec += total - vecs[y] + field[x]
             else:
-                c = tree.other_end(x, y)
+                c, d = ends[x]
+                if c == y:
+                    c = d
                 side |= bits[c]
                 vec += vecs[c]
         if side & 1:  # the smallest taxon's side: the key names the other one

@@ -30,8 +30,10 @@ crosswise, which costs nothing because exchanging them yields the same
 unrooted tree.  Positions are read off each tree's
 :meth:`Phylogeny.rooted_view`: its parent edges give the signatures and the
 swap paths, and its order by smallest taxon breaks ties between
-interchangeable siblings.  Signatures are flat tuples of ints and every pass
-is a loop over a node list, so no depth of tree exhausts the stack.
+interchangeable siblings.  Signatures are nested tuples interned in one
+table per matching, O(n) memory for n nodes, compared by identity for
+equality and by a loop for order; every pass is a loop over a node list, so
+no depth of tree exhausts the stack.
 """
 
 from __future__ import annotations
@@ -45,34 +47,74 @@ from nnidist.phylo import Phylogeny, TreeError, require_same_taxa
 from nnidist.runtime import ParRuntime
 
 
-def ranked_view(
-    tree: Phylogeny, root: int | None, rank: dict[Fraction, int]
-) -> tuple[int, dict[int, list[int]], dict[int, tuple[int, ...]]]:
-    """Root, ranked children and flat signature of each node of the rooted view.
+Signature = tuple  # (rank, child signatures...), or LEAF
 
-    A leaf's signature is ``(0,)``, with no weight, so that child order does
-    not depend on which taxon sits where.  An internal node's is the rank of
-    its parent edge's weight (``rank`` is increasing and >= 1; the root takes
-    0) followed by its ranked children's.  Every node below the root has two
-    children, so the encoding is prefix-free: signatures compare as the
-    nested ``(weight, shape)`` tuples they spell, and k leaves take 2k - 1
-    ints.  Children are ranked by size, then signature; the sort is stable,
-    so interchangeable siblings keep the view's order by smallest taxon.
+# every leaf's signature: no weight, so that child order does not depend on
+# which taxon sits where
+LEAF: Signature = (0,)
+
+
+def _sorts_before(a: Signature, b: Signature) -> bool:
+    """``a < b`` for two distinct interned signatures, by a loop, not recursion.
+
+    Interned signatures are equal exactly when they are the same object,
+    so the nested-tuple comparison descends into the first pair of
+    children that are not the same object and is decided there.
+    """
+    while a[0] == b[0]:
+        for x, y in zip(a[1:], b[1:]):
+            if x is not y:
+                a, b = x, y
+                break
+        else:
+            return len(a) < len(b)
+    return a[0] < b[0]
+
+
+def ranked_view(
+    tree: Phylogeny,
+    root: int | None,
+    rank: dict[Fraction, int],
+    interned: dict[tuple[int, ...], Signature],
+) -> tuple[int, dict[int, list[int]], dict[int, Signature]]:
+    """Root, ranked children and interned signature of each node of the rooted view.
+
+    A leaf's signature is :data:`LEAF`.  An internal node's is the nested
+    tuple of the rank of its parent edge's weight (``rank`` is increasing
+    and >= 1; the root takes 0) and its ranked children's signatures.
+    ``interned`` maps (rank, id of each child's signature...) to the one
+    tuple with those parts; shared by the two trees of a matching, it makes
+    equal signatures one object, so they compare by identity and the
+    signatures of n nodes take O(n) memory.  Children are ranked by size
+    (taxa below), then signature; ties keep the view's order by smallest
+    taxon, so interchangeable siblings stay in that order.
     """
     order, parent_edge, children = tree.rooted_view(root)
     wt = tree._wt
-    sig: dict[int, tuple[int, ...]] = {}
+    sig: dict[int, Signature] = {}
+    size: dict[int, int] = {}
     kids: dict[int, list[int]] = {}
     for v in reversed(order):
-        ranked = kids[v] = sorted(children[v], key=lambda c: (-len(sig[c]), sig[c]))
-        if not ranked:
-            sig[v] = (0,)
+        ranked = kids[v] = []
+        if not children[v]:
+            sig[v] = LEAF
+            size[v] = 1
             continue
+        # a stable insertion sort of two or three children
+        for c in children[v]:
+            i = len(ranked)
+            while i:
+                d = ranked[i - 1]
+                if size[c] < size[d] or size[c] == size[d] and (
+                        sig[c] is sig[d] or not _sorts_before(sig[c], sig[d])):
+                    break
+                i -= 1
+            ranked.insert(i, c)
         e = parent_edge[v]
-        flat = [0 if e is None else rank[wt[e]]]
-        for c in ranked:
-            flat += sig[c]
-        sig[v] = tuple(flat)
+        parts = (0 if e is None else rank[wt[e]], *[sig[c] for c in ranked])
+        key = (parts[0], *map(id, parts[1:]))
+        sig[v] = interned.setdefault(key, parts)
+        size[v] = sum([size[c] for c in ranked])
     return order[0], kids, sig
 
 
@@ -96,9 +138,11 @@ def leaf_permutation(
     if ws != target.internal_weight_multiset():
         raise TreeError("trees do not share an internal structure")
     rank = {w: i for i, w in enumerate(ws, 1)}  # equal weights keep the last i
-    r1, kids1, sig1 = ranked_view(source, source_root, rank)
-    r2, kids2, sig2 = ranked_view(target, target_root, rank)
-    if sig1[r1] != sig2[r2]:
+    # one table for both trees: equal signatures are one object
+    interned: dict[tuple[int, ...], Signature] = {}
+    r1, kids1, sig1 = ranked_view(source, source_root, rank, interned)
+    r2, kids2, sig2 = ranked_view(target, target_root, rank, interned)
+    if sig1[r1] is not sig2[r2]:
         raise TreeError("trees do not share an internal structure")
 
     # breadth-first, every pair of children with equal signatures under a
@@ -106,7 +150,7 @@ def leaf_permutation(
     pairs = [(r1, r2)]
     for u1, u2 in pairs:
         pairs.extend(
-            (c1, c2) for c1 in kids1[u1] for c2 in kids2[u2] if sig1[c1] == sig2[c2])
+            (c1, c2) for c1 in kids1[u1] for c2 in kids2[u2] if sig1[c1] is sig2[c2])
     score: dict[tuple[int, int], int] = {}
     choice: dict[tuple[int, int], tuple[int, ...]] = {}
     for u1, u2 in reversed(pairs):
@@ -119,7 +163,7 @@ def leaf_permutation(
             (
                 (sum(score[pair] for pair in zip(c1, perm)), perm)
                 for perm in permutations(kids2[u2])
-                if all(sig1[a] == sig2[b] for a, b in zip(c1, perm))
+                if all(sig1[a] is sig2[b] for a, b in zip(c1, perm))
             ),
             key=lambda scored: scored[0],
         )

@@ -3,17 +3,19 @@
 A phylogeny here is an unrooted tree whose internal nodes have degree exactly
 three, whose leaves carry unique taxon labels, and whose edges carry positive
 rational weights.  Storage is deliberately plain: integer node and edge ids,
-dict adjacency, and a handful of derived views (the rooted view, split
-bitsets, node classes) that the rest of the package builds on.
+dict adjacency, and a couple of derived views (the rooted view, node
+classes) that the rest of the package builds on.
 
 :meth:`Phylogeny.rooted_view` is the one place where rooting and child order
 are decided: the tree hangs from the internal node next to the smallest
 taxon, and children are ordered by the smallest taxon below them.
-Serialization, the canonical edge order, the leaf sort's ranked view, the
-companion check, the split bitsets, the good-pair keys and the paper's
+Serialization, the canonical edge order, tree comparison, the leaf sort's
+ranked view, the companion check, good-pair detection and the paper's
 partition labeling all read it.
 Each tree keeps that view from its first use until its next move, so no
-caller passes a view along.
+caller passes a view along.  The exact search's states, read once and
+dropped, take their good-pair keys from one walk of the edge table from the
+same root instead (see :mod:`nnidist.goodpairs`), with no child sort.
 
 Weights are `fractions.Fraction` throughout so that costs compose exactly.
 
@@ -291,8 +293,8 @@ class Phylogeny:
 
     def _build_view(self, root: int) -> RootedView:
         adj, ends, labels = self._adj, self._ends, self._leaf_label
-        # plain dict and list work, no method calls: the exact search reads
-        # this view for every state it expands (its good-pair sides)
+        # plain dict and list work, no method calls: serialization, the
+        # checks and detection read this view on every tree they meet
         parent_edge: dict[int, int | None] = {root: None}
         children: dict[int, list[int]] = {}
         order = [root]
@@ -317,35 +319,42 @@ class Phylogeny:
                 min_taxon[x] = labels[x]
         return RootedView(order, parent_edge, children)
 
-    def split_bits(self) -> dict[int, int]:
-        """Away-side taxa of each internal edge as a bitset, from one post-order pass.
-
-        Bit i stands for the i-th taxon in sorted order.  The away side is the
-        side without the smallest taxon.
-        """
-        order, parent_edge, children = self.rooted_view()
-        bit = {t: 1 << i for i, t in enumerate(sorted(self._label_leaf))}
-        below: dict[int, int] = {}
-        for x in reversed(order):
-            kids = children[x]
-            acc = 0 if kids else bit[self._leaf_label[x]]
-            for c in kids:
-                acc |= below[c]
-            below[x] = acc
-        return {parent_edge[x]: below[x] for x in order[1:] if children[x]}
-
     # ------------------------------------------------------------------
     # comparison and copying
 
     def canonical_equal(self, other: "Phylogeny") -> bool:
-        """Same taxa, same per-taxon leaf weights, same weighted splits."""
-        if self.taxa() != other.taxa():
+        """Same taxa, same per-taxon leaf weights, same weighted splits.
+
+        Each tree's kept rooted view hangs it from the neighbour of its
+        smallest taxon and orders children by the smallest taxon below
+        them, so two trees are equal exactly when their views match node
+        for node: one walk of both in step down their child lists compares
+        each node's child count, each leaf's taxon and each parent edge's
+        weight.
+        """
+        if len(self._ends) != len(other._ends):
             return False
-        if self.leaf_weight_map() != other.leaf_weight_map():
-            return False
-        return {b: self._wt[e] for e, b in self.split_bits().items()} == {
-            b: other._wt[e] for e, b in other.split_bits().items()
-        }
+        va, vb = self.rooted_view(), other.rooted_view()
+        kids_a, kids_b = va.children, vb.children
+        up_a, up_b = va.parent_edge, vb.parent_edge
+        wt_a, wt_b = self._wt, other._wt
+        label_a, label_b = self._leaf_label, other._leaf_label
+        stack = [(va.order[0], vb.order[0])]
+        while stack:
+            x, y = stack.pop()
+            below_a, below_b = kids_a[x], kids_b[y]
+            if len(below_a) != len(below_b):
+                return False
+            if not below_a:
+                if label_a[x] != label_b[y]:
+                    return False
+                continue
+            pairs = list(zip(below_a, below_b))
+            for c, d in pairs:
+                if wt_a[up_a[c]] != wt_b[up_b[d]]:
+                    return False
+            stack += pairs
+        return True
 
     def copy(self) -> "Phylogeny":
         """An independent copy, not re-validated: a copy of a valid tree is valid.

@@ -8,6 +8,12 @@ where ``leafsort`` plans every swap on a table first, and it shares the
 leaf matching, which it does not check; and the character-by-character
 Newick reader, :func:`parse_by_characters`, shares ``newick``'s length
 parsing and formatting and builds through the validating constructor.
+Some are the package's own earlier code, kept as the reference for a
+faster rewrite: the flat leaf-sort signatures (:func:`ranked_view_flat`),
+the split-map tree comparison (:func:`canonical_equal_by_splits`), and the
+exact search over rooted-view key passes (:func:`search_by_view`), which
+shares ``PairBound``'s key arithmetic, the one implementation that the
+search kernel inlines.
 """
 
 from __future__ import annotations
@@ -835,3 +841,190 @@ def parse_by_characters(text: str) -> Phylogeny:
     the same tables, and a ``ParseError`` for the same inputs.
     """
     return _Parser(text).parse()
+
+
+def ranked_view_flat(
+    tree: Phylogeny, root: int | None, rank: dict[Fraction, int]
+) -> tuple[int, dict[int, list[int]], dict[int, tuple[int, ...]]]:
+    """Root, ranked children and flat signature of each node of the rooted view.
+
+    The leaf sort's ranking before its signatures were interned.  A leaf's
+    signature is ``(0,)``, with no weight, so that child order does not
+    depend on which taxon sits where.  An internal node's is the rank of
+    its parent edge's weight (``rank`` is increasing and >= 1; the root
+    takes 0) followed by its ranked children's.  Every node below the root
+    has two children, so the encoding is prefix-free: signatures compare as
+    the nested ``(weight, shape)`` tuples they spell, and k leaves take
+    2k - 1 ints.  Children are ranked by size, then signature; the sort is
+    stable, so interchangeable siblings keep the view's order by smallest
+    taxon.
+    """
+    order, parent_edge, children = tree.rooted_view(root)
+    wt = tree._wt
+    sig: dict[int, tuple[int, ...]] = {}
+    kids: dict[int, list[int]] = {}
+    for v in reversed(order):
+        ranked = kids[v] = sorted(children[v], key=lambda c: (-len(sig[c]), sig[c]))
+        if not ranked:
+            sig[v] = (0,)
+            continue
+        e = parent_edge[v]
+        flat = [0 if e is None else rank[wt[e]]]
+        for c in ranked:
+            flat += sig[c]
+        sig[v] = tuple(flat)
+    return order[0], kids, sig
+
+
+def split_bits(tree: Phylogeny) -> dict[int, int]:
+    """Away-side taxa of each internal edge as a bitset, from one post-order pass.
+
+    Bit i stands for the i-th taxon in sorted order.  The away side is the
+    side without the smallest taxon.
+    """
+    order, parent_edge, children = tree.rooted_view()
+    bit = {t: 1 << i for i, t in enumerate(sorted(tree._label_leaf))}
+    below: dict[int, int] = {}
+    for x in reversed(order):
+        kids = children[x]
+        acc = 0 if kids else bit[tree._leaf_label[x]]
+        for c in kids:
+            acc |= below[c]
+        below[x] = acc
+    return {parent_edge[x]: below[x] for x in order[1:] if children[x]}
+
+
+def canonical_equal_by_splits(a: Phylogeny, b: Phylogeny) -> bool:
+    """Same taxa, same per-taxon leaf weights, same weighted splits, compared as maps.
+
+    ``Phylogeny.canonical_equal`` before it walked the two views in step.
+    """
+    if a.taxa() != b.taxa():
+        return False
+    if a.leaf_weight_map() != b.leaf_weight_map():
+        return False
+    return {bits: a._wt[e] for e, bits in split_bits(a).items()} == {
+        bits: b._wt[e] for e, bits in split_bits(b).items()
+    }
+
+
+class SearchTableByView:
+    """The exact search's tables from one ``PairBound`` of tree 2 and its view passes.
+
+    ``exact.SearchTable`` before its key passes walked the edge table; the
+    reference that :func:`neighbors_by_view` and :func:`search_by_view`
+    read.
+    """
+
+    def __init__(self, t1: Phylogeny, t2: Phylogeny) -> None:
+        import math
+
+        from nnidist.goodpairs import PairBound
+
+        self.bound = bound = PairBound(t2)
+        internal = t1.internal_edges()
+        self.scale = math.lcm(*(t1.weight(e).denominator for e in internal))
+        self.width = width = len(bound.rank)
+        self.cost = {e: self.scaled(t1.weight(e)) for e in internal}
+        self.fields = bound.edge_fields(t1)
+        self.paired = {(bits * width + rank, vec) for rank, bits, vec in bound.target}
+        self.goal = tuple(sorted(packed for packed, _ in self.paired))
+
+    def scaled(self, w: Fraction) -> int:
+        return w.numerator * (self.scale // w.denominator)
+
+    def state(self, tree: Phylogeny) -> tuple[tuple[int, ...], int]:
+        """The state of ``tree`` and its scaled h; h and ``fields`` read t1's edge ids."""
+        bound, width, cost, paired = self.bound, self.width, self.cost, self.paired
+        entries = []
+        h = 0
+        for e, (rank, bits, vec) in bound.edge_keys(tree, bound.sides(tree, self.fields)).items():
+            entry = bits * width + rank
+            entries.append(entry)
+            if (entry, vec) not in paired:
+                h += cost[e]
+        return tuple(sorted(entries)), h
+
+
+def neighbors_by_view(tree: Phylogeny, table: SearchTableByView):
+    """``exact.neighbors`` by one ``PairBound.sides`` pass over the rooted view.
+
+    The 2(n-3) successors (move, state, step, h), each move's key from
+    ``PairBound.moved_key``: the reference for the search kernel's inlined
+    walk of the edge table.
+    """
+    from bisect import insort
+
+    bound, width, cost, paired = table.bound, table.width, table.cost, table.paired
+    sides = bound.sides(tree, table.fields)
+    entry: dict[int, int] = {}
+    term: dict[int, int] = {}
+    for e, (rank, bits, vec) in bound.edge_keys(tree, sides).items():
+        entry[e] = packed = bits * width + rank
+        term[e] = 0 if (packed, vec) in paired else cost[e]
+    state = sorted(entry.values())
+    h = sum(term.values())
+    out = []
+    for e2 in sorted(entry):
+        u, v = tree.endpoints(e2)
+        a1 = min(e for e in tree.adjacent_edges(u) if e != e2)
+        rest = list(state)
+        rest.remove(entry[e2])
+        step = cost[e2]
+        others = h - term[e2]
+        for e3 in sorted(e for e in tree.adjacent_edges(v) if e != e2):
+            rank, bits, vec = bound.moved_key(tree, sides, a1, e2, e3)
+            packed = bits * width + rank
+            moved = list(rest)
+            insort(moved, packed)
+            nh = others if (packed, vec) in paired else others + step
+            out.append((NniOp(a1, e2, e3), tuple(moved), step, nh))
+    return out
+
+
+def search_by_view(t1: Phylogeny, t2: Phylogeny, state_limit: int, rt=None):
+    """``exact.search`` over :class:`SearchTableByView` and :func:`neighbors_by_view`."""
+    from nnidist.exact import StateLimitError
+    from nnidist.nni import apply_nni
+
+    table = SearchTableByView(t1, t2)
+    goal = table.goal
+    start, h = table.state(t1)
+    if start == goal:
+        return Fraction(0), []
+
+    frontier = [(h, start, 0, t1, None)]
+    best = {start: 0}
+    via = {}
+    settled = set()
+
+    while frontier:
+        _, key, cost, tree, move = heapq.heappop(frontier)
+        if key in settled:
+            continue
+        settled.add(key)
+        if key == goal:
+            ops = []
+            back = key
+            while back != start:
+                back, op = via[back]
+                ops.append(op)
+            ops.reverse()
+            if rt is not None:
+                rt.round("exact", settled)
+            return Fraction(cost, table.scale), ops
+        if len(settled) > state_limit:
+            raise StateLimitError(
+                f"settled more than {state_limit} states without reaching the target"
+            )
+        if move is not None:
+            tree = tree.copy()
+            apply_nni(tree, move)
+        for op, nkey, step, nh in neighbors_by_view(tree, table):
+            ncost = cost + step
+            if nkey not in best or ncost < best[nkey]:
+                best[nkey] = ncost
+                via[nkey] = (key, op)
+                heapq.heappush(frontier, (ncost + nh, nkey, ncost, tree, op))
+
+    raise TreeError("search space exhausted without reaching the target tree")

@@ -23,13 +23,17 @@ from nnidist.exact import (
     search,
 )
 from nnidist.gen import generate_pair
-from nnidist.goodpairs import PairBound, find_good_edge_pairs, lower_bound
+from nnidist.goodpairs import PairBound, decompose, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, trace_lines, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
 from oracles import (
+    SearchTableByView,
+    caterpillar,
+    neighbors_by_view,
     random_phylogeny,
     random_valid_op,
+    search_by_view,
     splits_by_removal,
     uniform_cost_distance,
 )
@@ -277,6 +281,25 @@ def test_a_witness_that_misses_the_target_is_refused(monkeypatch):
         exact_dnni(t1, t2)
 
 
+@pytest.mark.parametrize(
+    "target, weights",
+    [
+        ([1, 2, 3, 4], [1, 2, 2, 4]),  # 3 is gone
+        ([1, 2, 3, 4], [1, 2, 3, 5]),  # 5 has no field
+        ([1, 2, 2, 3, 4], [1, 1, 2, 3, 4]),  # a second 1 would carry into 2's field
+        ([1, 2, 3, 3, 4], [1, 2, 3, 4, 4]),  # a second 4 runs past the last field
+    ],
+)
+def test_the_search_table_refuses_tree_1_with_other_multiplicities(target, weights):
+    # the search's own key pass trusts the fields as the detection pass does
+    t2 = caterpillar(len(target) + 3, target)
+    t1 = caterpillar(len(weights) + 3, weights)
+    with pytest.raises(TreeError, match="multiset differs"):
+        SearchTable(t1, t2)
+    with pytest.raises(TreeError, match="multiset differs"):
+        search(t1, t2, DEFAULT_STATE_LIMIT)
+
+
 def test_infinite_instances_are_rejected():
     t1 = random_phylogeny(random.Random(5), 5)
     t2 = random_phylogeny(random.Random(6), 5)
@@ -377,3 +400,85 @@ def test_integer_costs_are_exact_for_mixed_denominators():
         assert ok and cost == distance
         checked += distance > 0
     assert checked >= 4
+
+
+def search_outcome(searcher, t1, t2, state_limit):
+    """What ``searcher`` gives: its answer and recorded rounds, or that it hit the limit."""
+    rt = ParRuntime()
+    try:
+        answer = searcher(t1, t2, state_limit, rt)
+    except StateLimitError:
+        return "limit"
+    return answer, rt.snapshot()
+
+
+def check_kernel_like_the_view_oracle(t1, t2, state_limit=400):
+    """The kernel's successors and search against the rooted-view reference.
+
+    Successor lists must agree item for item (moves, states, steps, h) on
+    the start tree and two layers of its successors, and the searches must
+    give the same distance, witness and round, or both hit the limit.
+    """
+    table = SearchTable(t1, t2)
+    oracle = SearchTableByView(t1, t2)
+    assert table.goal == oracle.goal and table.scale == oracle.scale
+    assert table.state(t1) == oracle.state(t1)
+    layer = [t1]
+    for _ in range(3):
+        following = []
+        for tree in layer:
+            got = neighbors(tree, table)
+            assert got == neighbors_by_view(tree, oracle)
+            for op, _, _, _ in got[:3]:
+                nxt = tree.copy()
+                apply_nni(nxt, op)
+                following.append(nxt)
+        layer = following
+    expected = search_outcome(search_by_view, t1, t2, state_limit)
+    assert search_outcome(search, t1, t2, state_limit) == expected
+    return expected
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 12),
+    dup=st.booleans(),
+)
+def test_kernel_matches_the_view_oracle_on_gen_pairs(n, seed, moves, dup):
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    check_kernel_like_the_view_oracle(t1, t2)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(10, 40),
+    seed=st.integers(0, 10**6),
+    dup=st.booleans(),
+)
+def test_kernel_matches_the_view_oracle_on_components(n, seed, dup):
+    # a component's :cut:k: pseudo-leaves sort before every t... taxon, so
+    # the smallest taxon, whose neighbour roots both passes, is one of them
+    t1, t2, _ = generate_pair(seed=seed, n=n, moves=n // 2, dup_weights=dup)
+    parts = [
+        (c1, c2)
+        for c1, c2 in decompose(t1, t2, find_good_edge_pairs(t1, t2))
+        if 4 <= c1.n_taxa <= 8
+    ]
+    for c1, c2 in parts[:4]:
+        check_kernel_like_the_view_oracle(c1, c2)
+
+
+def test_kernel_oracle_meets_components_that_need_moves():
+    # every component of a cut tree holds a pseudo-leaf, and ":cut:k:" sorts
+    # before "t...", so both passes hang it from a pseudo-leaf's neighbour
+    distances = []
+    for seed in range(12):
+        t1, t2, _ = generate_pair(seed=seed, n=24, moves=12, dup_weights=seed % 2 == 1)
+        for c1, c2 in decompose(t1, t2, find_good_edge_pairs(t1, t2)):
+            if 4 <= c1.n_taxa <= 7:
+                assert min(c1.taxa()).startswith(":cut:")
+                (distance, _), _ = check_kernel_like_the_view_oracle(c1, c2, DEFAULT_STATE_LIMIT)
+                distances.append(distance)
+    assert len(distances) >= 20 and all(distances)

@@ -141,8 +141,8 @@ def check_moved_keys(t1, t2, n):
     for tree in (t1, t2):
         keys = table.edge_keys(tree)
         sides = table.sides(tree)
-        parent_edge = sides.view.parent_edge
-        root = sides.view.order[0]
+        parent_edge = sides.parent_edge
+        root = sides.root
         complements = set()
         for e2 in tree.internal_edges():
             # all eight operand choices, the mirror images included
@@ -245,7 +245,7 @@ def test_count_fields_are_as_wide_as_the_multiplicities(n, dup):
         assert field[e] == 1 << table.offsets[rank[e]]
     # the root's vector holds every copy, and each field reads back its count
     sides = table.sides(t1)
-    total = sides.vecs[sides.view.order[0]]
+    total = sides.vecs[sides.root]
     assert total.bit_length() <= table.offsets[-1]
     assert decoded(table, total) == counts
 

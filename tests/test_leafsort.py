@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import oracles
-from nnidist import leafsort
+from nnidist import leafsort, newick
 from nnidist import pipeline
 from nnidist.balance import build_auxiliary
 from nnidist.gen import generate_pair
-from nnidist.leafsort import LeafTable, leaf_permutation, ranked_view, sort_leaves
+from nnidist.leafsort import LeafTable, _sorts_before, leaf_permutation, ranked_view, sort_leaves
 from nnidist.nni import NniOp, ReplayError, apply_sequence, shorten, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 
 from oracles import (
-    caterpillar, nested_signatures, path_between, random_phylogeny, sort_leaves_by_swaps,
-    swap_leaves,
+    caterpillar, nested_signatures, path_between, random_phylogeny, ranked_view_flat,
+    sort_leaves_by_swaps, swap_leaves,
 )
 
 # Hypothesis caches the constants of local source files while the tests are
@@ -448,7 +448,7 @@ def test_flat_signatures_rank_as_nested_tuples(n, seed, repeats, explicit_root):
     if explicit_root:
         root = rng.choice([v for v in tree.nodes() if not tree.is_leaf(v)])
     rank = {w: i for i, w in enumerate(sorted(set(tree.internal_weight_multiset())), 1)}
-    view_root, kids, sig = ranked_view(tree, root if explicit_root else None, rank)
+    view_root, kids, sig = ranked_view_flat(tree, root if explicit_root else None, rank)
     expect_kids, expect_sig = nested_signatures(tree, root)
     assert view_root == root
     assert kids == expect_kids
@@ -460,6 +460,88 @@ def test_flat_signatures_rank_as_nested_tuples(n, seed, repeats, explicit_root):
         for y in below:
             assert (sig[x] == sig[y]) == (expect_sig[x] == expect_sig[y])
             assert (sig[x] < sig[y]) == (expect_sig[x] < expect_sig[y])
+
+
+def check_interned_like_flat(trees, roots):
+    """The interned ranking of ``trees`` against the flat oracle's, in one table.
+
+    Children come in the same order, and two signatures, of one tree or of
+    two, are one object exactly when the flat ones are equal; distinct ones
+    order as the flat ones do.
+    """
+    ws = trees[0].internal_weight_multiset()
+    rank = {w: i for i, w in enumerate(ws, 1)}
+    interned = {}
+    sigs, flats = [], []
+    for tree, root in zip(trees, roots):
+        view_root, kids, sig = ranked_view(tree, root, rank, interned)
+        flat_root, flat_kids, flat = ranked_view_flat(tree, root, rank)
+        assert view_root == flat_root
+        assert kids == flat_kids
+        sigs += sig.values()
+        flats += flat.values()
+    # every node below a root has two children: one table entry per distinct signature
+    assert len(interned) == len({f for f in flats if len(f) > 1})
+    for a, fa in zip(sigs, flats):
+        for b, fb in zip(sigs, flats):
+            assert (a is b) == (fa == fb)
+            if a is not b and len(a) == len(b):
+                assert _sorts_before(a, b) == (fa < fb)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 30),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 60),
+    dup=st.booleans(),
+    explicit_root=st.booleans(),
+)
+def test_interned_signatures_rank_as_flat_ones_on_gen_pairs(n, seed, moves, dup, explicit_root):
+    t1, t2, _ = generate_pair(seed, n, moves, dup_weights=dup)
+    roots = [None, None]
+    if explicit_root:
+        rng = random.Random(seed)
+        roots = [rng.choice([v for v in t.nodes() if not t.is_leaf(v)]) for t in (t1, t2)]
+    check_interned_like_flat([t1, t2], roots)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 10**6), repeats=st.booleans())
+def test_interned_signatures_rank_as_flat_ones_on_caterpillars(n, seed, repeats):
+    rng = random.Random(seed)
+    pool = [1, 2] if repeats else list(range(1, n))
+    weights = rng.sample(pool, n - 3) if not repeats else rng.choices(pool, k=n - 3)
+    tree = caterpillar(n, weights)
+    other = tree.copy()
+    # the same caterpillar with its weights reversed end to end
+    flipped = caterpillar(n, weights[::-1])
+    check_interned_like_flat([tree, other, flipped], [None, None, None])
+
+
+def deep_twins(k: int, bottom: int) -> Phylogeny:
+    """Two caterpillars of k taxa under one root, equal except the bottom edge of the second.
+
+    Every internal weight is 1 but that edge's, which is ``bottom``, so
+    ordering the root's two big children must descend all k levels.
+    """
+    def cat(prefix, last):
+        text = f"({prefix}0:1,{prefix}1:1)"
+        for i in range(2, k):
+            w = last if i == 2 else 1
+            text = f"({text}:{w},{prefix}{i}:1)"
+        return text
+    return newick.parse(f"(a:1,{cat('b', 1)}:1,{cat('c', bottom)}:1);")
+
+
+def test_ordering_deep_twins_needs_no_recursion():
+    # nested tuples compared by Python's own < would recurse k levels
+    for bottom in (1, 2):
+        tree = deep_twins(2000, bottom)
+        rank = {Fraction(1): 1, Fraction(2): 2}
+        assert ranked_view(tree, None, rank, {})[1] == ranked_view_flat(tree, None, rank)[1]
+        result = sort_leaves(tree, tree.copy())
+        assert result.ops == [] and result.cycles == 0
 
 
 def test_sort_leaves_on_deep_caterpillar():

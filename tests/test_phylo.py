@@ -17,12 +17,14 @@ from nnidist.phylo import NodeClass, Phylogeny, TreeError, finiteness_check
 from nnidist.pipeline import approx_nni
 
 from oracles import (
+    canonical_equal_by_splits,
     caterpillar,
     classify_by_leaf_count,
     random_phylogeny,
     random_valid_op,
     renumbered,
     sides_by_removal,
+    split_bits,
     splits_by_removal,
     weighted_splits,
 )
@@ -264,7 +266,7 @@ def test_split_bits_match_removal_oracle():
         taxa = t.taxa()
         got = {
             e: frozenset(s for i, s in enumerate(taxa) if bits >> i & 1)
-            for e, bits in t.split_bits().items()
+            for e, bits in split_bits(t).items()
         }
         assert got == splits_by_removal(t)
 
@@ -307,6 +309,56 @@ def test_canonical_equal_agrees_with_serialization():
             assert verdict == (serialize(t) == serialize(u))
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+def rebuilt(tree, rng, weights=None, labels=None):
+    """``tree`` with fresh node and edge ids and every table in a shuffled order.
+
+    ``weights`` and ``labels`` replace entries, keyed by the old ids.
+    """
+    nodes = tree.nodes()
+    node_id = dict(zip(nodes, rng.sample(range(1000, 1000 + 3 * len(nodes)), len(nodes))))
+    eids = tree.edge_ids()
+    edge_id = dict(zip(eids, rng.sample(range(5000, 5000 + 3 * len(eids)), len(eids))))
+    w = {e: tree.weight(e) for e in eids} | (weights or {})
+    lab = {v: tree.leaf_label(v) for v in nodes if tree.is_leaf(v)} | (labels or {})
+    rng.shuffle(eids)
+    leaves = list(lab)
+    rng.shuffle(leaves)
+    return Phylogeny(
+        {edge_id[e]: tuple(node_id[x] for x in tree.endpoints(e)) for e in eids},
+        {edge_id[e]: w[e] for e in eids},
+        {node_id[v]: lab[v] for v in leaves},
+    )
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(n=st.integers(4, 40), seed=st.integers(0, 10**6), dup=st.booleans())
+def test_canonical_equal_agrees_with_the_split_map_oracle(n, seed, dup):
+    t, _, _ = generate_pair(seed=seed, n=n, moves=0, dup_weights=dup)
+    rng = random.Random(seed)
+    internal = rng.choice(t.internal_edges())
+    leaf_a, leaf_b = rng.sample([v for v in t.nodes() if t.is_leaf(v)], 2)
+    e_a = t.adjacent_edges(leaf_a)[0]
+    equal = [rebuilt(t, rng), rebuilt(t, rng)]
+    misses = [
+        rebuilt(t, rng, weights={internal: t.weight(internal) + Fraction(1, 7)}),
+        rebuilt(t, rng, weights={e_a: t.weight(e_a) * 2}),
+        rebuilt(t, rng, labels={leaf_a: "zz-renamed"}),
+        # same weight multisets on another topology
+        rebuilt(_one_move(rng, t), rng),
+    ]
+    # two taxa trading places can give the same tree back (a cherry of
+    # equal leaf weights), so only agreement is asserted for it
+    swapped = rebuilt(t, rng, labels={leaf_a: t.leaf_label(leaf_b), leaf_b: t.leaf_label(leaf_a)})
+    for u, expected in [(u, True) for u in equal] + [(u, False) for u in misses] + [
+        (swapped, None)
+    ]:
+        verdict = canonical_equal_by_splits(t, u)
+        assert expected is None or verdict == expected
+        assert t.canonical_equal(u) == verdict
+        assert u.canonical_equal(t) == verdict
+    assert equal[0].canonical_equal(equal[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
