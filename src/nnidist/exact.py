@@ -101,7 +101,7 @@ class SearchTable:
         self.scale = math.lcm(*(wt[e].denominator for e in self.rank))
         self.width = width = len(layout.rank)
         self.cost = {e: self.scaled(wt[e]) for e in self.rank}
-        keys = edge_keys_of(t2, sides_below(t2, walk(t2), self.bit, *layout.edge_fields(t2)))
+        keys = edge_keys_of(t2, sides_below(t2, walk(t2), self.bit, *layout.fields))
         self.paired = {(bits * width + rank, vec) for rank, bits, vec in keys.values()}
         self.goal = tuple(sorted(packed for packed, _ in self.paired))
 

@@ -41,6 +41,7 @@ and needs no copy of the tree (DasGupta, He, Jiang, Li, Tromp and Zhang,
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,19 +61,8 @@ class GoodEdgePairSet:
 
 Key = tuple[int, int, int]
 
-
-def _count_layout(target: Phylogeny) -> tuple[Counter, list[int]]:
-    """``target``'s internal weights counted in increasing order, and their fields.
-
-    The weight of rank r gets the bits from ``offsets[r]`` to
-    ``offsets[r + 1]`` of a count vector, ``m.bit_length()`` of them for a
-    weight on m internal edges (see :class:`PairBound`).
-    """
-    counts = Counter(target.internal_weight_multiset())
-    offsets = [0]
-    for m in counts.values():
-        offsets.append(offsets[-1] + m.bit_length())
-    return counts, offsets
+# the label of a pseudo-leaf that stands for cut k
+_CUT_LABEL = re.compile(r":cut:(\d+):")
 
 
 class Sides(NamedTuple):
@@ -193,11 +183,17 @@ class KeyLayout:
     weight on m of the target's internal edges, enough for every count from
     0 to m.  ``offsets[-1]`` is the vector's width, one bit per weight when
     the weights are distinct.  ``bit`` gives the i-th taxon in sorted order
-    bit i, so the smallest taxon is bit 0.
+    bit i, so the smallest taxon is bit 0.  The layout keeps the target as
+    ``tree`` and the target's own :meth:`edge_fields` as ``fields``, so
+    that a reader of both trees, such as :func:`decompose`, hashes no
+    weight of the target again.
     """
 
     def __init__(self, target: Phylogeny) -> None:
-        counts, offsets = _count_layout(target)
+        counts = Counter(target.internal_weight_multiset())
+        offsets = [0]
+        for m in counts.values():
+            offsets.append(offsets[-1] + m.bit_length())
         self.offsets = offsets
         self.rank: dict[Fraction, int] = {w: r for r, w in enumerate(counts)}
         # weight -> (rank, field), so each edge costs one Fraction lookup
@@ -205,6 +201,8 @@ class KeyLayout:
         # every internal edge's rank, sorted: edge_fields holds every tree to it
         self._ranks = [r for r, m in enumerate(counts.values()) for _ in range(m)]
         self.bit = {t: 1 << i for i, t in enumerate(target.taxa())}
+        self.tree = target
+        self.fields = self.edge_fields(target)
 
     def edge_fields(self, tree: Phylogeny) -> tuple[dict[int, int], dict[int, int]]:
         """The weight rank and the count field of each internal edge, by edge id.
@@ -245,7 +243,8 @@ class PairBound(KeyLayout):
 
     def __init__(self, target: Phylogeny) -> None:
         super().__init__(target)
-        self.target = {key: e for e, key in self.edge_keys(target).items()}
+        keys = self.edge_keys(target, self.sides(target, self.fields))
+        self.target = {key: e for e, key in keys.items()}
 
     def sides(
         self, tree: Phylogeny, fields: tuple[dict[int, int], dict[int, int]] | None = None
@@ -326,19 +325,29 @@ class PairBound(KeyLayout):
 
 
 def find_good_edge_pairs(
-    t1: Phylogeny, t2: Phylogeny, *, checked: bool = False
+    t1: Phylogeny,
+    t2: Phylogeny,
+    *,
+    checked: bool = False,
+    table: PairBound | None = None,
+    sides: Sides | None = None,
 ) -> GoodEdgePairSet:
     """Every good pair (t1 edge, t2 edge), sorted, from one key pass per tree.
 
     The pair must be finite, which this checks unless the caller already
     has: ``checked=True`` says that ``finiteness_check(t1, t2)`` passed.
+    ``table`` is ``PairBound(t2)`` and ``sides`` is ``table.sides(t1)``
+    when the caller has them already.
     """
     if not checked:
         ok, reasons = finiteness_check(t1, t2)
         if not ok:
             raise TreeError("instance is not finite: " + "; ".join(reasons))
-    table = PairBound(t2)
-    return GoodEdgePairSet(table.pairs(table.edge_keys(t1)))
+    if table is None:
+        table = PairBound(t2)
+    elif table.tree is not t2:
+        raise ValueError("the table was built for another target tree")
+    return GoodEdgePairSet(table.pairs(table.edge_keys(t1, sides)))
 
 
 def lower_bound(
@@ -359,17 +368,30 @@ def lower_bound(
     return counted_cost(t1, dict.fromkeys(unpaired, 1))
 
 
-def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
+def first_free_cut(tree: Phylogeny) -> int:
+    """One more than the largest k of a ``:cut:k:`` label ``tree`` carries, else 0.
+
+    A component of an earlier decomposition carries such pseudo-leaves, so
+    :func:`decompose` given this as ``first_cut`` cuts it again without a
+    label clash.
+    """
+    taken = [int(m[1]) for m in map(_CUT_LABEL.fullmatch, tree._label_leaf) if m]
+    return max(taken) + 1 if taken else 0
+
+
+def _cut_components(
+    tree: Phylogeny, cuts: dict[int, int], first: int = 0
+) -> list[Phylogeny]:
     """Split at the cut edges; each cut becomes a pseudo-leaf in both parts.
 
     One walk per component over the edge table, from its smallest node id,
     collects its nodes' labels and its edges; cut edge e ends at pseudo-leaf
-    ``base + cuts[e]``.  A part of a valid tree cut at internal edges is
-    valid: every node keeps its degree and every cut edge ends at a new
-    labeled leaf, so the parts are built without ``validate()``.  Two
-    checks stand for what a cut can break: a part of fewer than three
-    leaves, which only a cut leaf edge leaves, and a pseudo-leaf label
-    ``:cut:k:`` that a taxon already carries.
+    ``base + cuts[e]``, labeled ``:cut:k:`` with k = ``first + cuts[e]``.
+    A part of a valid tree cut at internal edges is valid: every node keeps
+    its degree and every cut edge ends at a new labeled leaf, so the parts
+    are built without ``validate()``.  Two checks stand for what a cut can
+    break: a part of fewer than three leaves, which only a cut leaf edge
+    leaves, and a pseudo-leaf label that a taxon already carries.
     """
     ends, adj, wt, leaf_label = tree._ends, tree._adj, tree._wt, tree._leaf_label
     base = max(adj) + 1
@@ -390,7 +412,7 @@ def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
                 k = cuts.get(e)
                 if k is not None:
                     edges[e] = (u, base + k)
-                    labels[base + k] = f":cut:{k}:"
+                    labels[base + k] = f":cut:{first + k}:"
                 elif e not in edges:  # a tree: the far end is new
                     edges[e] = x, y = ends[e]
                     stack.append(y if x == u else x)
@@ -405,27 +427,14 @@ def _cut_components(tree: Phylogeny, cuts: dict[int, int]) -> list[Phylogeny]:
     return built
 
 
-def _internal_fields(
-    tree: Phylogeny, cuts: dict[int, int], field: dict[Fraction, int]
-) -> dict[int, int]:
-    """The count field of each internal edge of ``tree`` that is not cut, by edge id.
-
-    ``field`` maps each internal weight of the pair to its field.  A weight
-    without one means the internal weight multisets differ.
-    """
-    ends, leaf, wt = tree._ends, tree._leaf_label, tree._wt
-    out: dict[int, int] = {}
-    try:
-        for e, (u, v) in ends.items():
-            if u not in leaf and v not in leaf and e not in cuts:
-                out[e] = field[wt[e]]
-    except KeyError:
-        raise TreeError("internal weight multisets differ") from None
-    return out
-
-
 def decompose(
-    t1: Phylogeny, t2: Phylogeny, pair_set: GoodEdgePairSet
+    t1: Phylogeny,
+    t2: Phylogeny,
+    pair_set: GoodEdgePairSet,
+    *,
+    table: KeyLayout | None = None,
+    fields: tuple[dict[int, int], dict[int, int]] | None = None,
+    first_cut: int = 0,
 ) -> list[tuple[Phylogeny, Phylogeny]]:
     """Cut both trees at all good pairs and match the components by taxa.
 
@@ -435,18 +444,28 @@ def decompose(
     pseudo-leaf edges weigh the same in both trees and so do its internal
     edges as a multiset.  So the cut edges of each listed pair are compared,
     and each part's internal weights are summed into a count vector laid out
-    as :class:`PairBound`'s, one field lookup per edge: under finiteness no
-    field carries, so one big-int comparison per component stands for the
-    multiset comparison of ``finiteness_check``.  Pair sets from
-    :func:`find_good_edge_pairs` and built by hand take the same checks.
-    Every part is returned, three-leaf stars included.
+    as :class:`KeyLayout`'s, one field lookup by edge id per edge: under
+    finiteness no field carries, so one big-int comparison per component
+    stands for the multiset comparison of ``finiteness_check``.  Pair sets
+    from :func:`find_good_edge_pairs` and built by hand take the same
+    checks.  Every part is returned, three-leaf stars included.
+
+    ``table`` is t2's :class:`KeyLayout` (a :class:`PairBound` is one) and
+    ``fields`` is ``table.edge_fields(t1)`` when the caller has them
+    already; otherwise both are built here.  The pseudo-leaf of the k-th
+    listed pair is labeled ``:cut:j:`` with j = ``first_cut + k``, and a
+    taxon that carries one of these labels is refused.  Cutting a component
+    of an earlier decomposition again takes ``first_cut=first_free_cut(t1)``,
+    which numbers past its pseudo-leaves.
     """
     if not pair_set.pairs:
         return [(t1, t2)]
+    if table is not None and table.tree is not t2:
+        raise ValueError("the table was built for another target tree")
     cuts1 = {e1: k for k, (e1, _) in enumerate(pair_set.pairs)}
     cuts2 = {e2: k for k, (_, e2) in enumerate(pair_set.pairs)}
-    parts1 = _cut_components(t1, cuts1)
-    parts2 = _cut_components(t2, cuts2)
+    parts1 = _cut_components(t1, cuts1, first_cut)
+    parts2 = _cut_components(t2, cuts2, first_cut)
     # a part's label map is keyed by its taxa: no sorted taxa() tuple per part
     by_taxa = {frozenset(p._label_leaf): p for p in parts2}
     matched = []
@@ -458,15 +477,18 @@ def decompose(
     if by_taxa:
         raise TreeError("decomposition left unmatched components")
     wt1, wt2 = t1._wt, t2._wt
-    bad = [f":cut:{k}:" for k, (e1, e2) in enumerate(pair_set.pairs)
+    bad = [f":cut:{first_cut + k}:" for k, (e1, e2) in enumerate(pair_set.pairs)
            if wt1.get(e1) != wt2.get(e2)]
     if bad:
         raise TreeError(
             f"component pair is not finite: leaf edge weights differ at taxa {bad}")
-    counts, offsets = _count_layout(t2)
-    field = {w: 1 << offsets[r] for r, w in enumerate(counts)}
-    fields1 = _internal_fields(t1, cuts1, field)
-    fields2 = _internal_fields(t2, cuts2, field)
+    if table is None:
+        table = KeyLayout(t2)
+    if fields is None:
+        # refuses a t1 whose internal weight multiset is not t2's
+        fields = table.edge_fields(t1)
+    fields1 = {e: f for e, f in fields[1].items() if e not in cuts1}
+    fields2 = {e: f for e, f in table.fields[1].items() if e not in cuts2}
     for part, match in matched:
         vec1 = sum([fields1.get(e, 0) for e in part._ends])
         if vec1 != sum([fields2.get(e, 0) for e in match._ends]):

@@ -1,6 +1,56 @@
-"""The full approximation: decompose on good pairs, then per component
-linearize, merge-sort edges, rebalance, and transport leaves, or, on a
-component of at most six taxa, find an optimal answer.
+"""The full approximation: make good pairs, decompose on them, then per
+component linearize, merge-sort edges, rebalance, and transport leaves, or,
+on a component of at most six taxa, find an optimal answer.
+
+*Pairing before cutting.*  A move on edge e moves two subtrees past e, so
+it changes e's good-pair key alone (see ``goodpairs.lower_bound``): a
+paired edge stays paired, and a move that gives an unpaired edge e a key of
+tree 2's table makes one more cut at the cost w(e).  :func:`pairing_pass`
+makes such moves on a copy of t1, in rounds.  Each round walks the working
+tree once (``goodpairs.walk`` and ``sides_below``; the first round reuses
+detection's sides) and judges both moves of every unpaired edge with
+:meth:`PairBound.moved_key`, fixing the lowest numbered edge at one end as
+``exact.neighbors`` does.  It keeps every move whose key is in the table.
+
+No two kept moves of a round share a node.  A move on e = (u, v) gives e
+the side made of one part at u and one part at v.  Let f = (v, x) be
+another edge at v, and call the parts beyond u's other edges U1 and U2,
+beyond x's X1 and X2, and beyond v's third edge G.  Then e's new side is
+Ui ∪ G or Ui ∪ X1 ∪ X2, and f's is Xj ∪ G or Xj ∪ U1 ∪ U2.  In each of the
+four cases every side of one split meets both sides of the other, so the
+two splits cross and cannot both be splits of tree 2.  The same holds for
+e's own two moves, Ui ∪ G against Ui ∪ X1 ∪ X2.  So the kept moves are on
+distinct edges that share no node, and they commute: a move rewires only
+its own two nodes and changes no split but its edge's, its key is read off
+the parts beyond the edges at those nodes, and none of those edges is
+another kept move's middle edge.  Every kept move thus stays a path and
+gives its edge the key it was judged to give, in whatever order the round's
+moves are applied, and no two give one key, since a tree holds each split
+once.
+
+The guarantee survives with a constant of about 2.  Every kept move is on
+an edge that was unpaired in t1, and an edge is moved at most once, since
+it is paired afterwards.  So the pass's moves G cost cost(G) ≤ LB ≤ opt,
+LB being :func:`goodpairs.lower_bound` of the input pair.  Undoing G and
+then following an optimal answer from t1 shows opt(T1′, T2) ≤ 2·opt, so
+the O(log n)·opt bound of the phases holds on T1′ with twice the constant,
+and the pass adds at most opt to it.  The pass stops after a round that
+keeps no move and runs at most ⌈log₂ n⌉ rounds, so its span is O(log n).
+Each round is recorded as one round of phase ``pairing`` with one task per
+judged move: a task keeps or drops its move on its own, with no choice
+among the kept moves.
+
+A pair of at most six taxa takes no round.  The exact search already
+solves such a pair whole and optimally, and a pass move made first can
+only keep that cost or raise it.
+
+T1′'s good pairs are t1's plus one (e, target edge of e's new key) per kept
+move, so no further key pass is needed.  ``decompose`` cuts T1′, which
+keeps t1's edge ids, and the answer is the pass's moves followed by the
+components' moves.  :func:`approx_nni` replays it once, from the original
+t1.  ``lower_bound`` and ``good_pairs`` describe the input pair.  The cut
+numbering starts past every ``:cut:k:`` label t1 carries, so a component
+of an earlier decomposition is solved like any other pair.
 
 A component of more than six taxa is solved by meeting in the middle.
 Tree 1 is made linear, its internal edges are merge-sorted into the order
@@ -60,16 +110,28 @@ in every component.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from nnidist import exact
 from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.edgesort import merge_sort_edges
-from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
+from nnidist.goodpairs import (
+    GoodEdgePairSet,
+    Key,
+    PairBound,
+    decompose,
+    find_good_edge_pairs,
+    first_free_cut,
+    lower_bound,
+    sides_below,
+    walk,
+)
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import LinearizeResult, linearize, spine
 # apply_sequence is not called here, but perfbench/tracing.py times it in this
@@ -79,6 +141,7 @@ from nnidist.nni import (
     apply_sequence,
     counted_cost,
     invert_sequence,
+    move,
     replay,
     shorten,
     verify_transform,
@@ -86,7 +149,8 @@ from nnidist.nni import (
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime
 
-PHASE_NAMES = (
+# the four phases of a component above six taxa, in the order of its moves
+JOURNEY_NAMES = (
     "linearize_1",
     "edge_sort_1",
     "linearize_aux_1",
@@ -94,8 +158,8 @@ PHASE_NAMES = (
     "linearize_aux_2",
     "edge_sort_2",
     "linearize_2",
-    "exact",
 )
+PHASE_NAMES = ("pairing", *JOURNEY_NAMES, "exact")
 
 # the most internal edges a component solved by the exact search has, and
 # the most states that search can settle: 105 topologies of six taxa times
@@ -280,7 +344,7 @@ def _component_sequence(
         balanced1, balanced2, rt, source_root=root1, target_root=root2
     )
 
-    # each phase's moves in PHASE_NAMES order: tree 2's road runs backwards,
+    # each phase's moves in JOURNEY_NAMES order: tree 2's road runs backwards,
     # translated onto the leaf-sorted tree
     emap = _equal_tree_edge_map(leafs.tree, balanced2)
     phases = [lin1, sort1, rebal1, leafs.ops] + [
@@ -292,12 +356,86 @@ def _component_sequence(
     # origin increases, so each phase keeps one contiguous slice of ops
     costs = {}
     lo = 0
-    for name, end in zip(PHASE_NAMES, accumulate(map(len, phases))):
+    for name, end in zip(JOURNEY_NAMES, accumulate(map(len, phases))):
         hi = bisect_left(origin, end)
         if hi > lo:  # an empty slice costs nothing
             costs[name] = counted_cost(c1, Counter(o.e2 for o in ops[lo:hi]))
         lo = hi
     return ops, costs
+
+
+class Pairing(NamedTuple):
+    """t1's good pairs, and what the pairing pass made of t1.
+
+    ``tree`` is T1′, t1 itself when the pass kept no move, and ``pairs``
+    are T1′'s good pairs.  ``rounds`` lists each round that kept a move, as
+    (move, key) in the order the round judged them; the key is the one the
+    move gives its middle edge, a key of tree 2's table.
+    """
+
+    detected: GoodEdgePairSet
+    tree: Phylogeny
+    rounds: list[list[tuple[NniOp, Key]]]
+    pairs: GoodEdgePairSet
+
+
+def pairing_pass(
+    t1: Phylogeny,
+    t2: Phylogeny,
+    table: PairBound,
+    fields: tuple[dict[int, int], dict[int, int]],
+    rt: ParRuntime,
+) -> Pairing:
+    """t1's good pairs, and more made by single moves in at most ⌈log₂ n⌉ rounds.
+
+    ``table`` is ``PairBound(t2)`` and ``fields`` is
+    ``table.edge_fields(t1)``.  ``t1`` is left as it is; the moves are made
+    on a copy.  Each round judges both moves of every unpaired edge on one
+    sides pass, the first round on detection's, and records one round of
+    phase ``pairing`` with one task per move.  It keeps every move whose key
+    is in the table; these share no node and commute (see the module
+    docstring).  The pass stops after a round that keeps no move, and takes
+    no round on a pair of at most six taxa.
+    """
+    # one sides pass serves detection and the first round; each round drops
+    # its sides before the next walk
+    sides = table.sides(t1, fields)
+    detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
+    found = list(detected.pairs)
+    paired = {e for e, _ in found}
+    unpaired = [e for e in sorted(fields[0]) if e not in paired]
+    target = table.target
+    work = t1
+    rounds: list[list[tuple[NniOp, Key]]] = []
+    cap = math.ceil(math.log2(t1.n_taxa)) if t1.n_taxa > EXACT_MAX_INTERNAL + 3 else 0
+    for k in range(cap):
+        if not unpaired:
+            break
+        if k:
+            sides = sides_below(work, walk(work), table.bit, *fields)
+        ends, adj = work._ends, work._adj
+        kept = []
+        for e2 in unpaired:
+            # fix the lowest numbered edge at one end, as exact.neighbors does
+            u, v = ends[e2]
+            a1 = min(e for e in adj[u] if e != e2)
+            for e3 in sorted(e for e in adj[v] if e != e2):
+                key = table.moved_key(work, sides, a1, e2, e3)
+                if key in target:
+                    kept.append((NniOp(a1, e2, e3), key))
+        sides = None
+        rt.round("pairing", range(2 * len(unpaired)))
+        if not kept:
+            break
+        if work is t1:
+            work = t1.copy()
+        for op, key in kept:
+            move(work, *op)
+            found.append((op.e2, target[key]))
+        moved = {op.e2 for op, _ in kept}
+        unpaired = [e for e in unpaired if e not in moved]
+        rounds.append(kept)
+    return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))
 
 
 def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
@@ -306,22 +444,33 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
 
+    # one table of tree 2 serves detection, the pairing pass and decompose;
+    # a move keeps every edge's id and weight, so t1's fields serve T1′ too.
+    # The pair was checked above, so detection does not check it again
+    table = PairBound(t2)
+    fields = table.edge_fields(t1)
+    rt = ParRuntime()
+    pairing = pairing_pass(t1, t2, table, fields, rt)
+    pairs, work, cut = pairing.detected, pairing.tree, pairing.pairs
+    sequence = [op for kept in pairing.rounds for op, _ in kept]
+    del pairing  # its keys are not read again
     totals = {name: Fraction(0) for name in PHASE_NAMES}
+    totals["pairing"] = counted_cost(t1, dict.fromkeys([op.e2 for op in sequence], 1))
+
     # every cut is itself a good pair, so a component keeps the splits and
-    # weight partitions of the full trees and holds no further pairs; the
-    # pair was checked above, so detection does not check it again
-    pairs = find_good_edge_pairs(t1, t2, checked=True)
-    sequence: list[NniOp] = []
-    # components are independent, so each is counted on its own runtime and
+    # weight partitions of the full trees and holds no further pairs.
+    # Components are independent, so each is counted on its own runtime and
     # their schedules run side by side
     part_rts = []
-    for part1, part2 in decompose(t1, t2, pairs):
+    # t1 may be a component of an earlier decomposition: number new cuts
+    # past its pseudo-leaves
+    first = first_free_cut(t1)
+    for part1, part2 in decompose(work, t2, cut, table=table, fields=fields, first_cut=first):
         part_rts.append(ParRuntime())
         ops, costs = _component_sequence(part1, part2, part_rts[-1])
         sequence.extend(ops)
         for name, value in costs.items():
             totals[name] += value
-    rt = ParRuntime()
     rt.add_side_by_side(part_rts)
 
     ok, cost, reason = verify_transform(t1, sequence, t2)

@@ -36,13 +36,13 @@ GOLDEN = [
     (8, 1, "a79317c724e20794af26d0a3c140bcc016ed11f5333eab21ac2be96a6fc33943"),
     (8, 2, "c699d927a30b29e675f38928d1d092497a568f14884d6d23e40d81074d94c504"),
     (16, 1, "4d6de3f8cfce2781cf3d808c4eb006c323eed48fc371f74d0c65092605ce4480"),
-    (16, 2, "9f92dafa1c66efc4c4e14f60632c9da96c169ec37cce191e7e5fb2e4b85bce83"),
-    (32, 1, "2622f4c91fb7881029859bc102e7ec2ad01077413a9eceddb369c8a892924e67"),
-    (32, 2, "d3051e114aac2de79098dd8e2a858172e67e1c047198a349d48471f3b8d31a7d"),
-    (64, 1, "15475b7983def34e0d00d62486e87d02edbf89cbd768a897880ded491dc6f4e6"),
-    (64, 2, "1772f529804da12aed958ded0c6cc1175d414aca7bd2e5cc0147f7c36b634b78"),
-    (128, 1, "ec1357ac3409079de60bfe456b3680c79e828fbd03fb0a91a52c69d092203c5e"),
-    (128, 2, "a345fba8a1dcd3e375619bddbe465892cbccc270cbdee5aa2b712cfb4de5ee5b"),
+    (16, 2, "3b9683d7f4416c0b8ac04232635368efa84c5c26999b1f543aa0d4653162db6e"),
+    (32, 1, "39d5f5ffb3313369712305841b9b3d9f9040230a3ac46c5b7a1bd94bed9f2cc5"),
+    (32, 2, "9e345d963e6046366d4f481347cd9298d5a35997b1b91e3e899707d2bece2141"),
+    (64, 1, "b28a96062728bcbe874f9120ced7f29fdd36d0182a614d2c67e05f7183ead153"),
+    (64, 2, "1ca96af79593385e90d899c3947e8d89cb51a3ff12944c866c8047cb377d97f9"),
+    (128, 1, "1e31fa6e7f444ce3d92aae4c0a090692072437c8d3c09e00df5dc5b922327fac"),
+    (128, 2, "4cbf116d23573d53c64f1d0f2eadeff99fe68bcb655276f1bb1306b6e4fa6dc4"),
 ]
 
 
@@ -55,16 +55,16 @@ def test_trace_bytes_are_pinned(n, seed, digest):
 
 
 GOLDEN_METRICS = [
-    (8, 1, "fb1195a622e57a2cc75bed7e0b907a6db89f65c776eac386be54f5e23d4fa6bb"),
-    (8, 2, "1145e6a70007b15cd38740ec08dac47227305295c53b50c55c37b4622f93ae04"),
-    (16, 1, "dc96d2a616fc32bd3181e1042b304d9b3431477cb42e6ab8397fa49ea3959075"),
-    (16, 2, "b52e3890c1a2a02cbc68ba2d1f39d01773666dcbba188256240b8545dc64306d"),
-    (32, 1, "14dd4cfa4fd060f74e2fd9680082f8e7d43e8f94d080ddd47ac0a647ffb9a5e6"),
-    (32, 2, "a0f5a6fafd3510bc25fac9df2a6543f3ceec437a4953e072b82cd76c279feb95"),
-    (64, 1, "52cbff52fcd72b808039f26064891267e28a57357ea85c998e05d9c7e43d15d8"),
-    (64, 2, "475429a1086e077b4cd1471d582644cc466daf443d86018548c766fc16354fad"),
-    (128, 1, "04c7a247a82efab2a6ae50d84415c88930dc48d251cabb4d2f2674f65cea4ba6"),
-    (128, 2, "9964549d8e13c2a6b1611b3b2ce43ac4bdedc3b07bceb7ba6a4b62023ee2a370"),
+    (8, 1, "f25ea50d13a1c2a50701c7b77eb516939ee6902ae95184a0ec88be43a96e7525"),
+    (8, 2, "c78801046a99b37feca506f63df8e76e01a8425f3ae853c40a43aaaf5f18c855"),
+    (16, 1, "c805772e2aab72f1bc8c67d606179dfa43ad2329a28acfc4975841f1847446e9"),
+    (16, 2, "41a186850c3aced0e41ee6de943f59ab1580392d3f5cd72e2bdd49bd0445dbfc"),
+    (32, 1, "dec1c60b88aea2c2824262991c2d65d82771050bccef11dbbbc15407c829cab0"),
+    (32, 2, "f936b9876be76aa19c369547b4c1f5129625788cc93f44cc11a5a94ec376c2c0"),
+    (64, 1, "d058848b6ba7d8bbf897e2e9ec9de13ad18d9bd6b12dcb7ce5f2d6dcb68b43f4"),
+    (64, 2, "b5b8b08f27a750180fef294eec9033639cc7cfd972401bb3c42bb87e3bdd53c8"),
+    (128, 1, "95ca382cc81597c9123e5f0cee1f15ab965631ab37adb693e90e8f56078d974b"),
+    (128, 2, "c690cf400dc814bfae8880464f778edb6fc500e380647db7fa617bd871554a03"),
 ]
 
 

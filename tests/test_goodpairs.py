@@ -20,6 +20,7 @@ from nnidist.goodpairs import (
     _cut_components,
     decompose,
     find_good_edge_pairs,
+    first_free_cut,
     lower_bound,
 )
 from nnidist.nni import NniOp, apply_nni
@@ -494,3 +495,66 @@ def test_decompose_refuses_a_cut_leaf_edge():
     leaf = t1.leaf_edge_of("t003")
     with pytest.raises(TreeError):
         decompose(t1, t1.copy(), GoodEdgePairSet([(leaf, leaf)]))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(5, 16),
+    seed=st.integers(0, 10**6),
+    repeats=st.sampled_from(["one", "mixed", "distinct"]),
+    data=st.data(),
+)
+def test_decompose_on_the_table_fields_cuts_and_refuses_as_without(n, seed, repeats, data):
+    # the same hand-built pair sets as above: read by edge id off the
+    # table's fields, decompose returns the same parts and refuses the same
+    # pair sets as when it lays out the count fields itself
+    if repeats == "distinct":
+        t1, _, _ = generate_pair(seed, n, 0)
+    else:
+        t1, _ = repeated_pair(seed, n, 0, repeats)
+    internal = t1.internal_edges()
+    order = data.draw(st.permutations(internal))
+    t2 = reweighted(t1, dict(zip(internal, (t1.weight(e) for e in order))))
+    cut = data.draw(st.lists(st.sampled_from(internal), unique=True, min_size=1))
+    pairs = GoodEdgePairSet([(e, e) for e in cut])
+    table = PairBound(t2)
+    outcomes = []
+    for kwargs in ({}, {"table": table}, {"table": table, "fields": table.edge_fields(t1)}):
+        try:
+            parts = decompose(t1, t2, pairs, **kwargs)
+        except TreeError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append([(a._ends, a._wt, a._leaf_label, b._ends, b._wt, b._leaf_label)
+                             for a, b in parts])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_a_table_for_another_tree_is_refused():
+    t1, t2, _ = generate_pair(3, 12, 10)
+    table = PairBound(t2)
+    copy = t2.copy()
+    pairs = find_good_edge_pairs(t1, t2, table=table)
+    assert pairs == find_good_edge_pairs(t1, copy) and pairs.pairs
+    with pytest.raises(ValueError, match="another target tree"):
+        find_good_edge_pairs(t1, copy, table=table)
+    with pytest.raises(ValueError, match="another target tree"):
+        decompose(t1, copy, pairs, table=table)
+
+
+def test_new_cuts_are_numbered_past_the_pseudo_leaves():
+    # a component carries pseudo-leaves :cut:k:; cutting it again from
+    # first_free_cut labels the new pseudo-leaves past the largest k
+    # t000 hangs from the end of edge 0, the first cut, as in the refusal above
+    t1 = relabeled(caterpillar(8), {"t000": ":cut:0:", "t005": ":cut:3:", "t006": ":cut:x:"})
+    assert first_free_cut(t1) == 4
+    assert first_free_cut(caterpillar(8)) == 0
+    t2 = t1.copy()
+    pairs = find_good_edge_pairs(t1, t2)
+    assert pairs.pairs[0] == (0, 0)
+    with pytest.raises(TreeError, match="duplicate taxon labels"):
+        decompose(t1, t2, pairs)
+    parts = decompose(t1, t2, pairs, first_cut=first_free_cut(t1))
+    assert len(parts) == len(pairs) + 1
+    new = {s for a, _ in parts for s in a.taxa()} - set(t1.taxa())
+    assert new == {f":cut:{4 + k}:" for k in range(len(pairs))}

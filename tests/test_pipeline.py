@@ -16,14 +16,26 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from nnidist.edgesort import merge_sort_edges
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
-from nnidist.goodpairs import decompose, find_good_edge_pairs
+from nnidist.goodpairs import (
+    GoodEdgePairSet,
+    PairBound,
+    decompose,
+    find_good_edge_pairs,
+    lower_bound,
+)
 from nnidist.labeling import augment_and_root, partition_labeling
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import endnode_paths, linearize
 from nnidist.newick import parse
-from nnidist.nni import verify_transform
+from nnidist.nni import move, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
-from nnidist.pipeline import PHASE_NAMES, ApproxResult, _component_sequence, approx_nni
+from nnidist.pipeline import (
+    PHASE_NAMES,
+    ApproxResult,
+    _component_sequence,
+    approx_nni,
+    pairing_pass,
+)
 from nnidist.runtime import ParRuntime
 
 from oracles import caterpillar
@@ -137,6 +149,19 @@ def test_components_are_independent():
         assert ok, reason
         found += 1
     assert found >= 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_component_is_solved_past_its_pseudo_leaves(seed):
+    # a part cut at one pair still holds the other pairs, plus the
+    # pseudo-leaf :cut:0:; approx_nni cuts it again and must number its own
+    # cuts past that label instead of labeling a second leaf :cut:0:
+    t1, t2, _ = generate_pair(seed=seed, n=16, moves=8)
+    pairs = find_good_edge_pairs(t1, t2).pairs
+    assert len(pairs) > 1
+    for a, b in decompose(t1, t2, GoodEdgePairSet(pairs[:1])):
+        result = approx_nni(a, b)
+        assert verify_transform(a, result.sequence, b) == (True, result.cost, None)
 
 
 def counter_of(calls: Counter):
@@ -258,12 +283,19 @@ def test_each_component_is_checked_once_and_the_answer_replayed_once(monkeypatch
 
 def test_span_is_the_max_over_components():
     # components run side by side: per phase, rounds combine by max and
-    # work and width by sum over the components solved alone
+    # work and width by sum over the components of T1′ solved alone.  The
+    # pairing pass runs first, on the whole tree, so its rounds are its own
     t1, t2, _ = generate_pair(seed=6, n=16, moves=16)
-    parts = decompose(t1, t2, find_good_edge_pairs(t1, t2))
-    alone = [approx_nni(a, b).metrics for a, b in parts]
+    pass_rt, pairing = run_pass(t1, t2)[1:]
+    assert pairing.rounds
+    alone = []
+    for a, b in decompose(pairing.tree, t2, pairing.pairs):
+        part_rt = ParRuntime()
+        _component_sequence(a, b, part_rt)
+        alone.append(part_rt.snapshot())
     assert sum(1 for m in alone if m) >= 2
     metrics = approx_nni(t1, t2).metrics
+    assert metrics.pop("pairing") == pass_rt.snapshot()["pairing"]
     assert set(metrics) == set().union(*alone)
     summed_rounds = 0
     for phase, m in metrics.items():
@@ -276,11 +308,12 @@ def test_span_is_the_max_over_components():
 
 
 def test_rounds_count_under_fixed_phase_names():
-    # golden instance (32, 2) has components on both sides of the six-taxon
-    # cutoff, so it reports every phase the pipeline records
-    t1, t2, _ = generate_pair(seed=2, n=32, moves=96, dup_weights=True)
+    # golden instance (64, 1) keeps pairing moves and has components on
+    # both sides of the six-taxon cutoff, so it reports every phase the
+    # pipeline records
+    t1, t2, _ = generate_pair(seed=1, n=64, moves=192)
     assert set(approx_nni(t1, t2).metrics) == {
-        "edgesort", "exact", "leafsort", "linearize", "linearize.paths"}
+        "edgesort", "exact", "leafsort", "linearize", "linearize.paths", "pairing"}
 
     # each phase function records only its own names when called directly
     rt = ParRuntime()
@@ -369,3 +402,105 @@ def test_no_two_adjacent_moves_share_a_middle_edge():
         sequence = approx_nni(t1, t2).sequence
         assert sequence
         assert all(x.e2 != y.e2 for x, y in zip(sequence, sequence[1:]))
+
+
+# ----------------------------------------------------------------------
+# the pairing pass
+
+
+def run_pass(t1, t2):
+    """The pass as approx_nni runs it: (tree 2's table, the pass's runtime, its result)."""
+    table = PairBound(t2)
+    rt = ParRuntime()
+    return table, rt, pairing_pass(t1, t2, table, table.edge_fields(t1), rt)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(7, 40),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(1, 120),
+    dup_weights=st.booleans(),
+)
+def test_the_pairing_pass_makes_the_pairs_it_predicts(n, seed, moves, dup_weights):
+    t1, t2, _ = generate_pair(seed, n, moves, dup_weights=dup_weights)
+    ends = dict(t1._ends)
+    table, rt, pairing = run_pass(t1, t2)
+    assert t1._ends == ends  # the moves are made on a copy
+    assert pairing.detected == find_good_edge_pairs(t1, t2)
+
+    # every move is on an edge unpaired in t1, and no edge moves twice
+    moved = [op.e2 for kept in pairing.rounds for op, _ in kept]
+    assert not set(moved) & {e for e, _ in pairing.detected.pairs}
+    assert len(moved) == len(set(moved))
+
+    # each moved edge ends with the key its round predicted, one of tree 2's
+    keys = table.edge_keys(pairing.tree)
+    for kept in pairing.rounds:
+        for op, key in kept:
+            assert keys[op.e2] == key and key in table.target
+
+    # the moves of one round share no node and no key, although the pass
+    # keeps every move whose key is in the table without checking either
+    before = t1.copy()
+    for kept in pairing.rounds:
+        nodes = [x for op, _ in kept for x in before.endpoints(op.e2)]
+        assert len(nodes) == len(set(nodes))
+        assert len({key for _, key in kept}) == len(kept)
+        for op, _ in kept:
+            move(before, *op)
+
+    # the moves of one round commute: in reverse order they give the same
+    # edge table
+    before = t1.copy()
+    for kept in pairing.rounds:
+        forward, backward = before.copy(), before.copy()
+        for op, _ in kept:
+            move(forward, *op)
+        for op, _ in reversed(kept):
+            move(backward, *op)
+        assert forward._ends == backward._ends
+        before = forward
+    assert before._ends == pairing.tree._ends
+
+    # T1′'s pairs are the good pairs of T1′, with no further key pass
+    assert pairing.pairs == find_good_edge_pairs(pairing.tree, t2)
+    assert len(pairing.pairs) == len(pairing.detected) + len(moved)
+
+    # at most ⌈log₂ n⌉ judged rounds; every round but the last kept a move
+    assert len(pairing.rounds) <= rt.span("pairing") <= math.ceil(math.log2(n))
+
+    # the pass costs at most the bound, each moved edge its own weight once
+    result = approx_nni(t1, t2)
+    assert result.phase_costs["pairing"] == sum((t1.weight(e) for e in moved), Fraction(0))
+    assert result.phase_costs["pairing"] <= lower_bound(t1, t2) == result.lower_bound
+    assert result.good_pairs == len(pairing.detected)
+    assert result.sequence[:len(moved)] == [op for kept in pairing.rounds for op, _ in kept]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_pairing_pass_takes_no_round_up_to_six_taxa(n):
+    # the exact search solves these pairs whole and optimally
+    for seed in range(1, 6):
+        t1, t2, _ = generate_pair(seed, n, 2 * n)
+        _, rt, pairing = run_pass(t1, t2)
+        assert pairing.tree is t1 and pairing.rounds == []
+        assert pairing.pairs == pairing.detected
+        assert "pairing" not in rt.metrics
+        assert approx_nni(t1, t2).phase_costs["pairing"] == 0
+
+
+def test_the_pairing_pass_keeps_t1_when_no_move_pairs():
+    # with shuffled internal weights no single move pairs an edge: the pass
+    # judges one round, copies nothing and leaves the answer to the phases
+    for seed in range(1, 30):
+        t1, t2, _ = generate_pair(seed=seed, n=16, moves=80)
+        _, rt, pairing = run_pass(t1, t2)
+        if not pairing.rounds:
+            break
+    else:
+        pytest.fail("every instance kept a pairing move")
+    assert pairing.tree is t1
+    assert rt.snapshot()["pairing"]["rounds"] == 1
+    unpaired = len(t1.internal_edges()) - len(pairing.detected)
+    assert rt.snapshot()["pairing"]["work"] == 2 * unpaired
