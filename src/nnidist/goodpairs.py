@@ -81,6 +81,13 @@ class Sides(NamedTuple):
     children's vectors never carries from one field into the next.  Child
     order plays no part, so a tree's kept rooted view and a walk of its
     edge table (:func:`walk`) give the same sides.
+
+    Sides patched after a move (``pipeline._patch_sides``) may hang the
+    tree from a root that no longer sits next to the smallest taxon.
+    :meth:`PairBound.moved_key` reads them as it reads fresh ones: it
+    needs only a consistent hanging and turns each key by bit 0.
+    :func:`edge_keys_of` does not accept them, since it takes the side
+    below each edge to be the one without the smallest taxon.
     """
 
     root: int
@@ -226,25 +233,37 @@ class KeyLayout:
         return rank, field
 
 
-class PairBound(KeyLayout):
+class PairBound:
     """The good-pair table of one fixed target tree.
 
-    The target's :class:`KeyLayout` and its keys: ``target`` maps the exact
-    key (see :meth:`edge_keys`) of each of the target's internal edges to
-    that edge; keys are unique within a tree, so an edge of another tree is
-    paired exactly when its key is in the table.  The bound of a tree T,
-    :func:`lower_bound` against the target, is then the weight of T's edges
-    whose keys are not in the table, one key pass per tree.  Trees must be
-    finite against the target (see ``finiteness_check``); one with another
-    internal weight multiset is refused (see :meth:`edge_fields`).
-    :mod:`nnidist.exact` uses the bound, scaled to integers, as its A*
-    heuristic and says why it is consistent.
+    The target's :class:`KeyLayout`, held as ``layout``, and its keys:
+    ``target`` maps the exact key (see :meth:`edge_keys`) of each of the
+    target's internal edges to that edge; keys are unique within a tree, so
+    an edge of another tree is paired exactly when its key is in the table.
+    The bound of a tree T, :func:`lower_bound` against the target, is then
+    the weight of T's edges whose keys are not in the table, one key pass
+    per tree.  Trees must be finite against the target (see
+    ``finiteness_check``); one with another internal weight multiset is
+    refused (see :meth:`edge_fields`).  :mod:`nnidist.exact` uses the
+    bound, scaled to integers, as its A* heuristic and says why it is
+    consistent.
+
+    The table holds its layout rather than being one, so that a caller done
+    with the keys can keep the layout alone, as :func:`decompose` needs,
+    and let the keys go.  The layout's ``tree``, ``fields``, ``bit``,
+    ``rank`` and ``offsets`` are the table's too.
     """
 
     def __init__(self, target: Phylogeny) -> None:
-        super().__init__(target)
+        self.layout = layout = KeyLayout(target)
+        self.tree, self.fields = layout.tree, layout.fields
+        self.bit, self.rank, self.offsets = layout.bit, layout.rank, layout.offsets
         keys = self.edge_keys(target, self.sides(target, self.fields))
         self.target = {key: e for e, key in keys.items()}
+
+    def edge_fields(self, tree: Phylogeny) -> tuple[dict[int, int], dict[int, int]]:
+        """The layout's :meth:`KeyLayout.edge_fields` of ``tree``."""
+        return self.layout.edge_fields(tree)
 
     def sides(
         self, tree: Phylogeny, fields: tuple[dict[int, int], dict[int, int]] | None = None
@@ -432,7 +451,7 @@ def decompose(
     t2: Phylogeny,
     pair_set: GoodEdgePairSet,
     *,
-    table: KeyLayout | None = None,
+    table: KeyLayout | PairBound | None = None,
     fields: tuple[dict[int, int], dict[int, int]] | None = None,
     first_cut: int = 0,
 ) -> list[tuple[Phylogeny, Phylogeny]]:
@@ -450,13 +469,13 @@ def decompose(
     from :func:`find_good_edge_pairs` and built by hand take the same
     checks.  Every part is returned, three-leaf stars included.
 
-    ``table`` is t2's :class:`KeyLayout` (a :class:`PairBound` is one) and
-    ``fields`` is ``table.edge_fields(t1)`` when the caller has them
-    already; otherwise both are built here.  The pseudo-leaf of the k-th
-    listed pair is labeled ``:cut:j:`` with j = ``first_cut + k``, and a
-    taxon that carries one of these labels is refused.  Cutting a component
-    of an earlier decomposition again takes ``first_cut=first_free_cut(t1)``,
-    which numbers past its pseudo-leaves.
+    ``table`` is t2's :class:`KeyLayout`, or a :class:`PairBound`, which
+    reads the same, and ``fields`` is ``table.edge_fields(t1)`` when the
+    caller has them already; otherwise both are built here.  The
+    pseudo-leaf of the k-th listed pair is labeled ``:cut:j:`` with j =
+    ``first_cut + k``, and a taxon that carries one of these labels is
+    refused.  Cutting a component of an earlier decomposition again takes
+    ``first_cut=first_free_cut(t1)``, which numbers past its pseudo-leaves.
     """
     if not pair_set.pairs:
         return [(t1, t2)]

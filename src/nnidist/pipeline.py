@@ -6,11 +6,25 @@ on a component of at most six taxa, find an optimal answer.
 it changes e's good-pair key alone (see ``goodpairs.lower_bound``): a
 paired edge stays paired, and a move that gives an unpaired edge e a key of
 tree 2's table makes one more cut at the cost w(e).  :func:`pairing_pass`
-makes such moves on a copy of t1, in rounds.  Each round walks the working
-tree once (``goodpairs.walk`` and ``sides_below``; the first round reuses
-detection's sides) and judges both moves of every unpaired edge with
-:meth:`PairBound.moved_key`, fixing the lowest numbered edge at one end as
-``exact.neighbors`` does.  It keeps every move whose key is in the table.
+makes such moves on a copy of t1, in rounds.  A round judges both moves of
+an unpaired edge with :meth:`PairBound.moved_key`, fixing the lowest
+numbered edge at one end as ``exact.neighbors`` does, and keeps every move
+whose key is in the table.  The first round judges every unpaired edge on
+detection's sides.  A later round judges only the unpaired edges that
+share a node with a move kept in the round before.  Any other edge g keeps
+what its judgement read: a move rewires only its own two nodes, so g's
+ends keep their edges and g its two moves, and ``moved_key`` reads the
+parts beyond the edges at g's ends, each one side of that edge's split.
+Only a move on that edge changes its split, and none was made, or g would
+share its node.  So g's moves give the keys they gave when g was last
+judged, and those were not in the table.  The sides are not walked again
+either: a move changes the entries of its two nodes alone, and each kept
+move patches them in O(1) (see :func:`_patch_sides`).  So a later round
+costs O(moves kept), not O(n).
+The recorded round still has one task per move of every unpaired edge:
+it describes the parallel schedule, in which each edge's task judges its
+own moves without being told which neighbours moved, and the frontier is
+the sequential run's shortcut to the same kept moves.
 
 No two kept moves of a round share a node.  A move on e = (u, v) gives e
 the side made of one part at u and one part at v.  Let f = (v, x) be
@@ -37,8 +51,8 @@ the O(log n)·opt bound of the phases holds on T1′ with twice the constant,
 and the pass adds at most opt to it.  The pass stops after a round that
 keeps no move and runs at most ⌈log₂ n⌉ rounds, so its span is O(log n).
 Each round is recorded as one round of phase ``pairing`` with one task per
-judged move: a task keeps or drops its move on its own, with no choice
-among the kept moves.
+move of every unpaired edge: a task keeps or drops its move on its own,
+with no choice among the kept moves.
 
 A pair of at most six taxa takes no round.  The exact search already
 solves such a pair whole and optimally, and a pass move made first can
@@ -125,12 +139,11 @@ from nnidist.goodpairs import (
     GoodEdgePairSet,
     Key,
     PairBound,
+    Sides,
     decompose,
     find_good_edge_pairs,
     first_free_cut,
     lower_bound,
-    sides_below,
-    walk,
 )
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import LinearizeResult, linearize, spine
@@ -379,6 +392,44 @@ class Pairing(NamedTuple):
     pairs: GoodEdgePairSet
 
 
+def _patch_sides(work: Phylogeny, sides: Sides, f: int) -> None:
+    """Bring ``sides`` up to date in place after ``work``'s move on f.
+
+    ``sides`` hung ``work`` from ``sides.root`` before the move.  The move
+    changes no side but f's, so only the entries of f's two ends can
+    change, and each is read again, in O(1), from the entries beyond its
+    child edges.  Call u f's child end and v its other end.  When the move
+    carried v's parent edge to u, f turns over: u now hangs from that edge
+    and v from f, so v's entry is redone first and then u's.  Otherwise u
+    alone traded one child for another.  The root's entry still holds
+    every taxon, but the root need not sit next to the smallest taxon any
+    more, so patched sides serve :meth:`PairBound.moved_key`, which reads
+    no such thing, and not ``edge_keys_of``.
+    """
+    _, parent_edge, bits, vecs, _, field = sides
+    ends, adj = work._ends, work._adj
+    u, v = ends[f]
+    if parent_edge[u] != f:
+        u, v = v, u
+    up = parent_edge[v]
+    if up in adj[u]:
+        parent_edge[u], parent_edge[v] = up, f
+        redo: tuple[int, ...] = (v, u)
+    else:
+        redo = (u,)
+    for x in redo:
+        e = parent_edge[x]
+        below = vec = 0
+        for c in adj[x]:
+            if c != e:
+                a, y = ends[c]
+                if y == x:
+                    y = a
+                below |= bits[y]
+                vec += vecs[y]
+        bits[x], vecs[x] = below, vec + field[e]
+
+
 def pairing_pass(
     t1: Phylogeny,
     t2: Phylogeny,
@@ -390,32 +441,33 @@ def pairing_pass(
 
     ``table`` is ``PairBound(t2)`` and ``fields`` is
     ``table.edge_fields(t1)``.  ``t1`` is left as it is; the moves are made
-    on a copy.  Each round judges both moves of every unpaired edge on one
-    sides pass, the first round on detection's, and records one round of
-    phase ``pairing`` with one task per move.  It keeps every move whose key
-    is in the table; these share no node and commute (see the module
-    docstring).  The pass stops after a round that keeps no move, and takes
-    no round on a pair of at most six taxa.
+    on a copy.  Each round keeps every move whose key is in the table;
+    these share no node and commute.  The first round judges both moves of
+    every unpaired edge on detection's sides, a later round only those of
+    the unpaired edges at the ends of a move kept in the round before, on
+    sides patched per move (:func:`_patch_sides`); it keeps the moves a
+    full round would (see the module docstring).  Each round records one
+    round of phase ``pairing`` with one task per move of every unpaired
+    edge.  The pass stops after a round that keeps no move, and takes no
+    round on a pair of at most six taxa.
     """
-    # one sides pass serves detection and the first round; each round drops
-    # its sides before the next walk
     sides = table.sides(t1, fields)
     detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
     found = list(detected.pairs)
     paired = {e for e, _ in found}
-    unpaired = [e for e in sorted(fields[0]) if e not in paired]
+    unpaired = {e for e in fields[0] if e not in paired}
+    # walked in edge-id order, so each round's kept moves keep their order
+    frontier = sorted(unpaired)
     target = table.target
     work = t1
     rounds: list[list[tuple[NniOp, Key]]] = []
     cap = math.ceil(math.log2(t1.n_taxa)) if t1.n_taxa > EXACT_MAX_INTERNAL + 3 else 0
-    for k in range(cap):
+    for _ in range(cap):
         if not unpaired:
             break
-        if k:
-            sides = sides_below(work, walk(work), table.bit, *fields)
         ends, adj = work._ends, work._adj
         kept = []
-        for e2 in unpaired:
+        for e2 in frontier:
             # fix the lowest numbered edge at one end, as exact.neighbors does
             u, v = ends[e2]
             a1 = min(e for e in adj[u] if e != e2)
@@ -423,17 +475,23 @@ def pairing_pass(
                 key = table.moved_key(work, sides, a1, e2, e3)
                 if key in target:
                     kept.append((NniOp(a1, e2, e3), key))
-        sides = None
         rt.round("pairing", range(2 * len(unpaired)))
         if not kept:
             break
         if work is t1:
+            # the patches write the sides: their entries are this pass's own,
+            # but their parent edges are t1's kept view
             work = t1.copy()
+            ends, adj = work._ends, work._adj
+            sides = sides._replace(parent_edge=dict(sides.parent_edge))
+        touched: set[int] = set()
         for op, key in kept:
-            move(work, *op)
+            u, v = move(work, *op)
+            _patch_sides(work, sides, op.e2)
+            touched.update(adj[u], adj[v])
             found.append((op.e2, target[key]))
-        moved = {op.e2 for op, _ in kept}
-        unpaired = [e for e in unpaired if e not in moved]
+        unpaired -= {op.e2 for op, _ in kept}
+        frontier = sorted(touched & unpaired)
         rounds.append(kept)
     return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))
 
@@ -444,16 +502,18 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
 
-    # one table of tree 2 serves detection, the pairing pass and decompose;
-    # a move keeps every edge's id and weight, so t1's fields serve T1′ too.
-    # The pair was checked above, so detection does not check it again
+    # one table of tree 2 serves detection and the pairing pass, and its
+    # layout decompose; a move keeps every edge's id and weight, so t1's
+    # fields serve T1′ too.  The pair was checked above, so detection does
+    # not check it again
     table = PairBound(t2)
     fields = table.edge_fields(t1)
     rt = ParRuntime()
     pairing = pairing_pass(t1, t2, table, fields, rt)
+    layout = table.layout
     pairs, work, cut = pairing.detected, pairing.tree, pairing.pairs
     sequence = [op for kept in pairing.rounds for op, _ in kept]
-    del pairing  # its keys are not read again
+    del pairing, table  # their keys are not read again
     totals = {name: Fraction(0) for name in PHASE_NAMES}
     totals["pairing"] = counted_cost(t1, dict.fromkeys([op.e2 for op in sequence], 1))
 
@@ -465,7 +525,7 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     # t1 may be a component of an earlier decomposition: number new cuts
     # past its pseudo-leaves
     first = first_free_cut(t1)
-    for part1, part2 in decompose(work, t2, cut, table=table, fields=fields, first_cut=first):
+    for part1, part2 in decompose(work, t2, cut, table=layout, fields=fields, first_cut=first):
         part_rts.append(ParRuntime())
         ops, costs = _component_sequence(part1, part2, part_rts[-1])
         sequence.extend(ops)

@@ -10,10 +10,12 @@ Newick reader, :func:`parse_by_characters`, shares ``newick``'s length
 parsing and formatting and builds through the validating constructor.
 Some are the package's own earlier code, kept as the reference for a
 faster rewrite: the flat leaf-sort signatures (:func:`ranked_view_flat`),
-the split-map tree comparison (:func:`canonical_equal_by_splits`), and the
+the split-map tree comparison (:func:`canonical_equal_by_splits`), the
 exact search over rooted-view key passes (:func:`search_by_view`), which
 shares ``PairBound``'s key arithmetic, the one implementation that the
-search kernel inlines.
+search kernel inlines, and the pairing pass that judges every unpaired edge
+on a fresh walk each round (:func:`pairing_pass_by_full_rounds`), which
+shares that arithmetic and the sides pass.
 """
 
 from __future__ import annotations
@@ -1028,3 +1030,58 @@ def search_by_view(t1: Phylogeny, t2: Phylogeny, state_limit: int, rt=None):
                 heapq.heappush(frontier, (ncost + nh, nkey, ncost, tree, op))
 
     raise TreeError("search space exhausted without reaching the target tree")
+
+
+def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
+    """``pipeline.pairing_pass`` with every round judging every unpaired edge.
+
+    The pass as it was before a later round judged only the edges at the
+    ends of the round before's moves: each later round walks the working
+    tree again (``goodpairs.walk`` and ``sides_below``) and judges both
+    moves of every unpaired edge on those fresh sides.  It records the same
+    rounds, so the pass's result and runtime must equal this one's.
+    """
+    import math
+
+    from nnidist.goodpairs import GoodEdgePairSet, find_good_edge_pairs, sides_below, walk
+    from nnidist.pipeline import EXACT_MAX_INTERNAL, Pairing
+
+    # one sides pass serves detection and the first round; each round drops
+    # its sides before the next walk
+    sides = table.sides(t1, fields)
+    detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
+    found = list(detected.pairs)
+    paired = {e for e, _ in found}
+    unpaired = [e for e in sorted(fields[0]) if e not in paired]
+    target = table.target
+    work = t1
+    rounds = []
+    cap = math.ceil(math.log2(t1.n_taxa)) if t1.n_taxa > EXACT_MAX_INTERNAL + 3 else 0
+    for k in range(cap):
+        if not unpaired:
+            break
+        if k:
+            sides = sides_below(work, walk(work), table.bit, *fields)
+        ends, adj = work._ends, work._adj
+        kept = []
+        for e2 in unpaired:
+            # fix the lowest numbered edge at one end, as exact.neighbors does
+            u, v = ends[e2]
+            a1 = min(e for e in adj[u] if e != e2)
+            for e3 in sorted(e for e in adj[v] if e != e2):
+                key = table.moved_key(work, sides, a1, e2, e3)
+                if key in target:
+                    kept.append((NniOp(a1, e2, e3), key))
+        sides = None
+        rt.round("pairing", range(2 * len(unpaired)))
+        if not kept:
+            break
+        if work is t1:
+            work = t1.copy()
+        for op, key in kept:
+            move(work, *op)
+            found.append((op.e2, target[key]))
+        moved = {op.e2 for op, _ in kept}
+        unpaired = [e for e in unpaired if e not in moved]
+        rounds.append(kept)
+    return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))

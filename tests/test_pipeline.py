@@ -22,6 +22,8 @@ from nnidist.goodpairs import (
     decompose,
     find_good_edge_pairs,
     lower_bound,
+    sides_below,
+    walk,
 )
 from nnidist.labeling import augment_and_root, partition_labeling
 from nnidist.leafsort import sort_leaves
@@ -33,12 +35,13 @@ from nnidist.pipeline import (
     PHASE_NAMES,
     ApproxResult,
     _component_sequence,
+    _patch_sides,
     approx_nni,
     pairing_pass,
 )
 from nnidist.runtime import ParRuntime
 
-from oracles import caterpillar
+from oracles import caterpillar, pairing_pass_by_full_rounds
 
 # Hypothesis caches the constants of local source files while the tests are
 # collected; keep that cache out of the working tree
@@ -504,3 +507,91 @@ def test_the_pairing_pass_keeps_t1_when_no_move_pairs():
     assert rt.snapshot()["pairing"]["rounds"] == 1
     unpaired = len(t1.internal_edges()) - len(pairing.detected)
     assert rt.snapshot()["pairing"]["work"] == 2 * unpaired
+
+
+def same_pass(t1, got, want):
+    """Two pairing passes of t1 agree: pairs, rounds and T1′, whose edge table is compared."""
+    return (got.detected == want.detected and got.rounds == want.rounds
+            and got.pairs == want.pairs and (got.tree is t1) == (want.tree is t1)
+            and got.tree._ends == want.tree._ends)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(7, 80),
+    seed=st.integers(0, 10**6),
+    scale=st.integers(1, 4),
+    dup_weights=st.booleans(),
+)
+def test_the_pairing_pass_matches_full_rounds(n, seed, scale, dup_weights):
+    # judging only the edges next to the last round's moves, on patched
+    # sides, keeps every move and records every round of the full pass
+    t1, t2, _ = generate_pair(seed, n, scale * n, dup_weights=dup_weights)
+    table, rt, pairing = run_pass(t1, t2)
+    want_rt = ParRuntime()
+    want = pairing_pass_by_full_rounds(t1, t2, table, table.edge_fields(t1), want_rt)
+    assert same_pass(t1, pairing, want)
+    assert rt.snapshot() == want_rt.snapshot()
+
+
+def test_patched_sides_give_the_moved_keys_of_fresh_sides():
+    # replays each pass's kept rounds, patching one copy of t1's sides per
+    # move as the pass does; after each round every move of every internal
+    # edge must read the key that a fresh walk of the tree gives it
+    turned = Counter()  # does f turn over, with v's parent edge moved to u
+    moved_smallest = 0  # moves that carry the smallest taxon's leaf edge
+    for n, seed in [(16, 1), (16, 2), (32, 3), (32, 4), (64, 5), (64, 6), (80, 7), (80, 8)]:
+        t1, t2, _ = generate_pair(seed, n, 2 * n, dup_weights=seed % 2 == 0)
+        table, _, pairing = run_pass(t1, t2)
+        fields = table.edge_fields(t1)
+        sides = table.sides(t1, fields)
+        sides = sides._replace(parent_edge=dict(sides.parent_edge))
+        smallest = t1.leaf_edge_of(min(t1.taxa()))
+        work = t1.copy()
+        for kept in pairing.rounds:
+            for op, _ in kept:
+                u, v = work.endpoints(op.e2)
+                if sides.parent_edge[u] != op.e2:
+                    u, v = v, u
+                turned[sides.parent_edge[v] in (op.e1, op.e3)] += 1
+                moved_smallest += smallest in (op.e1, op.e3)
+                move(work, *op)
+                _patch_sides(work, sides, op.e2)
+            fresh = sides_below(work, walk(work), table.bit, *fields)
+            for e2 in fields[0]:
+                u, v = work.endpoints(e2)
+                for a in work.adjacent_edges(u):
+                    for b in work.adjacent_edges(v):
+                        if e2 not in (a, b):
+                            assert (table.moved_key(work, sides, a, e2, b)
+                                    == table.moved_key(work, fresh, a, e2, b))
+    assert turned[True] and turned[False] and moved_smallest
+
+
+def test_later_pairing_rounds_judge_only_the_edges_next_to_kept_moves(monkeypatch):
+    # at n = 2048 a later round judges the four other edges at the ends of
+    # each move kept in the round before, not every unpaired edge again
+    t1, t2, _ = generate_pair(1, 2048, 2048)
+    calls = Counter()
+    moved_key = PairBound.moved_key
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return moved_key(*args)
+        return staticmethod(call)
+
+    monkeypatch.setattr(PairBound, "moved_key", counted("pass"))
+    table, rt, pairing = run_pass(t1, t2)
+    monkeypatch.setattr(PairBound, "moved_key", counted("full"))
+    full_rt = ParRuntime()
+    want = pairing_pass_by_full_rounds(t1, t2, table, table.edge_fields(t1), full_rt)
+    assert same_pass(t1, pairing, want) and len(pairing.rounds) > 1
+
+    unpaired = len(t1.internal_edges()) - len(pairing.detected)
+    kept = sum(map(len, pairing.rounds))
+    assert calls["pass"] <= 2 * unpaired + 8 * kept
+    # the full pass judges both moves of every unpaired edge in every round,
+    # which is the work both passes record
+    assert calls["full"] == rt.snapshot()["pairing"]["work"] == full_rt.snapshot()["pairing"]["work"]
+    assert calls["pass"] < calls["full"]
