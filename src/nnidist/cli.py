@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from nnidist import newick
-from nnidist.exact import DEFAULT_STATE_LIMIT, StateLimitError, exact_dnni
+from nnidist.exact import DEFAULT_MAX_TAXA, DEFAULT_STATE_LIMIT, StateLimitError, exact_dnni
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import decompose, find_good_edge_pairs
 from nnidist.nni import check_trace, trace_lines, write_trace
@@ -53,6 +53,11 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     t1 = _load_tree(args.tree1)
     t2 = _load_tree(args.tree2)
+    taxa = max(t1.n_taxa, t2.n_taxa)
+    if taxa > args.max_taxa:
+        print(f"error: {taxa} taxa is more than the exact search's cap of {args.max_taxa} "
+              "(--max-taxa)", file=sys.stderr)
+        return 1
     distance, witness = exact_dnni(t1, t2, state_limit=args.state_limit)
     print(json.dumps({"distance": newick.format_weight(distance)}))
     for line in trace_lines(t1, t2, witness):
@@ -156,6 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STATE_LIMIT,
         help="give up (exit 1) once the A* search has settled more than this many "
         "distinct trees without reaching tree2 (default: %(default)s)",
+    )
+    p.add_argument(
+        "--max-taxa",
+        type=_int_at_least(3),
+        default=DEFAULT_MAX_TAXA,
+        help="refuse (exit 1) a pair with more taxa than this before searching "
+        "(default: %(default)s)",
     )
     p.set_defaults(fn=_cmd_exact)
 

@@ -72,6 +72,10 @@ from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime
 
 DEFAULT_STATE_LIMIT = 5_000_000
+# The most taxa ``nnidist exact`` takes by default.  Each state costs time
+# linear in the taxa, so the state limit alone does not bound a search's
+# time: a 20,000-taxon pair ran for minutes without settling a state.
+DEFAULT_MAX_TAXA = 12
 
 
 class StateLimitError(RuntimeError):

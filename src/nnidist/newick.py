@@ -11,7 +11,9 @@ Serialization is canonical: it writes :meth:`Phylogeny.rooted_view`, the
 tree rooted at the internal node next to the smallest taxon with children
 ordered by the smallest taxon they contain, so equal phylogenies always
 produce byte-identical text.  It reads the view the tree keeps, so a tree
-that was already compared or keyed is serialized without a second walk.
+that was already compared or keyed is serialized without a second walk, and
+:func:`nnidist.nni.tree_digest` keeps the text's digest beside that view, so
+a tree digested once is not serialized for its digest again until it moves.
 Both directions are iterative, so tree depth is bounded by memory, not by
 the recursion limit.
 

@@ -16,11 +16,14 @@ move, and returns the middle edge's endpoints: it is the kernel of the
 phases, which read the tree between moves.  :func:`apply_nni` is a thin
 wrapper over it that takes an :class:`NniOp` and returns the move's cost.
 Every whole sequence is applied by one replay core, :func:`replay`, which
-writes the edge table alone, inline, and rebuilds the adjacency once when it
+writes the edge table alone, inline, and builds the adjacency once when it
 ends; until then the adjacency is stale.  It raises :class:`ReplayError` at
 the first invalid move or a wrong end tree; sequence application,
 verification, trace writing, trace checking, the leaf sort's kept moves,
-the rebalance and the exact search's witness all consume it.
+the rebalance and the exact search's witness all consume it.  The four
+whole-answer replays here (:func:`apply_sequence`, :func:`verify_transform`,
+:func:`trace_lines` and :func:`check_trace`) start from a copy of the edge,
+weight and label tables alone, with no adjacency to throw away.
 ``replay`` reads a move as its first three items, so it takes an
 :class:`NniOp` or a trace record tuple alike.  :class:`NniOp` is a
 ``NamedTuple`` of (e1, e2, e3), so an operation equals the plain tuple of
@@ -49,8 +52,11 @@ straight through :func:`replay`.  :func:`check_trace` compares a record's
 cost with the tree's weight once per middle edge and recorded value: a
 later record whose parsed cost is the very object already verified for
 that edge needs no second comparison.  A tree keeps its rooted view until
-its next move, so each trace function builds the target's view once: the
-header digest and the end-tree comparison both read it.  Digests and
+its next move, and :func:`tree_digest` keeps the tree's digest beside that
+view, so the digest lives exactly as long as the view.  Each trace function
+builds the target's view once: the header digest and the end-tree
+comparison both read it.  Checking a trace written a moment earlier from
+the same two trees serializes neither of them again.  Digests and
 records spell weights as Newick decimals, so a trace needs every weight to
 have a finite decimal form; for a weight such as 1/3 the trace functions
 raise :class:`TreeError`.
@@ -136,13 +142,14 @@ def replay(
     an :class:`NniOp`, or a record tuple of a trace.  (u, v) are the middle
     edge's endpoints, which the move does not change.  Raises ReplayError at
     the first invalid operation and, once all are applied, when ``target``
-    is given and ``work`` does not match it.
+    is given and ``work`` does not match it.  ``work`` may be a tables-only
+    copy (:meth:`Phylogeny._tables_copy`): nothing here reads its adjacency.
 
     Each move gets the checks :func:`move` makes, with the same messages,
     but only the two changed rows of the edge table are written: the
     adjacency lists are stale until the replay ends, so a caller reads
     nothing of ``work`` but its weights between two yields.  The adjacency
-    is rebuilt from the edge table once, in edge-table order as
+    is built from the edge table once, in edge-table order as
     :meth:`Phylogeny.copy` builds it, when the replay ends, fails or is
     closed early, so ``work`` is a valid tree afterwards in every case.
     """
@@ -192,7 +199,7 @@ def counted_cost(tree: Phylogeny, counts: Mapping[int, int]) -> Fraction:
 
 def apply_sequence(tree: Phylogeny, ops: Iterable[NniOp]) -> tuple[Phylogeny, Fraction]:
     """Apply operations in order to a copy; returns (resulting tree, total cost)."""
-    out = tree.copy()
+    out = tree._tables_copy()
     counts = Counter(op.e2 for op, _, _ in replay(out, ops))
     return out, counted_cost(tree, counts)
 
@@ -258,7 +265,7 @@ def verify_transform(
     """
     applied, reason = 0, None
     try:
-        for applied, _ in enumerate(replay(source.copy(), ops, target), 1):
+        for applied, _ in enumerate(replay(source._tables_copy(), ops, target), 1):
             pass
     except ReplayError as exc:
         reason = str(exc)
@@ -267,7 +274,19 @@ def verify_transform(
 
 
 def tree_digest(tree: Phylogeny) -> str:
-    return hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
+    """SHA-256 of the tree's canonical Newick text, kept with its rooted view.
+
+    The first call on a tree state serializes the kept view; the digest is
+    then stored beside that view and counts only while the tree still keeps
+    it, so a move, which drops the view, drops the digest too.  A weight
+    with no finite decimal form raises TreeError, and nothing is stored.
+    """
+    kept = tree._digest
+    if kept is not None and kept[0] is tree._view:
+        return kept[1]
+    digest = hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
+    tree._digest = tree._view, digest
+    return digest
 
 
 def trace_lines(
@@ -290,7 +309,7 @@ def trace_lines(
     # digits and ".", which a JSON string holds unescaped
     pieces: dict[int, tuple[str, str]] = {}
     lines = [json.dumps(header)]
-    for i, (op, u, v) in enumerate(replay(source.copy(), ops, target)):
+    for i, (op, u, v) in enumerate(replay(source._tables_copy(), ops, target)):
         e1, e2, e3 = op
         if not type(e1) is type(e2) is type(e3) is int:
             raise TreeError(f"operation {i} ({e1!r},{e2!r},{e3!r}): edge ids must be integers")
@@ -434,7 +453,7 @@ def check_trace(
     # middle edge -> the parsed cost object already found equal to its weight;
     # _parse_records hands out one object per distinct cost string
     verified: dict[int, Fraction] = {}
-    steps = replay(source.copy(), _parse_records(lines, start), target)
+    steps = replay(source._tables_copy(), _parse_records(lines, start), target)
     try:
         for i, ((_, e2, _, ru, rv, w), u, v) in enumerate(steps):
             if not (ru == u and rv == v or ru == v and rv == u):

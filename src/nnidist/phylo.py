@@ -13,7 +13,9 @@ Serialization, the canonical edge order, tree comparison, the leaf sort's
 ranked view, the companion check, good-pair detection and the paper's
 partition labeling all read it.
 Each tree keeps that view from its first use until its next move, so no
-caller passes a view along.  The exact search's states, read once and
+caller passes a view along.  :func:`nnidist.nni.tree_digest` keeps the
+tree's digest beside the view, valid only while the tree still keeps that
+view, so a move drops both.  The exact search's states, read once and
 dropped, take their good-pair keys from one walk of the edge table from the
 same root instead (see :mod:`nnidist.goodpairs`), with no child sort.
 
@@ -23,10 +25,13 @@ After construction only moves write the edge table and the adjacency
 lists, and a move keeps every node's degree.  :func:`nnidist.nni.move`
 writes the table and the adjacency, for callers that read the tree between
 moves; :func:`nnidist.nni.replay` writes the table alone, so the adjacency
-is stale until the replay ends and rebuilds it from the table.  So a node
+is stale until the replay ends and builds it from the table.  So a node
 is a leaf exactly when it carries a taxon label (construction checks that
 labels sit on the degree-1 nodes and nowhere else), and
-:meth:`Phylogeny.is_leaf` reads the label table, not the adjacency.
+:meth:`Phylogeny.is_leaf` reads the label table, not the adjacency.  For
+the same reason a whole-answer replay starts from
+:meth:`Phylogeny._tables_copy`, a copy of the edge, weight and label tables
+with no adjacency to throw away.
 Nothing writes the weights after construction and a move keeps leaf edges
 leaf edges, so the sorted internal weight multiset is computed once per tree;
 both writers drop the kept rooted view.
@@ -74,7 +79,8 @@ class Phylogeny:
     raises :class:`TreeError` listing every violation found.
     """
 
-    __slots__ = ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws", "_view")
+    __slots__ = (
+        "_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws", "_view", "_digest")
 
     def __init__(
         self,
@@ -95,6 +101,8 @@ class Phylogeny:
         self._label_leaf: dict[str, int] = {s: v for v, s in self._leaf_label.items()}
         self._internal_ws: tuple[Fraction, ...] | None = None
         self._view: RootedView | None = None
+        # (view, digest): nnidist.nni.tree_digest's value, valid while _view is view
+        self._digest: tuple[RootedView, str] | None = None
         problems = self.validate()
         if problems:
             raise TreeError("; ".join(problems))
@@ -328,33 +336,30 @@ class Phylogeny:
         Each tree's kept rooted view hangs it from the neighbour of its
         smallest taxon and orders children by the smallest taxon below
         them, so two trees are equal exactly when their views match node
-        for node: one walk of both in step down their child lists compares
-        each node's child count, each leaf's taxon and each parent edge's
-        weight.
+        for node.  One breadth-first walk of both in step down their child
+        lists compares each node's child count and each leaf's taxon and
+        lists the matched nodes; then the two lists of parent-edge weights
+        are compared in one ``==``.
         """
         if len(self._ends) != len(other._ends):
             return False
         va, vb = self.rooted_view(), other.rooted_view()
         kids_a, kids_b = va.children, vb.children
-        up_a, up_b = va.parent_edge, vb.parent_edge
-        wt_a, wt_b = self._wt, other._wt
         label_a, label_b = self._leaf_label, other._leaf_label
-        stack = [(va.order[0], vb.order[0])]
-        while stack:
-            x, y = stack.pop()
-            below_a, below_b = kids_a[x], kids_b[y]
-            if len(below_a) != len(below_b):
+        # both lists grow while the walk reads them; position i of each
+        # holds one node of a matched pair
+        xs, ys = [va.order[0]], [vb.order[0]]
+        for x, y in zip(xs, ys):
+            below, across = kids_a[x], kids_b[y]
+            if len(below) != len(across):
                 return False
-            if not below_a:
-                if label_a[x] != label_b[y]:
-                    return False
-                continue
-            pairs = list(zip(below_a, below_b))
-            for c, d in pairs:
-                if wt_a[up_a[c]] != wt_b[up_b[d]]:
-                    return False
-            stack += pairs
-        return True
+            if below:
+                xs += below
+                ys += across
+            elif label_a[x] != label_b[y]:
+                return False
+        up_a, up_b, wt_a, wt_b = va.parent_edge, vb.parent_edge, self._wt, other._wt
+        return [wt_a[up_a[x]] for x in xs[1:]] == [wt_b[up_b[y]] for y in ys[1:]]
 
     def copy(self) -> "Phylogeny":
         """An independent copy, not re-validated: a copy of a valid tree is valid.
@@ -363,38 +368,52 @@ class Phylogeny:
         :meth:`__init__` builds them, because move sequences name edges in
         the order ``adjacent_edges`` lists them.
         """
-        return Phylogeny._from_tables(
-            dict(self._ends), dict(self._wt), dict(self._leaf_label), dict(self._label_leaf))
+        out = self._tables_copy()
+        out._adj = _adjacency(out._ends)
+        return out
+
+    def _tables_copy(self) -> "Phylogeny":
+        """A copy of the edge, weight and label tables alone, with no adjacency lists.
+
+        For whole-sequence replays: :func:`nnidist.nni.replay` reads only
+        the edge table and builds the adjacency when it ends, fails or is
+        closed, so a copy it replays on is a whole tree afterwards.  Until
+        then the copy has no ``_adj`` and is not a tree to read.
+        """
+        out = Phylogeny.__new__(Phylogeny)
+        out._ends = dict(self._ends)
+        out._wt = dict(self._wt)
+        out._leaf_label = dict(self._leaf_label)
+        out._label_leaf = dict(self._label_leaf)
+        out._internal_ws = None
+        out._view = out._digest = None
+        return out
 
     @staticmethod
     def _from_tables(
         ends: dict[int, tuple[int, int]],
         weights: dict[int, Fraction],
         labels: dict[int, str],
-        label_leaf: dict[str, int] | None = None,
     ) -> "Phylogeny":
         """A tree that owns the tables given, built without :meth:`validate`.
 
-        The one constructor besides :meth:`__init__`, for callers whose
-        tables come from a valid tree: :meth:`copy`, and ``goodpairs``,
+        For callers whose tables come from a valid tree: ``goodpairs``,
         which cuts components out of one.  ``newick.parse`` builds its
         tables itself and calls :meth:`validate` on the result, which saves
-        :meth:`__init__`'s copy of every table.  The adjacency
-        lists are built in edge-table order, and the label map is inverted
-        in label order unless ``label_leaf`` is that inverse already, as
-        :meth:`__init__` builds them.  Nothing is checked: a caller whose
-        labels can collide compares the sizes of ``_leaf_label`` and
-        ``_label_leaf``.
+        :meth:`__init__`'s copy of every table.  The adjacency lists are
+        built in edge-table order and the label map is inverted in label
+        order, as :meth:`__init__` builds them.  Nothing is checked: a
+        caller whose labels can collide compares the sizes of
+        ``_leaf_label`` and ``_label_leaf``.
         """
         out = Phylogeny.__new__(Phylogeny)
         out._ends = ends
         out._wt = weights
         out._adj = _adjacency(ends)
         out._leaf_label = labels
-        out._label_leaf = (
-            {s: v for v, s in labels.items()} if label_leaf is None else label_leaf)
+        out._label_leaf = {s: v for v, s in labels.items()}
         out._internal_ws = None
-        out._view = None
+        out._view = out._digest = None
         return out
 
     def __repr__(self) -> str:

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from nnidist import newick
+from nnidist import cli, newick
 from nnidist.cli import main
+from nnidist.exact import DEFAULT_MAX_TAXA
 from nnidist.gen import generate_pair
 
 
@@ -79,6 +80,36 @@ def test_exact_state_limit_below_one_is_a_usage_error(pair_files, limit, capsys)
         main(["exact", p1, p2, "--state-limit", limit])
     assert err.value.code == 2
     assert "--state-limit" in capsys.readouterr().err
+
+
+def test_exact_refuses_a_pair_above_the_taxa_cap_before_searching(pair_files, monkeypatch, capsys):
+    p1, p2, _ = pair_files
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a pair above the cap")
+
+    monkeypatch.setattr(cli, "exact_dnni", no_search)
+    assert main(["exact", p1, p2, "--max-taxa", "9"]) == 1
+    err = capsys.readouterr().err
+    assert "10 taxa" in err and "cap of 9" in err and "--max-taxa" in err
+    # the state limit still applies below the cap, and the default cap admits the pair
+    assert DEFAULT_MAX_TAXA >= 10
+    monkeypatch.undo()
+    assert main(["exact", p1, p2, "--max-taxa", "10", "--state-limit", "1"]) == 1
+    assert "settled more than 1 states" in capsys.readouterr().err
+
+
+def test_exact_takes_a_pair_at_the_taxa_cap(tmp_path, capsys):
+    t1, t2, _ = generate_pair(seed=1, n=4, moves=1)
+    p1, p2 = tmp_path / "a.nwk", tmp_path / "b.nwk"
+    newick.write_tree(p1, t1)
+    newick.write_tree(p2, t2)
+    assert main(["exact", str(p1), str(p2), "--max-taxa", "4"]) == 0
+    assert "distance" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main(["exact", str(p1), str(p2), "--max-taxa", "2"])
+    assert err.value.code == 2
+    assert "--max-taxa" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--report-metrics"])

@@ -1,5 +1,6 @@
 """Operation semantics: the swap, costs, inverses, and trace files."""
 
+import hashlib
 import json
 import random
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from nnidist import newick
+from nnidist import newick, nni, phylo
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
 from nnidist.nni import (
@@ -31,6 +32,7 @@ from nnidist.nni import (
     replay,
     shorten,
     trace_lines,
+    tree_digest,
     verify_transform,
     write_trace,
 )
@@ -867,3 +869,132 @@ def test_a_replay_leaves_a_valid_tree_however_it_ends(n, seed, moves, end, data)
     assert list(work._ends.items()) == list(expected._ends.items())
     assert work.validate() == [] and _adjacency_matches_table(work)
     assert work.canonical_equal(expected)
+
+
+def _fresh_digest(tree):
+    """The digest of a copy, which keeps no view and no digest."""
+    return hashlib.sha256(newick.serialize(tree.copy()).encode()).hexdigest()
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(
+    n=st.integers(4, 20),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(1, 12),
+    end=st.sampled_from(["moves", "complete", "fail", "close"]),
+    data=st.data(),
+)
+def test_a_kept_digest_is_never_stale(n, seed, moves, end, data):
+    # the tree is digested first, so a digest kept past a move would show
+    rng = random.Random(seed)
+    tree = random_phylogeny(rng, n)
+    _, ops = _walk(rng, tree, moves)
+    first = tree_digest(tree)
+    assert first == _fresh_digest(tree) and tree_digest(tree) is first
+    if end == "moves":
+        for op in ops:
+            move(tree, *op)
+            assert tree_digest(tree) == _fresh_digest(tree)
+        return
+    k = data.draw(st.integers(0, moves))
+    if end == "fail":
+        e = tree.internal_edges()[0]
+        ops = ops[:k] + [NniOp(e, e, e)]
+    steps = replay(tree, ops)
+    if end == "complete":
+        list(steps)
+    elif end == "fail":
+        with pytest.raises(ReplayError):
+            list(steps)
+    else:
+        for _ in islice(steps, k):
+            pass
+        steps.close()
+    assert tree_digest(tree) == _fresh_digest(tree)
+
+
+def test_a_weight_without_a_decimal_form_keeps_no_digest():
+    t = quartet()
+    t._wt[4] = Fraction(1, 3)
+    for _ in range(2):
+        with pytest.raises(TreeError, match="finite decimal"):
+            tree_digest(t)
+        assert t._digest is None
+
+
+def test_check_trace_refuses_a_tree_moved_after_its_digest(tmp_path):
+    # writing keeps both trees' digests; moving either tree afterwards must
+    # give the moved tree's digest, which the header does not name
+    rng = random.Random(438)
+    t = random_phylogeny(rng, 10)
+    u, ops = _walk(rng, t, 6)
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    assert check_trace(path, t, u)[0]
+    for tree, side in ((u, "target"), (t, "source")):
+        op = random_valid_op(rng, tree)
+        apply_nni(tree, op)
+        assert tree_digest(tree) == _fresh_digest(tree)
+        assert check_trace(path, t, u) == (False, Fraction(0), f"{side} digest mismatch")
+        apply_nni(tree, op)
+    assert check_trace(path, t, u)[0]
+
+
+def test_whole_answer_replays_build_the_adjacency_once(tmp_path, monkeypatch):
+    # the copy each call replays on has no adjacency; the replay builds it once
+    rng = random.Random(439)
+    t = random_phylogeny(rng, 14)
+    u, ops = _walk(rng, t, 10)
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    built = []
+    real = phylo._adjacency
+
+    def counting(ends):
+        built.append(len(ends))
+        return real(ends)
+
+    monkeypatch.setattr(phylo, "_adjacency", counting)
+    monkeypatch.setattr(nni, "_adjacency", counting)
+    for call in (lambda: verify_transform(t, ops, u), lambda: trace_lines(t, u, ops),
+                 lambda: check_trace(path, t, u), lambda: apply_sequence(t, ops)):
+        built.clear()
+        call()
+        assert built == [len(t.edge_ids())]
+
+
+def test_a_failing_replay_from_a_table_copy_leaves_a_whole_tree(tmp_path, monkeypatch):
+    rng = random.Random(440)
+    t = _halved(random_phylogeny(rng, 9, weights="small"))
+    u, ops = _walk(rng, t, 14)
+    j = 6
+    bad = ops[:j] + [NniOp(ops[j].e1, ops[j].e2, ops[j].e1)] + ops[j + 1:]
+    expected = t.copy()
+    for op in ops[:j]:
+        move(expected, *op)
+    with pytest.raises(TreeError) as err:
+        move(expected.copy(), *bad[j])
+    reason = f"operation {j} invalid: {err.value}"
+    prefix = sum((t.weight(op.e2) for op in ops[:j]), Fraction(0))
+    path = tmp_path / "ops.jsonl"
+    write_trace(path, t, u, ops)
+    _rewrite_records(path, lambda i, rec: {**rec, "e3": rec["e1"]} if i == j else rec)
+
+    copies = []
+    real = Phylogeny._tables_copy
+
+    def recording(self):
+        copies.append(real(self))
+        return copies[-1]
+
+    monkeypatch.setattr(Phylogeny, "_tables_copy", recording)
+    assert verify_transform(t, bad, u) == (False, prefix, reason)
+    with pytest.raises(ReplayError) as err:
+        trace_lines(t, u, bad)
+    assert str(err.value) == reason
+    assert check_trace(path, t, u) == (False, prefix, reason)
+    monkeypatch.undo()
+    assert len(copies) == 3
+    for work in copies:
+        assert work._adj == work.copy()._adj
+        assert work.validate() == [] and work.canonical_equal(expected)

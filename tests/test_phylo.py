@@ -361,6 +361,52 @@ def test_canonical_equal_agrees_with_the_split_map_oracle(n, seed, dup):
     assert equal[0].canonical_equal(equal[1])
 
 
+@settings(max_examples=80, **SETTINGS)
+@given(
+    n=st.integers(4, 48),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 3),
+    dup=st.booleans(),
+)
+def test_canonical_equal_on_near_misses_is_the_split_oracle(n, seed, moves, dup):
+    # each near miss sits at the far end of the breadth-first walk, where a
+    # walk that stopped early or paired the wrong nodes would not look
+    _, t, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
+    rng = random.Random(seed)
+    order, parent_edge, children = t.rooted_view()
+    deep_leaf = order[-1]
+    deep_edge = parent_edge[[x for x in order[1:] if children[x]][-1]]
+    w = t.weight(deep_edge)
+    cases = [
+        (rebuilt(t, rng), True),
+        (rebuilt(t, rng, weights={parent_edge[deep_leaf]: t.weight(parent_edge[deep_leaf])
+                                  + Fraction(1, 10**6)}), False),
+        (rebuilt(t, rng, weights={deep_edge: w + Fraction(1, 10**6)}), False),
+    ]
+    others = [e for e in t.internal_edges() if e != deep_edge]
+    same = [e for e in others if t.weight(e) == w]
+    differ = [e for e in others if t.weight(e) != w]
+    if same:
+        # repeated weights: two edges of one weight trading weights is the same tree
+        cases.append((rebuilt(t, rng, weights={same[0]: w, deep_edge: t.weight(same[0])}), True))
+    if differ:
+        # another internal weight on the deep edge, or the two trading weights
+        # (the same multiset on other splits)
+        f = rng.choice(differ)
+        cases.append((rebuilt(t, rng, weights={deep_edge: t.weight(f)}), False))
+        cases.append((rebuilt(t, rng, weights={deep_edge: t.weight(f), f: w}), False))
+    # two taxa trading places, one of them deep: a cherry of equal leaf
+    # weights gives the same tree back, so only the oracle knows
+    other = rng.choice([v for v in t.nodes() if t.is_leaf(v) and v != deep_leaf])
+    cases.append((rebuilt(t, rng, labels={deep_leaf: t.leaf_label(other),
+                                          other: t.leaf_label(deep_leaf)}), None))
+    for u, expected in cases:
+        verdict = canonical_equal_by_splits(t, u)
+        assert expected is None or verdict == expected
+        assert t.canonical_equal(u) == verdict
+        assert u.canonical_equal(t) == verdict
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_copy_lists_adjacent_edges_as_a_fresh_tree_does(seed):
     rng = random.Random(500 + seed)
