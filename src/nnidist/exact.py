@@ -74,8 +74,14 @@ from nnidist.runtime import ParRuntime
 DEFAULT_STATE_LIMIT = 5_000_000
 # The most taxa ``nnidist exact`` takes by default.  Each state costs time
 # linear in the taxa, so the state limit alone does not bound a search's
-# time: a 20,000-taxon pair ran for minutes without settling a state.
-DEFAULT_MAX_TAXA = 12
+# time: a 20,000-taxon pair ran for minutes without settling a state.  On
+# ``generate_pair`` pairs n - 1 moves apart (seeds 1-5, with and without
+# repeated weights), every 11- to 16-taxon pair settled at most 4,874 states
+# (1.8 s, 95 MiB), while at 18 taxa one of ten ran out of 1.5 GiB after
+# 86,886 states.  No cap keeps far pairs finishing: 3n moves apart, one of
+# ten 9-taxon pairs and four of ten 10-taxon pairs settled 100,000 states
+# without reaching tree 2; the state limit ends those.
+DEFAULT_MAX_TAXA = 16
 
 
 class StateLimitError(RuntimeError):

@@ -11,9 +11,7 @@ Serialization is canonical: it writes :meth:`Phylogeny.rooted_view`, the
 tree rooted at the internal node next to the smallest taxon with children
 ordered by the smallest taxon they contain, so equal phylogenies always
 produce byte-identical text.  It reads the view the tree keeps, so a tree
-that was already compared or keyed is serialized without a second walk, and
-:func:`nnidist.nni.tree_digest` keeps the text's digest beside that view, so
-a tree digested once is not serialized for its digest again until it moves.
+that was already compared or keyed is serialized without a second walk.
 Both directions are iterative, so tree depth is bounded by memory, not by
 the recursion limit.
 
@@ -221,11 +219,15 @@ def parse(text: str) -> Phylogeny:
 def serialize(tree: Phylogeny) -> str:
     """Canonical Newick text for ``tree`` (see module docstring)."""
     order, parent_edge, children = tree.rooted_view()
+    label, wt = tree._leaf_label, tree._wt
     text: dict[int, str] = {}
     for x in reversed(order[1:]):
         kids = children[x]
-        body = "(" + ",".join([text[c] for c in kids]) + ")" if kids else tree.leaf_label(x)
-        text[x] = body + ":" + format_weight(tree.weight(parent_edge[x]))
+        w = wt[parent_edge[x]]
+        # most weights are whole numbers, which format_weight writes as str does
+        length = str(w.numerator) if w.denominator == 1 else format_weight(w)
+        body = "(" + ",".join([text[c] for c in kids]) + "):" if kids else label[x] + ":"
+        text[x] = body + length
     return "(" + ",".join([text[c] for c in children[order[0]]]) + ");"
 
 

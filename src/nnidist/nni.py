@@ -52,11 +52,8 @@ straight through :func:`replay`.  :func:`check_trace` compares a record's
 cost with the tree's weight once per middle edge and recorded value: a
 later record whose parsed cost is the very object already verified for
 that edge needs no second comparison.  A tree keeps its rooted view until
-its next move, and :func:`tree_digest` keeps the tree's digest beside that
-view, so the digest lives exactly as long as the view.  Each trace function
-builds the target's view once: the header digest and the end-tree
-comparison both read it.  Checking a trace written a moment earlier from
-the same two trees serializes neither of them again.  Digests and
+its next move, so each trace function builds the target's view once: the
+header digest and the end-tree comparison both read it.  Digests and
 records spell weights as Newick decimals, so a trace needs every weight to
 have a finite decimal form; for a weight such as 1/3 the trace functions
 raise :class:`TreeError`.
@@ -274,19 +271,7 @@ def verify_transform(
 
 
 def tree_digest(tree: Phylogeny) -> str:
-    """SHA-256 of the tree's canonical Newick text, kept with its rooted view.
-
-    The first call on a tree state serializes the kept view; the digest is
-    then stored beside that view and counts only while the tree still keeps
-    it, so a move, which drops the view, drops the digest too.  A weight
-    with no finite decimal form raises TreeError, and nothing is stored.
-    """
-    kept = tree._digest
-    if kept is not None and kept[0] is tree._view:
-        return kept[1]
-    digest = hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
-    tree._digest = tree._view, digest
-    return digest
+    return hashlib.sha256(newick.serialize(tree).encode()).hexdigest()
 
 
 def trace_lines(

@@ -13,9 +13,7 @@ Serialization, the canonical edge order, tree comparison, the leaf sort's
 ranked view, the companion check, good-pair detection and the paper's
 partition labeling all read it.
 Each tree keeps that view from its first use until its next move, so no
-caller passes a view along.  :func:`nnidist.nni.tree_digest` keeps the
-tree's digest beside the view, valid only while the tree still keeps that
-view, so a move drops both.  The exact search's states, read once and
+caller passes a view along.  The exact search's states, read once and
 dropped, take their good-pair keys from one walk of the edge table from the
 same root instead (see :mod:`nnidist.goodpairs`), with no child sort.
 
@@ -79,8 +77,7 @@ class Phylogeny:
     raises :class:`TreeError` listing every violation found.
     """
 
-    __slots__ = (
-        "_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws", "_view", "_digest")
+    __slots__ = ("_ends", "_wt", "_adj", "_leaf_label", "_label_leaf", "_internal_ws", "_view")
 
     def __init__(
         self,
@@ -101,8 +98,6 @@ class Phylogeny:
         self._label_leaf: dict[str, int] = {s: v for v, s in self._leaf_label.items()}
         self._internal_ws: tuple[Fraction, ...] | None = None
         self._view: RootedView | None = None
-        # (view, digest): nnidist.nni.tree_digest's value, valid while _view is view
-        self._digest: tuple[RootedView, str] | None = None
         problems = self.validate()
         if problems:
             raise TreeError("; ".join(problems))
@@ -386,7 +381,7 @@ class Phylogeny:
         out._leaf_label = dict(self._leaf_label)
         out._label_leaf = dict(self._label_leaf)
         out._internal_ws = None
-        out._view = out._digest = None
+        out._view = None
         return out
 
     @staticmethod
@@ -413,7 +408,7 @@ class Phylogeny:
         out._leaf_label = labels
         out._label_leaf = {s: v for v, s in labels.items()}
         out._internal_ws = None
-        out._view = out._digest = None
+        out._view = None
         return out
 
     def __repr__(self) -> str:
