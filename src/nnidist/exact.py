@@ -71,7 +71,20 @@ from nnidist.nni import NniOp, apply_nni, verify_transform
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from nnidist.runtime import ParRuntime
 
-DEFAULT_STATE_LIMIT = 5_000_000
+# The most states ``nnidist exact`` settles by default before it gives up
+# with exit 1.  Memory sets it: a settled state holds 6-16 KB (its entries
+# in ``best`` and ``via``, and frontier entries that keep their parents'
+# trees alive), so the limit must come before memory runs out.  Measured on
+# ``generate_pair`` pairs 3n moves apart under a 2 GiB address-space cap
+# (``ulimit -v``, Python 3.11): at 16 taxa (seeds 1-3) 100,000 states took
+# 1,414-1,614 MiB and 31-39 s and ended at the limit, while 150,000 ran out
+# of memory, and so did a limit of 5,000,000 on a 10-taxon pair (seed 3)
+# after 65 s.  The far 9-taxon pairs that finished (seeds 1, 2, 4-10)
+# needed at most 87,159 states (seed 6; 16 s, 544 MiB); seed 3 needs
+# 131,915 (31 s, 780 MiB), which this default refuses and a larger
+# ``--state-limit`` reaches.  Pairs n - 1 moves apart up to the taxa cap
+# need far fewer (see below).
+DEFAULT_STATE_LIMIT = 100_000
 # The most taxa ``nnidist exact`` takes by default.  Each state costs time
 # linear in the taxa, so the state limit alone does not bound a search's
 # time: a 20,000-taxon pair ran for minutes without settling a state.  On

@@ -34,9 +34,12 @@ e changes e's key alone (see :func:`lower_bound`), and e's new away side is
 the union of two parts of the old tree: the part beyond e's other edge at
 one end and the part beyond the moved edge at the other.  Each part is one
 entry of the pass, or its complement when the pass walked that edge from
-the other end, so :meth:`PairBound.moved_key` costs O(1) big-int operations
-and needs no copy of the tree (DasGupta, He, Jiang, Li, Tromp and Zhang,
-"On computing the nearest neighbor interchange distance", DIMACS 2000).
+the other end (:func:`part`), so :meth:`PairBound.moved_key` costs O(1)
+big-int operations and needs no copy of the tree (DasGupta, He, Jiang, Li,
+Tromp and Zhang, "On computing the nearest neighbor interchange distance",
+DIMACS 2000).  The same two parts, one beyond an edge at the far end of a
+neighbouring edge f, give e's key after a helper move on f and a move on e
+(:meth:`PairBound.helped_keys`).
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ class Sides(NamedTuple):
 
     Sides patched after a move (``pipeline._patch_sides``) may hang the
     tree from a root that no longer sits next to the smallest taxon.
-    :meth:`PairBound.moved_key` reads them as it reads fresh ones: it
-    needs only a consistent hanging and turns each key by bit 0.
+    :meth:`PairBound.moved_key` and :meth:`PairBound.helped_keys` read them
+    as they read fresh ones: they need only a consistent hanging and turn
+    each key by bit 0.
     :func:`edge_keys_of` does not accept them, since it takes the side
     below each edge to be the one without the smallest taxon.
     """
@@ -181,6 +185,24 @@ def edge_keys_of(tree: Phylogeny, sides: Sides) -> dict[int, Key]:
     }
 
 
+def part(ends: dict[int, tuple[int, int]], sides: Sides, y: int, g: int) -> tuple[int, int]:
+    """What lies beyond edge g seen from its end y: (taxa bitset, count vector).
+
+    ``ends`` is the edge table of the tree that ``sides`` describes.  Seen
+    from its parent end, the part beyond g is the child's entry.  Seen from
+    the node whose parent edge g is, it is the complement of that node's
+    entry, with g's own weight added back: g leads to the root, and the
+    root's entry holds every taxon and every internal weight.
+    """
+    root, parent_edge, bits, vecs, _, field = sides
+    if parent_edge[y] == g:
+        return bits[root] ^ bits[y], vecs[root] - vecs[y] + field[g]
+    c, d = ends[g]
+    if c == y:
+        c = d
+    return bits[c], vecs[c]
+
+
 class KeyLayout:
     """Where one fixed target tree's weights and taxa sit in good-pair keys.
 
@@ -248,6 +270,9 @@ class PairBound:
     bound, scaled to integers, as its A* heuristic and says why it is
     consistent.
 
+    ``splits`` maps each weight rank to the taxa sides of the target's
+    edges of that weight, the bitsets of their keys.
+
     The table holds its layout rather than being one, so that a caller done
     with the keys can keep the layout alone, as :func:`decompose` needs,
     and let the keys go.  The layout's ``tree``, ``fields``, ``bit``,
@@ -260,6 +285,10 @@ class PairBound:
         self.bit, self.rank, self.offsets = layout.bit, layout.rank, layout.offsets
         keys = self.edge_keys(target, self.sides(target, self.fields))
         self.target = {key: e for e, key in keys.items()}
+        # the taxa side of each target split, by weight rank
+        self.splits: dict[int, list[int]] = {}
+        for r, side, _ in keys.values():
+            self.splits.setdefault(r, []).append(side)
 
     def edge_fields(self, tree: Phylogeny) -> tuple[dict[int, int], dict[int, int]]:
         """The layout's :meth:`KeyLayout.edge_fields` of ``tree``."""
@@ -295,41 +324,71 @@ class PairBound:
         ``sides`` is the sides of ``tree`` before the move.  The move carries
         e1 from e2's end u to its end v and e3 the other way, so afterwards
         e2's side at u is what lay beyond u's third edge b, seen from u, and
-        what lay beyond e3, seen from v.  Beyond an edge seen from its parent
-        end is the child's entry; seen from the node whose parent edge it
-        is, it is the complement of that node's entry with the edge's own
-        weight added back.  The union is then turned to the side without the
-        smallest taxon.  Each of these vectors counts the copies of a weight
-        on one side of a cut, and the two parts are disjoint, so every field
-        stays in 0..m_w and neither the sums nor the complements carry or
-        borrow.  Every other edge keeps its key (see :func:`lower_bound`),
-        so one move costs O(1) big-int operations.
+        what lay beyond e3, seen from v: two parts (see :func:`part`).  The
+        union is then turned to the side without the smallest taxon.  Each
+        of these vectors counts the copies of a weight on one side of a cut,
+        and the two parts are disjoint, so every field stays in 0..m_w and
+        neither the sums nor the complements carry or borrow.  Every other
+        edge keeps its key (see :func:`lower_bound`), so one move costs O(1)
+        big-int operations.
         """
-        root, parent_edge, bits, vecs, rank, field = sides
         ends, adj = tree._ends, tree._adj
-        every, total = bits[root], vecs[root]
         u, v = ends[e2]
         if v in ends[e1]:
             u, v = v, u
         for b in adj[u]:
             if b != e1 and b != e2:
                 break
-        side = vec = 0
-        for y, x in ((u, b), (v, e3)):
-            if parent_edge[y] == x:
-                # x leads to the root: beyond it lies the complement of y's
-                # entry, and x itself
-                side |= every ^ bits[y]
-                vec += total - vecs[y] + field[x]
-            else:
-                c, d = ends[x]
-                if c == y:
-                    c = d
-                side |= bits[c]
-                vec += vecs[c]
+        side, vec = part(ends, sides, u, b)
+        side3, vec3 = part(ends, sides, v, e3)
+        side |= side3
+        vec += vec3
         if side & 1:  # the smallest taxon's side: the key names the other one
-            return rank[e2], every ^ side, total - vec - field[e2]
-        return rank[e2], side, vec
+            root = sides.root
+            return sides.rank[e2], sides.bits[root] ^ side, sides.vecs[root] - vec - sides.field[e2]
+        return sides.rank[e2], side, vec
+
+    @staticmethod
+    def helped_keys(
+        tree: Phylogeny, sides: Sides, e: int, f: int
+    ) -> list[tuple[int, int, Key]]:
+        """e's key after a helper move on f and a pairing move on e, for each of the four pairs.
+
+        e = (p, q) and f = (p, x) are internal edges of ``tree`` that meet
+        at p, and ``sides`` is the sides of ``tree`` before either move.
+        Call B p's third edge.  The helper move (B, f, xi) swaps B with one
+        of x's other edges xi, which brings what lay beyond xi to p.  The
+        pairing move (f, e, qj) then swaps f with one of q's other edges
+        qj, so e's side at p becomes part(x, xi) ∪ part(q, qj) (see
+        :func:`part`).  A move changes only its own edge's split, so the
+        helper leaves both parts as they were, and both are read off the
+        sides before it.  The parts are disjoint, so as in
+        :meth:`moved_key` no field carries.  Returns (xi, qj, key) for xi
+        and qj each in edge-id order: four keys in O(1) big-int operations,
+        with no copy of the tree and no trial move.
+        """
+        ends, adj = tree._ends, tree._adj
+        p, q = ends[e]
+        c, x = ends[f]
+        if p != c and p != x:
+            p, q = q, p
+        if x == p:
+            x = c
+        at_q = [(qj, *part(ends, sides, q, qj)) for qj in sorted(adj[q]) if qj != e]
+        # a union that holds the smallest taxon is turned as in moved_key
+        rank, root = sides.rank[e], sides.root
+        every, rest = sides.bits[root], sides.vecs[root] - sides.field[e]
+        out = []
+        for xi in sorted(adj[x]):
+            if xi != f:
+                side_x, vec_x = part(ends, sides, x, xi)
+                for qj, side_q, vec_q in at_q:
+                    side = side_x | side_q
+                    if side & 1:
+                        out.append((xi, qj, (rank, every ^ side, rest - vec_x - vec_q)))
+                    else:
+                        out.append((xi, qj, (rank, side, vec_x + vec_q)))
+        return out
 
     def pairs(self, keys: dict[int, Key]) -> list[tuple[int, int]]:
         """The sorted (edge, target edge) good pairs of the tree with these keys."""

@@ -409,12 +409,6 @@ def _parse_records(
         yield rec
 
 
-def read_trace(path: str | Path) -> tuple[dict, list[NniOp]]:
-    """Load a trace file; returns (header, operations). Structural checks only."""
-    header, lines, start = _trace_body(path)
-    return header, [NniOp(*rec[:3]) for rec in _parse_records(lines, start)]
-
-
 def check_trace(
     path: str | Path, source: Phylogeny, target: Phylogeny
 ) -> tuple[bool, Fraction, str | None]:

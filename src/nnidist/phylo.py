@@ -207,19 +207,12 @@ class Phylogeny:
     def n_taxa(self) -> int:
         return len(self._leaf_label)
 
-    def leaf_edges(self) -> list[int]:
-        return [e for e in self.edge_ids() if self.is_edge_leaf(e)]
-
     def internal_edges(self) -> list[int]:
         return [e for e in self.edge_ids() if not self.is_edge_leaf(e)]
 
     def is_edge_leaf(self, e: int) -> bool:
         u, v = self._ends[e]
         return u in self._leaf_label or v in self._leaf_label
-
-    def leaf_edge_of(self, label: str) -> int:
-        """The unique edge incident to the leaf carrying ``label``."""
-        return self._adj[self._label_leaf[label]][0]
 
     def leaf_weight_map(self) -> dict[str, Fraction]:
         return {s: self._wt[self._adj[v][0]] for s, v in self._label_leaf.items()}

@@ -6,60 +6,98 @@ on a component of at most six taxa, find an optimal answer.
 it changes e's good-pair key alone (see ``goodpairs.lower_bound``): a
 paired edge stays paired, and a move that gives an unpaired edge e a key of
 tree 2's table makes one more cut at the cost w(e).  :func:`pairing_pass`
-makes such moves on a copy of t1, in rounds.  A round judges both moves of
-an unpaired edge with :meth:`PairBound.moved_key`, fixing the lowest
-numbered edge at one end as ``exact.neighbors`` does, and keeps every move
-whose key is in the table.  The first round judges every unpaired edge on
-detection's sides.  A later round judges only the unpaired edges that
-share a node with a move kept in the round before.  Any other edge g keeps
-what its judgement read: a move rewires only its own two nodes, so g's
-ends keep their edges and g its two moves, and ``moved_key`` reads the
-parts beyond the edges at g's ends, each one side of that edge's split.
-Only a move on that edge changes its split, and none was made, or g would
-share its node.  So g's moves give the keys they gave when g was last
-judged, and those were not in the table.  The sides are not walked again
-either: a move changes the entries of its two nodes alone, and each kept
-move patches them in O(1) (see :func:`_patch_sides`).  So a later round
-costs O(moves kept), not O(n).
-The recorded round still has one task per move of every unpaired edge:
-it describes the parallel schedule, in which each edge's task judges its
-own moves without being told which neighbours moved, and the frontier is
-the sequential run's shortcut to the same kept moves.
+makes such moves on a copy of t1, in rounds, of two kinds.
 
-No two kept moves of a round share a node.  A move on e = (u, v) gives e
-the side made of one part at u and one part at v.  Let f = (v, x) be
-another edge at v, and call the parts beyond u's other edges U1 and U2,
-beyond x's X1 and X2, and beyond v's third edge G.  Then e's new side is
-Ui ∪ G or Ui ∪ X1 ∪ X2, and f's is Xj ∪ G or Xj ∪ U1 ∪ U2.  In each of the
-four cases every side of one split meets both sides of the other, so the
-two splits cross and cannot both be splits of tree 2.  The same holds for
-e's own two moves, Ui ∪ G against Ui ∪ X1 ∪ X2.  So the kept moves are on
-distinct edges that share no node, and they commute: a move rewires only
-its own two nodes and changes no split but its edge's, its key is read off
-the parts beyond the edges at those nodes, and none of those edges is
-another kept move's middle edge.  Every kept move thus stays a path and
-gives its edge the key it was judged to give, in whatever order the round's
-moves are applied, and no two give one key, since a tree holds each split
-once.
+A single move pairs e itself.  A round judges both moves of an unpaired
+edge with :meth:`PairBound.moved_key`, fixing the lowest numbered edge at
+one end as ``exact.neighbors`` does, and keeps every move whose key is in
+the table.
 
-The guarantee survives with a constant of about 2.  Every kept move is on
-an edge that was unpaired in t1, and an edge is moved at most once, since
-it is paired afterwards.  So the pass's moves G cost cost(G) ≤ LB ≤ opt,
-LB being :func:`goodpairs.lower_bound` of the input pair.  Undoing G and
-then following an optimal answer from t1 shows opt(T1′, T2) ≤ 2·opt, so
-the O(log n)·opt bound of the phases holds on T1′ with twice the constant,
-and the pass adds at most opt to it.  The pass stops after a round that
-keeps no move and runs at most ⌈log₂ n⌉ rounds, so its span is O(log n).
-Each round is recorded as one round of phase ``pairing`` with one task per
-move of every unpaired edge: a task keeps or drops its move on its own,
-with no choice among the kept moves.
+A two-move unit pairs e after a helper move next to it (Li, Tromp and
+Zhang, "On the nearest neighbour interchange distance between evolutionary
+trees", J. Theor. Biol. 1996, on how moves on adjacent edges compose).
+Let e = (p, q) and f = (p, x) be unpaired, B p's third edge, xi one of x's
+other edges and qj one of q's.  The helper move (B, f, xi) brings the part
+beyond xi to p, and the pairing move (f, e, qj) then gives e the side
+part(x, xi) ∪ part(q, qj).  :meth:`PairBound.helped_keys` reads the four
+keys of one (e, f) off the sides before either move, in O(1) big-int
+operations.  An edge without a kept single move offers the units whose key
+is in the table, for every unpaired f next to it that has not helped
+before, in edge-id order of f, xi and qj.  The round then takes the offers
+of the lowest numbered edge first, and keeps an offer when its nodes p, q
+and x meet no node of a kept single move and none of a unit kept before
+it; an edge keeps one unit at most, since its second would meet its
+first.  So no two kept units share a node, and a helper f, whose ends are
+a unit's nodes, helps once per round; ``can_help`` keeps it from helping
+again in a later round.
+
+Most edges are turned away before either kernel runs.  A move on e that
+swaps at its end y leaves one of the two parts beyond y's other edges on
+each side of e.  So a tree-2 split of e's weight must meet e's side at y
+in exactly one of those parts (:func:`_meets_one_part`, one AND per split
+of that weight in ``PairBound.splits``).  A single move swaps at both
+ends, and a unit with its helper at p swaps at q, so an edge is judged
+only where this holds, and the check changes no kept move.
+
+No two kept single moves of a round share a node either, without a check.
+A move on e = (u, v) gives e the side made of one part at u and one part
+at v.  Let f = (v, x) be another edge at v, and call the parts beyond u's
+other edges U1 and U2, beyond x's X1 and X2, and beyond v's third edge G.
+Then e's new side is Ui ∪ G or Ui ∪ X1 ∪ X2, and f's is Xj ∪ G or
+Xj ∪ U1 ∪ U2.  In each of the four cases every side of one split meets
+both sides of the other, so the two splits cross and cannot both be splits
+of tree 2.  The same holds for e's own two moves, Ui ∪ G against
+Ui ∪ X1 ∪ X2.
+
+So every kept unit rewires nodes of its own, and the units commute.  A
+move rewires only its own two nodes and changes no split but its edge's.
+A unit's key is read off the parts beyond edges at its nodes, each one
+side of that edge's split, and none of those edges is another unit's
+middle edge, or the two units would share a node.  Every kept unit thus
+stays a path of moves and gives its edge the key it was judged to give, in
+whatever order the round's units are applied, and no two give one key,
+since a tree holds each split once.  A helper move gives f a key that is
+not in the table: it is one of f's two single moves, and a round that
+judges f keeps such a move first.
+
+The first round judges every unpaired edge on detection's sides.  A later
+round judges only the unpaired edges with an end at a node that a unit of
+the round before rewired, or one edge from such a node along an edge that
+can still help.  Any other edge g keeps what its judgement read: its ends,
+the edges there, the far ends x of its helpers and the edges at those,
+each part beyond one of them, and whether each helper can still help.
+Each of these changes only when a move rewires one of those nodes, and a
+node of a kept unit keeps its edges on the unit's nodes.  A helper that
+can no longer help has moved, so its end at g is rewired too.  So g's
+moves and units give the keys they gave when g was last judged, and those
+were not in the table or lost to a unit that shared a node, which a kept
+unit rewired.  The sides are not walked again either: a move changes the
+entries of its two nodes alone, and each kept move patches them in O(1)
+(see :func:`_patch_sides`).  So a later round
+costs O(moves kept), not O(n).  The recorded round still has two tasks per
+unpaired edge, which judge its single moves and its units: it describes
+the parallel schedule, in which each edge's tasks judge its own moves
+without being told which neighbours moved, and the frontier is the
+sequential run's shortcut to the same kept moves.
+
+The guarantee survives with a constant of about 3.  Every kept move is on
+an edge that was unpaired in t1: a paired edge is never moved.  An edge is
+moved at most once to pair, since it is paired afterwards, and at most
+once as a helper.  So the pass's pairing moves cost at most LB, and so do
+its helper moves, and the pass's moves G cost cost(G) ≤ 2·LB ≤ 2·opt, LB
+being :func:`goodpairs.lower_bound` of the input pair.  Undoing G and then
+following an optimal answer from t1 shows opt(T1′, T2) ≤ 3·opt, so the
+O(log n)·opt bound of the phases holds on T1′ with three times the
+constant, and the pass adds at most 2·opt to it.  The pass stops after a
+round that keeps no move and runs at most ⌈log₂ n⌉ rounds, so its span is
+O(log n).  Each round is recorded as one round of phase ``pairing``.
 
 A pair of at most six taxa takes no round.  The exact search already
 solves such a pair whole and optimally, and a pass move made first can
 only keep that cost or raise it.
 
 T1′'s good pairs are t1's plus one (e, target edge of e's new key) per kept
-move, so no further key pass is needed.  ``decompose`` cuts T1′, which
+pairing move, so no further key pass is needed.  ``decompose`` cuts T1′, which
 keeps t1's edge ids, and the answer is the pass's moves followed by the
 components' moves.  :func:`approx_nni` replays it once, from the original
 t1.  ``lower_bound`` and ``good_pairs`` describe the input pair.  The cut
@@ -144,6 +182,7 @@ from nnidist.goodpairs import (
     find_good_edge_pairs,
     first_free_cut,
     lower_bound,
+    part,
 )
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import LinearizeResult, linearize, spine
@@ -382,13 +421,15 @@ class Pairing(NamedTuple):
 
     ``tree`` is T1′, t1 itself when the pass kept no move, and ``pairs``
     are T1′'s good pairs.  ``rounds`` lists each round that kept a move, as
-    (move, key) in the order the round judged them; the key is the one the
-    move gives its middle edge, a key of tree 2's table.
+    (move, key) in the order the round applied them: its single moves in
+    edge-id order, then its two-move units, each a helper move with key
+    None followed by its pairing move.  A pairing move's key is the one it
+    gives its middle edge, a key of tree 2's table.
     """
 
     detected: GoodEdgePairSet
     tree: Phylogeny
-    rounds: list[list[tuple[NniOp, Key]]]
+    rounds: list[list[tuple[NniOp, Key | None]]]
     pairs: GoodEdgePairSet
 
 
@@ -430,6 +471,41 @@ def _patch_sides(work: Phylogeny, sides: Sides, f: int) -> None:
         bits[x], vecs[x] = below, vec + field[e]
 
 
+def _pairing_move(
+    table: PairBound, tree: Phylogeny, sides: Sides, e: int
+) -> tuple[NniOp, Key] | None:
+    """e's single move whose key is in ``table``, and that key, or None.
+
+    The lowest numbered edge at one end is fixed, as ``exact.neighbors``
+    does, which leaves e's two distinct moves.  Their splits cross, so at
+    most one of them is in the table.
+    """
+    ends, adj = tree._ends, tree._adj
+    u, v = ends[e]
+    a1 = min(g for g in adj[u] if g != e)
+    for e3 in sorted(g for g in adj[v] if g != e):
+        key = table.moved_key(tree, sides, a1, e, e3)
+        if key in table.target:
+            return NniOp(a1, e, e3), key
+    return None
+
+
+def _meets_one_part(tree: Phylogeny, sides: Sides, splits: list[int], e: int, y: int) -> bool:
+    """Whether a split in ``splits`` meets e's side at its end y in exactly one part at y.
+
+    The two parts at y are what lies beyond y's other edges
+    (``goodpairs.part``), and e's side at y is what lies beyond e seen from
+    its other end, all read off ``sides`` of ``tree``.
+    """
+    ends = tree._ends
+    c, x = ends[e]
+    if x == y:
+        x = c
+    side = part(ends, sides, x, e)[0]
+    at_y = [part(ends, sides, y, g)[0] for g in tree._adj[y] if g != e]
+    return any(split & side in at_y for split in splits)
+
+
 def pairing_pass(
     t1: Phylogeny,
     t2: Phylogeny,
@@ -437,44 +513,76 @@ def pairing_pass(
     fields: tuple[dict[int, int], dict[int, int]],
     rt: ParRuntime,
 ) -> Pairing:
-    """t1's good pairs, and more made by single moves in at most ⌈log₂ n⌉ rounds.
+    """t1's good pairs, and more made by moves, in at most ⌈log₂ n⌉ rounds.
 
     ``table`` is ``PairBound(t2)`` and ``fields`` is
     ``table.edge_fields(t1)``.  ``t1`` is left as it is; the moves are made
-    on a copy.  Each round keeps every move whose key is in the table;
-    these share no node and commute.  The first round judges both moves of
-    every unpaired edge on detection's sides, a later round only those of
-    the unpaired edges at the ends of a move kept in the round before, on
-    sides patched per move (:func:`_patch_sides`); it keeps the moves a
-    full round would (see the module docstring).  Each round records one
-    round of phase ``pairing`` with one task per move of every unpaired
-    edge.  The pass stops after a round that keeps no move, and takes no
-    round on a pair of at most six taxa.
+    on a copy.  Each round keeps every single move whose key is in the
+    table, then the two-move units (a helper move on an unpaired edge f
+    next to e that has not helped before, then a pairing move on e) whose
+    key is in the table and whose nodes meet no node of a move kept before
+    them, lower numbered edges first.  The kept moves of a round commute.
+    The first round judges every unpaired edge on detection's sides, a
+    later round only the unpaired edges near a node that a move of the
+    round before rewired, on sides patched per move
+    (:func:`_patch_sides`); it keeps the moves a full round would (see the
+    module docstring).  Each round records one round of phase ``pairing``
+    with two tasks per unpaired edge.  The pass stops after a round that
+    keeps no move, and takes no round on a pair of at most six taxa.
     """
     sides = table.sides(t1, fields)
     detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
     found = list(detected.pairs)
     paired = {e for e, _ in found}
     unpaired = {e for e in fields[0] if e not in paired}
+    # unpaired and not yet moved as a helper: an edge helps once at most
+    can_help = set(unpaired)
     # walked in edge-id order, so each round's kept moves keep their order
     frontier = sorted(unpaired)
-    target = table.target
+    target, splits, rank = table.target, table.splits, fields[0]
     work = t1
-    rounds: list[list[tuple[NniOp, Key]]] = []
+    rounds: list[list[tuple[NniOp, Key | None]]] = []
     cap = math.ceil(math.log2(t1.n_taxa)) if t1.n_taxa > EXACT_MAX_INTERNAL + 3 else 0
     for _ in range(cap):
         if not unpaired:
             break
         ends, adj = work._ends, work._adj
-        kept = []
-        for e2 in frontier:
-            # fix the lowest numbered edge at one end, as exact.neighbors does
-            u, v = ends[e2]
-            a1 = min(e for e in adj[u] if e != e2)
-            for e3 in sorted(e for e in adj[v] if e != e2):
-                key = table.moved_key(work, sides, a1, e2, e3)
-                if key in target:
-                    kept.append((NniOp(a1, e2, e3), key))
+        kept: list[tuple[NniOp, Key | None]] = []
+        taken: set[int] = set()  # the nodes of the moves kept so far
+        offers = []
+        for e in frontier:
+            u, v = ends[e]
+            # a move on e at y leaves one of y's two other parts on each side
+            # of e, so a tree-2 split of e's weight must meet e's side at y in
+            # exactly one of them; a single move needs this at both ends, and
+            # a unit with its helper at one end at the other end
+            of_weight = splits[rank[e]]
+            meets_u = _meets_one_part(work, sides, of_weight, e, u)
+            meets_v = _meets_one_part(work, sides, of_weight, e, v)
+            if meets_u and meets_v:
+                single = _pairing_move(table, work, sides, e)
+                if single is not None:
+                    kept.append(single)
+                    taken.update((u, v))
+                    continue
+            for p, q, meets in ((u, v, meets_v), (v, u, meets_u)):
+                if meets:
+                    for f in sorted(adj[p]):
+                        if f != e and f in can_help:
+                            for xi, qj, key in table.helped_keys(work, sides, e, f):
+                                if key in target:
+                                    offers.append((p, q, e, f, xi, qj, key))
+        # every single move is kept first, then each edge's first unit that fits
+        for p, q, e, f, xi, qj, key in offers:
+            c, x = ends[f]
+            if x == p:
+                x = c
+            if p in taken or q in taken or x in taken:
+                continue
+            (b,) = [g for g in adj[p] if g != e and g != f]
+            kept.append((NniOp(b, f, xi), None))
+            kept.append((NniOp(f, e, qj), key))
+            taken.update((p, q, x))
         rt.round("pairing", range(2 * len(unpaired)))
         if not kept:
             break
@@ -484,14 +592,24 @@ def pairing_pass(
             work = t1.copy()
             ends, adj = work._ends, work._adj
             sides = sides._replace(parent_edge=dict(sides.parent_edge))
-        touched: set[int] = set()
         for op, key in kept:
-            u, v = move(work, *op)
+            move(work, *op)
             _patch_sides(work, sides, op.e2)
-            touched.update(adj[u], adj[v])
-            found.append((op.e2, target[key]))
-        unpaired -= {op.e2 for op, _ in kept}
-        frontier = sorted(touched & unpaired)
+            can_help.discard(op.e2)
+            if key is not None:
+                found.append((op.e2, target[key]))
+                unpaired.discard(op.e2)
+        # every edge at a rewired node, or one edge from one along an edge
+        # that can still help: a kept node's edges stay on kept nodes, so
+        # these are the edges whose judgement can change
+        near: set[int] = set()
+        for x in taken:
+            for g in adj[x]:
+                near.add(g)
+                if g in can_help:
+                    c, y = ends[g]
+                    near.update(adj[y if c == x else c])
+        frontier = sorted(near & unpaired)
         rounds.append(kept)
     return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))
 
@@ -515,7 +633,8 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     sequence = [op for kept in pairing.rounds for op, _ in kept]
     del pairing, table  # their keys are not read again
     totals = {name: Fraction(0) for name in PHASE_NAMES}
-    totals["pairing"] = counted_cost(t1, dict.fromkeys([op.e2 for op in sequence], 1))
+    # an edge may move twice in the pass: once as a helper, once to pair
+    totals["pairing"] = counted_cost(t1, Counter(op.e2 for op in sequence))
 
     # every cut is itself a good pair, so a component keeps the splits and
     # weight partitions of the full trees and holds no further pairs.

@@ -28,8 +28,24 @@ from fractions import Fraction
 
 from nnidist.leafsort import leaf_permutation
 from nnidist.newick import ParseError, format_weight, parse_weight
-from nnidist.nni import NniOp, move
+from nnidist.nni import NniOp, _parse_records, _trace_body, move
 from nnidist.phylo import Phylogeny, TreeError
+
+
+def leaf_edges(tree: Phylogeny) -> list[int]:
+    """Every edge of ``tree`` that ends at a leaf, in edge-id order."""
+    return [e for e in tree.edge_ids() if tree.is_edge_leaf(e)]
+
+
+def leaf_edge_of(tree: Phylogeny, label: str) -> int:
+    """The unique edge incident to the leaf carrying ``label``."""
+    return tree._adj[tree._label_leaf[label]][0]
+
+
+def read_trace(path) -> tuple[dict, list[NniOp]]:
+    """Load a trace file; returns (header, operations). Structural checks only."""
+    header, lines, start = _trace_body(path)
+    return header, [NniOp(*rec[:3]) for rec in _parse_records(lines, start)]
 
 
 def random_phylogeny(
@@ -1035,11 +1051,14 @@ def search_by_view(t1: Phylogeny, t2: Phylogeny, state_limit: int, rt=None):
 def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
     """``pipeline.pairing_pass`` with every round judging every unpaired edge.
 
-    The pass as it was before a later round judged only the edges at the
-    ends of the round before's moves: each later round walks the working
-    tree again (``goodpairs.walk`` and ``sides_below``) and judges both
-    moves of every unpaired edge on those fresh sides.  It records the same
-    rounds, so the pass's result and runtime must equal this one's.
+    The pass as it would run if a later round did not skip the edges far
+    from the round before's moves: each later round walks the working tree
+    again (``goodpairs.walk`` and ``sides_below``) and judges every unpaired
+    edge on those fresh sides, its two single moves and its two-move
+    offers.  A round keeps every single move whose key is in the table,
+    then each offer whose nodes meet no node of a move kept before it, in
+    edge-id order.  It records the same rounds, so the pass's result and
+    runtime must equal this one's.
     """
     import math
 
@@ -1053,6 +1072,7 @@ def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
     found = list(detected.pairs)
     paired = {e for e, _ in found}
     unpaired = [e for e in sorted(fields[0]) if e not in paired]
+    helped = set()
     target = table.target
     work = t1
     rounds = []
@@ -1063,16 +1083,35 @@ def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
         if k:
             sides = sides_below(work, walk(work), table.bit, *fields)
         ends, adj = work._ends, work._adj
-        kept = []
+        singles, offers = [], []
         for e2 in unpaired:
             # fix the lowest numbered edge at one end, as exact.neighbors does
             u, v = ends[e2]
             a1 = min(e for e in adj[u] if e != e2)
+            mine = []
             for e3 in sorted(e for e in adj[v] if e != e2):
                 key = table.moved_key(work, sides, a1, e2, e3)
                 if key in target:
-                    kept.append((NniOp(a1, e2, e3), key))
+                    mine.append((NniOp(a1, e2, e3), key))
+            singles.extend(mine)
+            if mine:
+                continue
+            for p, q in ((u, v), (v, u)):
+                for f in sorted(adj[p]):
+                    if f == e2 or f not in unpaired or f in helped:
+                        continue
+                    x = work.other_end(f, p)
+                    (b,) = [g for g in adj[p] if g not in (e2, f)]
+                    for xi, qj, key in table.helped_keys(work, sides, e2, f):
+                        if key in target:
+                            offers.append(({p, q, x}, NniOp(b, f, xi), NniOp(f, e2, qj), key))
         sides = None
+        taken = {x for op, _ in singles for x in ends[op.e2]}
+        kept = list(singles)
+        for nodes, helper, pairing, key in offers:
+            if not nodes & taken:
+                kept += [(helper, None), (pairing, key)]
+                taken |= nodes
         rt.round("pairing", range(2 * len(unpaired)))
         if not kept:
             break
@@ -1080,8 +1119,11 @@ def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
             work = t1.copy()
         for op, key in kept:
             move(work, *op)
-            found.append((op.e2, target[key]))
-        moved = {op.e2 for op, _ in kept}
+            if key is None:
+                helped.add(op.e2)
+            else:
+                found.append((op.e2, target[key]))
+        moved = {op.e2 for op, key in kept if key is not None}
         unpaired = [e for e in unpaired if e not in moved]
         rounds.append(kept)
     return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))

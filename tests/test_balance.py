@@ -11,7 +11,7 @@ from nnidist.balance import build_auxiliary, check_auxiliary
 from nnidist.gen import generate_pair, random_tree
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 
-from oracles import caterpillar, random_phylogeny, weighted_splits
+from oracles import caterpillar, leaf_edge_of, random_phylogeny, weighted_splits
 
 
 def leaf_depth_by_walk(tree, label):
@@ -158,7 +158,7 @@ def test_check_auxiliary_rejects_changed_weights():
     heavier = reweighted(tree, {top: tree.weight(top) + 1000})
     with pytest.raises(TreeError, match="internal weight multiset"):
         check_auxiliary(t, heavier)
-    leaf = tree.leaf_edge_of(tree.taxa()[-1])
+    leaf = leaf_edge_of(tree, tree.taxa()[-1])
     moved = reweighted(tree, {leaf: tree.weight(leaf) + 1000})
     with pytest.raises(TreeError, match="leaf weights"):
         check_auxiliary(t, moved)

@@ -1,14 +1,18 @@
 """CLI behavior: subcommands, exit codes, and file outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nnidist import cli, newick
 from nnidist.cli import main
-from nnidist.exact import DEFAULT_MAX_TAXA
+from nnidist.exact import DEFAULT_MAX_TAXA, DEFAULT_STATE_LIMIT
 from nnidist.gen import generate_pair
 
 
@@ -97,6 +101,31 @@ def test_exact_refuses_a_pair_above_the_taxa_cap_before_searching(pair_files, mo
     monkeypatch.undo()
     assert main(["exact", p1, p2, "--max-taxa", "10", "--state-limit", "1"]) == 1
     assert "settled more than 1 states" in capsys.readouterr().err
+
+
+def test_exact_far_pair_exits_one_at_the_default_state_limit(tmp_path):
+    # 3n moves apart, this 9-taxon pair needs 131,915 settled states, more
+    # than the default limit: about 18 s and 610 MiB to reach the limit with
+    # Python 3.11.  Under a 2 GiB address-space cap the search must stop at
+    # the limit with exit 1 and say so, not run out of memory first
+    resource = pytest.importorskip("resource")
+    t1, t2, _ = generate_pair(seed=3, n=9, moves=27)
+    p1, p2 = tmp_path / "a.nwk", tmp_path / "b.nwk"
+    newick.write_tree(p1, t1)
+    newick.write_tree(p2, t2)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nnidist.cli", "exact", str(p1), str(p2)],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=600)
+    assert done.returncode == 1, done.stderr
+    assert f"settled more than {DEFAULT_STATE_LIMIT} states" in done.stderr
+    assert "Traceback" not in done.stderr and not done.stdout
 
 
 def test_exact_takes_a_pair_at_the_taxa_cap(tmp_path, capsys):

@@ -18,7 +18,7 @@ from nnidist.nni import apply_sequence
 from nnidist.phylo import TreeError
 from nnidist.runtime import ParRuntime
 
-from oracles import caterpillar, random_phylogeny
+from oracles import caterpillar, leaf_edges, random_phylogeny
 
 
 def read_order(tree):
@@ -231,7 +231,7 @@ def _order_variants(tree, order, rng):
         k = rng.randrange(1, m)
         out += [("adjacent swap", swapped), ("rotation", order[k:] + order[:k])]
     if m >= 1:
-        leaf = rng.choice(tree.leaf_edges())
+        leaf = rng.choice(leaf_edges(tree))
         out += [
             ("missing an edge", order[:-1]),
             ("leaf edge in place of one", order[:-1] + [leaf]),

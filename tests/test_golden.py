@@ -33,16 +33,16 @@ def _ids(rows):
 
 
 GOLDEN = [
-    (8, 1, "a79317c724e20794af26d0a3c140bcc016ed11f5333eab21ac2be96a6fc33943"),
+    (8, 1, "c3524786fbacd24fb8651df8caa16b9992bfc0c72583feffb79ae9218ecd3066"),
     (8, 2, "c699d927a30b29e675f38928d1d092497a568f14884d6d23e40d81074d94c504"),
-    (16, 1, "4d6de3f8cfce2781cf3d808c4eb006c323eed48fc371f74d0c65092605ce4480"),
+    (16, 1, "a89056d70a02dde7696b362b2b3df4936e37425cdb1d3bdc5dbf8833672d7067"),
     (16, 2, "3b9683d7f4416c0b8ac04232635368efa84c5c26999b1f543aa0d4653162db6e"),
-    (32, 1, "39d5f5ffb3313369712305841b9b3d9f9040230a3ac46c5b7a1bd94bed9f2cc5"),
-    (32, 2, "9e345d963e6046366d4f481347cd9298d5a35997b1b91e3e899707d2bece2141"),
-    (64, 1, "b28a96062728bcbe874f9120ced7f29fdd36d0182a614d2c67e05f7183ead153"),
-    (64, 2, "1ca96af79593385e90d899c3947e8d89cb51a3ff12944c866c8047cb377d97f9"),
-    (128, 1, "1e31fa6e7f444ce3d92aae4c0a090692072437c8d3c09e00df5dc5b922327fac"),
-    (128, 2, "4cbf116d23573d53c64f1d0f2eadeff99fe68bcb655276f1bb1306b6e4fa6dc4"),
+    (32, 1, "972c82f461932840186ae29006c231697a82e8197fc5cde39f5fd9dede0a713d"),
+    (32, 2, "7f36af691db7ccfab0863a9b388e25ebaa62d695f4946510041e56945e92d668"),
+    (64, 1, "916fd767d9d5af06dc9dcb229fbdfb52e9ced560de4dba70bf1d7a6fc30c91d4"),
+    (64, 2, "be12133e0243fd2e462eff034e0e062dd934a33216c371557cab5a8e0aec2ca9"),
+    (128, 1, "8f33d03842b35d718e2c449a869b0b4c2913a7f08e0642b8be04d011e5605b58"),
+    (128, 2, "5498d52294a7053bbd8e28420a1ae11d2772648add744f55e67dd077b9cf66fc"),
 ]
 
 
@@ -55,16 +55,16 @@ def test_trace_bytes_are_pinned(n, seed, digest):
 
 
 GOLDEN_METRICS = [
-    (8, 1, "f25ea50d13a1c2a50701c7b77eb516939ee6902ae95184a0ec88be43a96e7525"),
+    (8, 1, "2a7711786b1d96afbe92d8781714a7c3a40c85303d63f1bdc6f8f8f13865702a"),
     (8, 2, "c78801046a99b37feca506f63df8e76e01a8425f3ae853c40a43aaaf5f18c855"),
-    (16, 1, "c805772e2aab72f1bc8c67d606179dfa43ad2329a28acfc4975841f1847446e9"),
+    (16, 1, "ee5cf0d636ec1debd639334a19f50bdb6785afae210b40b1043bc5b38b974b01"),
     (16, 2, "41a186850c3aced0e41ee6de943f59ab1580392d3f5cd72e2bdd49bd0445dbfc"),
-    (32, 1, "dec1c60b88aea2c2824262991c2d65d82771050bccef11dbbbc15407c829cab0"),
-    (32, 2, "f936b9876be76aa19c369547b4c1f5129625788cc93f44cc11a5a94ec376c2c0"),
-    (64, 1, "d058848b6ba7d8bbf897e2e9ec9de13ad18d9bd6b12dcb7ce5f2d6dcb68b43f4"),
-    (64, 2, "b5b8b08f27a750180fef294eec9033639cc7cfd972401bb3c42bb87e3bdd53c8"),
-    (128, 1, "95ca382cc81597c9123e5f0cee1f15ab965631ab37adb693e90e8f56078d974b"),
-    (128, 2, "c690cf400dc814bfae8880464f778edb6fc500e380647db7fa617bd871554a03"),
+    (32, 1, "0204def94a0b99d3af015fe61fdf17ec20fdf3baf2f5769f7ec6999d9c27486b"),
+    (32, 2, "ecbb3cdedc54a8fdaf1059c3c2c2f33e5fc45000b1ae80766f04094549366e06"),
+    (64, 1, "3293a58ba01c0d848a2361325faa59aa2e5e3d7acd3ef19c064f61eb52c7b0e4"),
+    (64, 2, "643137dc370eaf52dccd907cb9728757d2c84b82264405b1af311cadcc642ac6"),
+    (128, 1, "afde10e60224086b0725115ead7ba5c59f38f2d8bd73960b61e53d9b28e59fa9"),
+    (128, 2, "83842a5eb14ca5b0e9cda828e8714220713b001971eacf6ae9c9a0c2272d8eb9"),
 ]
 
 

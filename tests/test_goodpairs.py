@@ -29,6 +29,7 @@ from oracles import (
     caterpillar,
     cut_components_by_validation,
     good_pair_oracle,
+    leaf_edge_of,
     random_phylogeny,
     splits_by_removal,
     weight_partition_by_removal,
@@ -226,6 +227,83 @@ def test_moved_key_is_the_key_of_the_moved_tree_under_repeated_weights(
 ):
     t1, t2 = repeated_pair(seed, n, moves, repeats)
     check_moved_keys(t1, t2, n)
+
+
+def check_helped_keys(t1, t2):
+    """Every two-move key of both trees against the keys of the tree after both moves.
+
+    Returns which parts were read as a complement, and from which end the
+    view hangs e, so that a caller can see the cases were met.
+    """
+    table = PairBound(t2)
+    met = set()
+    for tree in (t1, t2):
+        sides = table.sides(tree)
+        parent_edge = sides.parent_edge
+        internal = set(tree.internal_edges())
+        for e in internal:
+            for p in tree.endpoints(e):
+                q = tree.other_end(e, p)
+                for f in tree.adjacent_edges(p):
+                    if f == e or f not in internal:
+                        continue
+                    x = tree.other_end(f, p)
+                    (b,) = [g for g in tree.adjacent_edges(p) if g not in (e, f)]
+                    got = table.helped_keys(tree, sides, e, f)
+                    # four pairs (xi, qj), each in edge-id order
+                    assert [(xi, qj) for xi, qj, _ in got] == [
+                        (xi, qj)
+                        for xi in sorted(g for g in tree.adjacent_edges(x) if g != f)
+                        for qj in sorted(g for g in tree.adjacent_edges(q) if g != e)]
+                    for xi, qj, key in got:
+                        moved = tree.copy()
+                        apply_nni(moved, NniOp(b, f, xi))
+                        apply_nni(moved, NniOp(f, e, qj))
+                        assert key == table.edge_keys(moved)[e]
+                        away, _ = weight_partition_by_removal(moved, e)
+                        assert decoded(table, key[2]) == Counter(away)
+                        met.add("e hangs from p" if parent_edge[q] == e else "e hangs from q")
+                        if parent_edge[p] == f:
+                            met.add("f leads to the root")
+                        if parent_edge[x] == xi:
+                            met.add("xi leads to the root")
+                        if parent_edge[q] == qj:
+                            met.add("qj leads to the root")
+    return met
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(5, 10),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 30),
+    repeats=st.sampled_from(["distinct", "dup", "one", "mixed"]),
+)
+def test_helped_keys_are_the_keys_after_both_moves(n, seed, moves, repeats):
+    # the helper move (B, f, xi) and the pairing move (f, e, qj), made for
+    # real on a copy, give e the kernel's key, for every (e, f, xi, qj); the
+    # repeated weights, all one value or multiplicities 1, 1, 2, 4, ...,
+    # fill the narrow count fields, which must not carry
+    if repeats in ("distinct", "dup"):
+        t1, t2, _ = generate_pair(seed, n, moves, dup_weights=repeats == "dup")
+    else:
+        t1, t2 = repeated_pair(seed, n, moves, repeats)
+    check_helped_keys(t1, t2)
+
+
+@pytest.mark.parametrize("repeats", ["distinct", "one"])
+def test_helped_keys_meet_both_orientations_and_every_complement(repeats):
+    # over a few pairs, the kernel reads e hung from either end, and reads
+    # a part beyond f, xi and qj that holds the view root as a complement
+    met = set()
+    for seed in range(1, 6):
+        if repeats == "distinct":
+            t1, t2, _ = generate_pair(seed, 9, 12)
+        else:
+            t1, t2 = repeated_pair(seed, 9, 12, repeats)
+        met |= check_helped_keys(t1, t2)
+    assert met == {"e hangs from p", "e hangs from q", "f leads to the root",
+                   "xi leads to the root", "qj leads to the root"}
 
 
 @pytest.mark.parametrize("dup", [False, True])
@@ -492,7 +570,7 @@ def test_decompose_refuses_a_taxon_named_like_a_cut():
 def test_decompose_refuses_a_cut_leaf_edge():
     # a cut leaf edge leaves its leaf in a part of two leaves
     t1 = caterpillar(6)
-    leaf = t1.leaf_edge_of("t003")
+    leaf = leaf_edge_of(t1, "t003")
     with pytest.raises(TreeError):
         decompose(t1, t1.copy(), GoodEdgePairSet([(leaf, leaf)]))
 

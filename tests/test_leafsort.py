@@ -20,7 +20,7 @@ from nnidist.nni import NniOp, ReplayError, apply_sequence, shorten, verify_tran
 from nnidist.phylo import Phylogeny, TreeError
 
 from oracles import (
-    caterpillar, nested_signatures, path_between, random_phylogeny, ranked_view_flat,
+    caterpillar, leaf_edge_of, nested_signatures, path_between, random_phylogeny, ranked_view_flat,
     sort_leaves_by_swaps, swap_leaves,
 )
 
@@ -32,7 +32,7 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nnidist-hypothesis")
 def with_taxa_swapped(tree, x, y):
     """The same tree with taxa x and y trading places (weights travel)."""
     nx, ny = tree.leaf_node(x), tree.leaf_node(y)
-    ex, ey = tree.leaf_edge_of(x), tree.leaf_edge_of(y)
+    ex, ey = leaf_edge_of(tree, x), leaf_edge_of(tree, y)
     edges = {e: tree.endpoints(e) for e in tree.edge_ids()}
     weights = {e: tree.weight(e) for e in tree.edge_ids()}
     weights[ex], weights[ey] = weights[ey], weights[ex]
@@ -52,7 +52,7 @@ def permuted_leaves(tree, mapping):
             continue
         new = mapping[tree.leaf_label(v)]
         labels[v] = new
-        weights[tree.leaf_edge_of(tree.leaf_label(v))] = taxon_wt[new]
+        weights[leaf_edge_of(tree, tree.leaf_label(v))] = taxon_wt[new]
     return Phylogeny(edges, weights, labels)
 
 
@@ -62,7 +62,7 @@ def companion(n, seed, weights="distinct"):
 
 
 def attachment(tree, taxon):
-    return tree.other_end(tree.leaf_edge_of(taxon), tree.leaf_node(taxon))
+    return tree.other_end(leaf_edge_of(tree, taxon), tree.leaf_node(taxon))
 
 
 def assert_transposition(before, after, x, y):
@@ -73,7 +73,7 @@ def assert_transposition(before, after, x, y):
     """
     u, w = attachment(before, x), attachment(before, y)
     want = {e: before.endpoints(e) for e in before.edge_ids()}
-    lx, ly = before.leaf_edge_of(x), before.leaf_edge_of(y)
+    lx, ly = leaf_edge_of(before, x), leaf_edge_of(before, y)
     want[lx] = tuple(w if z == u else z for z in want[lx])
     want[ly] = tuple(u if z == w else z for z in want[ly])
     assert {e: after.endpoints(e) for e in after.edge_ids()} == want
@@ -131,8 +131,8 @@ def test_swap_leaves_path_length_law():
     for _ in range(20):
         tree = random_phylogeny(rng, 12)
         x, y = rng.sample(tree.taxa(), 2)
-        u = tree.other_end(tree.leaf_edge_of(x), tree.leaf_node(x))
-        w = tree.other_end(tree.leaf_edge_of(y), tree.leaf_node(y))
+        u = tree.other_end(leaf_edge_of(tree, x), tree.leaf_node(x))
+        w = tree.other_end(leaf_edge_of(tree, y), tree.leaf_node(y))
         path = path_between(tree, u, w)
         ops = LeafTable(tree).swap(x, y)
         assert len(ops) == (2 * len(path) - 1 if path else 0)

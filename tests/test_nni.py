@@ -28,7 +28,6 @@ from nnidist.nni import (
     counted_cost,
     invert_sequence,
     move,
-    read_trace,
     replay,
     shorten,
     trace_lines,
@@ -40,10 +39,12 @@ from nnidist.phylo import Phylogeny, TreeError
 from nnidist.pipeline import approx_nni
 
 from oracles import (
+    leaf_edge_of,
     nni_by_rebuild,
     parse_records_by_json,
     random_phylogeny,
     random_valid_op,
+    read_trace,
     trace_lines_by_json,
     trees_equal_by_splits,
     weighted_splits,
@@ -62,8 +63,8 @@ def quartet():
 def test_swap_on_quartet():
     # swapping the subtrees under the outer edges exchanges a and c
     t = quartet()
-    e_a = t.leaf_edge_of("a")
-    e_c = t.leaf_edge_of("c")
+    e_a = leaf_edge_of(t, "a")
+    e_c = leaf_edge_of(t, "c")
     mid = t.internal_edges()[0]
     cost = apply_nni(t, NniOp(e_a, mid, e_c))
     assert cost == Fraction(5)
@@ -124,9 +125,9 @@ def test_invariants_preserved_along_walks():
 def test_invalid_operations_raise(tmp_path):
     t = quartet()
     mid = t.internal_edges()[0]
-    e_a = t.leaf_edge_of("a")
-    e_b = t.leaf_edge_of("b")
-    e_c = t.leaf_edge_of("c")
+    e_a = leaf_edge_of(t, "a")
+    e_b = leaf_edge_of(t, "b")
+    e_c = leaf_edge_of(t, "c")
     with pytest.raises(TreeError, match="repeats"):
         apply_nni(t, NniOp(e_a, mid, e_a))
     # both outer edges on the same end of the middle edge
@@ -263,7 +264,7 @@ def test_verify_transform():
 
 def _quartet_edges():
     t = quartet()
-    return t, t.internal_edges()[0], [t.leaf_edge_of(s) for s in "abcd"]
+    return t, t.internal_edges()[0], [leaf_edge_of(t, s) for s in "abcd"]
 
 
 def _same_end(tree, ops, kept):
@@ -299,7 +300,7 @@ def test_shorten_merges_two_moves_sharing_one_outer_edge():
 
 def test_shorten_unwinds_nested_pairs():
     t = newick.parse("((a:1,b:1):5,c:1,(d:1,e:1):6);")
-    a, c, d = (t.leaf_edge_of(s) for s in "acd")
+    a, c, d = (leaf_edge_of(t, s) for s in "acd")
     # ab spans the cherry {a, b} and de the cherry {d, e}; c meets both
     ab = next(x for x in t.internal_edges() if t.weight(x) == 5)
     de = next(x for x in t.internal_edges() if t.weight(x) == 6)
@@ -798,7 +799,7 @@ def _one_move_case(tree, data):
         # the middle edge
         ids = data.draw(st.sampled_from([
             [at_u[0], e2, at_u[1]],
-            [e2, tree.leaf_edge_of(tree.taxa()[0]), at_u[0]],
+            [e2, leaf_edge_of(tree, tree.taxa()[0]), at_u[0]],
         ]))
     elif kind == "unknown":
         # any non-empty set of positions, so the lookup order e2, e1, e3 shows

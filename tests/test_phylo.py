@@ -20,6 +20,8 @@ from oracles import (
     canonical_equal_by_splits,
     caterpillar,
     classify_by_leaf_count,
+    leaf_edge_of,
+    leaf_edges,
     random_phylogeny,
     random_valid_op,
     renumbered,
@@ -46,14 +48,14 @@ def test_quartet_accessors():
     assert t.n_taxa == 4
     assert t.taxa() == ("a", "b", "c", "d")
     assert t.internal_edges() == [4]
-    assert set(t.leaf_edges()) == {0, 1, 2, 3}
+    assert set(leaf_edges(t)) == {0, 1, 2, 3}
     assert t.weight(4) == 5
     assert t.other_end(4, 4) == 5
     assert t.degree(4) == 3
     assert t.is_leaf(0) and not t.is_leaf(4)
     assert t.leaf_node("c") == 2
     assert t.leaf_label(2) == "c"
-    assert t.leaf_edge_of("d") == 3
+    assert leaf_edge_of(t, "d") == 3
     assert t.root_handle() == 4
     assert t.leaf_weight_map() == {"a": 1, "b": 2, "c": 3, "d": 4}
     assert t.internal_weight_multiset() == (Fraction(5),)
@@ -455,7 +457,7 @@ def test_finiteness_check_reports_reasons():
 
     # changing one leaf weight breaks it, with the taxon named
     v = t.copy()
-    e = v.leaf_edge_of("t003")
+    e = leaf_edge_of(v, "t003")
     v._wt[e] += 1
     ok, reasons = finiteness_check(t, v)
     assert not ok

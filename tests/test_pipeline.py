@@ -41,7 +41,7 @@ from nnidist.pipeline import (
 )
 from nnidist.runtime import ParRuntime
 
-from oracles import caterpillar, pairing_pass_by_full_rounds
+from oracles import caterpillar, leaf_edge_of, pairing_pass_by_full_rounds
 
 # Hypothesis caches the constants of local source files while the tests are
 # collected; keep that cache out of the working tree
@@ -181,7 +181,10 @@ def counter_of(calls: Counter):
 def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatch):
     # criterion 8's counters, per component size: one to three internal
     # edges the exact search answers alone, from four the companion is built
-    # and checked and the trees are linearized
+    # and checked and the trees are linearized.  The pairing pass pairs
+    # edges of the 7-taxon pair before the cut and leaves smaller
+    # components, so that pair, which has no good pair and is one
+    # component, goes to the component solver directly
     import nnidist.pipeline as pipeline_mod
 
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=2 * n)
@@ -194,6 +197,14 @@ def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatc
     monkeypatch.setattr(pipeline_mod, "linearize", counting("linearize", pipeline_mod.linearize))
     monkeypatch.setattr(pipeline_mod.exact, "search",
                         counting("exact", pipeline_mod.exact.search))
+    if n > 6:
+        rt = ParRuntime()
+        _, costs = _component_sequence(t1, t2, rt)
+        assert calls["exact"] == 0
+        assert calls["aux"] == 1 and calls["linearize"] > 0
+        assert "exact" not in costs and costs
+        assert "exact" not in rt.metrics
+        return
     result = approx_nni(t1, t2)
     if n == 4:
         # a quartet's search settles the start and the goal
@@ -201,15 +212,10 @@ def test_only_components_above_six_taxa_take_the_four_phases(n, seed, monkeypatc
         assert result.phase_costs["exact"] == result.cost > 0
         assert result.metrics["exact"]["rounds"] == 1
         assert result.metrics["exact"]["work"] == 2
-    elif n <= 6:
+    else:
         assert calls == {"exact": 1}
         assert result.phase_costs["exact"] == result.cost > 0
         assert result.metrics["exact"]["rounds"] == 1
-    else:
-        assert calls["exact"] == 0
-        assert calls["aux"] == 1 and calls["linearize"] > 0
-        assert result.phase_costs["exact"] == 0
-        assert "exact" not in result.metrics
 
 
 # the three quartet topologies, each as the taxa at one end of the internal
@@ -287,8 +293,10 @@ def test_each_component_is_checked_once_and_the_answer_replayed_once(monkeypatch
 def test_span_is_the_max_over_components():
     # components run side by side: per phase, rounds combine by max and
     # work and width by sum over the components of T1′ solved alone.  The
-    # pairing pass runs first, on the whole tree, so its rounds are its own
-    t1, t2, _ = generate_pair(seed=6, n=16, moves=16)
+    # pairing pass runs first, on the whole tree, so its rounds are its own.
+    # On this pair the pass keeps two-move pairs and leaves two components
+    # of more than six taxa, so every four-phase phase runs twice
+    t1, t2, _ = generate_pair(seed=17, n=48, moves=48)
     pass_rt, pairing = run_pass(t1, t2)[1:]
     assert pairing.rounds
     alone = []
@@ -297,6 +305,7 @@ def test_span_is_the_max_over_components():
         _component_sequence(a, b, part_rt)
         alone.append(part_rt.snapshot())
     assert sum(1 for m in alone if m) >= 2
+    assert any(key is None for kept in pairing.rounds for _, key in kept)
     metrics = approx_nni(t1, t2).metrics
     assert metrics.pop("pairing") == pass_rt.snapshot()["pairing"]
     assert set(metrics) == set().union(*alone)
@@ -418,6 +427,23 @@ def run_pass(t1, t2):
     return table, rt, pairing_pass(t1, t2, table, table.edge_fields(t1), rt)
 
 
+def units(kept):
+    """A round's kept moves as units: a single move, or a helper move and its pairing move."""
+    out = []
+    for op, key in kept:
+        if out and out[-1][-1][1] is None:
+            out[-1].append((op, key))
+        else:
+            out.append([(op, key)])
+    return out
+
+
+def moved_edges(pairing):
+    """The pass's pairing edges and its helper edges, in the order moved."""
+    ops = [(op.e2, key) for kept in pairing.rounds for op, key in kept]
+    return [e for e, key in ops if key is not None], [e for e, key in ops if key is None]
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(7, 40),
@@ -432,36 +458,53 @@ def test_the_pairing_pass_makes_the_pairs_it_predicts(n, seed, moves, dup_weight
     assert t1._ends == ends  # the moves are made on a copy
     assert pairing.detected == find_good_edge_pairs(t1, t2)
 
-    # every move is on an edge unpaired in t1, and no edge moves twice
-    moved = [op.e2 for kept in pairing.rounds for op, _ in kept]
-    assert not set(moved) & {e for e, _ in pairing.detected.pairs}
-    assert len(moved) == len(set(moved))
+    # every move is on an edge unpaired in t1; an edge is paired at most
+    # once and helps at most once, so it moves at most twice
+    moved, helpers = moved_edges(pairing)
+    assert not set(moved + helpers) & {e for e, _ in pairing.detected.pairs}
+    assert len(moved) == len(set(moved)) and len(helpers) == len(set(helpers))
 
-    # each moved edge ends with the key its round predicted, one of tree 2's
-    keys = table.edge_keys(pairing.tree)
-    for kept in pairing.rounds:
-        for op, key in kept:
-            assert keys[op.e2] == key and key in table.target
-
-    # the moves of one round share no node and no key, although the pass
-    # keeps every move whose key is in the table without checking either
+    # each unit ends with a pairing move, and a helper move on f is followed
+    # by the pairing move (f, e, qj) on an edge e next to f
     before = t1.copy()
     for kept in pairing.rounds:
-        nodes = [x for op, _ in kept for x in before.endpoints(op.e2)]
-        assert len(nodes) == len(set(nodes))
-        assert len({key for _, key in kept}) == len(kept)
+        for unit in units(kept):
+            assert unit[-1][1] is not None and len(unit) in (1, 2)
+            if len(unit) == 2:
+                (helper, _), (op, _) = unit
+                assert op.e1 == helper.e2
+                assert set(before.endpoints(helper.e2)) & set(before.endpoints(op.e2))
         for op, _ in kept:
             move(before, *op)
 
-    # the moves of one round commute: in reverse order they give the same
+    # each pairing move ends with the key its round predicted, one of tree 2's
+    keys = table.edge_keys(pairing.tree)
+    for kept in pairing.rounds:
+        for op, key in kept:
+            if key is not None:
+                assert keys[op.e2] == key and key in table.target
+
+    # the units of one round share no node and no key: single moves never
+    # do, and the pass keeps a two-move unit only when it meets no other
+    before = t1.copy()
+    for kept in pairing.rounds:
+        nodes = [x for unit in units(kept)
+                 for x in {x for op, _ in unit for x in before.endpoints(op.e2)}]
+        assert len(nodes) == len(set(nodes))
+        assert len({key for _, key in kept if key is not None}) == len(units(kept))
+        for op, _ in kept:
+            move(before, *op)
+
+    # the units of one round commute: in reverse order they give the same
     # edge table
     before = t1.copy()
     for kept in pairing.rounds:
         forward, backward = before.copy(), before.copy()
         for op, _ in kept:
             move(forward, *op)
-        for op, _ in reversed(kept):
-            move(backward, *op)
+        for unit in reversed(units(kept)):
+            for op, _ in unit:
+                move(backward, *op)
         assert forward._ends == backward._ends
         before = forward
     assert before._ends == pairing.tree._ends
@@ -473,12 +516,38 @@ def test_the_pairing_pass_makes_the_pairs_it_predicts(n, seed, moves, dup_weight
     # at most ⌈log₂ n⌉ judged rounds; every round but the last kept a move
     assert len(pairing.rounds) <= rt.span("pairing") <= math.ceil(math.log2(n))
 
-    # the pass costs at most the bound, each moved edge its own weight once
+    # the pairing moves cost at most the bound and so do the helper moves,
+    # each moved edge its own weight each time it moves
     result = approx_nni(t1, t2)
-    assert result.phase_costs["pairing"] == sum((t1.weight(e) for e in moved), Fraction(0))
-    assert result.phase_costs["pairing"] <= lower_bound(t1, t2) == result.lower_bound
+    lb = lower_bound(t1, t2)
+    assert result.phase_costs["pairing"] == sum(
+        (t1.weight(e) for e in moved + helpers), Fraction(0))
+    assert sum((t1.weight(e) for e in moved), Fraction(0)) <= lb == result.lower_bound
+    assert sum((t1.weight(e) for e in helpers), Fraction(0)) <= lb
     assert result.good_pairs == len(pairing.detected)
-    assert result.sequence[:len(moved)] == [op for kept in pairing.rounds for op, _ in kept]
+    assert result.sequence[:len(moved) + len(helpers)] == [
+        op for kept in pairing.rounds for op, _ in kept]
+
+
+@pytest.mark.parametrize("dup_weights", [False, True])
+def test_the_pairing_pass_costs_at_most_twice_the_bound(dup_weights):
+    # the guarantee, on corpus-sized pairs and one at n = 2048: an edge
+    # unpaired in t1 moves at most once to pair and at most once to help,
+    # so each kind of move weighs at most the bound and the pass twice it
+    two_move = 0
+    for n, seed in [(16, 1), (32, 2), (64, 3), (128, 4), (2048, 1)]:
+        t1, t2, _ = generate_pair(seed, n, n, dup_weights=dup_weights)
+        pairing = run_pass(t1, t2)[2]
+        moved, helpers = moved_edges(pairing)
+        assert max(Counter(moved + helpers).values(), default=0) <= 2
+        assert len(helpers) == len(set(helpers)) and len(moved) == len(set(moved))
+        unpaired = set(t1.internal_edges()) - {e for e, _ in pairing.detected.pairs}
+        assert set(moved + helpers) <= unpaired
+        lb = lower_bound(t1, t2)
+        assert sum((t1.weight(e) for e in moved), Fraction(0)) <= lb
+        assert sum((t1.weight(e) for e in helpers), Fraction(0)) <= lb
+        two_move += len(helpers)
+    assert two_move
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -546,7 +615,7 @@ def test_patched_sides_give_the_moved_keys_of_fresh_sides():
         fields = table.edge_fields(t1)
         sides = table.sides(t1, fields)
         sides = sides._replace(parent_edge=dict(sides.parent_edge))
-        smallest = t1.leaf_edge_of(min(t1.taxa()))
+        smallest = leaf_edge_of(t1, min(t1.taxa()))
         work = t1.copy()
         for kept in pairing.rounds:
             for op, _ in kept:
@@ -569,29 +638,38 @@ def test_patched_sides_give_the_moved_keys_of_fresh_sides():
 
 
 def test_later_pairing_rounds_judge_only_the_edges_next_to_kept_moves(monkeypatch):
-    # at n = 2048 a later round judges the four other edges at the ends of
-    # each move kept in the round before, not every unpaired edge again
+    # at n = 2048 a later round judges only the edges at or one edge from a
+    # node that a kept move of the round before rewired, at most nine per
+    # node, not every unpaired edge again (one edge away only along an edge
+    # that can still help, so often fewer)
     t1, t2, _ = generate_pair(1, 2048, 2048)
     calls = Counter()
-    moved_key = PairBound.moved_key
+    kernels = {name: getattr(PairBound, name) for name in ("moved_key", "helped_keys")}
 
-    def counted(name):
+    def counted(name, run):
         def call(*args):
-            calls[name] += 1
-            return moved_key(*args)
+            calls[name, run] += 1
+            return kernels[name](*args)
         return staticmethod(call)
 
-    monkeypatch.setattr(PairBound, "moved_key", counted("pass"))
-    table, rt, pairing = run_pass(t1, t2)
-    monkeypatch.setattr(PairBound, "moved_key", counted("full"))
-    full_rt = ParRuntime()
-    want = pairing_pass_by_full_rounds(t1, t2, table, table.edge_fields(t1), full_rt)
+    for run in ("pass", "full"):
+        for name in kernels:
+            monkeypatch.setattr(PairBound, name, counted(name, run))
+        if run == "pass":
+            table, rt, pairing = run_pass(t1, t2)
+        else:
+            full_rt = ParRuntime()
+            want = pairing_pass_by_full_rounds(t1, t2, table, table.edge_fields(t1), full_rt)
     assert same_pass(t1, pairing, want) and len(pairing.rounds) > 1
+    assert any(key is None for kept in pairing.rounds for _, key in kept)
 
     unpaired = len(t1.internal_edges()) - len(pairing.detected)
-    kept = sum(map(len, pairing.rounds))
-    assert calls["pass"] <= 2 * unpaired + 8 * kept
+    # a single move rewires its edge's two ends, a two-move unit three nodes
+    rewired = sum(len(unit) + 1 for kept in pairing.rounds for unit in units(kept))
+    assert calls["moved_key", "pass"] <= 2 * unpaired + 2 * 9 * rewired
     # the full pass judges both moves of every unpaired edge in every round,
     # which is the work both passes record
-    assert calls["full"] == rt.snapshot()["pairing"]["work"] == full_rt.snapshot()["pairing"]["work"]
-    assert calls["pass"] < calls["full"]
+    assert (calls["moved_key", "full"] == rt.snapshot()["pairing"]["work"]
+            == full_rt.snapshot()["pairing"]["work"])
+    assert calls["moved_key", "pass"] < calls["moved_key", "full"]
+    assert calls["helped_keys", "pass"] < calls["helped_keys", "full"]
