@@ -38,8 +38,8 @@ edge, bottom-up the taxa and internal weights below each node, and with
 them each edge's key and h term; then each move's new key for e comes from
 two entries of that pass, the successor's state replaces e's one entry of
 the parent's tuple, and its h changes by e's term alone.  This is the
-arithmetic of ``goodpairs.walk``, ``sides_below``, ``edge_keys_of`` and
-:meth:`PairBound.moved_key` inlined, and a test holds it equal to them.
+arithmetic of ``goodpairs.walk``, ``sides_below``, ``edge_keys_of``,
+``part`` and ``joined_key`` inlined, and a test holds it equal to them.
 
 *Integer costs.*  Edge weights never move, so :class:`SearchTable` scales
 them once: each weight times the lcm of the internal weights'
@@ -161,7 +161,7 @@ def neighbors(
     One walk of the edge table from :meth:`Phylogeny.root_handle` gives
     the sides of every node, each edge's key and h term, and then each
     move's key: the arithmetic of ``goodpairs.walk``, ``sides_below``,
-    ``edge_keys_of`` and ``PairBound.moved_key``, inlined.
+    ``edge_keys_of``, ``part`` and ``joined_key``, inlined.
     """
     ends, adj, labels = tree._ends, tree._adj, tree._leaf_label
     bit, rank, field = table.bit, table.rank, table.field

@@ -20,26 +20,26 @@ The count vector gives weight w a field ``m_w.bit_length()`` bits wide,
 m_w being w's multiplicity among tree 2's internal edges, at an offset that
 is the prefix sum of the widths in rank order; with distinct weights that
 is one bit per weight.  Every field of every vector the kernels form, the
-sums and complements of :meth:`PairBound.moved_key` included, counts the
-copies of w on one side of some cut, so it lies in 0..m_w and never carries
-into its neighbour.  That holds only for trees with tree 2's multiplicities,
-which finiteness guarantees and :meth:`PairBound.edge_fields` checks.
+unions and complements of :func:`joined_key` included, counts the copies
+of w on one side of some cut, so it lies in 0..m_w and never carries into
+its neighbour.  That holds only for trees with tree 2's multiplicities,
+which finiteness guarantees and :meth:`KeyLayout.edge_fields` checks.
 
 The pass (:class:`Sides`) reads only each node's parent edge, not the
 order of its children.  Detection takes them from the tree's kept rooted
 view; the exact search, whose trees are read once and dropped, takes them
 from one walk of the edge table from the same root (:func:`walk`).
-The same pass serves the move-key kernel.  A move on edge
-e changes e's key alone (see :func:`lower_bound`), and e's new away side is
-the union of two parts of the old tree: the part beyond e's other edge at
-one end and the part beyond the moved edge at the other.  Each part is one
-entry of the pass, or its complement when the pass walked that edge from
-the other end (:func:`part`), so :meth:`PairBound.moved_key` costs O(1)
-big-int operations and needs no copy of the tree (DasGupta, He, Jiang, Li,
-Tromp and Zhang, "On computing the nearest neighbor interchange distance",
-DIMACS 2000).  The same two parts, one beyond an edge at the far end of a
-neighbouring edge f, give e's key after a helper move on f and a move on e
-(:meth:`PairBound.helped_keys`).
+The same pass serves the move keys.  A move on edge e changes e's key
+alone (see :func:`lower_bound`), and e's new side is the union of two
+disjoint parts of the old tree, each what lies beyond some edge seen from
+one of its ends: one entry of the pass, or its complement when the pass
+walked that edge from the other end (:func:`part`).  :func:`joined_key`
+turns the union into e's key, so a move's key costs O(1) big-int
+operations and needs no copy of the tree (DasGupta, He, Jiang, Li, Tromp
+and Zhang, "On computing the nearest neighbor interchange distance",
+DIMACS 2000).  A pairing move on e after a helper move on a neighbouring
+edge joins two such parts as well (see ``pipeline.pairing_pass``).  After
+a move, :func:`patch_sides` brings the pass up to date in O(1).
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ class Sides(NamedTuple):
     order plays no part, so a tree's kept rooted view and a walk of its
     edge table (:func:`walk`) give the same sides.
 
-    Sides patched after a move (``pipeline._patch_sides``) may hang the
-    tree from a root that no longer sits next to the smallest taxon.
-    :meth:`PairBound.moved_key` and :meth:`PairBound.helped_keys` read them
-    as they read fresh ones: they need only a consistent hanging and turn
-    each key by bit 0.
+    Sides patched after a move (:func:`patch_sides`) may hang the tree
+    from a root that no longer sits next to the smallest taxon.
+    :func:`part` and :func:`joined_key` read them as they read fresh ones:
+    they need only a consistent hanging, and the key is turned by bit 0.
     :func:`edge_keys_of` does not accept them, since it takes the side
     below each edge to be the one without the smallest taxon.
     """
@@ -166,6 +165,37 @@ def sides_below(
     return Sides(x, parent_edge, bits, vecs, rank, field)
 
 
+def patch_sides(tree: Phylogeny, sides: Sides, f: int) -> None:
+    """Bring ``sides`` up to date in place after ``tree``'s move on f.
+
+    ``sides`` hung ``tree`` from ``sides.root`` before the move.  The move
+    changes no side but f's, so only the entries of f's two ends can
+    change, and each is read again, in O(1), from the parts beyond its
+    child edges (:func:`parts_at`).  Call u f's child end and v its other end.  When the move
+    carried v's parent edge to u, f turns over: u now hangs from that edge
+    and v from f, so v's entry is redone first and then u's.  Otherwise u
+    alone traded one child for another.  The root's entry still holds
+    every taxon, but the root need not sit next to the smallest taxon any
+    more, so patched sides serve :func:`part` and :func:`joined_key`, which
+    read no such thing, and not :func:`edge_keys_of`.
+    """
+    _, parent_edge, bits, vecs, _, field = sides
+    ends, adj = tree._ends, tree._adj
+    u, v = ends[f]
+    if parent_edge[u] != f:
+        u, v = v, u
+    up = parent_edge[v]
+    if up in adj[u]:
+        parent_edge[u], parent_edge[v] = up, f
+        redo: tuple[int, ...] = (v, u)
+    else:
+        redo = (u,)
+    for x in redo:
+        e = parent_edge[x]
+        (_, (side_a, vec_a)), (_, (side_b, vec_b)) = parts_at(tree, sides, x, e)
+        bits[x], vecs[x] = side_a | side_b, vec_a + vec_b + field[e]
+
+
 def edge_keys_of(tree: Phylogeny, sides: Sides) -> dict[int, Key]:
     """Exact good-pair key of every internal edge, read off ``sides``.
 
@@ -201,6 +231,38 @@ def part(ends: dict[int, tuple[int, int]], sides: Sides, y: int, g: int) -> tupl
     if c == y:
         c = d
     return bits[c], vecs[c]
+
+
+def parts_at(
+    tree: Phylogeny, sides: Sides, y: int, e: int
+) -> list[tuple[int, tuple[int, int]]]:
+    """The parts beyond internal node y's two edges other than e: (edge, part), in edge-id order.
+
+    Their union is what lies beyond e seen from its other end.
+    """
+    ends = tree._ends
+    g, h = [g for g in tree._adj[y] if g != e]
+    if h < g:
+        g, h = h, g
+    return [(g, part(ends, sides, y, g)), (h, part(ends, sides, y, h))]
+
+
+def joined_key(sides: Sides, e: int, a: tuple[int, int], b: tuple[int, int]) -> Key:
+    """e's key when e's side is the union of the disjoint parts ``a`` and ``b``.
+
+    Each part is a (taxa bitset, count vector) pair as :func:`part` reads
+    it.  A union that holds bit 0, the smallest taxon, is turned to e's
+    other side, which the key names.  The parts are disjoint and each
+    field counts one side's copies, so nothing carries or borrows.
+    """
+    side_a, vec_a = a
+    side_b, vec_b = b
+    side = side_a | side_b
+    if side & 1:
+        root = sides.root
+        return (sides.rank[e], sides.bits[root] ^ side,
+                sides.vecs[root] - vec_a - vec_b - sides.field[e])
+    return sides.rank[e], side, vec_a + vec_b
 
 
 class KeyLayout:
@@ -275,14 +337,13 @@ class PairBound:
 
     The table holds its layout rather than being one, so that a caller done
     with the keys can keep the layout alone, as :func:`decompose` needs,
-    and let the keys go.  The layout's ``tree``, ``fields``, ``bit``,
-    ``rank`` and ``offsets`` are the table's too.
+    and let the keys go.  The layout's ``tree``, ``fields`` and ``bit`` are
+    the table's too.
     """
 
     def __init__(self, target: Phylogeny) -> None:
         self.layout = layout = KeyLayout(target)
-        self.tree, self.fields = layout.tree, layout.fields
-        self.bit, self.rank, self.offsets = layout.bit, layout.rank, layout.offsets
+        self.tree, self.fields, self.bit = layout.tree, layout.fields, layout.bit
         keys = self.edge_keys(target, self.sides(target, self.fields))
         self.target = {key: e for e, key in keys.items()}
         # the taxa side of each target split, by weight rank
@@ -317,89 +378,10 @@ class PairBound:
             sides = self.sides(tree)
         return edge_keys_of(tree, sides)
 
-    @staticmethod
-    def moved_key(tree: Phylogeny, sides: Sides, e1: int, e2: int, e3: int) -> Key:
-        """e2's key after the move (e1, e2, e3), from two entries of ``sides``.
-
-        ``sides`` is the sides of ``tree`` before the move.  The move carries
-        e1 from e2's end u to its end v and e3 the other way, so afterwards
-        e2's side at u is what lay beyond u's third edge b, seen from u, and
-        what lay beyond e3, seen from v: two parts (see :func:`part`).  The
-        union is then turned to the side without the smallest taxon.  Each
-        of these vectors counts the copies of a weight on one side of a cut,
-        and the two parts are disjoint, so every field stays in 0..m_w and
-        neither the sums nor the complements carry or borrow.  Every other
-        edge keeps its key (see :func:`lower_bound`), so one move costs O(1)
-        big-int operations.
-        """
-        ends, adj = tree._ends, tree._adj
-        u, v = ends[e2]
-        if v in ends[e1]:
-            u, v = v, u
-        for b in adj[u]:
-            if b != e1 and b != e2:
-                break
-        side, vec = part(ends, sides, u, b)
-        side3, vec3 = part(ends, sides, v, e3)
-        side |= side3
-        vec += vec3
-        if side & 1:  # the smallest taxon's side: the key names the other one
-            root = sides.root
-            return sides.rank[e2], sides.bits[root] ^ side, sides.vecs[root] - vec - sides.field[e2]
-        return sides.rank[e2], side, vec
-
-    @staticmethod
-    def helped_keys(
-        tree: Phylogeny, sides: Sides, e: int, f: int
-    ) -> list[tuple[int, int, Key]]:
-        """e's key after a helper move on f and a pairing move on e, for each of the four pairs.
-
-        e = (p, q) and f = (p, x) are internal edges of ``tree`` that meet
-        at p, and ``sides`` is the sides of ``tree`` before either move.
-        Call B p's third edge.  The helper move (B, f, xi) swaps B with one
-        of x's other edges xi, which brings what lay beyond xi to p.  The
-        pairing move (f, e, qj) then swaps f with one of q's other edges
-        qj, so e's side at p becomes part(x, xi) ∪ part(q, qj) (see
-        :func:`part`).  A move changes only its own edge's split, so the
-        helper leaves both parts as they were, and both are read off the
-        sides before it.  The parts are disjoint, so as in
-        :meth:`moved_key` no field carries.  Returns (xi, qj, key) for xi
-        and qj each in edge-id order: four keys in O(1) big-int operations,
-        with no copy of the tree and no trial move.
-        """
-        ends, adj = tree._ends, tree._adj
-        p, q = ends[e]
-        c, x = ends[f]
-        if p != c and p != x:
-            p, q = q, p
-        if x == p:
-            x = c
-        at_q = [(qj, *part(ends, sides, q, qj)) for qj in sorted(adj[q]) if qj != e]
-        # a union that holds the smallest taxon is turned as in moved_key
-        rank, root = sides.rank[e], sides.root
-        every, rest = sides.bits[root], sides.vecs[root] - sides.field[e]
-        out = []
-        for xi in sorted(adj[x]):
-            if xi != f:
-                side_x, vec_x = part(ends, sides, x, xi)
-                for qj, side_q, vec_q in at_q:
-                    side = side_x | side_q
-                    if side & 1:
-                        out.append((xi, qj, (rank, every ^ side, rest - vec_x - vec_q)))
-                    else:
-                        out.append((xi, qj, (rank, side, vec_x + vec_q)))
-        return out
-
     def pairs(self, keys: dict[int, Key]) -> list[tuple[int, int]]:
         """The sorted (edge, target edge) good pairs of the tree with these keys."""
         target = self.target
         return sorted((e, target[key]) for e, key in keys.items() if key in target)
-
-    def __call__(self, tree: Phylogeny) -> Fraction:
-        """The bound of ``tree``: the weight of its edges without a partner."""
-        target = self.target
-        keys = self.edge_keys(tree).items()
-        return counted_cost(tree, {e: 1 for e, key in keys if key not in target})
 
 
 def find_good_edge_pairs(

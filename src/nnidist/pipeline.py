@@ -8,10 +8,13 @@ paired edge stays paired, and a move that gives an unpaired edge e a key of
 tree 2's table makes one more cut at the cost w(e).  :func:`pairing_pass`
 makes such moves on a copy of t1, in rounds, of two kinds.
 
-A single move pairs e itself.  A round judges both moves of an unpaired
-edge with :meth:`PairBound.moved_key`, fixing the lowest numbered edge at
-one end as ``exact.neighbors`` does, and keeps every move whose key is in
-the table.
+A single move pairs e = (u, v) itself.  Fixing u's lowest numbered edge,
+as ``exact.neighbors`` does, leaves e's two distinct moves: each gives e
+the part beyond u's other edge joined with one of the two parts beyond
+v's other edges (``goodpairs.parts_at``), and ``goodpairs.joined_key``
+turns such a union into e's key in O(1) big-int operations.  Their splits
+cross, so at most one of them is in the table.  A round keeps every
+single move whose key is in the table.
 
 A two-move unit pairs e after a helper move next to it (Li, Tromp and
 Zhang, "On the nearest neighbour interchange distance between evolutionary
@@ -19,9 +22,9 @@ trees", J. Theor. Biol. 1996, on how moves on adjacent edges compose).
 Let e = (p, q) and f = (p, x) be unpaired, B p's third edge, xi one of x's
 other edges and qj one of q's.  The helper move (B, f, xi) brings the part
 beyond xi to p, and the pairing move (f, e, qj) then gives e the side
-part(x, xi) ∪ part(q, qj).  :meth:`PairBound.helped_keys` reads the four
-keys of one (e, f) off the sides before either move, in O(1) big-int
-operations.  An edge without a kept single move offers the units whose key
+part(x, xi) ∪ part(q, qj).  The helper leaves both parts as they were,
+so the four keys of one (e, f) are joined off the sides before either
+move.  An edge without a kept single move offers the units whose key
 is in the table, for every unpaired f next to it that has not helped
 before, in edge-id order of f, xi and qj.  The round then takes the offers
 of the lowest numbered edge first, and keeps an offer when its nodes p, q
@@ -31,13 +34,15 @@ first.  So no two kept units share a node, and a helper f, whose ends are
 a unit's nodes, helps once per round; ``can_help`` keeps it from helping
 again in a later round.
 
-Most edges are turned away before either kernel runs.  A move on e that
+Most edges are turned away before any key is joined.  A move on e that
 swaps at its end y leaves one of the two parts beyond y's other edges on
-each side of e.  So a tree-2 split of e's weight must meet e's side at y
-in exactly one of those parts (:func:`_meets_one_part`, one AND per split
-of that weight in ``PairBound.splits``).  A single move swaps at both
-ends, and a unit with its helper at p swaps at q, so an edge is judged
-only where this holds, and the check changes no kept move.
+each side of e.  So a tree-2 split of e's weight must meet e's side at y,
+the union of those two parts, in exactly one of them
+(:func:`_meets_one_part`, one AND per split of that weight in
+``PairBound.splits``).  A single move swaps at both ends, and a unit with
+its helper at p swaps at q, so an edge is judged only where this holds,
+and the check changes no kept move.  The round reads the four parts at
+e's ends once, for the check, the single moves and the units.
 
 No two kept single moves of a round share a node either, without a check.
 A move on e = (u, v) gives e the side made of one part at u and one part
@@ -73,7 +78,7 @@ moves and units give the keys they gave when g was last judged, and those
 were not in the table or lost to a unit that shared a node, which a kept
 unit rewired.  The sides are not walked again either: a move changes the
 entries of its two nodes alone, and each kept move patches them in O(1)
-(see :func:`_patch_sides`).  So a later round
+(see ``goodpairs.patch_sides``).  So a later round
 costs O(moves kept), not O(n).  The recorded round still has two tasks per
 unpaired edge, which judge its single moves and its units: it describes
 the parallel schedule, in which each edge's tasks judge its own moves
@@ -181,8 +186,10 @@ from nnidist.goodpairs import (
     decompose,
     find_good_edge_pairs,
     first_free_cut,
+    joined_key,
     lower_bound,
-    part,
+    parts_at,
+    patch_sides,
 )
 from nnidist.leafsort import sort_leaves
 from nnidist.linearize import LinearizeResult, linearize, spine
@@ -433,77 +440,14 @@ class Pairing(NamedTuple):
     pairs: GoodEdgePairSet
 
 
-def _patch_sides(work: Phylogeny, sides: Sides, f: int) -> None:
-    """Bring ``sides`` up to date in place after ``work``'s move on f.
+def _meets_one_part(splits: list[int], parts: list[tuple[int, tuple[int, int]]]) -> bool:
+    """Whether a split in ``splits`` meets the union of e's two ``parts`` at y in exactly one.
 
-    ``sides`` hung ``work`` from ``sides.root`` before the move.  The move
-    changes no side but f's, so only the entries of f's two ends can
-    change, and each is read again, in O(1), from the entries beyond its
-    child edges.  Call u f's child end and v its other end.  When the move
-    carried v's parent edge to u, f turns over: u now hangs from that edge
-    and v from f, so v's entry is redone first and then u's.  Otherwise u
-    alone traded one child for another.  The root's entry still holds
-    every taxon, but the root need not sit next to the smallest taxon any
-    more, so patched sides serve :meth:`PairBound.moved_key`, which reads
-    no such thing, and not ``edge_keys_of``.
+    ``parts`` is ``goodpairs.parts_at(tree, sides, y, e)``; their union is e's side at y.
     """
-    _, parent_edge, bits, vecs, _, field = sides
-    ends, adj = work._ends, work._adj
-    u, v = ends[f]
-    if parent_edge[u] != f:
-        u, v = v, u
-    up = parent_edge[v]
-    if up in adj[u]:
-        parent_edge[u], parent_edge[v] = up, f
-        redo: tuple[int, ...] = (v, u)
-    else:
-        redo = (u,)
-    for x in redo:
-        e = parent_edge[x]
-        below = vec = 0
-        for c in adj[x]:
-            if c != e:
-                a, y = ends[c]
-                if y == x:
-                    y = a
-                below |= bits[y]
-                vec += vecs[y]
-        bits[x], vecs[x] = below, vec + field[e]
-
-
-def _pairing_move(
-    table: PairBound, tree: Phylogeny, sides: Sides, e: int
-) -> tuple[NniOp, Key] | None:
-    """e's single move whose key is in ``table``, and that key, or None.
-
-    The lowest numbered edge at one end is fixed, as ``exact.neighbors``
-    does, which leaves e's two distinct moves.  Their splits cross, so at
-    most one of them is in the table.
-    """
-    ends, adj = tree._ends, tree._adj
-    u, v = ends[e]
-    a1 = min(g for g in adj[u] if g != e)
-    for e3 in sorted(g for g in adj[v] if g != e):
-        key = table.moved_key(tree, sides, a1, e, e3)
-        if key in table.target:
-            return NniOp(a1, e, e3), key
-    return None
-
-
-def _meets_one_part(tree: Phylogeny, sides: Sides, splits: list[int], e: int, y: int) -> bool:
-    """Whether a split in ``splits`` meets e's side at its end y in exactly one part at y.
-
-    The two parts at y are what lies beyond y's other edges
-    (``goodpairs.part``), and e's side at y is what lies beyond e seen from
-    its other end, all read off ``sides`` of ``tree``.
-    """
-    ends = tree._ends
-    c, x = ends[e]
-    if x == y:
-        x = c
-    side = part(ends, sides, x, e)[0]
-    at_y = [part(ends, sides, y, g)[0] for g in tree._adj[y] if g != e]
-    return any(split & side in at_y for split in splits)
+    (_, (a, _)), (_, (b, _)) = parts
+    side = a | b
+    return any(split & side in (a, b) for split in splits)
 
 
 def pairing_pass(
@@ -525,10 +469,11 @@ def pairing_pass(
     The first round judges every unpaired edge on detection's sides, a
     later round only the unpaired edges near a node that a move of the
     round before rewired, on sides patched per move
-    (:func:`_patch_sides`); it keeps the moves a full round would (see the
-    module docstring).  Each round records one round of phase ``pairing``
-    with two tasks per unpaired edge.  The pass stops after a round that
-    keeps no move, and takes no round on a pair of at most six taxa.
+    (``goodpairs.patch_sides``); it keeps the moves a full round would (see
+    the module docstring).  Each round records one round of phase
+    ``pairing`` with two tasks per unpaired edge.  The pass stops after a
+    round that keeps no move, and takes no round on a pair of at most six
+    taxa.
     """
     sides = table.sides(t1, fields)
     detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
@@ -546,43 +491,48 @@ def pairing_pass(
     for _ in range(cap):
         if not unpaired:
             break
-        ends, adj = work._ends, work._adj
+        ends = work._ends
         kept: list[tuple[NniOp, Key | None]] = []
         taken: set[int] = set()  # the nodes of the moves kept so far
         offers = []
         for e in frontier:
             u, v = ends[e]
+            at_u = parts_at(work, sides, u, e)
+            at_v = parts_at(work, sides, v, e)
             # a move on e at y leaves one of y's two other parts on each side
             # of e, so a tree-2 split of e's weight must meet e's side at y in
             # exactly one of them; a single move needs this at both ends, and
             # a unit with its helper at one end at the other end
             of_weight = splits[rank[e]]
-            meets_u = _meets_one_part(work, sides, of_weight, e, u)
-            meets_v = _meets_one_part(work, sides, of_weight, e, v)
+            meets_u = _meets_one_part(of_weight, at_u)
+            meets_v = _meets_one_part(of_weight, at_v)
             if meets_u and meets_v:
-                single = _pairing_move(table, work, sides, e)
-                if single is not None:
-                    kept.append(single)
+                # u's lowest edge stays: its other part joins each of v's
+                (a1, _), (_, beyond_b) = at_u
+                single = [(NniOp(a1, e, e3), key) for e3, beyond in at_v
+                          if (key := joined_key(sides, e, beyond_b, beyond)) in target]
+                if single:
+                    kept += single
                     taken.update((u, v))
                     continue
-            for p, q, meets in ((u, v, meets_v), (v, u, meets_u)):
-                if meets:
-                    for f in sorted(adj[p]):
-                        if f != e and f in can_help:
-                            for xi, qj, key in table.helped_keys(work, sides, e, f):
-                                if key in target:
-                                    offers.append((p, q, e, f, xi, qj, key))
+            for p, q, at_p, at_q, meets in ((u, v, at_u, at_v, meets_v),
+                                            (v, u, at_v, at_u, meets_u)):
+                if not meets:
+                    continue
+                for f, _ in at_p:
+                    if f in can_help:
+                        (b,) = [g for g, _ in at_p if g != f]
+                        x = work.other_end(f, p)
+                        offers += [
+                            ((p, q, x), NniOp(b, f, xi), NniOp(f, e, qj), key)
+                            for xi, beyond_x in parts_at(work, sides, x, f)
+                            for qj, beyond_q in at_q
+                            if (key := joined_key(sides, e, beyond_x, beyond_q)) in target]
         # every single move is kept first, then each edge's first unit that fits
-        for p, q, e, f, xi, qj, key in offers:
-            c, x = ends[f]
-            if x == p:
-                x = c
-            if p in taken or q in taken or x in taken:
-                continue
-            (b,) = [g for g in adj[p] if g != e and g != f]
-            kept.append((NniOp(b, f, xi), None))
-            kept.append((NniOp(f, e, qj), key))
-            taken.update((p, q, x))
+        for nodes, helper, pairing, key in offers:
+            if taken.isdisjoint(nodes):
+                kept += [(helper, None), (pairing, key)]
+                taken.update(nodes)
         rt.round("pairing", range(2 * len(unpaired)))
         if not kept:
             break
@@ -590,11 +540,10 @@ def pairing_pass(
             # the patches write the sides: their entries are this pass's own,
             # but their parent edges are t1's kept view
             work = t1.copy()
-            ends, adj = work._ends, work._adj
             sides = sides._replace(parent_edge=dict(sides.parent_edge))
         for op, key in kept:
             move(work, *op)
-            _patch_sides(work, sides, op.e2)
+            patch_sides(work, sides, op.e2)
             can_help.discard(op.e2)
             if key is not None:
                 found.append((op.e2, target[key]))
@@ -603,12 +552,12 @@ def pairing_pass(
         # that can still help: a kept node's edges stay on kept nodes, so
         # these are the edges whose judgement can change
         near: set[int] = set()
+        adj = work._adj
         for x in taken:
             for g in adj[x]:
                 near.add(g)
                 if g in can_help:
-                    c, y = ends[g]
-                    near.update(adj[y if c == x else c])
+                    near.update(adj[work.other_end(g, x)])
         frontier = sorted(near & unpaired)
         rounds.append(kept)
     return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))

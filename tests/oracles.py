@@ -11,11 +11,13 @@ parsing and formatting and builds through the validating constructor.
 Some are the package's own earlier code, kept as the reference for a
 faster rewrite: the flat leaf-sort signatures (:func:`ranked_view_flat`),
 the split-map tree comparison (:func:`canonical_equal_by_splits`), the
-exact search over rooted-view key passes (:func:`search_by_view`), which
-shares ``PairBound``'s key arithmetic, the one implementation that the
-search kernel inlines, and the pairing pass that judges every unpaired edge
-on a fresh walk each round (:func:`pairing_pass_by_full_rounds`), which
-shares that arithmetic and the sides pass.
+move-key kernels that read a move's two parts per call (:func:`moved_key`
+and :func:`helped_keys`), which share ``goodpairs.part`` and
+``goodpairs.joined_key``, the one key arithmetic that the search kernel
+inlines, the exact search over rooted-view key passes
+(:func:`search_by_view`), and the pairing pass that judges every unpaired
+edge on a fresh walk each round (:func:`pairing_pass_by_full_rounds`); the
+last two share that arithmetic and the sides pass.
 """
 
 from __future__ import annotations
@@ -926,6 +928,48 @@ def canonical_equal_by_splits(a: Phylogeny, b: Phylogeny) -> bool:
     }
 
 
+def moved_key(tree: Phylogeny, sides, e1: int, e2: int, e3: int) -> tuple[int, int, int]:
+    """e2's key after the move (e1, e2, e3), from two parts of ``sides`` of ``tree`` before it.
+
+    The move carries e1 from e2's end u to its end v and e3 the other way,
+    so afterwards e2's side at u is what lay beyond u's third edge b, seen
+    from u, and what lay beyond e3, seen from v: two parts
+    (``goodpairs.part``), joined into e2's key by ``goodpairs.joined_key``.
+    """
+    from nnidist.goodpairs import joined_key, part
+
+    ends, adj = tree._ends, tree._adj
+    u, v = ends[e2]
+    if v in ends[e1]:
+        u, v = v, u
+    (b,) = [g for g in adj[u] if g != e1 and g != e2]
+    return joined_key(sides, e2, part(ends, sides, u, b), part(ends, sides, v, e3))
+
+
+def helped_keys(tree: Phylogeny, sides, e: int, f: int) -> list[tuple[int, int, tuple]]:
+    """e's key after a helper move on f and a pairing move on e, for each of the four pairs.
+
+    e = (p, q) and f = (p, x) are internal edges of ``tree`` that meet at
+    p, and ``sides`` is the sides of ``tree`` before either move.  Call B
+    p's third edge.  The helper move (B, f, xi) swaps B with one of x's
+    other edges xi, and the pairing move (f, e, qj) then swaps f with one
+    of q's other edges qj, so e's side at p becomes part(x, xi) ∪
+    part(q, qj).  Returns (xi, qj, key) for xi and qj each in edge-id order.
+    """
+    from nnidist.goodpairs import joined_key, part
+
+    ends, adj = tree._ends, tree._adj
+    p, q = ends[e]
+    c, x = ends[f]
+    if p != c and p != x:
+        p, q = q, p
+    if x == p:
+        x = c
+    return [(xi, qj, joined_key(sides, e, part(ends, sides, x, xi), part(ends, sides, q, qj)))
+            for xi in sorted(adj[x]) if xi != f
+            for qj in sorted(adj[q]) if qj != e]
+
+
 class SearchTableByView:
     """The exact search's tables from one ``PairBound`` of tree 2 and its view passes.
 
@@ -942,7 +986,7 @@ class SearchTableByView:
         self.bound = bound = PairBound(t2)
         internal = t1.internal_edges()
         self.scale = math.lcm(*(t1.weight(e).denominator for e in internal))
-        self.width = width = len(bound.rank)
+        self.width = width = len(bound.layout.rank)
         self.cost = {e: self.scaled(t1.weight(e)) for e in internal}
         self.fields = bound.edge_fields(t1)
         self.paired = {(bits * width + rank, vec) for rank, bits, vec in bound.target}
@@ -968,8 +1012,8 @@ def neighbors_by_view(tree: Phylogeny, table: SearchTableByView):
     """``exact.neighbors`` by one ``PairBound.sides`` pass over the rooted view.
 
     The 2(n-3) successors (move, state, step, h), each move's key from
-    ``PairBound.moved_key``: the reference for the search kernel's inlined
-    walk of the edge table.
+    :func:`moved_key`: the reference for the search kernel's inlined walk
+    of the edge table.
     """
     from bisect import insort
 
@@ -991,7 +1035,7 @@ def neighbors_by_view(tree: Phylogeny, table: SearchTableByView):
         step = cost[e2]
         others = h - term[e2]
         for e3 in sorted(e for e in tree.adjacent_edges(v) if e != e2):
-            rank, bits, vec = bound.moved_key(tree, sides, a1, e2, e3)
+            rank, bits, vec = moved_key(tree, sides, a1, e2, e3)
             packed = bits * width + rank
             moved = list(rest)
             insort(moved, packed)
@@ -1090,7 +1134,7 @@ def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
             a1 = min(e for e in adj[u] if e != e2)
             mine = []
             for e3 in sorted(e for e in adj[v] if e != e2):
-                key = table.moved_key(work, sides, a1, e2, e3)
+                key = moved_key(work, sides, a1, e2, e3)
                 if key in target:
                     mine.append((NniOp(a1, e2, e3), key))
             singles.extend(mine)
@@ -1102,7 +1146,7 @@ def pairing_pass_by_full_rounds(t1, t2, table, fields, rt):
                         continue
                     x = work.other_end(f, p)
                     (b,) = [g for g in adj[p] if g not in (e2, f)]
-                    for xi, qj, key in table.helped_keys(work, sides, e2, f):
+                    for xi, qj, key in helped_keys(work, sides, e2, f):
                         if key in target:
                             offers.append(({p, q, x}, NniOp(b, f, xi), NniOp(f, e2, qj), key))
         sides = None

@@ -23,7 +23,7 @@ from nnidist.exact import (
     search,
 )
 from nnidist.gen import generate_pair
-from nnidist.goodpairs import PairBound, decompose, find_good_edge_pairs, lower_bound
+from nnidist.goodpairs import decompose, find_good_edge_pairs, lower_bound
 from nnidist.nni import NniOp, apply_nni, trace_lines, verify_transform
 from nnidist.phylo import Phylogeny, TreeError
 from nnidist.runtime import ParRuntime
@@ -323,22 +323,22 @@ def test_witness_is_deterministic():
 )
 def test_heuristic_is_zero_at_the_goal_and_consistent(n, seed, moves, dup):
     t1, t2, _ = generate_pair(seed=seed, n=n, moves=moves, dup_weights=dup)
-    h = PairBound(t2)
     table = SearchTable(t1, t2)
-    assert h(t2) == 0 and table.state(t2)[1] == 0
+    assert lower_bound(t2, t2) == 0 and table.state(t2)[1] == 0
     # the start, its successors and theirs: every move s -> s' on the way
     layer = [t1]
     for _ in range(2):
         following = []
         for tree in layer:
-            here = h(tree)
+            here = lower_bound(tree, t2)
             for op, state, scaled_step, scaled_h in neighbors(tree, table):
                 nxt = tree.copy()
                 step = apply_nni(nxt, op)
-                assert here <= step + h(nxt)
+                there = lower_bound(nxt, t2)
+                assert here <= step + there
                 # the search's incremental state, step and h are the moved tree's own
                 assert Fraction(scaled_step, table.scale) == step
-                assert Fraction(scaled_h, table.scale) == h(nxt)
+                assert Fraction(scaled_h, table.scale) == there
                 assert state == table.state(nxt)[0]
                 following.append(nxt)
         layer = following[:6]

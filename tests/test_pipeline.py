@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from nnidist import pipeline
 from nnidist.edgesort import merge_sort_edges
 from nnidist.exact import exact_dnni
 from nnidist.gen import generate_pair
@@ -22,6 +23,7 @@ from nnidist.goodpairs import (
     decompose,
     find_good_edge_pairs,
     lower_bound,
+    patch_sides,
     sides_below,
     walk,
 )
@@ -35,13 +37,12 @@ from nnidist.pipeline import (
     PHASE_NAMES,
     ApproxResult,
     _component_sequence,
-    _patch_sides,
     approx_nni,
     pairing_pass,
 )
 from nnidist.runtime import ParRuntime
 
-from oracles import caterpillar, leaf_edge_of, pairing_pass_by_full_rounds
+from oracles import caterpillar, leaf_edge_of, moved_key, pairing_pass_by_full_rounds
 
 # Hypothesis caches the constants of local source files while the tests are
 # collected; keep that cache out of the working tree
@@ -625,15 +626,15 @@ def test_patched_sides_give_the_moved_keys_of_fresh_sides():
                 turned[sides.parent_edge[v] in (op.e1, op.e3)] += 1
                 moved_smallest += smallest in (op.e1, op.e3)
                 move(work, *op)
-                _patch_sides(work, sides, op.e2)
+                patch_sides(work, sides, op.e2)
             fresh = sides_below(work, walk(work), table.bit, *fields)
             for e2 in fields[0]:
                 u, v = work.endpoints(e2)
                 for a in work.adjacent_edges(u):
                     for b in work.adjacent_edges(v):
                         if e2 not in (a, b):
-                            assert (table.moved_key(work, sides, a, e2, b)
-                                    == table.moved_key(work, fresh, a, e2, b))
+                            assert (moved_key(work, sides, a, e2, b)
+                                    == moved_key(work, fresh, a, e2, b))
     assert turned[True] and turned[False] and moved_smallest
 
 
@@ -641,35 +642,32 @@ def test_later_pairing_rounds_judge_only_the_edges_next_to_kept_moves(monkeypatc
     # at n = 2048 a later round judges only the edges at or one edge from a
     # node that a kept move of the round before rewired, at most nine per
     # node, not every unpaired edge again (one edge away only along an edge
-    # that can still help, so often fewer)
+    # that can still help, so often fewer).  A judged edge checks each of
+    # its two ends once, so the checks count the judged edges twice
     t1, t2, _ = generate_pair(1, 2048, 2048)
-    calls = Counter()
-    kernels = {name: getattr(PairBound, name) for name in ("moved_key", "helped_keys")}
+    checks = 0
+    meets_one_part = pipeline._meets_one_part
 
-    def counted(name, run):
-        def call(*args):
-            calls[name, run] += 1
-            return kernels[name](*args)
-        return staticmethod(call)
+    def counted(*args):
+        nonlocal checks
+        checks += 1
+        return meets_one_part(*args)
 
-    for run in ("pass", "full"):
-        for name in kernels:
-            monkeypatch.setattr(PairBound, name, counted(name, run))
-        if run == "pass":
-            table, rt, pairing = run_pass(t1, t2)
-        else:
-            full_rt = ParRuntime()
-            want = pairing_pass_by_full_rounds(t1, t2, table, table.edge_fields(t1), full_rt)
+    monkeypatch.setattr(pipeline, "_meets_one_part", counted)
+    table, rt, pairing = run_pass(t1, t2)
+    full_rt = ParRuntime()
+    want = pairing_pass_by_full_rounds(t1, t2, table, table.edge_fields(t1), full_rt)
     assert same_pass(t1, pairing, want) and len(pairing.rounds) > 1
     assert any(key is None for kept in pairing.rounds for _, key in kept)
 
+    assert checks % 2 == 0
+    judged = checks // 2
     unpaired = len(t1.internal_edges()) - len(pairing.detected)
     # a single move rewires its edge's two ends, a two-move unit three nodes
     rewired = sum(len(unit) + 1 for kept in pairing.rounds for unit in units(kept))
-    assert calls["moved_key", "pass"] <= 2 * unpaired + 2 * 9 * rewired
-    # the full pass judges both moves of every unpaired edge in every round,
-    # which is the work both passes record
-    assert (calls["moved_key", "full"] == rt.snapshot()["pairing"]["work"]
-            == full_rt.snapshot()["pairing"]["work"])
-    assert calls["moved_key", "pass"] < calls["moved_key", "full"]
-    assert calls["helped_keys", "pass"] < calls["helped_keys", "full"]
+    assert judged <= unpaired + 9 * rewired
+    # the full pass judges every unpaired edge in every round, two tasks
+    # each, which is the work both passes record
+    work = full_rt.snapshot()["pairing"]["work"]
+    assert rt.snapshot()["pairing"]["work"] == work
+    assert judged < work // 2
