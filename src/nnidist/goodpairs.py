@@ -48,7 +48,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from nnidist.nni import counted_cost
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
@@ -265,6 +265,23 @@ def joined_key(sides: Sides, e: int, a: tuple[int, int], b: tuple[int, int]) -> 
     return sides.rank[e], side, vec_a + vec_b
 
 
+def moved_edge_key(tree: Phylogeny, sides: Sides, e: int) -> Key:
+    """Internal edge e's key read off ``sides``, fresh or patched (:func:`patch_sides`).
+
+    The side below e is its child end's entry, less e's own field; a side
+    that holds bit 0 is turned to e's other side, as :func:`joined_key`
+    turns it, so the key is the one a fresh key pass gives.
+    """
+    root, parent_edge, bits, vecs, rank, field = sides
+    x, y = tree._ends[e]
+    if parent_edge[x] != e:
+        x = y
+    side = bits[x]
+    if side & 1:
+        return rank[e], bits[root] ^ side, vecs[root] - vecs[x]
+    return rank[e], side, vecs[x] - field[e]
+
+
 class KeyLayout:
     """Where one fixed target tree's weights and taxa sit in good-pair keys.
 
@@ -278,6 +295,11 @@ class KeyLayout:
     ``tree`` and the target's own :meth:`edge_fields` as ``fields``, so
     that a reader of both trees, such as :func:`decompose`, hashes no
     weight of the target again.
+
+    Ranks, widths and bits depend only on the sorted internal weight
+    multiset and the sorted taxa, which the two trees of a finite pair
+    share.  So either tree's layout is the other's, and one layout keys
+    both trees of a pair.
     """
 
     def __init__(self, target: Phylogeny) -> None:
@@ -294,6 +316,20 @@ class KeyLayout:
         self.bit = {t: 1 << i for i, t in enumerate(target.taxa())}
         self.tree = target
         self.fields = self.edge_fields(target)
+
+    def sides(
+        self, tree: Phylogeny, fields: tuple[dict[int, int], dict[int, int]] | None = None
+    ) -> Sides:
+        """The taxa and internal weights below every node of ``tree``'s kept rooted view.
+
+        ``fields`` is ``self.edge_fields(tree)`` when the caller has it
+        already.  The view is the one the tree keeps until its next move, so
+        detection on a full input tree builds the view that serialization
+        and comparison of that tree read later.
+        """
+        if fields is None:
+            fields = self.edge_fields(tree)
+        return sides_below(tree, tree.rooted_view().parent_edge, self.bit, *fields)
 
     def edge_fields(self, tree: Phylogeny) -> tuple[dict[int, int], dict[int, int]]:
         """The weight rank and the count field of each internal edge, by edge id.
@@ -318,33 +354,44 @@ class KeyLayout:
 
 
 class PairBound:
-    """The good-pair table of one fixed target tree.
+    """The good-pair table of one target tree.
 
-    The target's :class:`KeyLayout`, held as ``layout``, and its keys:
-    ``target`` maps the exact key (see :meth:`edge_keys`) of each of the
-    target's internal edges to that edge; keys are unique within a tree, so
-    an edge of another tree is paired exactly when its key is in the table.
-    The bound of a tree T, :func:`lower_bound` against the target, is then
-    the weight of T's edges whose keys are not in the table, one key pass
-    per tree.  Trees must be finite against the target (see
-    ``finiteness_check``); one with another internal weight multiset is
-    refused (see :meth:`edge_fields`).  :mod:`nnidist.exact` uses the
-    bound, scaled to integers, as its A* heuristic and says why it is
-    consistent.
+    A :class:`KeyLayout`, held as ``layout``, and the target's keys:
+    ``keys`` maps each of the target's internal edges to its exact key (see
+    :meth:`edge_keys`), and ``target`` maps each key back to its edge; keys
+    are unique within a tree, so an edge of another tree is paired exactly
+    when its key is in the table.  The bound of a tree T, :func:`lower_bound`
+    against the target, is then the weight of T's edges whose keys are not
+    in the table, one key pass per tree.  Trees must be finite against the
+    target (see ``finiteness_check``); one with another internal weight
+    multiset is refused (see :meth:`edge_fields`).  :mod:`nnidist.exact`
+    uses the bound, scaled to integers, as its A* heuristic and says why it
+    is consistent.
 
     ``splits`` maps each weight rank to the taxa sides of the target's
-    edges of that weight, the bitsets of their keys.
+    edges of that weight, the bitsets of their keys.  ``fields`` are the
+    target's :meth:`KeyLayout.edge_fields`.
 
-    The table holds its layout rather than being one, so that a caller done
-    with the keys can keep the layout alone, as :func:`decompose` needs,
-    and let the keys go.  The layout's ``tree``, ``fields`` and ``bit`` are
-    the table's too.
+    The layout ranks weights in sorted order and gives taxa bits in sorted
+    order, so both trees of a finite pair have the same layout, and the
+    keys of either are comparable with the other's table.  ``layout`` is
+    the target's own by default; a caller that keys both trees of a pair
+    builds one and passes it to both tables, with each tree's ``sides``
+    when it has them already.  The table holds its layout rather than being
+    one, so that a caller done with the keys can keep the layout alone, as
+    :func:`decompose` needs, and let the keys go.
     """
 
-    def __init__(self, target: Phylogeny) -> None:
-        self.layout = layout = KeyLayout(target)
-        self.tree, self.fields, self.bit = layout.tree, layout.fields, layout.bit
-        keys = self.edge_keys(target, self.sides(target, self.fields))
+    def __init__(
+        self, target: Phylogeny, layout: KeyLayout | None = None, sides: Sides | None = None
+    ) -> None:
+        self.layout = layout = KeyLayout(target) if layout is None else layout
+        self.tree, self.bit = target, layout.bit
+        if sides is None:
+            sides = layout.sides(
+                target, layout.fields if layout.tree is target else None)
+        self.fields = sides.rank, sides.field
+        self.keys = keys = edge_keys_of(target, sides)
         self.target = {key: e for e, key in keys.items()}
         # the taxa side of each target split, by weight rank
         self.splits: dict[int, list[int]] = {}
@@ -358,16 +405,8 @@ class PairBound:
     def sides(
         self, tree: Phylogeny, fields: tuple[dict[int, int], dict[int, int]] | None = None
     ) -> Sides:
-        """The taxa and internal weights below every node of ``tree``'s kept rooted view.
-
-        ``fields`` is ``self.edge_fields(tree)`` when the caller has it
-        already.  The view is the one the tree keeps until its next move, so
-        detection on a full input tree builds the view that serialization
-        and comparison of that tree read later.
-        """
-        if fields is None:
-            fields = self.edge_fields(tree)
-        return sides_below(tree, tree.rooted_view().parent_edge, self.bit, *fields)
+        """The layout's :meth:`KeyLayout.sides` of ``tree``."""
+        return self.layout.sides(tree, fields)
 
     def edge_keys(self, tree: Phylogeny, sides: Sides | None = None) -> dict[int, Key]:
         """Exact good-pair key of every internal edge (see :func:`edge_keys_of`).
@@ -383,6 +422,28 @@ class PairBound:
         target = self.target
         return sorted((e, target[key]) for e, key in keys.items() if key in target)
 
+    def follow(self, tree: Phylogeny, sides: Sides, moved: Iterable[int]) -> None:
+        """Make this the table of ``tree``, which moves on the edges ``moved`` made of the target.
+
+        A move changes its own edge's key alone, so only the keys of
+        ``moved`` are replaced, each read off ``sides``, the target's sides
+        patched after every move (:func:`patch_sides`): O(moves), not a new
+        key pass.  Every old key is dropped before a new one is entered, so
+        a moved edge may take the key another one gave up.  ``tree`` keeps
+        the target's edge ids and weights, so ``fields`` still hold.
+        """
+        keys, target, splits = self.keys, self.target, self.splits
+        moved = set(moved)
+        for e in moved:
+            r, side, _ = old = keys[e]
+            del target[old]
+            splits[r].remove(side)
+        for e in moved:
+            r, side, _ = keys[e] = new = moved_edge_key(tree, sides, e)
+            target[new] = e
+            splits[r].append(side)
+        self.tree = tree
+
 
 def find_good_edge_pairs(
     t1: Phylogeny,
@@ -391,13 +452,15 @@ def find_good_edge_pairs(
     checked: bool = False,
     table: PairBound | None = None,
     sides: Sides | None = None,
+    keys: dict[int, Key] | None = None,
 ) -> GoodEdgePairSet:
     """Every good pair (t1 edge, t2 edge), sorted, from one key pass per tree.
 
     The pair must be finite, which this checks unless the caller already
     has: ``checked=True`` says that ``finiteness_check(t1, t2)`` passed.
-    ``table`` is ``PairBound(t2)`` and ``sides`` is ``table.sides(t1)``
-    when the caller has them already.
+    ``table`` is ``PairBound(t2)``, ``sides`` is ``table.sides(t1)`` and
+    ``keys`` is ``table.edge_keys(t1)`` when the caller has them already;
+    t1's :class:`PairBound` on the same layout holds its keys.
     """
     if not checked:
         ok, reasons = finiteness_check(t1, t2)
@@ -407,7 +470,9 @@ def find_good_edge_pairs(
         table = PairBound(t2)
     elif table.tree is not t2:
         raise ValueError("the table was built for another target tree")
-    return GoodEdgePairSet(table.pairs(table.edge_keys(t1, sides)))
+    if keys is None:
+        keys = table.edge_keys(t1, sides)
+    return GoodEdgePairSet(table.pairs(keys))
 
 
 def lower_bound(
@@ -494,6 +559,7 @@ def decompose(
     *,
     table: KeyLayout | PairBound | None = None,
     fields: tuple[dict[int, int], dict[int, int]] | None = None,
+    target_fields: tuple[dict[int, int], dict[int, int]] | None = None,
     first_cut: int = 0,
 ) -> list[tuple[Phylogeny, Phylogeny]]:
     """Cut both trees at all good pairs and match the components by taxa.
@@ -512,7 +578,10 @@ def decompose(
 
     ``table`` is t2's :class:`KeyLayout`, or a :class:`PairBound`, which
     reads the same, and ``fields`` is ``table.edge_fields(t1)`` when the
-    caller has them already; otherwise both are built here.  The
+    caller has them already; otherwise both are built here.  A caller that
+    has ``target_fields``, t2's edge fields on the layout of ``fields``,
+    needs no table: a tree that moves made of the layout's tree keeps its
+    edge ids and weights, and so its fields.  The
     pseudo-leaf of the k-th listed pair is labeled ``:cut:j:`` with j =
     ``first_cut + k``, and a taxon that carries one of these labels is
     refused.  Cutting a component of an earlier decomposition again takes
@@ -542,13 +611,16 @@ def decompose(
     if bad:
         raise TreeError(
             f"component pair is not finite: leaf edge weights differ at taxa {bad}")
-    if table is None:
-        table = KeyLayout(t2)
-    if fields is None:
-        # refuses a t1 whose internal weight multiset is not t2's
-        fields = table.edge_fields(t1)
+    if fields is None or target_fields is None:
+        if table is None:
+            table = KeyLayout(t2)
+        if fields is None:
+            # refuses a t1 whose internal weight multiset is not t2's
+            fields = table.edge_fields(t1)
+        if target_fields is None:
+            target_fields = table.fields
     fields1 = {e: f for e, f in fields[1].items() if e not in cuts1}
-    fields2 = {e: f for e, f in table.fields[1].items() if e not in cuts2}
+    fields2 = {e: f for e, f in target_fields[1].items() if e not in cuts2}
     for part, match in matched:
         vec1 = sum([fields1.get(e, 0) for e in part._ends])
         if vec1 != sum([fields2.get(e, 0) for e in match._ends]):

@@ -85,29 +85,69 @@ the parallel schedule, in which each edge's tasks judge its own moves
 without being told which neighbours moved, and the frontier is the
 sequential run's shortcut to the same kept moves.
 
-The guarantee survives with a constant of about 3.  Every kept move is on
-an edge that was unpaired in t1: a paired edge is never moved.  An edge is
-moved at most once to pair, since it is paired afterwards, and at most
-once as a helper.  So the pass's pairing moves cost at most LB, and so do
-its helper moves, and the pass's moves G cost cost(G) ≤ 2·LB ≤ 2·opt, LB
-being :func:`goodpairs.lower_bound` of the input pair.  Undoing G and then
-following an optimal answer from t1 shows opt(T1′, T2) ≤ 3·opt, so the
-O(log n)·opt bound of the phases holds on T1′ with three times the
-constant, and the pass adds at most 2·opt to it.  The pass stops after a
-round that keeps no move and runs at most ⌈log₂ n⌉ rounds, so its span is
-O(log n).  Each round is recorded as one round of phase ``pairing``.
+One pass costs at most twice the bound.  Every kept move is on an edge
+that was unpaired in t1: a paired edge is never moved.  An edge is moved at
+most once to pair, since it is paired afterwards, and at most once as a
+helper.  So the pass's pairing moves cost at most LB, and so do its helper
+moves, and the pass's moves G cost cost(G) ≤ 2·LB ≤ 2·opt, LB being
+:func:`goodpairs.lower_bound` of the pair it starts from.  The pass stops
+after a round that keeps no move and runs at most ⌈log₂ n⌉ rounds, so its
+span is O(log n).  Each round is recorded as one round of phase
+``pairing``.
 
-A pair of at most six taxa takes no round.  The exact search already
-solves such a pair whole and optimally, and a pass move made first can
-only keep that cost or raise it.
+*Pairing from both sides.*  Every move is its own inverse, at the same
+cost, so a move on tree 2 that gives one of its edges a key of t1's table
+serves as well as one on t1, undone at the end of the answer.
+:func:`approx_nni` first runs the pass on t2 against t1's table, which
+gives T2′, and then on t1 against T2′'s table, which gives T1′, and cuts
+T1′ and T2′.  The answer is t1's pass's moves, then the
+components' moves, then tree 2's pass's moves in reverse order, carried
+onto the working tree's edge ids.  Tree 2's moves make cost phase
+``pairing_2``, last in ``PHASE_NAMES`` so that each phase keeps one
+contiguous slice of the answer, and their rounds are recorded in round
+phase ``pairing`` too, before t1's.
 
-T1′'s good pairs are t1's plus one (e, target edge of e's new key) per kept
-pairing move, so no further key pass is needed.  ``decompose`` cuts T1′, which
-keeps t1's edge ids, and the answer is the pass's moves followed by the
-components' moves.  :func:`approx_nni` replays it once, from the original
-t1.  ``lower_bound`` and ``good_pairs`` describe the input pair.  The cut
-numbering starts past every ``:cut:k:`` label t1 carries, so a component
-of an earlier decomposition is solved like any other pair.
+The guarantee survives with a constant of about 5.  Tree 2's pass costs at
+most 2·LB, LB being the bound of the input pair, which is the same from
+either tree: the same weights, less those of the same pairs.  It moves no
+paired edge and a move changes its own edge's key alone, so it keeps every
+input pair and LB(t1, T2′) ≤ LB.  t1's pass then costs at most 2·LB too.
+Undoing t1's pass, following an optimal answer from t1 to t2 and then
+tree 2's pass shows opt(T1′, T2′) ≤ 5·opt, so the O(log n)·opt bound of the
+phases holds on T1′ and T2′ with five times the constant, and the passes
+add at most 4·opt to it.  The span of the passes is at most 2⌈log₂ n⌉
+rounds.
+
+A pair of at most six taxa takes no round on either side.  The exact
+search already solves such a pair whole and optimally, and a pass move made
+first can only keep that cost or raise it.
+
+One key layout serves both trees (see ``goodpairs.KeyLayout``), so each
+tree's sides are walked once and its keys read once.  t1's keys give t1's
+table, for tree 2's pass, and the input pairs against tree 2's table.  A
+pass's tree has its input's good pairs plus one (e, target edge of e's new
+key) per kept pairing move.  So T2′'s pairs with t1, seen from t1, are the
+good pairs t1's pass starts from, and T1′'s pairs with T2′ are those plus
+t1's pass's own, with no further key pass.  T2′'s table is tree 2's with
+the keys of the moved edges alone replaced, read off the sides that tree
+2's pass patched (``PairBound.follow``).  ``decompose`` cuts T1′, which
+keeps t1's edge ids, and T2′, which keeps t2's.  ``lower_bound`` and
+``good_pairs`` describe the input pair.  The cut numbering starts past
+every ``:cut:k:`` label t1 carries, so a component of an earlier
+decomposition is solved like any other pair.
+
+t1's pass's moves and the components' moves reach a tree equal to T2′
+with t1's edge ids, so tree 2's moves, undone, need those ids.  Each edge
+they name is matched with no walk of a whole tree: a leaf edge by its
+taxon, since a move keeps every leaf edge at its leaf; a cut edge by its
+pair, since no component makes a move on it, so it keeps its pair's
+split; and any other edge, which lies inside one component, by that
+component's end map, which the component's solver has at hand (the map
+that carries tree 2's road onto the leaf-sorted tree, or one walk of the
+exact search's small end tree).  :func:`approx_nni` then replays the whole answer once,
+from the original t1, to a tree that must equal t2, and the replayed cost
+must equal the sum of the phase costs.  The map decides no more than the
+ids the answer names: a wrong one would fail that replay.
 
 A component of more than six taxa is solved by meeting in the middle.
 Tree 1 is made linear, its internal edges are merge-sorted into the order
@@ -181,6 +221,7 @@ from nnidist.edgesort import merge_sort_edges
 from nnidist.goodpairs import (
     GoodEdgePairSet,
     Key,
+    KeyLayout,
     PairBound,
     Sides,
     decompose,
@@ -218,7 +259,7 @@ JOURNEY_NAMES = (
     "edge_sort_2",
     "linearize_2",
 )
-PHASE_NAMES = ("pairing", *JOURNEY_NAMES, "exact")
+PHASE_NAMES = ("pairing", *JOURNEY_NAMES, "exact", "pairing_2")
 
 # the most internal edges a component solved by the exact search has, and
 # the most states that search can settle: 105 topologies of six taxa times
@@ -362,7 +403,7 @@ def _forward_to_balanced(
 
 
 def _component_sequence(
-    c1: Phylogeny, c2: Phylogeny, rt: ParRuntime
+    c1: Phylogeny, c2: Phylogeny, rt: ParRuntime, end_map: dict[int, int] | None = None
 ) -> tuple[list[NniOp], dict[str, Fraction]]:
     """One component's moves and the cost of each phase that has any.
 
@@ -372,17 +413,26 @@ def _component_sequence(
     taxa, leaf weights and internal weight multisets.  A star needs no
     move; one to three internal edges go to :func:`nnidist.exact.search`,
     which records its moves in phase ``exact``, and larger components to
-    the four phases.
+    the four phases.  ``end_map``, when given, receives every edge of
+    ``c2`` mapped to the edge at its place in the tree that the moves
+    reach from ``c1``, a tree equal to ``c2``.
     """
     # Every good pair was cut, so a component with an internal edge holds
     # none, and two canonically equal trees would pair every edge: its trees
     # differ.  A star's taxa and leaf weights are equal, so it needs no move.
     internal = c1.n_taxa - 3  # a binary tree of n taxa has n - 3 internal edges
     if not internal:
+        if end_map is not None:
+            end_map.update(_equal_tree_edge_map(c1, c2))
         return [], {}
     # through the module, so that wrappers installed on exact see the call
     if internal <= EXACT_MAX_INTERNAL:
         cost, ops = exact.search(c1, c2, EXACT_STATE_LIMIT, rt)
+        if end_map is not None:
+            end = c1.copy()
+            for _ in replay(end, ops):
+                pass
+            end_map.update(_equal_tree_edge_map(end, c2))
         return ops, {"exact": cost}
 
     # both sides share one companion: equal taxa, leaf weights and internal
@@ -404,8 +454,11 @@ def _component_sequence(
     )
 
     # each phase's moves in JOURNEY_NAMES order: tree 2's road runs backwards,
-    # translated onto the leaf-sorted tree
+    # translated onto the leaf-sorted tree.  The moves change both trees in
+    # lockstep, so the map still holds at the end of tree 2's road, at c2
     emap = _equal_tree_edge_map(leafs.tree, balanced2)
+    if end_map is not None:
+        end_map.update(emap)
     phases = [lin1, sort1, rebal1, leafs.ops] + [
         _translate(invert_sequence(part), emap) for part in (rebal2, sort2, lin2)
     ]
@@ -431,13 +484,15 @@ class Pairing(NamedTuple):
     (move, key) in the order the round applied them: its single moves in
     edge-id order, then its two-move units, each a helper move with key
     None followed by its pairing move.  A pairing move's key is the one it
-    gives its middle edge, a key of tree 2's table.
+    gives its middle edge, a key of tree 2's table.  ``sides`` are T1′'s,
+    the pass's sides of t1 patched after each move.
     """
 
     detected: GoodEdgePairSet
     tree: Phylogeny
     rounds: list[list[tuple[NniOp, Key | None]]]
     pairs: GoodEdgePairSet
+    sides: Sides | None = None
 
 
 def _meets_one_part(splits: list[int], parts: list[tuple[int, tuple[int, int]]]) -> bool:
@@ -456,12 +511,18 @@ def pairing_pass(
     table: PairBound,
     fields: tuple[dict[int, int], dict[int, int]],
     rt: ParRuntime,
+    *,
+    sides: Sides | None = None,
+    detected: GoodEdgePairSet | None = None,
 ) -> Pairing:
     """t1's good pairs, and more made by moves, in at most ⌈log₂ n⌉ rounds.
 
     ``table`` is ``PairBound(t2)`` and ``fields`` is
-    ``table.edge_fields(t1)``.  ``t1`` is left as it is; the moves are made
-    on a copy.  Each round keeps every single move whose key is in the
+    ``table.edge_fields(t1)``.  ``sides`` is ``table.sides(t1, fields)``
+    and ``detected`` t1's good pairs when the caller has them already; the
+    pass writes the entries of ``sides``, but not its parent edges, which
+    are t1's kept view.  ``t1`` is left as it is; the moves are made on a
+    copy.  Each round keeps every single move whose key is in the
     table, then the two-move units (a helper move on an unpaired edge f
     next to e that has not helped before, then a pairing move on e) whose
     key is in the table and whose nodes meet no node of a move kept before
@@ -475,8 +536,10 @@ def pairing_pass(
     round that keeps no move, and takes no round on a pair of at most six
     taxa.
     """
-    sides = table.sides(t1, fields)
-    detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
+    if sides is None:
+        sides = table.sides(t1, fields)
+    if detected is None:
+        detected = find_good_edge_pairs(t1, t2, checked=True, table=table, sides=sides)
     found = list(detected.pairs)
     paired = {e for e, _ in found}
     unpaired = {e for e in fields[0] if e not in paired}
@@ -560,7 +623,17 @@ def pairing_pass(
                     near.update(adj[work.other_end(g, x)])
         frontier = sorted(near & unpaired)
         rounds.append(kept)
-    return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)))
+    return Pairing(detected, work, rounds, GoodEdgePairSet(sorted(found)), sides)
+
+
+def _moves(pairing: Pairing) -> list[NniOp]:
+    """The pass's kept moves, in the order it made them."""
+    return [op for kept in pairing.rounds for op, _ in kept]
+
+
+def _flipped(pairs: GoodEdgePairSet) -> GoodEdgePairSet:
+    """The same pairs seen from the other tree, sorted."""
+    return GoodEdgePairSet(sorted((b, a) for a, b in pairs.pairs))
 
 
 def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
@@ -569,37 +642,66 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     if not ok:
         raise TreeError("distance is infinite: " + "; ".join(reasons))
 
-    # one table of tree 2 serves detection and the pairing pass, and its
-    # layout decompose; a move keeps every edge's id and weight, so t1's
-    # fields serve T1′ too.  The pair was checked above, so detection does
-    # not check it again
-    table = PairBound(t2)
-    fields = table.edge_fields(t1)
+    # one layout keys both trees, each walked and keyed once: t1's table
+    # serves tree 2's pass, and tree 2's, moved along with that pass, t1's
+    # pass and decompose.  A move keeps every edge's id and weight, so each
+    # tree's fields serve the trees its pass makes too.  The pair was
+    # checked above, so detection does not check it again
+    layout = KeyLayout(t2)
+    fields = layout.edge_fields(t1)
+    sides1, sides2 = layout.sides(t1, fields), layout.sides(t2, layout.fields)
+    table1 = PairBound(t1, layout, sides1)
+    table = PairBound(t2, layout, sides2)
+    pairs = find_good_edge_pairs(t1, t2, checked=True, table=table, keys=table1.keys)
     rt = ParRuntime()
-    pairing = pairing_pass(t1, t2, table, fields, rt)
-    layout = table.layout
-    pairs, work, cut = pairing.detected, pairing.tree, pairing.pairs
-    sequence = [op for kept in pairing.rounds for op, _ in kept]
-    del pairing, table  # their keys are not read again
+    # tree 2's pass first, against t1's table, makes T2′; its pairing moves
+    # give T2′'s pairs beyond the input's, which t1's pass starts from
+    back = pairing_pass(t2, t1, table1, table.fields, rt, sides=sides2, detected=_flipped(pairs))
+    t2_moved, back_moves = back.tree, _moves(back)
+    table.follow(t2_moved, back.sides, (op.e2 for op in back_moves))
+    forth = pairing_pass(t1, t2_moved, table, fields, rt,
+                         sides=sides1, detected=_flipped(back.pairs))
+    t1_moved, cut, sequence, fields2 = forth.tree, forth.pairs, _moves(forth), table.fields
+    del back, forth, layout, table, table1, sides1, sides2  # no key or side is read again
     totals = {name: Fraction(0) for name in PHASE_NAMES}
-    # an edge may move twice in the pass: once as a helper, once to pair
+    # an edge may move twice in a pass: once as a helper, once to pair
     totals["pairing"] = counted_cost(t1, Counter(op.e2 for op in sequence))
+    totals["pairing_2"] = counted_cost(t2, Counter(op.e2 for op in back_moves))
+
+    # tree 2's moves end the answer, undone in reverse order on the tree that
+    # t1's pass and the components reach, equal to T2′ with t1's edge ids.
+    # Each edge they name is found there by its taxon if it is a leaf edge,
+    # since a move keeps every leaf edge at its leaf, by its pair if it was
+    # cut, and otherwise by the end map of the component it lies in
+    named = {g for op in back_moves for g in op}
+    at = {b: a for a, b in cut.pairs if b in named}
+    labels2, leaves1, adj1 = t2._leaf_label, t1._label_leaf, t1._adj
+    for g in named:
+        u, v = t2._ends[g]
+        label = labels2.get(u, labels2.get(v))
+        if label is not None:
+            at[g] = adj1[leaves1[label]][0]
+    inner = named - at.keys()
 
     # every cut is itself a good pair, so a component keeps the splits and
     # weight partitions of the full trees and holds no further pairs.
     # Components are independent, so each is counted on its own runtime and
-    # their schedules run side by side
+    # their schedules run side by side.  t1 may be a component of an earlier
+    # decomposition: number new cuts past its pseudo-leaves
     part_rts = []
-    # t1 may be a component of an earlier decomposition: number new cuts
-    # past its pseudo-leaves
-    first = first_free_cut(t1)
-    for part1, part2 in decompose(work, t2, cut, table=layout, fields=fields, first_cut=first):
+    for part1, part2 in decompose(t1_moved, t2_moved, cut, fields=fields,
+                                  target_fields=fields2, first_cut=first_free_cut(t1)):
         part_rts.append(ParRuntime())
-        ops, costs = _component_sequence(part1, part2, part_rts[-1])
+        end_map = None if part2._ends.keys().isdisjoint(inner) else {}
+        ops, costs = _component_sequence(part1, part2, part_rts[-1], end_map)
+        if end_map:
+            at.update((g, end_map[g]) for g in inner.intersection(end_map))
         sequence.extend(ops)
         for name, value in costs.items():
             totals[name] += value
     rt.add_side_by_side(part_rts)
+    del t1_moved, t2_moved
+    sequence += _translate(invert_sequence(back_moves), at)
 
     ok, cost, reason = verify_transform(t1, sequence, t2)
     if not ok:

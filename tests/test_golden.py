@@ -33,16 +33,16 @@ def _ids(rows):
 
 
 GOLDEN = [
-    (8, 1, "c3524786fbacd24fb8651df8caa16b9992bfc0c72583feffb79ae9218ecd3066"),
-    (8, 2, "c699d927a30b29e675f38928d1d092497a568f14884d6d23e40d81074d94c504"),
-    (16, 1, "a89056d70a02dde7696b362b2b3df4936e37425cdb1d3bdc5dbf8833672d7067"),
-    (16, 2, "3b9683d7f4416c0b8ac04232635368efa84c5c26999b1f543aa0d4653162db6e"),
-    (32, 1, "972c82f461932840186ae29006c231697a82e8197fc5cde39f5fd9dede0a713d"),
-    (32, 2, "7f36af691db7ccfab0863a9b388e25ebaa62d695f4946510041e56945e92d668"),
-    (64, 1, "916fd767d9d5af06dc9dcb229fbdfb52e9ced560de4dba70bf1d7a6fc30c91d4"),
-    (64, 2, "be12133e0243fd2e462eff034e0e062dd934a33216c371557cab5a8e0aec2ca9"),
-    (128, 1, "8f33d03842b35d718e2c449a869b0b4c2913a7f08e0642b8be04d011e5605b58"),
-    (128, 2, "5498d52294a7053bbd8e28420a1ae11d2772648add744f55e67dd077b9cf66fc"),
+    (8, 1, "c498e4a2506a571910880fdcc9408d018d4d4b4fb3a2d2d24bd491ac8047182f"),
+    (8, 2, "0e0da778376d1619ff10d2d956c89a22562629efc234c249f30f701ac73003fd"),
+    (16, 1, "d7d397f039b037741d2fa4e86cbe8dd4e02cdd1079da3d2e51bbed81998a786e"),
+    (16, 2, "5d12657123aca35e57b94b9722dc709259568e991ba334acd7aa4fa95ec77a36"),
+    (32, 1, "b9d4850ce5b79ebbc48f26bff905007c23c53406e21684c0ba69ad54170b8e6b"),
+    (32, 2, "ed0558eef48ae06e2e034e4015d3aceb11f8c9c241a24f92595507f53f34461b"),
+    (64, 1, "0e6a5b2e4cd43626394e60ea90294f7ab48e19bc811d7626855dad1885e3881a"),
+    (64, 2, "7f0d7b5fcaf79d3b6743331c97ccec6f4a8dd933e94eae91bc484d9428edfac6"),
+    (128, 1, "df7b7ee6d9cdf1f5fc3e82631f8a76a5c1348aaed74ed540931cde7c82716e7f"),
+    (128, 2, "81548f339a9a8467ecf66c6b1111e6c6a8f64b9bd82c2518c765112d32e029ee"),
 ]
 
 
@@ -56,15 +56,15 @@ def test_trace_bytes_are_pinned(n, seed, digest):
 
 GOLDEN_METRICS = [
     (8, 1, "2a7711786b1d96afbe92d8781714a7c3a40c85303d63f1bdc6f8f8f13865702a"),
-    (8, 2, "c78801046a99b37feca506f63df8e76e01a8425f3ae853c40a43aaaf5f18c855"),
-    (16, 1, "ee5cf0d636ec1debd639334a19f50bdb6785afae210b40b1043bc5b38b974b01"),
-    (16, 2, "41a186850c3aced0e41ee6de943f59ab1580392d3f5cd72e2bdd49bd0445dbfc"),
-    (32, 1, "0204def94a0b99d3af015fe61fdf17ec20fdf3baf2f5769f7ec6999d9c27486b"),
-    (32, 2, "ecbb3cdedc54a8fdaf1059c3c2c2f33e5fc45000b1ae80766f04094549366e06"),
-    (64, 1, "3293a58ba01c0d848a2361325faa59aa2e5e3d7acd3ef19c064f61eb52c7b0e4"),
-    (64, 2, "643137dc370eaf52dccd907cb9728757d2c84b82264405b1af311cadcc642ac6"),
-    (128, 1, "afde10e60224086b0725115ead7ba5c59f38f2d8bd73960b61e53d9b28e59fa9"),
-    (128, 2, "83842a5eb14ca5b0e9cda828e8714220713b001971eacf6ae9c9a0c2272d8eb9"),
+    (8, 2, "a9950e27417527b71eb5c1ddc9e3317ad15576ee225bfee16d0211b8a1d3d69f"),
+    (16, 1, "87ad64d6abd6bf02cb97bec9d55bf3677ce90b4a8fb2f1cae4007e8576f56858"),
+    (16, 2, "3aa61e65d1cbb027f735b7905e0b6289341c66f0a59348aa921a6189382cc4db"),
+    (32, 1, "c673f732d1a26af6dd51ba2bc6ccb9dbe4b68b03b7468cc3af5f2685c9438391"),
+    (32, 2, "d68c6f2bc85a3eb2b6a516350e54aaeaa3a79064147b672c5947d7906c1fe27f"),
+    (64, 1, "f78f853d64e970c8410abaf79b5a9ea19bbf23ad93383602a53e76c7ae6b100d"),
+    (64, 2, "5908a160dcf42981706c1edf351453dd29d4faa4ede232d8f0edd8691c18c448"),
+    (128, 1, "841d65b9f42fcc8bfc2cdc9c72965b796e538aac10669a7527a9074397b902f0"),
+    (128, 2, "649fbeb1dd6fc27ebe8e9446917081b4c44ca3646b0ef2ec7686cb02ba9e3b0e"),
 ]
 
 

@@ -16,14 +16,17 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from nnidist.gen import generate_pair
 from nnidist.goodpairs import (
     GoodEdgePairSet,
+    KeyLayout,
     PairBound,
     _cut_components,
     decompose,
     find_good_edge_pairs,
     first_free_cut,
     lower_bound,
+    moved_edge_key,
+    patch_sides,
 )
-from nnidist.nni import NniOp, apply_nni
+from nnidist.nni import NniOp, apply_nni, move
 from nnidist.phylo import Phylogeny, TreeError, finiteness_check
 from oracles import (
     caterpillar,
@@ -216,6 +219,68 @@ def test_keys_pair_like_the_oracle_under_repeated_weights(n, seed, moves, repeat
         # one field, wide enough for every internal edge
         assert PairBound(t2).layout.offsets == [0, (n - 3).bit_length()]
     check_keys_pair_like_the_oracle(t1, t2, n)
+
+
+def pair_with(seed, n, moves, repeats):
+    """A finite pair with distinct internal weights ("none") or repeated ones (see repeated_pair)."""
+    if repeats == "none":
+        return generate_pair(seed, n, moves)[:2]
+    return repeated_pair(seed, n, moves, repeats)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 80),
+    repeats=st.sampled_from(["none", "one", "mixed"]),
+)
+def test_both_trees_of_a_finite_pair_have_one_layout(n, seed, moves, repeats):
+    # ranks in sorted weight order, bits in sorted taxon order: the layout
+    # of either tree is the other's, so one layout keys both
+    t1, t2 = pair_with(seed, n, moves, repeats)
+    a, b = KeyLayout(t1), KeyLayout(t2)
+    assert a.offsets == b.offsets and a.rank == b.rank and a.bit == b.bit
+    shared = PairBound(t1, b)
+    assert shared.keys == PairBound(t1).keys
+    assert shared.fields == a.fields == b.edge_fields(t1)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 80),
+    repeats=st.sampled_from(["none", "one", "mixed"]),
+    data=st.data(),
+)
+def test_a_followed_table_is_the_table_of_the_moved_tree(n, seed, moves, repeats, data):
+    # random moves on a copy of the target, its sides patched after each:
+    # the table that follows them replaces only the moved edges' keys and
+    # ends equal to a fresh table of the moved tree, splits included
+    t1, t2 = pair_with(seed, n, moves, repeats)
+    table = PairBound(t2, KeyLayout(t1))
+    sides = table.sides(t2, table.fields)
+    sides = sides._replace(parent_edge=dict(sides.parent_edge))
+    work = t2.copy()
+    internal = work.internal_edges()
+    moved = []
+    for _ in range(data.draw(st.integers(0, 2 * n), label="moves")):
+        e2 = data.draw(st.sampled_from(internal), label="edge")
+        u, v = work.endpoints(e2)
+        e1 = data.draw(st.sampled_from([g for g in work.adjacent_edges(u) if g != e2]))
+        e3 = data.draw(st.sampled_from([g for g in work.adjacent_edges(v) if g != e2]))
+        move(work, e1, e2, e3)
+        patch_sides(work, sides, e2)
+        moved.append(e2)
+    fresh = PairBound(work, table.layout)
+    for e in moved:
+        assert moved_edge_key(work, sides, e) == fresh.keys[e]
+    table.follow(work, sides, moved)
+    assert table.tree is work
+    assert table.keys == fresh.keys and table.target == fresh.target
+    assert {r: sorted(s) for r, s in table.splits.items()} == {
+        r: sorted(s) for r, s in fresh.splits.items()}
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)

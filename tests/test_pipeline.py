@@ -7,9 +7,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -168,6 +169,28 @@ def test_a_component_is_solved_past_its_pseudo_leaves(seed):
         assert verify_transform(a, result.sequence, b) == (True, result.cost, None)
 
 
+@pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (32, 3), (48, 4)])
+def test_a_component_maps_its_second_tree_onto_the_end_of_its_moves(n, seed):
+    # stars, exact-search components and four-phase ones: the end map sends
+    # each edge of c2 to the edge at its place in the tree the moves reach,
+    # which a walk of that tree against c2 gives, and asking for it changes
+    # no move
+    t1, t2, _ = generate_pair(seed, n, 2 * n, dup_weights=seed % 2 == 0)
+    kinds = Counter()
+    for c1, c2 in decompose(t1, t2, find_good_edge_pairs(t1, t2)):
+        end_map = {}
+        ops, costs = _component_sequence(c1, c2, ParRuntime(), end_map)
+        assert (ops, costs) == _component_sequence(c1, c2, ParRuntime())
+        end = c1.copy()
+        for op in ops:
+            move(end, *op)
+        assert end.canonical_equal(c2)
+        assert end_map == pipeline._equal_tree_edge_map(end, c2)
+        assert set(end_map) == set(c2.edge_ids())
+        kinds["star" if not ops else "exact" if "exact" in costs else "phases"] += 1
+    assert kinds["star"] and (kinds["exact"] and kinds["phases"] or n < 32)
+
+
 def counter_of(calls: Counter):
     """A wrapper factory: ``counting(name, fn)`` counts each call in ``calls[name]``."""
     def counting(name, fn):
@@ -291,22 +314,63 @@ def test_each_component_is_checked_once_and_the_answer_replayed_once(monkeypatch
     assert calls == {"finiteness_check": 1, "verify_transform": 1}
 
 
+def test_each_tree_is_walked_and_keyed_once_and_the_answer_replayed_once(monkeypatch):
+    # both passes keep moves on this pair.  One layout keys both trees: each
+    # input tree's sides are walked once and its keys read once, and T2′'s
+    # table follows tree 2's moves with no further walk.  The answer is
+    # replayed once through nni's replay core, every move once: tree 2's
+    # moves are carried onto t1's ids before it, with no walk of a whole
+    # tree.  The exact search walks its own small states through its own
+    # imports, which are not counted here
+    import nnidist.goodpairs as goodpairs_mod
+    import nnidist.nni as nni_mod
+
+    t1, t2, _ = generate_pair(seed=5, n=32, moves=64)
+    walked, keyed, legs = [], [], []
+    sides_below, edge_keys_of, replay = (
+        goodpairs_mod.sides_below, goodpairs_mod.edge_keys_of, nni_mod.replay)
+
+    def counted_sides(tree, *args):
+        walked.append(tree)
+        return sides_below(tree, *args)
+
+    def counted_keys(tree, *args):
+        keyed.append(tree)
+        return edge_keys_of(tree, *args)
+
+    def counted_replay(work, ops, target=None):
+        legs.append(0)
+        for step in replay(work, ops, target):
+            legs[-1] += 1
+            yield step
+
+    monkeypatch.setattr(goodpairs_mod, "sides_below", counted_sides)
+    monkeypatch.setattr(goodpairs_mod, "edge_keys_of", counted_keys)
+    monkeypatch.setattr(nni_mod, "replay", counted_replay)
+    result = approx_nni(t1, t2)
+    assert result.phase_costs["pairing"] and result.phase_costs["pairing_2"]
+    assert len(walked) == len(keyed) == 2
+    assert walked[0] is keyed[0] is t1 and walked[1] is keyed[1] is t2
+    assert legs == [len(result.sequence)]
+
+
 def test_span_is_the_max_over_components():
     # components run side by side: per phase, rounds combine by max and
-    # work and width by sum over the components of T1′ solved alone.  The
-    # pairing pass runs first, on the whole tree, so its rounds are its own.
-    # On this pair the pass keeps two-move pairs and leaves two components
+    # work and width by sum over the components of T1′ and T2′ solved
+    # alone.  The two pairing passes run first, one after the other, on the
+    # whole trees, so their rounds are their own.  On this pair each pass
+    # keeps moves, one of them two-move pairs, and they leave two components
     # of more than six taxa, so every four-phase phase runs twice
-    t1, t2, _ = generate_pair(seed=17, n=48, moves=48)
-    pass_rt, pairing = run_pass(t1, t2)[1:]
-    assert pairing.rounds
+    t1, t2, _ = generate_pair(seed=5, n=32, moves=64)
+    pass_rt, back, forth = run_both(t1, t2)
+    assert back.rounds and forth.rounds
     alone = []
-    for a, b in decompose(pairing.tree, t2, pairing.pairs):
+    for a, b in decompose(forth.tree, back.tree, forth.pairs):
         part_rt = ParRuntime()
         _component_sequence(a, b, part_rt)
         alone.append(part_rt.snapshot())
     assert sum(1 for m in alone if m) >= 2
-    assert any(key is None for kept in pairing.rounds for _, key in kept)
+    assert any(key is None for p in (back, forth) for kept in p.rounds for _, key in kept)
     metrics = approx_nni(t1, t2).metrics
     assert metrics.pop("pairing") == pass_rt.snapshot()["pairing"]
     assert set(metrics) == set().union(*alone)
@@ -428,6 +492,16 @@ def run_pass(t1, t2):
     return table, rt, pairing_pass(t1, t2, table, table.edge_fields(t1), rt)
 
 
+def run_both(t1, t2):
+    """Both passes as approx_nni runs them: (their runtime, tree 2's pass, t1's pass against T2′)."""
+    rt = ParRuntime()
+    table1 = PairBound(t1)
+    back = pairing_pass(t2, t1, table1, table1.edge_fields(t2), rt)
+    table = PairBound(back.tree)
+    forth = pairing_pass(t1, back.tree, table, table.edge_fields(t1), rt)
+    return rt, back, forth
+
+
 def units(kept):
     """A round's kept moves as units: a single move, or a helper move and its pairing move."""
     out = []
@@ -519,15 +593,23 @@ def test_the_pairing_pass_makes_the_pairs_it_predicts(n, seed, moves, dup_weight
 
     # the pairing moves cost at most the bound and so do the helper moves,
     # each moved edge its own weight each time it moves
-    result = approx_nni(t1, t2)
     lb = lower_bound(t1, t2)
-    assert result.phase_costs["pairing"] == sum(
-        (t1.weight(e) for e in moved + helpers), Fraction(0))
-    assert sum((t1.weight(e) for e in moved), Fraction(0)) <= lb == result.lower_bound
+    assert sum((t1.weight(e) for e in moved), Fraction(0)) <= lb
     assert sum((t1.weight(e) for e in helpers), Fraction(0)) <= lb
-    assert result.good_pairs == len(pairing.detected)
-    assert result.sequence[:len(moved) + len(helpers)] == [
-        op for kept in pairing.rounds for op, _ in kept]
+
+    # approx_nni runs tree 2's pass first and t1's against its T2′: the
+    # answer opens with t1's pass and ends with tree 2's, undone in reverse
+    result = approx_nni(t1, t2)
+    _, back, forth = run_both(t1, t2)
+    forth_ops, back_ops = pipeline._moves(forth), pipeline._moves(back)
+    assert result.lower_bound == lb and result.good_pairs == len(pairing.detected)
+    assert result.phase_costs["pairing"] == sum(
+        (t1.weight(op.e2) for op in forth_ops), Fraction(0))
+    assert result.phase_costs["pairing_2"] == sum(
+        (t2.weight(op.e2) for op in back_ops), Fraction(0))
+    assert result.sequence[:len(forth_ops)] == forth_ops
+    tail = result.sequence[len(result.sequence) - len(back_ops):]
+    assert [t1.weight(op.e2) for op in tail] == [t2.weight(op.e2) for op in back_ops[::-1]]
 
 
 @pytest.mark.parametrize("dup_weights", [False, True])
@@ -553,14 +635,59 @@ def test_the_pairing_pass_costs_at_most_twice_the_bound(dup_weights):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_the_pairing_pass_takes_no_round_up_to_six_taxa(n):
-    # the exact search solves these pairs whole and optimally
+    # the exact search solves these pairs whole and optimally, so neither
+    # tree's pass takes a round
     for seed in range(1, 6):
         t1, t2, _ = generate_pair(seed, n, 2 * n)
         _, rt, pairing = run_pass(t1, t2)
         assert pairing.tree is t1 and pairing.rounds == []
         assert pairing.pairs == pairing.detected
         assert "pairing" not in rt.metrics
-        assert approx_nni(t1, t2).phase_costs["pairing"] == 0
+        rt, back, forth = run_both(t1, t2)
+        assert back.tree is t2 and forth.tree is t1 and not back.rounds and not forth.rounds
+        assert "pairing" not in rt.metrics
+        result = approx_nni(t1, t2)
+        assert result.phase_costs["pairing"] == result.phase_costs["pairing_2"] == 0
+        assert "pairing" not in result.metrics
+
+
+def repeated_weights(t1, t2, seed):
+    """``t1`` and ``t2`` with their internal weights drawn from three values.
+
+    A move keeps every edge id with its weight, so the generator's two
+    trees get one reweighting and stay a finite pair.
+    """
+    rng = Random(seed)
+    internal = {e: Fraction(rng.choice((2, 3, 5))) for e in t1.internal_edges()}
+    return tuple(
+        Phylogeny(
+            {e: t.endpoints(e) for e in t.edge_ids()},
+            {e: internal.get(e, t.weight(e)) for e in t.edge_ids()},
+            {x: t.leaf_label(x) for x in t.nodes() if t.is_leaf(x)},
+        )
+        for t in (t1, t2)
+    )
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(7, 48),
+    seed=st.integers(0, 10**6),
+    scale=st.integers(1, 3),
+)
+def test_both_passes_keep_moves_and_the_answer_still_replays(n, seed, scale):
+    # with repeated weights, on pairs where each tree's pass keeps a move:
+    # the answer replays from t1 to t2 at the reported cost, and each pass
+    # costs at most twice the bound of the input pair
+    t1, t2 = repeated_weights(*generate_pair(seed, n, scale * n)[:2], seed)
+    result = approx_nni(t1, t2)
+    costs = result.phase_costs
+    assume(costs["pairing"] > 0 and costs["pairing_2"] > 0)
+    assert verify_transform(t1, result.sequence, t2) == (True, result.cost, None)
+    assert result.cost == sum(costs.values(), Fraction(0))
+    lb = lower_bound(t1, t2)
+    assert lb == result.lower_bound
+    assert costs["pairing"] <= 2 * lb and costs["pairing_2"] <= 2 * lb
 
 
 def test_the_pairing_pass_keeps_t1_when_no_move_pairs():
