@@ -505,8 +505,8 @@ def first_free_cut(tree: Phylogeny) -> int:
 
 
 def _cut_components(
-    tree: Phylogeny, cuts: dict[int, int], first: int = 0
-) -> list[Phylogeny]:
+    tree: Phylogeny, cuts: dict[int, int], first: int = 0, stars: bool = True
+) -> list[Phylogeny | frozenset[str]]:
     """Split at the cut edges; each cut becomes a pseudo-leaf in both parts.
 
     One walk per component over the edge table, from its smallest node id,
@@ -516,12 +516,14 @@ def _cut_components(
     its degree and every cut edge ends at a new labeled leaf, so the parts
     are built without ``validate()``.  Two checks stand for what a cut can
     break: a part of fewer than three leaves, which only a cut leaf edge
-    leaves, and a pseudo-leaf label that a taxon already carries.
+    leaves, and a pseudo-leaf label that a taxon already carries.  With
+    ``stars=False`` a part of three edges, a three-leaf star, is not built:
+    it is listed as the frozenset of its labels, after the same two checks.
     """
     ends, adj, wt, leaf_label = tree._ends, tree._adj, tree._wt, tree._leaf_label
     base = max(adj) + 1
     seen: set[int] = set()
-    built: list[Phylogeny] = []
+    built: list[Phylogeny | frozenset[str]] = []
     for start in sorted(adj):
         if start in seen:
             continue
@@ -543,6 +545,12 @@ def _cut_components(
                     stack.append(y if x == u else x)
         if len(labels) < 3:
             raise TreeError(f"a cut leaves a part of {len(labels)} leaves, need at least 3")
+        if not stars and len(edges) == 3:
+            taxa = frozenset(labels.values())
+            if len(taxa) != 3:
+                raise TreeError("duplicate taxon labels")
+            built.append(taxa)
+            continue
         order = sorted(edges)
         part = Phylogeny._from_tables(
             {e: edges[e] for e in order}, {e: wt[e] for e in order}, labels)
@@ -550,6 +558,11 @@ def _cut_components(
             raise TreeError("duplicate taxon labels")
         built.append(part)
     return built
+
+
+def _taxa(part: Phylogeny | frozenset[str]) -> frozenset[str]:
+    """The labels of a part that :func:`_cut_components` lists."""
+    return frozenset(part._label_leaf) if isinstance(part, Phylogeny) else part
 
 
 def decompose(
@@ -561,6 +574,7 @@ def decompose(
     fields: tuple[dict[int, int], dict[int, int]] | None = None,
     target_fields: tuple[dict[int, int], dict[int, int]] | None = None,
     first_cut: int = 0,
+    stars: bool = True,
 ) -> list[tuple[Phylogeny, Phylogeny]]:
     """Cut both trees at all good pairs and match the components by taxa.
 
@@ -574,7 +588,15 @@ def decompose(
     finiteness no field carries, so one big-int comparison per component
     stands for the multiset comparison of ``finiteness_check``.  Pair sets
     from :func:`find_good_edge_pairs` and built by hand take the same
-    checks.  Every part is returned, three-leaf stars included.
+    checks.
+
+    Every part is returned by default, three-leaf stars included.  A star
+    has no internal edge, so it needs no move and its count vector is 0 in
+    both trees: with ``stars=False`` its two trees are not built, each star
+    is checked by its label set alone, which must be a star's of the other
+    tree, and the list holds only the parts with an internal edge, in the
+    same order.  Both settings refuse the same pair sets with the same
+    message.
 
     ``table`` is t2's :class:`KeyLayout`, or a :class:`PairBound`, which
     reads the same, and ``fields`` is ``table.edge_fields(t1)`` when the
@@ -588,21 +610,24 @@ def decompose(
     ``first_cut=first_free_cut(t1)``, which numbers past its pseudo-leaves.
     """
     if not pair_set.pairs:
-        return [(t1, t2)]
+        return [(t1, t2)] if stars or t1.n_taxa > 3 else []
     if table is not None and table.tree is not t2:
         raise ValueError("the table was built for another target tree")
     cuts1 = {e1: k for k, (e1, _) in enumerate(pair_set.pairs)}
     cuts2 = {e2: k for k, (_, e2) in enumerate(pair_set.pairs)}
-    parts1 = _cut_components(t1, cuts1, first_cut)
-    parts2 = _cut_components(t2, cuts2, first_cut)
-    # a part's label map is keyed by its taxa: no sorted taxa() tuple per part
-    by_taxa = {frozenset(p._label_leaf): p for p in parts2}
+    parts1 = _cut_components(t1, cuts1, first_cut, stars)
+    parts2 = _cut_components(t2, cuts2, first_cut, stars)
+    # a part's label map is keyed by its taxa: no sorted taxa() tuple per
+    # part.  A star has three taxa and any other part more, so a star that
+    # was not built, listed as its taxa, can only match a star
+    by_taxa = {_taxa(p): p for p in parts2}
     matched = []
-    for part in sorted(parts1, key=lambda p: min(p._label_leaf)):
-        match = by_taxa.pop(frozenset(part._label_leaf), None)
+    for taxa, part in sorted([(_taxa(p), p) for p in parts1], key=lambda tp: min(tp[0])):
+        match = by_taxa.pop(taxa, None)
         if match is None:
             raise TreeError("decomposition components do not match between trees")
-        matched.append((part, match))
+        if isinstance(part, Phylogeny):
+            matched.append((part, match))
     if by_taxa:
         raise TreeError("decomposition left unmatched components")
     wt1, wt2 = t1._wt, t2._wt

@@ -61,12 +61,12 @@ class RootedView(NamedTuple):
     ``order`` lists the nodes root first (breadth-first), so every parent
     precedes its children; ``parent_edge`` maps each node to the edge toward
     the root (None at the root); ``children`` lists each node's children by
-    the smallest taxon below them.
+    the smallest taxon below them.  Every leaf shares one empty tuple.
     """
 
     order: list[int]
     parent_edge: dict[int, int | None]
-    children: dict[int, list[int]]
+    children: dict[int, list[int] | tuple[()]]
 
 
 class Phylogeny:
@@ -292,9 +292,12 @@ class Phylogeny:
         # plain dict and list work, no method calls: serialization, the
         # checks and detection read this view on every tree they meet
         parent_edge: dict[int, int | None] = {root: None}
-        children: dict[int, list[int]] = {}
+        children: dict[int, list[int] | tuple[()]] = {}
         order = [root]
         for x in order:
+            if x in labels:
+                children[x] = ()
+                continue
             kids = children[x] = []
             for e in adj[x]:
                 u, y = ends[e]
@@ -304,15 +307,23 @@ class Phylogeny:
                     parent_edge[y] = e
                     order.append(y)
                     kids.append(y)
-        # the smallest taxon below each node, the children's sort key
+        # the smallest taxon below each node, the children's sort key; below
+        # the root a node has two children, whose smallest taxa differ
         min_taxon: dict[int, str] = {}
         for x in reversed(order):
             kids = children[x]
-            if kids:
+            if not kids:
+                min_taxon[x] = labels[x]
+            elif len(kids) == 2:
+                a, b = kids
+                low = min_taxon[a]
+                if min_taxon[b] < low:
+                    kids.reverse()
+                    low = min_taxon[b]
+                min_taxon[x] = low
+            else:
                 kids.sort(key=min_taxon.__getitem__)
                 min_taxon[x] = min_taxon[kids[0]]
-            else:
-                min_taxon[x] = labels[x]
         return RootedView(order, parent_edge, children)
 
     # ------------------------------------------------------------------

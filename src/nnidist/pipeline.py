@@ -171,14 +171,18 @@ cost.  The round and work counters describe the schedule that made the
 moves, before shortening.
 
 :func:`approx_nni` checks the full pair's finiteness once, and neither
-detection nor ``decompose`` checks it again.  ``decompose`` builds every
-component straight from its tree's edge table, without re-validating it,
-and checks each component pair, stars included, from the full pair's
-finiteness: the cut edges of each good pair must weigh the same, and each
-pair of parts must hold the same internal count vector, one big-int
-comparison per component.  A component without an internal edge is a
-three-leaf star whose two trees were thereby found to agree, and the
-pipeline skips it with no move.  Any other component has moves to make:
+detection nor ``decompose`` checks it again.  ``decompose`` checks each
+component pair from the full pair's finiteness: the cut edges of each good
+pair must weigh the same, and each pair of parts must hold the same
+internal count vector, one big-int comparison per component.  A component
+without an internal edge is a three-leaf star, which needs no move: its
+taxa and leaf weights are equal, and so are its two trees.  So the pipeline
+calls ``decompose(..., stars=False)``, which checks each star by its taxa
+alone, as one of the other tree's stars, and builds only the components
+with an internal edge, straight from their trees' edge tables, without
+re-validating them.  After both passes most components are stars.  When
+every internal edge of T1′ is paired, every component is a star, and
+``decompose`` is not called.  Any other component has moves to make:
 every good pair was cut, and two canonically equal trees would pair every
 internal edge.
 
@@ -411,7 +415,9 @@ def _component_sequence(
     :func:`finiteness_check` on the full trees, and ``decompose`` checked
     each component pair from that (see ``goodpairs.decompose``): equal
     taxa, leaf weights and internal weight multisets.  A star needs no
-    move; one to three internal edges go to :func:`nnidist.exact.search`,
+    move; :func:`approx_nni` no longer sends any (see ``decompose``'s
+    ``stars``), but a direct caller may.  One to three internal edges go to
+    :func:`nnidist.exact.search`,
     which records its moves in phase ``exact``, and larger components to
     the four phases.  ``end_map``, when given, receives every edge of
     ``c2`` mapped to the edge at its place in the tree that the moves
@@ -688,17 +694,22 @@ def approx_nni(t1: Phylogeny, t2: Phylogeny) -> ApproxResult:
     # Components are independent, so each is counted on its own runtime and
     # their schedules run side by side.  t1 may be a component of an earlier
     # decomposition: number new cuts past its pseudo-leaves
+    # decompose checks the stars, which need no move, by their taxa and
+    # builds none; when every internal edge is paired, every part is a star
+    # and decompose is not called
     part_rts = []
-    for part1, part2 in decompose(t1_moved, t2_moved, cut, fields=fields,
-                                  target_fields=fields2, first_cut=first_free_cut(t1)):
-        part_rts.append(ParRuntime())
-        end_map = None if part2._ends.keys().isdisjoint(inner) else {}
-        ops, costs = _component_sequence(part1, part2, part_rts[-1], end_map)
-        if end_map:
-            at.update((g, end_map[g]) for g in inner.intersection(end_map))
-        sequence.extend(ops)
-        for name, value in costs.items():
-            totals[name] += value
+    if len(cut) < len(fields[0]):
+        for part1, part2 in decompose(t1_moved, t2_moved, cut, fields=fields,
+                                      target_fields=fields2, first_cut=first_free_cut(t1),
+                                      stars=False):
+            part_rts.append(ParRuntime())
+            end_map = None if part2._ends.keys().isdisjoint(inner) else {}
+            ops, costs = _component_sequence(part1, part2, part_rts[-1], end_map)
+            if end_map:
+                at.update((g, end_map[g]) for g in inner.intersection(end_map))
+            sequence.extend(ops)
+            for name, value in costs.items():
+                totals[name] += value
     rt.add_side_by_side(part_rts)
     del t1_moved, t2_moved
     sequence += _translate(invert_sequence(back_moves), at)

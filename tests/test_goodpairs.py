@@ -525,13 +525,73 @@ def test_components_have_no_further_pairs(seed):
         assert find_good_edge_pairs(c1, c2).pairs == []
 
 
+def tables(parts):
+    """Each part pair's edge, weight and label tables, dict order included."""
+    return [[list(getattr(tree, table).items())
+             for tree in pair for table in ("_ends", "_wt", "_leaf_label")]
+            for pair in parts]
+
+
+def decomposed(t1, t2, pairs):
+    """``decompose``'s parts with and without stars, or its refusal under each."""
+    outcomes = []
+    for stars in (True, False):
+        try:
+            parts = decompose(t1, t2, pairs, stars=stars)
+        except TreeError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(parts)
+    return outcomes
+
+
+def check_stars_left_out(t1, t2, pairs):
+    """Without stars decompose lists the default's other parts, in order, or
+    refuses with the default's message; returns the default's parts or message."""
+    with_stars, without = decomposed(t1, t2, pairs)
+    if isinstance(with_stars, str):
+        assert without == with_stars
+    else:
+        assert tables(without) == tables([p for p in with_stars if p[0].internal_edges()])
+    return with_stars
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 80),
+    repeats=st.sampled_from(["none", "one", "mixed"]),
+)
+def test_decompose_without_stars_lists_the_other_parts_part_for_part(n, seed, moves, repeats):
+    t1, t2 = pair_with(seed, n, moves, repeats)
+    # the second pair cuts every internal edge: every part is a star
+    for a, b in ((t1, t2), (t1, t1.copy())):
+        check_stars_left_out(a, b, find_good_edge_pairs(a, b))
+
+
 def test_decompose_rejects_a_bogus_pair():
     t1, t2, _ = generate_pair(30, 8, 12)
     e1 = t1.internal_edges()[0]
     sp1, sp2 = splits_by_removal(t1), splits_by_removal(t2)
     e2 = next(e for e in t2.internal_edges() if sp2[e] != sp1[e1])
-    with pytest.raises(TreeError):
-        decompose(t1, t2, GoodEdgePairSet([(e1, e2)]))
+    with_stars, without = decomposed(t1, t2, GoodEdgePairSet([(e1, e2)]))
+    assert isinstance(with_stars, str) and without == with_stars
+
+
+def test_decompose_without_stars_still_matches_the_stars_taxa():
+    # cut at its first and last internal edges, the caterpillar leaves a star
+    # at each end and one part between them.  Trading t000 and t009 between
+    # the stars leaves the middle parts matched: only the stars' taxa differ
+    t1 = caterpillar(10)
+    t2 = relabeled(t1, {"t000": "t009", "t009": "t000"})
+    pairs = GoodEdgePairSet([(0, 0), (6, 6)])
+    parts1 = _cut_components(t1, {0: 0, 6: 1})
+    parts2 = _cut_components(t2, {0: 0, 6: 1})
+    assert [p.n_taxa for p in parts1] == [3, 8, 3]
+    assert parts1[1].taxa() == parts2[1].taxa() and parts1[0].taxa() != parts2[0].taxa()
+    assert decomposed(t1, t2, pairs) == ["decomposition components do not match between trees"] * 2
+    assert len(decompose(t1, t1.copy(), pairs, stars=False)) == 1
 
 
 @pytest.mark.parametrize("dup_weights", [False, True])
@@ -618,11 +678,11 @@ def test_decompose_refuses_exactly_the_pair_sets_with_a_part_that_is_not_finite(
         finiteness_check(a, b)[0]
         for a, b in zip(_cut_components(t1, cuts), _cut_components(t2, cuts))
     )
+    outcome = check_stars_left_out(t1, t2, pairs)
     if finite:
-        assert len(decompose(t1, t2, pairs)) == len(cut) + 1
+        assert len(outcome) == len(cut) + 1
     else:
-        with pytest.raises(TreeError, match="component pair is not finite"):
-            decompose(t1, t2, pairs)
+        assert outcome.startswith("component pair is not finite")
 
 
 def test_decompose_refuses_a_taxon_named_like_a_cut():
@@ -632,8 +692,8 @@ def test_decompose_refuses_a_taxon_named_like_a_cut():
     t2 = t1.copy()
     pairs = find_good_edge_pairs(t1, t2)
     assert pairs.pairs[0] == (0, 0)
-    with pytest.raises(TreeError, match="duplicate taxon labels"):
-        decompose(t1, t2, pairs)
+    # that part is a star, which decompose without stars checks unbuilt
+    assert decomposed(t1, t2, pairs) == ["duplicate taxon labels"] * 2
 
 
 def test_decompose_refuses_a_cut_leaf_edge():

@@ -354,6 +354,49 @@ def test_each_tree_is_walked_and_keyed_once_and_the_answer_replayed_once(monkeyp
     assert legs == [len(result.sequence)]
 
 
+def test_no_star_is_built_and_a_fully_paired_pair_is_not_decomposed(monkeypatch):
+    # a three-leaf star needs no move, so decompose checks the stars' taxa
+    # without building them: no part of three edges is built and none
+    # reaches _component_sequence.  When the passes pair every internal
+    # edge, every part is a star and decompose is not called at all
+    built, solved, decomposed = [], [], []
+    from_tables = Phylogeny._from_tables
+    component_sequence, decompose_ = pipeline._component_sequence, pipeline.decompose
+
+    def counted_tables(ends, weights, labels):
+        built.append(len(ends))
+        return from_tables(ends, weights, labels)
+
+    def counted_sequence(c1, c2, *args):
+        solved.append((c1.n_taxa, c2.n_taxa))
+        return component_sequence(c1, c2, *args)
+
+    def counted_decompose(*args, **kwargs):
+        decomposed.append(decompose_(*args, **kwargs))
+        return decomposed[-1]
+
+    monkeypatch.setattr(Phylogeny, "_from_tables", staticmethod(counted_tables))
+    monkeypatch.setattr(pipeline, "_component_sequence", counted_sequence)
+    monkeypatch.setattr(pipeline, "decompose", counted_decompose)
+    t1, t2, _ = generate_pair(1, 256, 256)
+    result = approx_nni(t1, t2)
+    assert len(decomposed) == 1 and len(decomposed[0]) == len(solved) > 0
+    assert min(min(pair) for pair in solved) > 3
+    assert len(built) == 2 * len(solved) and min(built) > 3
+    assert verify_transform(t1, result.sequence, t2) == (True, result.cost, None)
+
+    same = generate_pair(2, 64, 64)[0]
+    small1, small2, _ = generate_pair(1, 7, 6)
+    for a, b in ((same, same.copy()), (small1, small2)):
+        for calls in (built, solved, decomposed):
+            calls.clear()
+        result = approx_nni(a, b)
+        assert not (built or solved or decomposed)
+        assert verify_transform(a, result.sequence, b) == (True, result.cost, None)
+    # the passes alone answer the 7-taxon pair, with moves
+    assert result.cost > 0 and result.phase_costs["exact"] == 0
+
+
 def test_span_is_the_max_over_components():
     # components run side by side: per phase, rounds combine by max and
     # work and width by sum over the components of T1′ and T2′ solved
